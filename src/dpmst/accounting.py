@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 def rho_from_eps_delta(eps: float, delta: float) -> float:
     """zCDP budget whose (eps, delta) conversion lands exactly on eps."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
     log_inv = math.log(1.0 / delta)
@@ -22,7 +22,7 @@ def rho_from_eps_delta(eps: float, delta: float) -> float:
 
 def eps_from_rho_delta(rho: float, delta: float) -> float:
     """(eps, delta)-DP guarantee implied by rho-zCDP: rho + 2*sqrt(rho*ln(1/delta))."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError(f"rho must be nonnegative, got {rho}")
     _check_delta(delta)
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
@@ -30,7 +30,7 @@ def eps_from_rho_delta(rho: float, delta: float) -> float:
 
 def per_round_epsilon(rho: float, rounds: int) -> float:
     """Per-round budget sqrt(2*rho/rounds); rounds rounds compose back to rho."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if rounds < 1 or int(rounds) != rounds:
         raise ValueError(f"rounds must be a positive integer, got {rounds}")
@@ -43,7 +43,7 @@ def gaussian_sigma_for_input_privatization(rho: float, m: int, delta_inf: float)
     The weight vector has l2 sensitivity sqrt(m) * delta_inf when every
     coordinate may move by delta_inf, so sigma = sqrt(m) * delta_inf / sqrt(2*rho).
     """
-    if rho <= 0 or m < 1 or delta_inf <= 0:
+    if not (rho > 0 and m >= 1 and delta_inf > 0):
         raise ValueError(f"domain violation: rho={rho}, m={m}, delta_inf={delta_inf}")
     return math.sqrt(m) * delta_inf / math.sqrt(2.0 * rho)
 
@@ -74,7 +74,7 @@ class PrivacyBudget:
 
     @classmethod
     def from_rho(cls, rho: float, delta: float, delta_inf: float = 1.0) -> "PrivacyBudget":
-        if rho <= 0:
+        if not rho > 0:
             raise ValueError(f"rho must be positive, got {rho}")
         _check_sensitivity(delta_inf)
         return cls(eps_from_rho_delta(rho, delta), float(delta), float(delta_inf),
@@ -85,5 +85,5 @@ class PrivacyBudget:
 
 
 def _check_sensitivity(delta_inf: float):
-    if delta_inf <= 0:
-        raise ValueError(f"delta_inf must be positive, got {delta_inf}")
+    if not (delta_inf > 0 and math.isfinite(delta_inf)):
+        raise ValueError(f"delta_inf must be positive and finite, got {delta_inf}")

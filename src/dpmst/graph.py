@@ -6,9 +6,14 @@ public API; internal arrays are 0-based.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 class GraphError(ValueError):
@@ -108,43 +113,55 @@ class DisjointSets:
 class WeightedGraph:
     """Public topology (n vertices, m indexed edges) plus a private weight vector.
 
-    Connectivity is validated eagerly; mechanisms assume it. Immutable after
-    construction.
+    Endpoints, finite weights, a positive finite ``delta_inf`` and
+    connectivity are validated eagerly; mechanisms assume them. Immutable
+    after construction.
     """
 
     def __init__(self, n, edges, weights, delta_inf: float = 1.0):
         if n < 1:
             raise GraphError(f"need at least one vertex, got {n}")
-        if delta_inf <= 0:
-            raise GraphError(f"delta_inf must be positive, got {delta_inf}")
-        edges = [(int(u), int(v)) for u, v in edges]
+        if not (delta_inf > 0 and math.isfinite(delta_inf)):
+            raise GraphError(f"delta_inf must be positive and finite, got {delta_inf}")
+        arr = np.asarray(edges, dtype=np.int64)
+        if arr.size == 0:
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise GraphError(f"edges must be (u, v) pairs, got shape {arr.shape}")
         weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or len(weights) != len(edges):
+        if weights.ndim != 1 or len(weights) != len(arr):
             raise LengthMismatchError(
-                f"{len(edges)} edges but {weights.size} weights")
-        for u, v in edges:
-            if u == v:
+                f"{len(arr)} edges but {weights.size} weights")
+        bad = np.flatnonzero(~np.isfinite(weights))
+        if bad.size:
+            raise GraphError(f"edge {bad[0] + 1} has non-finite weight {weights[bad[0]]}")
+        u_arr, v_arr = arr[:, 0].copy(), arr[:, 1].copy()
+        loop = u_arr == v_arr
+        bad = np.flatnonzero(loop | (np.minimum(u_arr, v_arr) < 1)
+                             | (np.maximum(u_arr, v_arr) > n))
+        if bad.size:
+            u, v = int(u_arr[bad[0]]), int(v_arr[bad[0]])
+            if loop[bad[0]]:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise EndpointError(f"edge ({u}, {v}) outside [1, {n}]")
-        if not _connected(n, edges):
+            raise EndpointError(f"edge ({u}, {v}) outside [1, {n}]")
+        if not _connected(n, u_arr, v_arr):
             raise DisconnectedError(f"graph on {n} vertices is not connected")
         self.n = int(n)
-        self.edges = edges
+        self.u_arr, self.v_arr = u_arr, v_arr
         self.weights = weights.copy()
         self.weights.flags.writeable = False
         self.delta_inf = float(delta_inf)
-        if edges:
-            arr = np.asarray(edges, dtype=np.int64)
-            self.u_arr, self.v_arr = arr[:, 0], arr[:, 1]
-        else:
-            self.u_arr = np.zeros(0, dtype=np.int64)
-            self.v_arr = np.zeros(0, dtype=np.int64)
         self._incident = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.u_arr)
+
+    @functools.cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        """(u, v) per 0-based edge index, built on first use: paths that read
+        only ``u_arr``/``v_arr`` never hold the m tuples."""
+        return list(zip(self.u_arr.tolist(), self.v_arr.tolist()))
 
     @property
     def incident(self) -> list[list[int]]:
@@ -161,22 +178,11 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m}, delta_inf={self.delta_inf})"
 
 
-def _connected(n, edges) -> bool:
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    parts = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            parts -= 1
-    return parts == 1
+def _connected(n, u_arr, v_arr) -> bool:
+    """True iff the edges (u_arr[i], v_arr[i]) connect all of vertices 1..n."""
+    # vertex v is matrix node v - 1, so no isolated node 0 adds a component
+    adj = coo_matrix((np.ones(len(u_arr)), (u_arr - 1, v_arr - 1)), shape=(n, n))
+    return connected_components(adj, directed=False, return_labels=False) == 1
 
 
 def build_graph(n, edges, weights, delta_inf: float = 1.0) -> WeightedGraph:
@@ -187,13 +193,22 @@ def build_graph(n, edges, weights, delta_inf: float = 1.0) -> WeightedGraph:
 def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
     """Exact MST for the given weights (default: the graph's own).
 
-    Ties break toward the lowest edge id, via a stable sort. Callers routinely
-    pass noisy weight vectors distinct from ``g.weights``.
+    Edges are scanned in (weight, edge id) order, so ties break toward the
+    lowest edge id; NaN weights come last. Callers routinely pass noisy weight
+    vectors distinct from ``g.weights``, which may hold -inf.
+
+    This is filter-Kruskal (Osipov, Sanders & Singler, ALENEX 2009). With
+    k = max(4(n-1), 32*isqrt(m)), only the edges no heavier than the k-th
+    smallest weight are sorted and scanned first; if those do not span, the
+    next 2k of the rest follow, then 4k, and so on. Every edge tied with a
+    batch's cut-off weight is in that batch, so the scan order, and hence
+    the tree, is that of one stable sort of all m weights. When k >= m the
+    whole vector is sorted at once.
     """
     w = g.weights if weights is None else np.asarray(weights, dtype=float)
     if len(w) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(w)}")
-    order = np.argsort(w, kind="stable")
+    need = g.n - 1
     parent = list(range(g.n + 1))
 
     def find(x):
@@ -203,19 +218,55 @@ def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
         return x
 
     chosen = []
-    need = g.n - 1
-    edges = g.edges
-    for e in order:
-        u, v = edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(int(e) + 1)
-            if len(chosen) == need:
-                break
+    m = len(w)
+    if m <= 4 * need or m <= 32 * math.isqrt(m):
+        # k >= m, nothing to filter: one full sort, scanned through g.edges,
+        # which on tiny graphs costs less per call than the batched scan
+        edges = g.edges
+        for e in np.argsort(w, kind="stable").tolist():
+            u, v = edges[e]
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append(e + 1)
+                if len(chosen) == need:
+                    break
+    else:
+        batches = _filtered_batches(g, w, max(4 * need, 32 * math.isqrt(m)))
+        for e, u, v in itertools.chain.from_iterable(batches):
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append(e + 1)
+                if len(chosen) == need:
+                    break
     if len(chosen) != need:
         raise DisconnectedError("graph is not connected")
     return SpanningTree(frozenset(chosen))
+
+
+def _filtered_batches(g: WeightedGraph, w: np.ndarray, k: int):
+    """Successive runs of (edge index, u, v) in (weight, index) order.
+
+    Each run is every not yet yielded edge no heavier than the k-th smallest
+    of them, stably sorted; k doubles from run to run, so a scan that stops
+    early sorts little, and one that reads every edge costs about one full
+    sort. NaN weights come last.
+    """
+    wr, rest = w, None  # rest[i] is the edge index of wr[i]; None while wr is w
+    while True:
+        if k < len(wr):
+            head = wr <= np.partition(wr, k - 1)[k - 1]
+        else:
+            head = np.ones(len(wr), dtype=bool)
+        batch = np.flatnonzero(head) if rest is None else rest[head]
+        order = batch[np.argsort(w[batch], kind="stable")]
+        yield zip(order.tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
+        tail = np.flatnonzero(~head)
+        if not tail.size:
+            return
+        rest = tail if rest is None else rest[tail]
+        wr, k = w[rest], 2 * k
 
 
 def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
@@ -244,10 +295,9 @@ def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
 
 def tree_weight(g: WeightedGraph, tree) -> float:
     """Total weight of a tree (or any iterable of 1-based edge ids) under g's weights."""
-    ids = tree.edge_ids if isinstance(tree, SpanningTree) else tree
-    total = 0.0
-    for e in ids:
-        if not 1 <= e <= g.m:
-            raise EdgeIndexError(f"edge id {e} out of range [1, {g.m}]")
-        total += g.weights[e - 1]
-    return float(total)
+    ids = np.fromiter(tree.edge_ids if isinstance(tree, SpanningTree) else tree,
+                      dtype=np.int64)
+    bad = np.flatnonzero((ids < 1) | (ids > g.m))
+    if bad.size:
+        raise EdgeIndexError(f"edge id {ids[bad[0]]} out of range [1, {g.m}]")
+    return float(g.weights[ids - 1].sum())

@@ -88,7 +88,8 @@ def _run_single_trial(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget
             f"private tree beat the exact MST by {-error}; MST oracle is broken")
     if result.noisy_weights is not None:
         # the returned tree must be minimal under its own noisy weights
-        got = float(sum(result.noisy_weights[e - 1] for e in result.tree.edge_ids))
+        ids = np.fromiter(result.tree.edge_ids, dtype=np.int64) - 1
+        got = float(result.noisy_weights[ids].sum())
         ref = noisy_true_floor(result.noisy_weights)
         if got > ref + 1e-9 * max(1.0, abs(ref)):
             raise RuntimeError("mechanism returned a non-minimal tree for its noisy weights")
@@ -106,7 +107,7 @@ def run_trials(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget,
         raise UnknownMechanismError(f"unknown mechanism {mechanism_id!r}")
     true_tree = kruskal_mst(g)
     true_weight = tree_weight(g, true_tree)
-    true_ids = [e - 1 for e in true_tree.edge_ids]
+    true_ids = np.fromiter(true_tree.edge_ids, dtype=np.int64) - 1
 
     def noisy_true_floor(noisy):
         return float(noisy[true_ids].sum())

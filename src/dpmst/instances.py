@@ -36,11 +36,10 @@ def erdos_renyi_instance(n: int, p: float, wmin: float, wmax: float,
         else:
             keep = stream.uniform(len(iu)) <= p
         us, vs = iu[keep], iv[keep]
-        edges = list(zip(us.tolist(), vs.tolist()))
-        if not _connected(n, edges):
+        if not _connected(n, us, vs):
             continue
-        weights = wmin + (wmax - wmin) * stream.uniform(len(edges))
-        return build_graph(n, edges, weights)
+        weights = wmin + (wmax - wmin) * stream.uniform(len(us))
+        return build_graph(n, np.column_stack((us, vs)), weights)
     raise GenerationError(
         f"no connected G({n}, {p}) sample within {max_attempts} attempts")
 
@@ -100,9 +99,8 @@ def hard_instance(n: int, beta: float, s: int, stream: RngStream) -> WeightedGra
     if n < 2 or beta <= 0 or s < 1 or int(s) != s:
         raise ValueError(f"bad parameters: n={n}, beta={beta}, s={s}")
     iu, iv = np.triu_indices(n, k=1)
-    edges = list(zip((iu + 1).tolist(), (iv + 1).tolist()))
-    m = len(edges)
-    p_e = stream.beta(beta, beta, size=m)
+    edges = np.column_stack((iu + 1, iv + 1))
+    p_e = stream.beta(beta, beta, size=len(edges))
     weights = stream.binomial(int(s), p_e).astype(float)
     return build_graph(n, edges, weights)
 

@@ -114,3 +114,26 @@ class TestPrivacyBudget:
     def test_bad_sensitivity(self):
         with pytest.raises(ValueError):
             PrivacyBudget.from_rho(1.0, 1e-6, delta_inf=0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rho_from_eps_delta(NAN, 1e-6),
+    lambda: eps_from_rho_delta(NAN, 1e-6),
+    lambda: per_round_epsilon(NAN, 3),
+    lambda: gaussian_sigma_for_input_privatization(NAN, 4, 1.0),
+    lambda: gaussian_sigma_for_input_privatization(0.5, 4, NAN),
+    lambda: PrivacyBudget.from_eps_delta(NAN, 1e-6),
+    lambda: PrivacyBudget.from_eps_delta(1.0, NAN),
+    lambda: PrivacyBudget.from_eps_delta(1.0, 1e-6, delta_inf=NAN),
+    lambda: PrivacyBudget.from_eps_delta(1.0, 1e-6, delta_inf=math.inf),
+    lambda: PrivacyBudget.from_rho(NAN, 1e-6),
+    lambda: PrivacyBudget.from_rho(1.0, 1e-6, delta_inf=NAN),
+], ids=["rho-eps", "eps-rho", "per-round-rho", "sigma-rho", "sigma-delta-inf",
+        "budget-eps", "budget-delta", "budget-eps-delta-inf",
+        "budget-eps-delta-inf-infinite", "budget-rho", "budget-rho-delta-inf"])
+def test_nan_budget_rejected(call):
+    with pytest.raises(ValueError):
+        call()

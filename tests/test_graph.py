@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 
 from dpmst.exact import brute_force_mst
 from dpmst.graph import (DisconnectedError, DisjointSets, EdgeIndexError,
-                         EndpointError, LengthMismatchError, SelfLoopError,
-                         build_graph, is_spanning_tree, kruskal_mst, tree_weight)
+                         EndpointError, GraphError, LengthMismatchError,
+                         SelfLoopError, SpanningTree, build_graph,
+                         is_spanning_tree, kruskal_mst, tree_weight)
+from dpmst.harness import family_graph
+from dpmst.instances import erdos_renyi_instance, hard_instance
 from dpmst.rng import RngStream
 
 TRIANGLE = dict(n=3, edges=[(1, 2), (2, 3), (1, 3)])
@@ -36,6 +41,61 @@ def random_connected_graph(stream, max_n=6):
     return build_graph(n, edges, weights)
 
 
+def _reference_kruskal(g, weights=None):
+    """kruskal_mst before filter-Kruskal: one stable argsort of all m weights."""
+    w = g.weights if weights is None else np.asarray(weights, dtype=float)
+    order = np.argsort(w, kind="stable")
+    parent = list(range(g.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    need = g.n - 1
+    edges = g.edges
+    for e in order:
+        u, v = edges[e]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.append(int(e) + 1)
+            if len(chosen) == need:
+                break
+    if len(chosen) != need:
+        raise DisconnectedError("graph is not connected")
+    return SpanningTree(frozenset(chosen))
+
+
+def filters(g) -> bool:
+    """True when kruskal_mst sorts a prefix rather than all m weights."""
+    return max(4 * (g.n - 1), 32 * math.isqrt(g.m)) < g.m
+
+
+def random_weights(rng, m, kind):
+    """Weight vectors for kruskal_mst: heavy ties, or ties mixed with
+    infinities and NaN as a noisy vector may hold them."""
+    if kind == "uniform":
+        return rng.random(m) * 100.0
+    w = rng.integers(0, 3, size=m).astype(float)
+    if kind == "nonfinite":
+        w[rng.random(m) < 0.1] = -np.inf
+        w[rng.random(m) < 0.02] = np.inf
+        w[rng.random(m) < 0.02] = np.nan
+    return w
+
+
+def bridged_cliques(size):
+    """Two K_size joined by one bridge, the strictly heaviest edge."""
+    clique = [(u, v) for u in range(1, size + 1) for v in range(u + 1, size + 1)]
+    edges = clique + [(u + size, v + size) for u, v in clique] + [(size, size + 1)]
+    weights = np.arange(len(edges), dtype=float) % 3
+    weights[-1] = 3.0
+    return build_graph(2 * size, edges, weights)
+
+
 class TestBuildGraph:
     def test_valid_triangle(self):
         g = triangle()
@@ -49,6 +109,24 @@ class TestBuildGraph:
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             build_graph(4, [(1, 2), (3, 4)], [1.0, 1.0])
+
+    def test_isolated_last_vertex(self):
+        with pytest.raises(DisconnectedError):
+            build_graph(3, [(1, 2), (1, 2)], [1.0, 1.0])
+
+    def test_single_vertex(self):
+        g = build_graph(1, [], [])
+        assert g.m == 0 and kruskal_mst(g) == SpanningTree(frozenset())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, bad):
+        with pytest.raises(GraphError):
+            build_graph(3, [(1, 2), (2, 3)], [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_bad_delta_inf(self, bad):
+        with pytest.raises(GraphError):
+            build_graph(3, [(1, 2), (2, 3)], [1.0, 2.0], delta_inf=bad)
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(EndpointError):
@@ -137,6 +215,71 @@ class TestKruskal:
         assert kruskal_mst(g) == kruskal_mst(g, shifted)
 
 
+class TestFilterKruskal:
+    """kruskal_mst must release exactly the tree of one stable sort."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ties", "nonfinite", "uniform"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, seed, kind):
+        g = random_connected_graph(RngStream(seed), max_n=70)
+        w = random_weights(np.random.default_rng(seed), g.m, kind)
+        assert kruskal_mst(g) == _reference_kruskal(g)
+        assert kruskal_mst(g, w) == _reference_kruskal(g, w)
+
+    @pytest.mark.parametrize("make", [
+        lambda: bridged_cliques(100),  # widens twice to reach the bridge
+        lambda: hard_instance(60, 0.5, 3, RngStream(11)),
+        lambda: erdos_renyi_instance(300, 0.05, 0.0, 1.0, RngStream(5)),
+    ], ids=["bridged-cliques", "hard-60", "er-300"])
+    def test_filtered_instances(self, make):
+        g = make()
+        assert filters(g)
+        assert kruskal_mst(g) == _reference_kruskal(g)
+        rng = np.random.default_rng(g.m)
+        for kind in ("ties", "nonfinite", "uniform"):
+            w = random_weights(rng, g.m, kind)
+            assert kruskal_mst(g, w) == _reference_kruskal(g, w)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_graph(500, [(i, i + 1) for i in range(1, 500)],
+                            np.arange(499) % 3),
+        lambda: family_graph("k3"),
+        lambda: family_graph("k4"),
+    ], ids=["path", "k3", "k4"])
+    def test_unfiltered_instances(self, make):
+        g = make()
+        assert not filters(g)
+        rng = np.random.default_rng(g.m)
+        for w in [None] + [random_weights(rng, g.m, kind)
+                           for kind in ("ties", "nonfinite", "uniform")]:
+            assert kruskal_mst(g, w) == _reference_kruskal(g, w)
+
+    @pytest.mark.parametrize("fill", [-np.inf, np.nan])
+    def test_constant_vector_ties_break_by_id(self, fill):
+        g = hard_instance(60, 0.5, 3, RngStream(2))
+        w = np.full(g.m, fill)
+        assert kruskal_mst(g, w) == _reference_kruskal(g, w)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ties", "uniform"]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force(self, seed, kind):
+        g = random_connected_graph(RngStream(seed), max_n=6)
+        w = random_weights(np.random.default_rng(seed), g.m, kind)
+        assert kruskal_mst(g, w) == brute_force_mst(g, w)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ties", "uniform"]))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_matches_networkx(self, seed, kind):
+        nx = pytest.importorskip("networkx")
+        g = random_connected_graph(RngStream(seed), max_n=40)
+        w = random_weights(np.random.default_rng(seed), g.m, kind)
+        ref = nx.Graph()
+        ref.add_weighted_edges_from((u, v, float(x)) for (u, v), x in zip(g.edges, w))
+        ids = np.fromiter(kruskal_mst(g, w).edge_ids, dtype=np.int64) - 1
+        assert w[ids].sum() == pytest.approx(
+            nx.minimum_spanning_tree(ref).size(weight="weight"), rel=1e-12)
+
+
 class TestIsSpanningTree:
     def test_triangle_pair(self):
         assert is_spanning_tree(triangle(), {1, 2})
@@ -168,3 +311,20 @@ class TestTreeWeight:
     def test_invalid_edge_id(self):
         with pytest.raises(EdgeIndexError):
             tree_weight(triangle(), {0})
+
+    @pytest.mark.parametrize("ids", [{1, 4}, [-1]])
+    def test_out_of_range_ids(self, ids):
+        with pytest.raises(EdgeIndexError):
+            tree_weight(triangle(), ids)
+
+    def test_matches_loop_sum(self):
+        # numpy sums in another order than the loop it replaced; the
+        # tolerance is fixed from float64 rounding over ~2000 terms
+        g = erdos_renyi_instance(2000, 0.01, -1e3, 1e6, RngStream(9))
+        rng = np.random.default_rng(0)
+        for ids in (kruskal_mst(g).edge_ids,
+                    set(rng.choice(g.m, size=2000, replace=False) + 1)):
+            loop = 0.0
+            for e in ids:
+                loop += g.weights[e - 1]
+            assert tree_weight(g, ids) == pytest.approx(loop, rel=1e-12)
