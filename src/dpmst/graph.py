@@ -1,4 +1,4 @@
-"""Weighted-graph core: validation, union-find with member lists, exact MST.
+"""Weighted-graph core: validation, union-find, incidence, exact MST.
 
 Vertices are 1-based (1..n) and edge ids are 1-based (1..m) everywhere in the
 public API; internal arrays are 0-based.
@@ -54,11 +54,10 @@ class SpanningTree:
 
 
 class DisjointSets:
-    """Union-find over vertices 1..n with per-component member lists.
+    """Union-find over vertices 1..n: union by size, path halving.
 
-    Union is by size; the smaller component's member list is appended to the
-    larger one's, so scanning "the smaller side" (the caller's job) touches
-    each vertex O(log n) times over a full run.
+    ``merge`` reports whether u and v were in different components, which is
+    the cycle test private Kruskal draws against.
     """
 
     def __init__(self, n: int):
@@ -67,7 +66,6 @@ class DisjointSets:
         self.n = n
         self._parent = list(range(n + 1))
         self._size = [1] * (n + 1)
-        self._members: list[list[int]] = [[v] for v in range(n + 1)]
 
     def _check_vertex(self, v: int):
         if not 1 <= v <= self.n:
@@ -89,25 +87,20 @@ class DisjointSets:
             return False
         if self._size[ru] < self._size[rv]:
             ru, rv = rv, ru
-        # ru is the larger root; rv's members fold into it
         self._parent[rv] = ru
         self._size[ru] += self._size[rv]
-        self._members[ru].extend(self._members[rv])
-        self._members[rv] = []
         return True
 
     def size(self, v: int) -> int:
         self._check_vertex(v)
         return self._size[self.find(v)]
 
-    def members(self, v: int) -> list[int]:
-        """Live view of v's component member list; copy before mutating the structure."""
-        self._check_vertex(v)
-        return self._members[self.find(v)]
-
     def components(self) -> list[list[int]]:
-        return [sorted(self._members[r]) for r in range(1, self.n + 1)
-                if self._parent[r] == r]
+        """Vertex lists of the components, each sorted, ordered by least vertex."""
+        groups: dict[int, list[int]] = {}
+        for v in range(1, self.n + 1):
+            groups.setdefault(self.find(v), []).append(v)
+        return list(groups.values())
 
 
 class WeightedGraph:
@@ -151,7 +144,6 @@ class WeightedGraph:
         self.weights = weights.copy()
         self.weights.flags.writeable = False
         self.delta_inf = float(delta_inf)
-        self._incident = None
 
     @property
     def m(self) -> int:
@@ -163,16 +155,20 @@ class WeightedGraph:
         only ``u_arr``/``v_arr`` never hold the m tuples."""
         return list(zip(self.u_arr.tolist(), self.v_arr.tolist()))
 
-    @property
-    def incident(self) -> list[list[int]]:
-        """0-based edge indices incident to each vertex (index 0 unused)."""
-        if self._incident is None:
-            inc: list[list[int]] = [[] for _ in range(self.n + 1)]
-            for i, (u, v) in enumerate(self.edges):
-                inc[u].append(i)
-                inc[v].append(i)
-            self._incident = inc
-        return self._incident
+    @functools.cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex-to-edge incidence in CSR form, built on first use.
+
+        A pair ``(indptr, edge_ids)``: the 0-based indices of the edges at
+        vertex x are ``edge_ids[indptr[x]:indptr[x + 1]]``, each once.
+        Both arrays are read-only.
+        """
+        ends = np.concatenate([self.u_arr, self.v_arr])
+        indptr = np.zeros(self.n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=self.n + 1), out=indptr[1:])
+        edge_ids = np.argsort(ends, kind="stable") % self.m
+        indptr.flags.writeable = edge_ids.flags.writeable = False
+        return indptr, edge_ids
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m}, delta_inf={self.delta_inf})"

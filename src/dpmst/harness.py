@@ -91,7 +91,10 @@ def _run_single_trial(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget
         ids = np.fromiter(result.tree.edge_ids, dtype=np.int64) - 1
         got = float(result.noisy_weights[ids].sum())
         ref = noisy_true_floor(result.noisy_weights)
-        if got > ref + 1e-9 * max(1.0, abs(ref)):
+        # a -inf reference (Exp(1) rounded to 0) would make a relative
+        # tolerance inf and ref + tol NaN, which no tree exceeds
+        tol = 1e-9 * max(1.0, abs(ref)) if math.isfinite(ref) else 0.0
+        if got > ref + tol:
             raise RuntimeError("mechanism returned a non-minimal tree for its noisy weights")
     return TrialRecord(trial=trial, true_weight=true_weight,
                        private_weight=private_weight, error=error,

@@ -73,14 +73,25 @@ def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
                         stream: RngStream) -> MechanismResult:
     """Kruskal with each greedy choice replaced by the exponential mechanism.
 
-    Each of the n-1 rounds samples a live edge with probability proportional
-    to exp(-eps' * w_e / (2 * delta_inf)) from a sum tree, then deletes every
-    edge the new tree component closes a cycle with. Cycle candidates are
-    found by scanning the edges incident to the smaller of the two merged
-    components, so each edge is checked O(log n) times overall.
+    Each of the n-1 rounds picks an edge that closes no cycle with
+    probability proportional to exp(-eps' * w_e / (2 * delta_inf)) among
+    such edges. One sum tree holds every edge not yet drawn; a round draws
+    and deletes edges from it until one joins two components, and releases
+    that one.
+
+    Discarding a cycle-closing draw is exact: an edge that closes a cycle
+    keeps closing one for the rest of the run, so deleting it is what the
+    eager rule (drop every edge the forest spans) does anyway, only later;
+    and deleting it leaves the relative masses of the live edges unchanged.
+    So each accepted draw has the exponential mechanism's distribution over
+    the edges that close no cycle. The discarded draws are internal coins
+    and are never released.
+
+    ``ops["edge_checks"]`` is 1 for each drawn edge and 0 otherwise;
+    ``ops["draws"]`` is the number of draws, at most m.
     """
     t0 = time.perf_counter_ns()
-    n, m = g.n, g.m
+    n = g.n
     eps_prime = budget.per_round(n - 1)
     w = g.weights
     # shifting by the minimum only rescales the sampling weights uniformly;
@@ -88,39 +99,22 @@ def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
     # normal, which the sampler cannot hit at double precision
     s = np.exp(-eps_prime * (w - w.min()) / (2.0 * budget.delta_inf))
     s = np.maximum(s, np.finfo(float).tiny)
-    tree = SamplingTree(s.tolist())
+    tree = SamplingTree(s)
     ds = DisjointSets(n)
-    incident = g.incident
-    edges = g.edges
-    alive = [True] * m
-    checks = np.zeros(m, dtype=np.int64)
+    u_arr, v_arr = g.u_arr, g.v_arr
+    drawn: list[int] = []
     chosen: list[int] = []
-    for _ in range(n - 1):
+    while len(chosen) < n - 1:
         e = tree.sample(stream)
-        chosen.append(e + 1)
         tree.remove(e)
-        alive[e] = False
-        u, v = edges[e]
-        ru, rv = ds.find(u), ds.find(v)
-        if ds.size(ru) > ds.size(rv):
-            ru, rv = rv, ru
-        scan = list(ds.members(ru))  # smaller side, snapshot before the merge
-        ds.merge(u, v)
-        root = ds.find(u)
-        find = ds.find
-        for x in scan:
-            for eid in incident[x]:
-                checks[eid] += 1
-                if alive[eid]:
-                    a, b = edges[eid]
-                    y = b if a == x else a
-                    if find(y) == root:
-                        alive[eid] = False
-                        tree.remove(eid)
+        drawn.append(e)
+        if ds.merge(int(u_arr[e]), int(v_arr[e])):
+            chosen.append(e + 1)
+    checks = np.zeros(g.m, dtype=np.int64)
+    checks[drawn] = 1
     return MechanismResult(tree=SpanningTree(frozenset(chosen)),
                            wall_time_ns=time.perf_counter_ns() - t0,
-                           ops={"edge_checks": checks,
-                                "tree_removals": m - tree.live})
+                           ops={"edge_checks": checks, "draws": len(drawn)})
 
 
 def one_pass_mst(g: WeightedGraph, budget: PrivacyBudget,
@@ -179,6 +173,11 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     cut-crossing edges (probability proportional to
     exp(-eps' * w_e / (2 * delta_inf))), composing to the same budget as the
     Kruskal-style mechanisms.
+
+    The cut is a boolean mask over the edges: an edge crosses iff exactly
+    one endpoint is in the tree, so when vertex x joins, the mask flips on
+    x's incident edges and nowhere else. The crossing edges are read off in
+    edge-id order.
     """
     t0 = time.perf_counter_ns()
     n = g.n
@@ -186,20 +185,24 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     coef = eps_prime / (2.0 * budget.delta_inf)
     w = g.weights
     u_arr, v_arr = g.u_arr, g.v_arr
-    edges = g.edges
-    in_tree = np.zeros(n + 1, dtype=bool)
-    in_tree[1] = True
+    indptr, incident = g.incidence
+    cut = np.zeros(g.m, dtype=bool)
+    in_tree = [False] * (n + 1)
+    x = 1
     chosen: list[int] = []
     for _ in range(n - 1):
-        crossing = np.nonzero(in_tree[u_arr] != in_tree[v_arr])[0]
+        in_tree[x] = True
+        at_x = incident[indptr[x]:indptr[x + 1]]
+        cut[at_x] = ~cut[at_x]
+        crossing = np.flatnonzero(cut)
         ws = w[crossing]
         sw = np.exp(-coef * (ws - ws.min()))
         cum = np.cumsum(sw)
         target = stream.uniform() * cum[-1]
         e = int(crossing[np.searchsorted(cum, target, side="left")])
         chosen.append(e + 1)
-        u, v = edges[e]
-        in_tree[v if in_tree[u] else u] = True
+        u = int(u_arr[e])
+        x = int(v_arr[e]) if in_tree[u] else u
     return MechanismResult(tree=SpanningTree(frozenset(chosen)),
                            wall_time_ns=time.perf_counter_ns() - t0)
 

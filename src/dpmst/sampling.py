@@ -12,6 +12,7 @@ Plus the private maximum-weight matroid basis built on the same noise.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,19 +37,27 @@ class SamplingTree:
     """
 
     def __init__(self, weights):
-        weights = [float(w) for w in weights]
-        if not weights:
-            raise ValueError("need at least one leaf")
-        if any(w <= 0 for w in weights):
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 1 or not weights.size:
+            raise ValueError("need a non-empty sequence of leaf weights")
+        if not weights.min() > 0:  # also false for NaN
             raise ValueError("all leaf weights must be positive")
         m = len(weights)
         size = 1 << (m - 1).bit_length()
-        sums = [0.0] * (2 * size)
+        sums = np.zeros(2 * size)
         sums[size:size + m] = weights
-        for i in range(size - 1, 0, -1):
-            sums[i] = sums[2 * i] + sums[2 * i + 1]
+        # level by level, each node the sum of its two children: the same
+        # additions as a node-by-node loop, so the same bits
+        lo = size >> 1
+        with np.errstate(over="ignore"):  # an infinite total is rejected below
+            while lo:
+                np.add(sums[2 * lo:4 * lo:2], sums[2 * lo + 1:4 * lo:2],
+                       out=sums[lo:2 * lo])
+                lo >>= 1
+        if not math.isfinite(sums[1]):
+            raise ValueError("leaf weights must have a finite total")
         self._size = size
-        self._sums = sums
+        self._sums = sums.tolist()  # scalar descents read Python floats faster
         self.num_leaves = m
         self.live = m
 
@@ -60,17 +69,21 @@ class SamplingTree:
         return self._sums[self._size + leaf]
 
     def sample(self, stream: RngStream) -> int:
-        """Leaf index drawn with probability weight / total."""
+        """Live leaf index drawn with probability weight / total.
+
+        The descent never enters a zero-sum child: when rounding (or u = 1)
+        carries u past the live mass of one side, it takes the other.
+        """
         sums = self._sums
         if sums[1] <= 0.0:
             raise ValueError("cannot sample from an empty tree")
-        u = stream.uniform() * sums[1]  # u in (0, total]
+        u = stream.uniform() * sums[1]  # u in [0, total]; 0 only on underflow
         i = 1
         size = self._size
         while i < size:
             left = 2 * i
             ls = sums[left]
-            if u <= ls:
+            if (u <= ls and ls > 0.0) or sums[left + 1] == 0.0:
                 i = left
             else:
                 u -= ls

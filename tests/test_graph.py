@@ -280,6 +280,24 @@ class TestFilterKruskal:
             nx.minimum_spanning_tree(ref).size(weight="weight"), rel=1e-12)
 
 
+class TestIncidence:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lists_each_edge_at_both_ends(self, seed):
+        g = random_connected_graph(RngStream(60, (seed,)), max_n=9)
+        indptr, edge_ids = g.incidence
+        assert indptr[0] == indptr[1] == 0 and indptr[-1] == 2 * g.m
+        for x in range(1, g.n + 1):
+            at_x = edge_ids[indptr[x]:indptr[x + 1]].tolist()
+            assert sorted(at_x) == [e for e, (u, v) in enumerate(g.edges) if x in (u, v)]
+
+    def test_cached_and_read_only(self):
+        g = k4([1.0] * 6)
+        assert g.incidence is g.incidence
+        for arr in g.incidence:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
 class TestIsSpanningTree:
     def test_triangle_pair(self):
         assert is_spanning_tree(triangle(), {1, 2})

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from dpmst.accounting import PrivacyBudget
-from dpmst.graph import build_graph
+from dpmst.graph import SpanningTree, build_graph
 from dpmst.harness import (CSV_COLUMNS, _run_single_trial, density_sweep,
                            emit_csv, equivalence_suite, run_trials,
                            tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
-from dpmst.mechanisms import UnknownMechanismError
+from dpmst.mechanisms import MECHANISMS, MechanismResult, UnknownMechanismError
 from dpmst.rng import RngStream
 
 from .test_graph import triangle
@@ -64,6 +64,18 @@ class TestRunTrials:
     def test_unknown_mechanism(self, er_graph):
         with pytest.raises(UnknownMechanismError):
             run_trials(er_graph, "bogus", BUDGET, 1, 0)
+
+    def test_non_minimal_tree_rejected_under_minus_inf_reference(self, monkeypatch):
+        # the true tree {1, 2} sums to -inf under these noisy weights, so no
+        # relative tolerance may be added to it
+        def heavy_tree(g, budget, stream):
+            return MechanismResult(tree=SpanningTree(frozenset({2, 3})),
+                                   noisy_weights=np.array([-np.inf, 0.0, 5.0]))
+
+        monkeypatch.setitem(MECHANISMS, "perturb", heavy_tree)
+        with pytest.raises(RuntimeError, match="non-minimal"):
+            _run_single_trial(triangle(), "perturb", BUDGET, 0, 0, 3.0,
+                              lambda noisy: float(noisy[[0, 1]].sum()))
 
 
 class TestEmitCsv:

@@ -33,6 +33,34 @@ def tree_counts(mechanism, g, budget, trials, stream):
     return counts
 
 
+def light_triangles_heavy_bridges():
+    """Two weight-0 triangles joined by two weight-4 bridges: after two picks
+    in a triangle its third edge closes a cycle but keeps the largest
+    sampling weight, so private Kruskal draws and discards it often."""
+    return build_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (3, 6)],
+                       [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 4.0])
+
+
+def _reference_pamst(g, budget, stream):
+    """PAMST's former body: the cut rebuilt from all m endpoints every round."""
+    eps_prime = budget.per_round(g.n - 1)
+    coef = eps_prime / (2.0 * budget.delta_inf)
+    w = g.weights
+    in_tree = np.zeros(g.n + 1, dtype=bool)
+    in_tree[1] = True
+    chosen = []
+    for _ in range(g.n - 1):
+        crossing = np.nonzero(in_tree[g.u_arr] != in_tree[g.v_arr])[0]
+        ws = w[crossing]
+        cum = np.cumsum(np.exp(-coef * (ws - ws.min())))
+        target = stream.uniform() * cum[-1]
+        e = int(crossing[np.searchsorted(cum, target, side="left")])
+        chosen.append(e + 1)
+        u, v = g.edges[e]
+        in_tree[v if in_tree[u] else u] = True
+    return frozenset(chosen)
+
+
 class TestPerturbWeights:
     def test_noise_vanishes_at_huge_eps_prime(self):
         g = triangle()
@@ -106,6 +134,35 @@ class TestPrivateKruskal:
         g = k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
         r = private_kruskal_mst(g, HUGE, RngStream(28))
         assert is_spanning_tree(g, r.tree.edge_ids)
+
+    @pytest.mark.parametrize("graph", [
+        lambda: k4([1.0] * 6),
+        lambda: k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]),
+        light_triangles_heavy_bridges,
+    ], ids=["k4", "k4-asymmetric", "light-triangles-heavy-bridges"])
+    def test_matches_exact_distribution(self, graph):
+        g = graph()
+        budget = budget_for_eps_prime(g, 1.0)
+        stream = RngStream(29)
+        counts, draws = Counter(), 0
+        for _ in range(30000):
+            r = private_kruskal_mst(g, budget, stream)
+            counts[r.tree.edge_ids] += 1
+            draws += r.ops["draws"]
+        assert chi_square_gof(counts, exact_tree_distribution(g, 1.0), 0.001).passed
+        if graph is light_triangles_heavy_bridges:
+            assert draws > 1.2 * 30000 * (g.n - 1)  # cycle-closing draws happened
+
+    def test_draw_counts(self):
+        g = erdos_renyi_instance(64, 0.5, 0, 100, RngStream(30))
+        for rho in (0.01, 1.0, 1e18):
+            for seed in range(5):
+                r = private_kruskal_mst(g, PrivacyBudget.from_rho(rho, 1e-6, 0.1),
+                                        RngStream(31, (seed,)))
+                checks = r.ops["edge_checks"]
+                assert g.n - 1 <= r.ops["draws"] <= g.m
+                assert checks.max() <= 1 and checks.sum() == r.ops["draws"]
+                assert checks[[e - 1 for e in r.tree.edge_ids]].all()
 
     def test_per_edge_check_bound(self):
         g = erdos_renyi_instance(128, 0.5, 0, 100, RngStream(10))
@@ -185,6 +242,15 @@ class TestPamst:
         g = erdos_renyi_instance(30, 0.4, 0, 100, RngStream(17))
         r = pamst(g, PrivacyBudget.from_rho(1.0, 1e-6, 0.1), RngStream(18))
         assert is_spanning_tree(g, r.tree.edge_ids)
+
+    @pytest.mark.parametrize("n,p", [(12, 1.0), (40, 0.3), (64, 1.0), (200, 0.1)])
+    def test_same_trees_as_full_cut_rebuild(self, n, p):
+        g = erdos_renyi_instance(n, p, 0, 100, RngStream(32, (n,)))
+        for budget in (PrivacyBudget.from_rho(0.01, 1e-6, 0.1),
+                       PrivacyBudget.from_rho(1.0, 1e-6, 0.1), HUGE):
+            for seed in range(4):
+                got = pamst(g, budget, RngStream(33, (seed,))).tree.edge_ids
+                assert got == _reference_pamst(g, budget, RngStream(33, (seed,)))
 
     def test_error_indistinguishable_from_input_perturbation_on_dense_graph(self):
         from dpmst.harness import run_trials

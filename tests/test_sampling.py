@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dpmst.accounting import PrivacyBudget
 from dpmst.exact import chi_square_gof, cycle_rule, exact_selection_distribution
 from dpmst.graph import build_graph
+from dpmst.instances import erdos_renyi_instance
 from dpmst.mechanisms import input_perturbation_mst
 from dpmst.rng import RngStream
 from dpmst.sampling import (MatroidOracleError, SamplingTree,
@@ -89,6 +90,55 @@ class TestSamplingTree:
             assert tree._sums[node] == pytest.approx(kids, rel=1e-9, abs=1e-12)
         expect = sum(weights[i] for i in live)
         assert tree.total == pytest.approx(expect, rel=1e-9, abs=1e-12)
+
+
+    def test_rejects_nan_and_infinite_total(self):
+        for weights in ([1.0, float("nan")], [1.0, float("inf")], [1e308, 1e308]):
+            with pytest.raises(ValueError):
+                SamplingTree(weights)
+
+    @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=300))
+    @settings(max_examples=80)
+    def test_sums_match_loop_build(self, weights):
+        assert SamplingTree(weights)._sums == _reference_sums(weights)
+
+    def test_sums_match_loop_build_on_sampling_weights(self):
+        g = erdos_renyi_instance(256, 1.0, 0, 100, RngStream(25))
+        s = np.maximum(np.exp(-0.05 * (g.weights - g.weights.min())),
+                       np.finfo(float).tiny)
+        assert SamplingTree(s)._sums == _reference_sums(s.tolist())
+
+    @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40),
+           st.lists(st.integers(0, 1000), max_size=39),
+           st.sampled_from([1.0, 2.0 ** -53, 0.5]))
+    @settings(max_examples=300)
+    def test_sample_returns_a_live_leaf(self, weights, removal_picks, u):
+        tree = SamplingTree(weights)
+        live = list(range(len(weights)))
+        for pick in removal_picks[:len(weights) - 1]:
+            tree.remove(live.pop(pick % len(live)))
+        assert tree.sample(FixedUniform(u)) in live
+
+
+class FixedUniform:
+    """Stream stand-in whose every uniform() draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def _reference_sums(weights):
+    """The sum tree built node by node, from the last internal node to the root."""
+    m = len(weights)
+    size = 1 << (m - 1).bit_length()
+    sums = [0.0] * (2 * size)
+    sums[size:size + m] = [float(w) for w in weights]
+    for i in range(size - 1, 0, -1):
+        sums[i] = sums[2 * i] + sums[2 * i + 1]
+    return sums
 
 
 def empirical_distribution(sampler, weights, k, rule, trials, stream):
