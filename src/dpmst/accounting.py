@@ -7,17 +7,30 @@ exactly rho, which converts back to the original (eps, delta).
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
 
 def rho_from_eps_delta(eps: float, delta: float) -> float:
-    """zCDP budget whose (eps, delta) conversion lands exactly on eps."""
+    """zCDP budget whose (eps, delta) conversion lands exactly on eps.
+
+    rho = (sqrt(eps + L) - sqrt(L))^2 with L = ln(1/delta). In binary64 the
+    difference cancels when eps << L (about 12 digits lost at eps = 1e-3,
+    delta = 1e-2), so adjacent eps collapse onto one rho. The equal form
+    eps^2 / (sqrt(eps + L) + sqrt(L))^2 has no cancellation; it is evaluated
+    at 40 digits and rounded once, so rho is the correctly rounded value.
+    """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_delta(delta)
-    log_inv = math.log(1.0 / delta)
-    return (math.sqrt(eps + log_inv) - math.sqrt(log_inv)) ** 2
+    if math.isinf(eps):
+        return math.inf
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        e = decimal.Decimal(eps)
+        log_inv = -decimal.Decimal(delta).ln()
+        return float((e / ((e + log_inv).sqrt() + log_inv.sqrt())) ** 2)
 
 
 def eps_from_rho_delta(rho: float, delta: float) -> float:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dpmst.accounting import (PrivacyBudget, eps_from_rho_delta,
@@ -71,6 +71,8 @@ class TestPerRoundEpsilon:
 class TestMonotonicity:
     @given(st.floats(1e-3, 50.0), st.floats(1e-3, 50.0),
            st.sampled_from(GRID_DELTA))
+    @example(1e-3, math.nextafter(1e-3, 1.0), 1e-2)
+    @example(math.nextafter(50.0, 0.0), 50.0, 1e-2)
     def test_rho_increasing_in_eps(self, e1, e2, delta):
         if e1 == e2:
             return
