@@ -12,7 +12,7 @@ from math import fsum, inf
 import numpy as np
 from scipy import stats
 
-from .graph import SpanningTree, WeightedGraph
+from .graph import DisjointSets, SpanningTree, WeightedGraph
 
 MAX_ENUM_VERTICES = 10
 MAX_ITEMS = 8
@@ -54,26 +54,11 @@ def enumerate_spanning_trees(g: WeightedGraph) -> list[SpanningTree]:
     if g.n > MAX_ENUM_VERTICES:
         raise SizeGuardError(f"enumeration limited to n <= {MAX_ENUM_VERTICES}, got {g.n}")
     need = g.n - 1
-    edges = g.edges
+    u, v = g.u_arr.tolist(), g.v_arr.tolist()
     out = []
     for combo in combinations(range(1, g.m + 1), need):
-        parent = list(range(g.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for e in combo:
-            u, v = edges[e - 1]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
+        scan = ((e, u[e - 1], v[e - 1]) for e in combo)
+        if len(DisjointSets(g.n).join(scan, need)) == need:
             out.append(SpanningTree(frozenset(combo)))
     return out
 
@@ -99,31 +84,14 @@ def cycle_rule(g: WeightedGraph):
     Given the selected prefix, returns every unselected edge whose endpoints
     the prefix already connects.
     """
-    edges = g.edges
-    n = g.n
-    m = g.m
+    u, v = g.u_arr.tolist(), g.v_arr.tolist()
 
     def rule(selected):
-        parent = list(range(n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in selected:
-            u, v = edges[e]
-            parent[find(u)] = find(v)
+        ds = DisjointSets(g.n)
+        ds.join(((e, u[e], v[e]) for e in selected), len(selected))
         chosen = set(selected)
-        out = []
-        for j in range(m):
-            if j in chosen:
-                continue
-            u, v = edges[j]
-            if find(u) == find(v):
-                out.append(j)
-        return out
+        return [j for j in range(g.m)
+                if j not in chosen and ds.find(u[j]) == ds.find(v[j])]
 
     return rule
 
@@ -144,8 +112,8 @@ def exact_selection_distribution(weights, k: int, remove_rule=None) -> ExactDist
             f"enumeration limited to {MAX_ITEMS} items and depth {MAX_DEPTH}")
     if m == 0 or k < 1:
         raise ValueError("need at least one item and k >= 1")
-    if any(w <= 0 for w in weights):
-        raise ValueError("all weights must be positive")
+    if not all(0 < w < inf for w in weights):  # also false for NaN
+        raise ValueError("all weights must be positive and finite")
     out: dict[tuple, float] = {}
 
     def visit(selected: tuple, alive: tuple, prob: float):
@@ -173,8 +141,8 @@ def exact_tree_distribution(g: WeightedGraph, eps_prime: float,
     cycle removal rule; the common shift cancels in every per-step ratio.
     Outcomes are frozensets of 1-based edge ids.
     """
-    if eps_prime <= 0 or delta_inf <= 0:
-        raise ValueError("eps_prime and delta_inf must be positive")
+    if not 0 < eps_prime < inf or not 0 < delta_inf < inf:
+        raise ValueError("eps_prime and delta_inf must be positive and finite")
     w = g.weights
     s = np.exp(-eps_prime * (w - w.min()) / (2.0 * delta_inf))
     seqs = exact_selection_distribution(s.tolist(), g.n - 1, cycle_rule(g))

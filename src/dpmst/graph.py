@@ -56,8 +56,10 @@ class SpanningTree:
 class DisjointSets:
     """Union-find over vertices 1..n: union by size, path halving.
 
-    ``merge`` reports whether u and v were in different components, which is
-    the cycle test private Kruskal draws against.
+    The one union-find of the package. ``merge`` reports whether u and v
+    were in different components, which is the cycle test private Kruskal
+    draws against; ``join`` runs that test along a whole edge scan, for
+    exact Kruskal, the spanning-tree check and the exact oracles.
     """
 
     def __init__(self, n: int):
@@ -90,6 +92,36 @@ class DisjointSets:
         self._parent[rv] = ru
         self._size[ru] += self._size[rv]
         return True
+
+    def join(self, edges, need: int) -> list[int]:
+        """Merge along ``(e, u, v)`` triples in scan order; return the e of
+        each edge that joined two components, stopping after ``need`` of them.
+
+        Unlike ``merge`` there is no per-edge range check: the endpoints come
+        from a validated ``WeightedGraph``.
+        """
+        joined: list[int] = []
+        if need < 1:
+            return joined
+        parent, size = self._parent, self._size
+        for e, u, v in edges:
+            # find(u) and find(v) written out: two calls per edge made a
+            # long scan about 1.5 times slower
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                if size[u] < size[v]:
+                    u, v = v, u
+                parent[v] = u
+                size[u] += size[v]
+                joined.append(e)
+                if len(joined) == need:
+                    break
+        return joined
 
     def size(self, v: int) -> int:
         self._check_vertex(v)
@@ -204,45 +236,23 @@ def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
     w = g.weights if weights is None else np.asarray(weights, dtype=float)
     if len(w) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(w)}")
-    need = g.n - 1
-    parent = list(range(g.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    m = len(w)
-    if m <= 4 * need or m <= 32 * math.isqrt(m):
-        # k >= m, nothing to filter: one full sort, scanned through g.edges,
-        # which on tiny graphs costs less per call than the batched scan
+    need, m = g.n - 1, len(w)
+    k = max(4 * need, 32 * math.isqrt(m))
+    if k >= m:
+        # nothing to filter: one full sort, scanned through g.edges, which on
+        # tiny graphs costs less per call than the batched scan
         edges = g.edges
-        for e in np.argsort(w, kind="stable").tolist():
-            u, v = edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                chosen.append(e + 1)
-                if len(chosen) == need:
-                    break
+        scan = ((e + 1, *edges[e]) for e in np.argsort(w, kind="stable").tolist())
     else:
-        batches = _filtered_batches(g, w, max(4 * need, 32 * math.isqrt(m)))
-        for e, u, v in itertools.chain.from_iterable(batches):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                chosen.append(e + 1)
-                if len(chosen) == need:
-                    break
+        scan = itertools.chain.from_iterable(_filtered_batches(g, w, k))
+    chosen = DisjointSets(g.n).join(scan, need)
     if len(chosen) != need:
         raise DisconnectedError("graph is not connected")
     return SpanningTree(frozenset(chosen))
 
 
 def _filtered_batches(g: WeightedGraph, w: np.ndarray, k: int):
-    """Successive runs of (edge index, u, v) in (weight, index) order.
+    """Successive runs of (edge id, u, v) in (weight, id) order.
 
     Each run is every not yet yielded edge no heavier than the k-th smallest
     of them, stably sorted; k doubles from run to run, so a scan that stops
@@ -257,7 +267,7 @@ def _filtered_batches(g: WeightedGraph, w: np.ndarray, k: int):
             head = np.ones(len(wr), dtype=bool)
         batch = np.flatnonzero(head) if rest is None else rest[head]
         order = batch[np.argsort(w[batch], kind="stable")]
-        yield zip(order.tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
+        yield zip((order + 1).tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
         tail = np.flatnonzero(~head)
         if not tail.size:
             return
@@ -272,21 +282,9 @@ def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
         return False
     if any(not (1 <= e <= g.m) for e in ids):
         return False
-    parent = list(range(g.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in ids:
-        u, v = g.edges[e - 1]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    idx = np.fromiter(ids, dtype=np.int64) - 1
+    scan = zip(idx.tolist(), g.u_arr[idx].tolist(), g.v_arr[idx].tolist())
+    return len(DisjointSets(g.n).join(scan, g.n - 1)) == g.n - 1
 
 
 def tree_weight(g: WeightedGraph, tree) -> float:

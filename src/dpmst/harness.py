@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,8 @@ from .accounting import PrivacyBudget
 from .exact import ChiSquareResult, chi_square_gof, exact_tree_distribution
 from .graph import WeightedGraph, build_graph, kruskal_mst, tree_weight
 from .instances import erdos_renyi_instance
-from .mechanisms import MECHANISMS, MechanismResult, UnknownMechanismError, run_mechanism
+from .mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
+                         _noisy_kruskal, run_mechanism)
 from .rng import RngStream
 
 CSV_COLUMNS = ("mechanism", "n", "m", "p", "eps", "delta", "rho", "eps_prime",
@@ -204,16 +204,10 @@ def family_graph(family: str) -> WeightedGraph:
 def _wrong_exponent_mst(g, budget, stream) -> MechanismResult:
     """Deliberately broken sampler: exponent eps' instead of eps'/2.
 
+    exp(-eps' * w / delta_inf) is the race at twice the per-round budget.
     Kept for suite calibration; the goodness-of-fit test must reject it.
     """
-    t0 = time.perf_counter_ns()
-    eps_prime = budget.per_round(g.n - 1)
-    w = g.weights
-    z = stream.exponential(1.0, size=g.m)
-    with np.errstate(divide="ignore"):
-        scores = np.log(z) + eps_prime * (w - w.min()) / budget.delta_inf
-    tree = kruskal_mst(g, scores)
-    return MechanismResult(tree=tree, wall_time_ns=time.perf_counter_ns() - t0)
+    return _noisy_kruskal(g, 2.0 * budget.per_round(g.n - 1), budget.delta_inf, stream)
 
 
 _EXTRA_MECHANISMS = {"mutant": _wrong_exponent_mst}

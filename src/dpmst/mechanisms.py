@@ -1,8 +1,10 @@
 """The private MST mechanisms.
 
-Three equivalent-by-construction mechanisms (input perturbation, private
-Kruskal, one-pass private Kruskal) plus the two comparison baselines
-(input privatization with Laplace/Gaussian noise, and the Prim-based PAMST).
+Six registry ids. ``perturb`` and ``onepass`` both name input perturbation,
+the one noise-then-Kruskal body (``_noisy_kruskal``), which samples the same
+tree distribution as ``kruskal``, the per-round exponential mechanism. The
+baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input
+privatization) and ``pamst`` (Prim-based).
 
 Every mechanism takes (graph, budget, stream) and returns a MechanismResult;
 none reads system entropy.
@@ -10,6 +12,7 @@ none reads system entropy.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,27 +49,41 @@ class MechanismResult:
 def perturb_weights(g: WeightedGraph, eps_prime: float, delta_inf: float,
                     stream: RngStream) -> np.ndarray:
     """Per-edge noisy weights w_e + delta_inf * (2/eps') * ln(Exp(1))."""
-    if eps_prime <= 0 or delta_inf <= 0:
-        raise ValueError("eps_prime and delta_inf must be positive")
+    if not 0 < eps_prime < math.inf or not 0 < delta_inf < math.inf:
+        raise ValueError("eps_prime and delta_inf must be positive and finite")
     z = stream.exponential(1.0, size=g.m)
     with np.errstate(divide="ignore"):  # Exp(1) may round to exactly 0
         return g.weights + delta_inf * (2.0 / eps_prime) * np.log(z)
 
 
+def _noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
+                   stream: RngStream) -> MechanismResult:
+    """Perturb every weight once at eps', then run exact Kruskal."""
+    t0 = time.perf_counter_ns()
+    noisy = perturb_weights(g, eps_prime, delta_inf, stream)
+    return MechanismResult(tree=kruskal_mst(g, noisy), noisy_weights=noisy,
+                           wall_time_ns=time.perf_counter_ns() - t0)
+
+
 def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
-                           stream: RngStream, mst_algo=kruskal_mst) -> MechanismResult:
+                           stream: RngStream) -> MechanismResult:
     """Perturb every weight once, then run any exact MST algorithm.
 
     Only the edge set is the private release; the noisy vector is far too
     lightly noised to be released itself and is kept as a diagnostic.
+
+    It is also the one-pass private Kruskal (``onepass``): one race score
+    Exp(1) / exp(-eps' * w_e / (2*delta_inf)) per edge, then plain Kruskal in
+    score order, whose skipping of connected edges is the repeated argmin
+    with cycle removal of private_kruskal_mst. ln(score) =
+    (eps'/(2*delta_inf)) * (w_e + (2*delta_inf/eps') * ln(Exp(1))) - const,
+    a positive affine map of the perturbed weight, so the tree is the same
+    for every draw.
     """
-    t0 = time.perf_counter_ns()
-    eps_prime = budget.per_round(g.n - 1)
-    noisy = perturb_weights(g, eps_prime, budget.delta_inf, stream)
-    tree = mst_algo(g, noisy)
-    return MechanismResult(tree=tree, noisy_weights=noisy,
-                           noisy_weights_released=False,
-                           wall_time_ns=time.perf_counter_ns() - t0)
+    return _noisy_kruskal(g, budget.per_round(g.n - 1), budget.delta_inf, stream)
+
+
+one_pass_mst = input_perturbation_mst
 
 
 def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
@@ -115,30 +132,6 @@ def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
     return MechanismResult(tree=SpanningTree(frozenset(chosen)),
                            wall_time_ns=time.perf_counter_ns() - t0,
                            ops={"edge_checks": checks, "draws": len(drawn)})
-
-
-def one_pass_mst(g: WeightedGraph, budget: PrivacyBudget,
-                 stream: RngStream) -> MechanismResult:
-    """Draw one race score Exp(1) / exp(-eps' * w_e / (2*delta_inf)) per edge,
-    then run plain Kruskal in score order.
-
-    Skipping already-connected edges realizes exactly the repeated argmin with
-    cycle removal, so the output distribution matches private_kruskal_mst; and
-    since ln(score) is a positive multiple of w_e + (2*delta_inf/eps')*ln(Exp(1)),
-    the tree also coincides per-draw with input perturbation's. The scores are
-    kept in log form, which has the same order and survives any budget without
-    overflow.
-    """
-    t0 = time.perf_counter_ns()
-    eps_prime = budget.per_round(g.n - 1)
-    w = g.weights
-    z = stream.exponential(1.0, size=g.m)
-    with np.errstate(divide="ignore"):  # Exp(1) may round to exactly 0
-        scores = np.log(z) + eps_prime * (w - w.min()) / (2.0 * budget.delta_inf)
-    tree = kruskal_mst(g, scores)
-    return MechanismResult(tree=tree, noisy_weights=scores,
-                           noisy_weights_released=False,
-                           wall_time_ns=time.perf_counter_ns() - t0)
 
 
 def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
@@ -218,7 +211,7 @@ def _sealfon_gauss(g, budget, stream):
 MECHANISMS = {
     "perturb": input_perturbation_mst,
     "kruskal": private_kruskal_mst,
-    "onepass": one_pass_mst,
+    "onepass": input_perturbation_mst,
     "pamst": pamst,
     "sealfon-laplace": _sealfon_laplace,
     "sealfon-gauss": _sealfon_gauss,

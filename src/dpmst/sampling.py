@@ -134,8 +134,8 @@ def sample_without_replacement(weights, k: int, stream: RngStream,
 def race_scores(weights, stream: RngStream) -> np.ndarray:
     """One exponential race score Exp(1) / s(j) per item, drawn in index order."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("all weights must be positive")
+    if not np.all((0 < w) & (w < np.inf)):  # also false for NaN
+        raise ValueError("all weights must be positive and finite")
     return stream.exponential(1.0, size=len(w)) / w
 
 

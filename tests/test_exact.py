@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,20 @@ class TestEnumeration:
     def test_path_has_one_tree(self):
         g = build_graph(4, [(1, 2), (2, 3), (3, 4)], [1.0, 1.0, 1.0])
         assert len(enumerate_spanning_trees(g)) == 1
+
+    def test_count_matches_matrix_tree_theorem(self):
+        # Kirchhoff: the number of spanning trees is any cofactor of the
+        # Laplacian, a count independent of the union-find
+        stream = RngStream(102)
+        for _ in range(40):
+            g = random_connected_graph(stream, max_n=7)
+            lap = np.zeros((g.n, g.n))
+            for u, v in zip(g.u_arr - 1, g.v_arr - 1):
+                lap[u, v] -= 1
+                lap[v, u] -= 1
+                lap[u, u] += 1
+                lap[v, v] += 1
+            assert len(enumerate_spanning_trees(g)) == round(np.linalg.det(lap[1:, 1:]))
 
     def test_size_guard(self):
         g = build_graph(11, [(i, i + 1) for i in range(1, 11)], [1.0] * 10)
@@ -73,6 +88,12 @@ class TestSelectionDistribution:
         for k, v in ref.probs.items():
             assert trees[k] == pytest.approx(v, rel=1e-12)
 
+    @pytest.mark.parametrize("weights", [
+        [1.0, 0.0], [1.0, -1.0], [1.0, np.nan], [1.0, np.inf, np.inf]])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError):
+            exact_selection_distribution(weights, 1)
+
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             exact_selection_distribution([1.0] * 9, 2)
@@ -104,6 +125,12 @@ class TestTreeDistribution:
         assert d[frozenset({1, 2})] == pytest.approx(0.5398416330577069, abs=1e-12)
         assert d[frozenset({1, 3})] == pytest.approx(0.30719588571849843, abs=1e-12)
         assert d[frozenset({2, 3})] == pytest.approx(0.15296248122379458, abs=1e-12)
+
+    @pytest.mark.parametrize("eps_prime,delta_inf", [
+        (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, 0.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_rejects_bad_eps_prime_or_delta_inf(self, eps_prime, delta_inf):
+        with pytest.raises(ValueError):
+            exact_tree_distribution(triangle(), eps_prime, delta_inf)
 
     def test_k3_equal_weights_uniform(self):
         d = exact_tree_distribution(triangle([2.0, 2.0, 2.0]), 1.0)
@@ -142,6 +169,19 @@ class TestTreeDistribution:
         probs = [exact_tree_distribution(g, e)[best] for e in (1.0, 4.0, 16.0, 64.0)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
         assert probs[-1] > 0.999
+
+    def test_cycle_rule_matches_paths_in_the_prefix_forest(self):
+        stream = RngStream(103)
+        for _ in range(100):
+            g = random_connected_graph(stream, max_n=7)
+            order = np.argsort(stream.uniform(g.m)).tolist()
+            prefix = tuple(order[:1 + int(stream.uniform() * g.m)])
+            forest = nx.Graph()
+            forest.add_nodes_from(range(1, g.n + 1))
+            forest.add_edges_from((int(g.u_arr[e]), int(g.v_arr[e])) for e in prefix)
+            expect = [j for j in range(g.m) if j not in prefix
+                      and nx.has_path(forest, int(g.u_arr[j]), int(g.v_arr[j]))]
+            assert cycle_rule(g)(prefix) == expect
 
     def test_marginalization_order_independent(self):
         g = triangle()

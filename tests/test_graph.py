@@ -166,6 +166,30 @@ class TestDisjointSets:
         with pytest.raises(EndpointError):
             ds.merge(1, 4)
 
+    def test_join_follows_scan_order_and_stops_at_need(self):
+        scan = [(10, 1, 2), (11, 2, 3), (12, 1, 3), (13, 3, 4)]
+        assert DisjointSets(4).join(scan, 3) == [10, 11, 13]
+        assert DisjointSets(4).join(scan[::-1], 3) == [13, 12, 11]
+        ds = DisjointSets(4)
+        assert ds.join(scan, 1) == [10]
+        assert ds.find(2) != ds.find(3)  # nothing past the stop was merged
+        assert DisjointSets(4).join(scan, 0) == []
+
+    @given(st.integers(2, 8), st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                                       max_size=20), st.integers(1, 8))
+    def test_join_accepts_what_merge_accepts(self, n, ops, need):
+        scan = [(i, u, v) for i, (u, v) in enumerate(ops) if u <= n and v <= n]
+        ds = DisjointSets(n)
+        expect = []
+        for i, u, v in scan:
+            if len(expect) == need:
+                break
+            if ds.merge(u, v):
+                expect.append(i)
+        joined = DisjointSets(n)
+        assert joined.join(scan, need) == expect
+        assert joined.components() == ds.components()
+
     @given(st.integers(2, 8), st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
                                        max_size=20))
     def test_members_partition_vertices(self, n, ops):

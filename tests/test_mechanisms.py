@@ -8,6 +8,7 @@ from scipy import stats
 from dpmst.accounting import PrivacyBudget
 from dpmst.exact import chi_square_gof, exact_tree_distribution
 from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
+from dpmst.harness import _EXTRA_MECHANISMS
 from dpmst.instances import erdos_renyi_instance
 from dpmst.mechanisms import (MECHANISMS, UnknownMechanismError,
                               input_perturbation_mst, one_pass_mst, pamst,
@@ -61,7 +62,34 @@ def _reference_pamst(g, budget, stream):
     return frozenset(chosen)
 
 
+def _reference_one_pass(g, budget, stream):
+    """one_pass_mst's former body: log-form race scores, then Kruskal."""
+    eps_prime = budget.per_round(g.n - 1)
+    w = g.weights
+    z = stream.exponential(1.0, size=g.m)
+    with np.errstate(divide="ignore"):
+        scores = np.log(z) + eps_prime * (w - w.min()) / (2.0 * budget.delta_inf)
+    return kruskal_mst(g, scores).edge_ids
+
+
+def _reference_wrong_exponent(g, budget, stream):
+    """The mutant's former body: the race with exponent eps' instead of eps'/2."""
+    eps_prime = budget.per_round(g.n - 1)
+    w = g.weights
+    z = stream.exponential(1.0, size=g.m)
+    with np.errstate(divide="ignore"):
+        scores = np.log(z) + eps_prime * (w - w.min()) / budget.delta_inf
+    return kruskal_mst(g, scores).edge_ids
+
+
 class TestPerturbWeights:
+    @pytest.mark.parametrize("eps_prime,delta_inf", [
+        (0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+        (1.0, 0.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_rejects_bad_eps_prime_or_delta_inf(self, eps_prime, delta_inf):
+        with pytest.raises(ValueError):
+            perturb_weights(triangle(), eps_prime, delta_inf, RngStream(0))
+
     def test_noise_vanishes_at_huge_eps_prime(self):
         g = triangle()
         noisy = perturb_weights(g, 1e9, 1.0, RngStream(1))
@@ -189,6 +217,31 @@ class TestOnePass:
             a = input_perturbation_mst(g, budget, RngStream(seed, (2,))).tree
             b = one_pass_mst(g, budget, RngStream(seed, (2,))).tree
             assert a == b
+
+    def test_is_input_perturbation(self):
+        assert one_pass_mst is input_perturbation_mst
+        assert MECHANISMS["onepass"] is input_perturbation_mst
+
+    @pytest.mark.parametrize("graph", [
+        triangle,
+        lambda: k4([1.0] * 6),
+        lambda: k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]),
+        lambda: erdos_renyi_instance(40, 0.3, 0, 100, RngStream(34)),
+    ], ids=["k3", "k4", "k4-asymmetric", "er-40"])
+    def test_same_trees_as_former_bodies(self, graph):
+        # onepass and the mutant are input perturbation at eps' and 2 eps';
+        # their former bodies ranked log-form race scores instead
+        g = graph()
+        mutant = _EXTRA_MECHANISMS["mutant"]
+        for budget in (PrivacyBudget.from_rho(0.01, 1e-6, 1.0),
+                       PrivacyBudget.from_rho(1.0, 1e-6, 0.1), HUGE):
+            for seed in range(10):
+                got = run_mechanism("onepass", g, budget, RngStream(35, (seed,)))
+                assert got.tree.edge_ids == _reference_one_pass(
+                    g, budget, RngStream(35, (seed,)))
+                got = mutant(g, budget, RngStream(36, (seed,)))
+                assert got.tree.edge_ids == _reference_wrong_exponent(
+                    g, budget, RngStream(36, (seed,)))
 
     def test_tree_instance_returns_the_only_tree(self):
         g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [1.0, 2.0, 3.0, 4.0])

@@ -201,6 +201,13 @@ class TestRaceSelection:
             additive = w + (2.0 / eps) * np.log(z)
             assert int(np.argmin(scores)) == int(np.argmin(additive))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_weight(self, bad):
+        with pytest.raises(ValueError):
+            race_scores([1.0, bad], RngStream(0))
+        with pytest.raises(ValueError):
+            race_sample_without_replacement([1.0, bad, 2.0], 3, RngStream(0))
+
     def test_scale_invariant_per_seed(self):
         weights = [0.5, 1.5, 2.5, 3.5]
         a = race_sample_without_replacement(weights, 3, RngStream(40, (1,)))
