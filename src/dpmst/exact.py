@@ -1,13 +1,14 @@
 """Exact small-instance ground truth: brute-force MST, spanning-tree enumeration,
 the exact output distribution of proportional sampling with candidate removal,
-and the chi-square comparator the statistical suites share.
+the exact PAMST (Prim-cut) tree distribution, and the chi-square comparator the
+statistical suites share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import fsum, inf
+from math import exp, fsum, inf
 
 import numpy as np
 from scipy import stats
@@ -147,6 +148,46 @@ def exact_tree_distribution(g: WeightedGraph, eps_prime: float,
     s = np.exp(-eps_prime * (w - w.min()) / (2.0 * delta_inf))
     seqs = exact_selection_distribution(s.tolist(), g.n - 1, cycle_rule(g))
     return seqs.collapse(lambda seq: frozenset(e + 1 for e in seq))
+
+
+def prim_tree_distribution(g: WeightedGraph, eps_prime: float,
+                           delta_inf: float = 1.0) -> ExactDistribution:
+    """Exact tree distribution of PAMST (Prim growth from vertex 1 with the
+    exponential mechanism over each cut) for a small graph.
+
+    Depth-first over the cut choices: each crossing edge is picked with
+    probability exp(-eps' * (w_e - w_cut_min) / (2 * delta_inf)) over the sum
+    of these across the cut. The shift is each cut's own minimum, so every
+    cut has a term exp(0) = 1; a shift by the global minimum can leave a cut
+    whose terms all underflow to 0. Each tree's path probabilities are summed
+    with ``fsum``. Outcomes are frozensets of 1-based edge ids.
+
+    The paths number the product of the n-1 cut sizes (14,400 on K6), so
+    this is for graphs of a few vertices even below the size guard.
+    """
+    if g.n > MAX_ENUM_VERTICES:
+        raise SizeGuardError(f"enumeration limited to n <= {MAX_ENUM_VERTICES}, got {g.n}")
+    if not 0 < eps_prime < inf or not 0 < delta_inf < inf:
+        raise ValueError("eps_prime and delta_inf must be positive and finite")
+    coef = eps_prime / (2.0 * delta_inf)
+    w = g.weights.tolist()
+    ends = list(zip(g.u_arr.tolist(), g.v_arr.tolist()))
+    paths: dict[frozenset, list[float]] = {}
+
+    def visit(in_tree: frozenset, chosen: tuple, prob: float):
+        if len(in_tree) == g.n:
+            paths.setdefault(frozenset(chosen), []).append(prob)
+            return
+        cut = [e for e, (u, v) in enumerate(ends) if (u in in_tree) != (v in in_tree)]
+        low = min(w[e] for e in cut)
+        s = [exp(-coef * (w[e] - low)) for e in cut]
+        total = fsum(s)
+        for e, se in zip(cut, s):
+            u, v = ends[e]
+            visit(in_tree | {u, v}, chosen + (e + 1,), prob * (se / total))
+
+    visit(frozenset({1}), (), 1.0)
+    return ExactDistribution({t: fsum(p) for t, p in paths.items()})
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,20 @@ class WeightedGraph:
         indptr.flags.writeable = edge_ids.flags.writeable = False
         return indptr, edge_ids
 
+    @functools.cached_property
+    def neighbours(self) -> np.ndarray:
+        """The other endpoint of each ``incidence`` slot, built on first use.
+
+        Aligned with ``incidence``: ``neighbours[indptr[x]:indptr[x + 1]]``
+        are the far ends of the edges ``edge_ids[indptr[x]:indptr[x + 1]]``
+        at vertex x (a vertex repeats once per parallel edge). Read-only.
+        """
+        indptr, edge_ids = self.incidence
+        at = np.repeat(np.arange(self.n + 1), np.diff(indptr))
+        out = self.u_arr[edge_ids] + self.v_arr[edge_ids] - at
+        out.flags.writeable = False
+        return out
+
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m}, delta_inf={self.delta_inf})"
 

@@ -164,40 +164,67 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
 
     Each of the n-1 rounds applies the exponential mechanism over the
     cut-crossing edges (probability proportional to
-    exp(-eps' * w_e / (2 * delta_inf))), composing to the same budget as the
-    Kruskal-style mechanisms.
+    s_e = exp(-eps' * w_e / (2 * delta_inf))), composing to the same budget
+    as the Kruskal-style mechanisms.
 
-    The cut is a boolean mask over the edges: an edge crosses iff exactly
-    one endpoint is in the tree, so when vertex x joins, the mask flips on
-    x's incident edges and nowhere else. The crossing edges are read off in
-    edge-id order.
+    A round draws in two stages. First an outside vertex b, with
+    probability proportional to its cut mass M_b, the sum of s_e over the
+    crossing edges into b; then one of those edges, proportional to s_e.
+    (M_b / sum of M) * (s_e / M_b) = s_e / (sum of s over the cut), so this
+    is the per-cut exponential mechanism itself. The masses are Prim's key
+    array: when x joins, its own mass is dropped and each of its edges to
+    an outside vertex adds s_e to that vertex's, so a round reads x's
+    incidence slots and n + 1 masses instead of the m edges, and a call is
+    O(m + n^2).
+
+    The masses are kept as logs, log M_b, and each draw subtracts its
+    largest log term before exponentiating: stage 2 shifts by the cut's
+    minimum weight into b, stage 1 by the heaviest vertex mass. The largest
+    term is then exp(0) = 1, so no draw's total underflows to 0. Linear
+    masses would need one shift fixed before the cuts are known, and with
+    the global minimum weight a cut lying more than about 745 / coef above
+    it (coef = eps' / (2 * delta_inf)) has all its masses 0.0. The masses
+    grow with ``np.logaddexp.at``, which adds every edge of a parallel
+    bundle; a fancy-index write would keep only one of them.
+
+    ``ops["edge_scans"]`` counts the incidence slots read (each vertex's
+    once, so at most 2m); ``ops["draws"]`` is 2(n-1), two uniforms a round.
     """
     t0 = time.perf_counter_ns()
     n = g.n
-    eps_prime = budget.per_round(n - 1)
-    coef = eps_prime / (2.0 * budget.delta_inf)
-    w = g.weights
-    u_arr, v_arr = g.u_arr, g.v_arr
+    coef = budget.per_round(n - 1) / (2.0 * budget.delta_inf)
     indptr, incident = g.incidence
-    cut = np.zeros(g.m, dtype=bool)
-    in_tree = [False] * (n + 1)
-    x = 1
+    indptr = indptr.tolist()
+    nbr = g.neighbours
+    log_s = -coef * g.weights[incident]  # log s_e per incidence slot
+    log_mass = np.full(n + 1, -np.inf)
+    in_tree = np.zeros(n + 1, dtype=bool)
+    unif = stream.uniform(2 * (n - 1))  # the same values as 2(n-1) scalar draws
+    x, lo, hi = 1, indptr[1], indptr[2]
+    inside = in_tree[nbr[lo:hi]]  # slots of x whose far end is in the tree
+    scans = hi - lo
     chosen: list[int] = []
-    for _ in range(n - 1):
+    for r in range(n - 1):
         in_tree[x] = True
-        at_x = incident[indptr[x]:indptr[x + 1]]
-        cut[at_x] = ~cut[at_x]
-        crossing = np.flatnonzero(cut)
-        ws = w[crossing]
-        sw = np.exp(-coef * (ws - ws.min()))
-        cum = np.cumsum(sw)
-        target = stream.uniform() * cum[-1]
-        e = int(crossing[np.searchsorted(cum, target, side="left")])
-        chosen.append(e + 1)
-        u = int(u_arr[e])
-        x = int(v_arr[e]) if in_tree[u] else u
+        log_mass[x] = -np.inf
+        out = ~inside
+        np.logaddexp.at(log_mass, nbr[lo:hi][out], log_s[lo:hi][out])
+        # stage 1: the vertex; the largest term is exp(0) = 1, so the target
+        # is positive and lands on a vertex of positive mass
+        cum = np.exp(log_mass - log_mass.max()).cumsum()
+        x = int(cum.searchsorted(unif[2 * r] * cum[-1], side="left"))
+        # stage 2: the edge among x's slots that reach the tree; the other
+        # slots get mass 0, which the same search never lands on
+        lo, hi = indptr[x], indptr[x + 1]
+        inside = in_tree[nbr[lo:hi]]
+        scans += hi - lo
+        ls = np.where(inside, log_s[lo:hi], -np.inf)
+        cum = np.exp(ls - ls.max()).cumsum()
+        j = int(cum.searchsorted(unif[2 * r + 1] * cum[-1], side="left"))
+        chosen.append(int(incident[lo + j]) + 1)
     return MechanismResult(tree=SpanningTree(frozenset(chosen)),
-                           wall_time_ns=time.perf_counter_ns() - t0)
+                           wall_time_ns=time.perf_counter_ns() - t0,
+                           ops={"edge_scans": scans, "draws": 2 * (n - 1)})
 
 
 def _sealfon_laplace(g, budget, stream):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dpmst.exact import (ExactDistribution, SizeGuardError, brute_force_mst,
                          chi_square_gof, cycle_rule, enumerate_spanning_trees,
-                         exact_selection_distribution, exact_tree_distribution)
+                         exact_selection_distribution, exact_tree_distribution,
+                         prim_tree_distribution)
 from dpmst.graph import build_graph, kruskal_mst
 from dpmst.rng import RngStream
 
@@ -193,6 +194,56 @@ class TestTreeDistribution:
         for key, p in forward.probs.items():
             assert backward[key] == pytest.approx(p, rel=1e-14)
 
+
+
+class TestPrimTreeDistribution:
+    def test_k3_closed_form(self):
+        # edges a = (1,2), b = (2,3), c = (1,3); the first cut is {a, c}, then
+        # {b, c} after a or {a, b} after c
+        eps_prime, w = 0.7, (1.0, 2.5, 4.0)
+        a, b, c = (math.exp(-eps_prime * x / 2.0) for x in w)
+        d = prim_tree_distribution(triangle(w), eps_prime)
+        assert len(d) == 3
+        assert d[frozenset({1, 2})] == pytest.approx(a / (a + c) * b / (b + c), abs=1e-15)
+        assert d[frozenset({2, 3})] == pytest.approx(c / (a + c) * b / (a + b), abs=1e-15)
+        assert d[frozenset({1, 3})] == pytest.approx(
+            a / (a + c) * c / (b + c) + c / (a + c) * a / (a + b), abs=1e-15)
+
+    def test_tree_graph_is_a_point_mass(self):
+        g = build_graph(5, [(1, 2), (2, 3), (2, 4), (4, 5)], [4.0, 1.0, 3.0, 2.0])
+        d = prim_tree_distribution(g, 1.0)
+        assert d.probs == {frozenset({1, 2, 3, 4}): 1.0}
+
+    def test_sums_to_one(self):
+        stream = RngStream(104)
+        for _ in range(20):
+            g = random_connected_graph(stream, max_n=5)
+            d = prim_tree_distribution(g, 0.5 + stream.uniform(), 0.5)
+            assert d.total() == pytest.approx(1.0, abs=1e-14)
+            assert set(d.support()) <= {t.edge_ids for t in enumerate_spanning_trees(g)}
+
+    def test_concentrates_on_the_mst(self):
+        g = k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
+        assert prim_tree_distribution(g, 1e3)[kruskal_mst(g).edge_ids] >= 1 - 1e-12
+
+    def test_shifts_by_each_cut_minimum(self):
+        # a global shift would leave the second cut's terms exp(-1000) and
+        # exp(-1001), both 0.0 in double precision
+        g = build_graph(3, [(1, 2), (2, 3), (2, 3)], [0.0, 1000.0, 1001.0])
+        d = prim_tree_distribution(g, 2.0)
+        assert d[frozenset({1, 2})] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-15)
+        assert d[frozenset({1, 3})] == pytest.approx(1 / (1 + math.e), abs=1e-15)
+
+    def test_size_guard(self):
+        g = build_graph(11, [(i, i + 1) for i in range(1, 11)], [1.0] * 10)
+        with pytest.raises(SizeGuardError):
+            prim_tree_distribution(g, 1.0)
+
+    @pytest.mark.parametrize("eps_prime,delta_inf", [
+        (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, 0.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_rejects_bad_eps_prime_or_delta_inf(self, eps_prime, delta_inf):
+        with pytest.raises(ValueError):
+            prim_tree_distribution(triangle(), eps_prime, delta_inf)
 
 UNIFORM3 = ExactDistribution({"a": 1 / 3, "b": 1 / 3, "c": 1 / 3})
 

@@ -322,6 +322,34 @@ class TestIncidence:
                 arr[0] = 1
 
 
+class TestNeighbours:
+    @staticmethod
+    def assert_far_ends(g):
+        indptr, edge_ids = g.incidence
+        assert len(g.neighbours) == 2 * g.m
+        for x in range(1, g.n + 1):
+            lo, hi = indptr[x], indptr[x + 1]
+            for e, y in zip(edge_ids[lo:hi].tolist(), g.neighbours[lo:hi].tolist()):
+                assert {x, y} == set(g.edges[e])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_other_endpoint_of_each_slot(self, seed):
+        self.assert_far_ends(random_connected_graph(RngStream(61, (seed,)), max_n=9))
+
+    def test_multigraph(self):
+        g = build_graph(4, [(1, 2), (2, 1), (2, 3), (3, 4), (2, 3), (4, 1)],
+                        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        self.assert_far_ends(g)
+        indptr, _ = g.incidence
+        assert sorted(g.neighbours[indptr[2]:indptr[3]].tolist()) == [1, 1, 3, 3]
+
+    def test_cached_and_read_only(self):
+        g = k4([1.0] * 6)
+        assert g.neighbours is g.neighbours
+        with pytest.raises(ValueError):
+            g.neighbours[0] = 1
+
+
 class TestIsSpanningTree:
     def test_triangle_pair(self):
         assert is_spanning_tree(triangle(), {1, 2})

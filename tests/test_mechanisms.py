@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 from dpmst.accounting import PrivacyBudget
-from dpmst.exact import chi_square_gof, exact_tree_distribution
+from dpmst.exact import (chi_square_gof, exact_tree_distribution,
+                         prim_tree_distribution)
 from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
 from dpmst.harness import _EXTRA_MECHANISMS
 from dpmst.instances import erdos_renyi_instance
@@ -17,6 +18,7 @@ from dpmst.mechanisms import (MECHANISMS, UnknownMechanismError,
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
+from .test_sampling import FixedUniform
 
 EULER_GAMMA = 0.5772156649015329
 HUGE = PrivacyBudget.from_rho(1e18, 1e-6, 1.0)
@@ -42,8 +44,15 @@ def light_triangles_heavy_bridges():
                        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 4.0])
 
 
+def parallel_edges():
+    """K3 with a second (1, 2) edge: five spanning trees, and vertex 2's
+    first-round cut mass sums two edges while vertex 3 competes with it."""
+    return build_graph(3, [(1, 2), (2, 3), (1, 3), (1, 2)], [1.0, 2.0, 3.0, 1.5])
+
+
 def _reference_pamst(g, budget, stream):
-    """PAMST's former body: the cut rebuilt from all m endpoints every round."""
+    """PAMST's first body: the cut rebuilt from all m endpoints every round,
+    one uniform per round over the whole cut in edge-id order."""
     eps_prime = budget.per_round(g.n - 1)
     coef = eps_prime / (2.0 * budget.delta_inf)
     w = g.weights
@@ -296,14 +305,58 @@ class TestPamst:
         r = pamst(g, PrivacyBudget.from_rho(1.0, 1e-6, 0.1), RngStream(18))
         assert is_spanning_tree(g, r.tree.edge_ids)
 
-    @pytest.mark.parametrize("n,p", [(12, 1.0), (40, 0.3), (64, 1.0), (200, 0.1)])
-    def test_same_trees_as_full_cut_rebuild(self, n, p):
-        g = erdos_renyi_instance(n, p, 0, 100, RngStream(32, (n,)))
-        for budget in (PrivacyBudget.from_rho(0.01, 1e-6, 0.1),
-                       PrivacyBudget.from_rho(1.0, 1e-6, 0.1), HUGE):
-            for seed in range(4):
-                got = pamst(g, budget, RngStream(33, (seed,))).tree.edge_ids
-                assert got == _reference_pamst(g, budget, RngStream(33, (seed,)))
+    @pytest.mark.parametrize("graph", [
+        triangle,
+        lambda: k4([1.0] * 6),
+        lambda: k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]),
+        light_triangles_heavy_bridges,
+        parallel_edges,
+    ], ids=["k3", "k4", "k4-asymmetric", "light-triangles-heavy-bridges",
+            "parallel-edges"])
+    def test_matches_prim_cut_oracle(self, graph):
+        # the vertex-then-edge draw and the whole-cut draw it replaced
+        g = graph()
+        budget = budget_for_eps_prime(g, 1.0)
+        exact = prim_tree_distribution(g, 1.0)
+        counts = tree_counts(pamst, g, budget, 30000, RngStream(37))
+        assert chi_square_gof(counts, exact, 0.001).passed
+        stream = RngStream(38)
+        counts = Counter(_reference_pamst(g, budget, stream) for _ in range(30000))
+        assert chi_square_gof(counts, exact, 0.001).passed
+
+    def test_underflowing_cut(self):
+        # at eps' = 2 the second cut's terms are exp(-1000) and exp(-1001):
+        # both underflow unless shifted by the cut's own minimum weight
+        g = build_graph(3, [(1, 2), (2, 3), (2, 3)], [0.0, 1000.0, 1001.0])
+        budget = budget_for_eps_prime(g, 2.0)
+        exact = prim_tree_distribution(g, 2.0)
+        assert exact[frozenset({1, 2})] == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-12)
+        counts = tree_counts(pamst, g, budget, 20000, RngStream(39))
+        assert chi_square_gof(counts, exact, 0.001).passed
+
+    def test_huge_budget_returns_true_mst_on_dense_graph(self):
+        g = erdos_renyi_instance(64, 1.0, 0, 100, RngStream(40))
+        best = kruskal_mst(g)
+        for seed in range(5):
+            assert pamst(g, HUGE, RngStream(41, (seed,))).tree == best
+
+    @pytest.mark.parametrize("u", [1.0, 2.0 ** -53])
+    def test_extreme_uniforms_give_a_spanning_tree(self, u):
+        # a draw at either end of (0, 1] must still land on a positive-mass
+        # vertex and on an edge that reaches the tree
+        g = erdos_renyi_instance(30, 0.4, 0, 100, RngStream(44))
+        for rho in (0.01, 1.0, 1e18):
+            r = pamst(g, PrivacyBudget.from_rho(rho, 1e-6, 0.1), FixedUniform(u))
+            assert is_spanning_tree(g, r.tree.edge_ids)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_op_counts(self, p):
+        # each vertex's incidence slots are read once, not the m edges per round
+        g = erdos_renyi_instance(64, p, 0, 100, RngStream(42, (int(10 * p),)))
+        for rho in (0.01, 1.0, 1e18):
+            r = pamst(g, PrivacyBudget.from_rho(rho, 1e-6, 0.1), RngStream(43))
+            assert r.ops["edge_scans"] <= 4 * g.m
+            assert r.ops["draws"] == 2 * (g.n - 1)
 
     def test_error_indistinguishable_from_input_perturbation_on_dense_graph(self):
         from dpmst.harness import run_trials

@@ -126,8 +126,8 @@ class FixedUniform:
     def __init__(self, u):
         self.u = u
 
-    def uniform(self):
-        return self.u
+    def uniform(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 def _reference_sums(weights):
