@@ -216,6 +216,12 @@ class WeightedGraph:
         out.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def mst(self) -> SpanningTree:
+        """The exact MST of the graph's own weights, ``kruskal_mst(self)``,
+        computed on first use."""
+        return kruskal_mst(self)
+
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m}, delta_inf={self.delta_inf})"
 

@@ -19,7 +19,7 @@ from .exact import ChiSquareResult, chi_square_gof, exact_tree_distribution
 from .graph import WeightedGraph, build_graph, kruskal_mst, tree_weight
 from .instances import erdos_renyi_instance
 from .mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
-                         _noisy_kruskal, run_mechanism)
+                         _noisy_kruskal, perturb_weights, run_mechanism)
 from .rng import RngStream
 
 CSV_COLUMNS = ("mechanism", "n", "m", "p", "eps", "delta", "rho", "eps_prime",
@@ -108,7 +108,7 @@ def run_trials(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mechanism_id not in MECHANISMS:
         raise UnknownMechanismError(f"unknown mechanism {mechanism_id!r}")
-    true_tree = kruskal_mst(g)
+    true_tree = g.mst
     true_weight = tree_weight(g, true_tree)
     true_ids = np.fromiter(true_tree.edge_ids, dtype=np.int64) - 1
 
@@ -212,6 +212,13 @@ def _wrong_exponent_mst(g, budget, stream) -> MechanismResult:
 
 _EXTRA_MECHANISMS = {"mutant": _wrong_exponent_mst}
 
+# the ids whose body is _noisy_kruskal, each with the multiple of eps' it
+# perturbs at; tree_distribution_test tallies their trials in bulk
+_NOISY_KRUSKAL_FACTORS = {"perturb": 1.0, "onepass": 1.0, "mutant": 2.0}
+
+# noise variates per block of the bulk tally (2 MiB of doubles)
+_BLOCK_VARIATES = 1 << 18
+
 
 @dataclass
 class EquivalenceResult:
@@ -224,11 +231,44 @@ class EquivalenceResult:
         return self.chi.passed
 
 
+def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
+                         trials: int, stream: RngStream) -> dict[frozenset, int]:
+    """The tree tally of ``trials`` successive ``_noisy_kruskal`` calls on
+    ``stream``, with one exact Kruskal per distinct scan order.
+
+    The noise comes in blocks of ``perturb_weights`` rows, row t being the
+    vector that call t would draw. Kruskal's tree is a function of the
+    stable order of its weights alone, so rows with the same stable argsort
+    share one tree, computed once from the first of them.
+    """
+    block = max(1, _BLOCK_VARIATES // g.m)
+    tree_of: dict[bytes, frozenset] = {}  # scan order -> tree
+    counts: dict[frozenset, int] = {}
+    for start in range(0, trials, block):
+        noisy = perturb_weights(g, eps_prime, delta_inf, stream,
+                                rows=min(block, trials - start))
+        orders, first, size = np.unique(np.argsort(noisy, axis=1, kind="stable"),
+                                        axis=0, return_index=True, return_counts=True)
+        for order, i, c in zip(orders, first.tolist(), size.tolist()):
+            key = order.tobytes()
+            ids = tree_of.get(key)
+            if ids is None:
+                ids = tree_of[key] = kruskal_mst(g, noisy[i]).edge_ids
+            counts[ids] = counts.get(ids, 0) + c
+    return counts
+
+
 def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
                            alpha: float, master_seed: int = 0,
                            mechanisms=EQUIV_MECHANISMS) -> dict[str, EquivalenceResult]:
     """Tally each mechanism's trees and chi-square them against the exact
-    product-formula tree distribution."""
+    product-formula tree distribution.
+
+    Mechanism idx draws from stream (master_seed, (idx,)). The input
+    perturbation ids (``_NOISY_KRUSKAL_FACTORS``) are tallied in bulk by
+    ``_tally_noisy_kruskal``, with the same trees as one call per trial;
+    every other id runs once per trial through its registry.
+    """
     rounds = g.n - 1
     budget = PrivacyBudget.from_rho(rounds * eps_prime ** 2 / 2.0, 1e-6, g.delta_inf)
     eps_used = budget.per_round(rounds)  # bit-identical to what mechanisms derive
@@ -239,10 +279,15 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
         if fn is None:
             raise UnknownMechanismError(f"unknown mechanism {mech!r}")
         stream = RngStream(master_seed, (idx,))
-        counts: dict[frozenset, int] = {}
-        for _ in range(trials):
-            tree = fn(g, budget, stream).tree
-            counts[tree.edge_ids] = counts.get(tree.edge_ids, 0) + 1
+        factor = _NOISY_KRUSKAL_FACTORS.get(mech)
+        if factor is not None:
+            counts = _tally_noisy_kruskal(g, factor * eps_used, budget.delta_inf,
+                                          trials, stream)
+        else:
+            counts = {}
+            for _ in range(trials):
+                tree = fn(g, budget, stream).tree
+                counts[tree.edge_ids] = counts.get(tree.edge_ids, 0) + 1
         chi = chi_square_gof(counts, exact, alpha)
         out[mech] = EquivalenceResult(mechanism=mech, counts=counts, chi=chi)
     return out

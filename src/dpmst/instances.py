@@ -8,6 +8,7 @@ comments; the first non-comment line is ``n m delta_inf``; then m lines
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -112,26 +113,63 @@ def write_instance(g: WeightedGraph, path):
             fh.write(f"{u} {v} {float(w)!r}\n")
 
 
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", float)])
+
+
 def read_instance(path) -> WeightedGraph:
-    header = None
+    """Read an edge-list file in the format of the module docstring.
+
+    The edge lines go to one ``np.loadtxt`` call with ``comments=None``, so
+    a ``#`` anywhere among them fails it, as does any line that it cannot
+    read as two int64 endpoints and a float. On such a failure the edge
+    lines are read again one at a time, which accepts comments and what
+    Python's ``int`` and ``float`` accept, and whose errors name the line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        n, m, delta_inf = _read_header(_content_lines(fh))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no edge lines
+                rows = np.loadtxt(fh, dtype=_EDGE_ROW, comments=None, ndmin=1)
+            edges, weights = np.column_stack((rows["u"], rows["v"])), rows["w"]
+        except ValueError:
+            edges, weights = _read_edge_lines(path)
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges but file has {len(edges)}")
+    return build_graph(n, edges, weights, delta_inf=delta_inf)
+
+
+def _content_lines(fh):
+    """(line number, stripped line) for each line neither blank nor a comment."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _read_header(lines) -> tuple[int, int, float]:
+    """(n, m, delta_inf) from the first of ``_content_lines``."""
+    for lineno, line in lines:
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError(
+                f"line {lineno}: header must be 'n m delta_inf', got {line!r}")
+        try:
+            return int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise ParseError(f"line {lineno}: cannot parse header {line!r}") from None
+    raise ParseError("line 1: missing header")
+
+
+def _read_edge_lines(path):
+    """The edges and weights of the file, parsed one line at a time."""
     edges = []
     weights = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        lines = _content_lines(fh)
+        _read_header(lines)
+        for lineno, line in lines:
             fields = line.split()
-            if header is None:
-                if len(fields) != 3:
-                    raise ParseError(
-                        f"line {lineno}: header must be 'n m delta_inf', got {line!r}")
-                try:
-                    header = (int(fields[0]), int(fields[1]), float(fields[2]))
-                except ValueError:
-                    raise ParseError(
-                        f"line {lineno}: cannot parse header {line!r}") from None
-                continue
             if len(fields) != 3:
                 raise ParseError(f"line {lineno}: expected 'u v w', got {line!r}")
             try:
@@ -139,9 +177,4 @@ def read_instance(path) -> WeightedGraph:
                 weights.append(float(fields[2]))
             except ValueError:
                 raise ParseError(f"line {lineno}: cannot parse edge {line!r}") from None
-    if header is None:
-        raise ParseError("line 1: missing header")
-    n, m, delta_inf = header
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges but file has {len(edges)}")
-    return build_graph(n, edges, weights, delta_inf=delta_inf)
+    return edges, weights

@@ -47,11 +47,16 @@ class MechanismResult:
 
 
 def perturb_weights(g: WeightedGraph, eps_prime: float, delta_inf: float,
-                    stream: RngStream) -> np.ndarray:
-    """Per-edge noisy weights w_e + delta_inf * (2/eps') * ln(Exp(1))."""
+                    stream: RngStream, rows: int | None = None) -> np.ndarray:
+    """Per-edge noisy weights w_e + delta_inf * (2/eps') * ln(Exp(1)).
+
+    With ``rows`` set, a (rows, m) block whose row t holds exactly the
+    vector that the t-th of ``rows`` successive calls would return: the
+    stream fills the block in row-major order, one draw per entry.
+    """
     if not 0 < eps_prime < math.inf or not 0 < delta_inf < math.inf:
         raise ValueError("eps_prime and delta_inf must be positive and finite")
-    z = stream.exponential(1.0, size=g.m)
+    z = stream.exponential(1.0, size=g.m if rows is None else (rows, g.m))
     with np.errstate(divide="ignore"):  # Exp(1) may round to exactly 0
         return g.weights + delta_inf * (2.0 / eps_prime) * np.log(z)
 

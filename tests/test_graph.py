@@ -218,6 +218,13 @@ class TestKruskal:
         g = k4(list(stream.uniform(6) * 10))
         assert kruskal_mst(g) == brute_force_mst(g)
 
+    def test_mst_property_is_the_cached_exact_mst(self):
+        stream = RngStream(18)
+        for _ in range(20):
+            g = random_connected_graph(stream)
+            assert g.mst == kruskal_mst(g)
+            assert g.mst is g.mst
+
     def test_noisy_weights_argument(self):
         g = triangle()
         t = kruskal_mst(g, np.array([5.0, 1.0, 2.0]))

@@ -4,16 +4,19 @@ import sys
 import numpy as np
 import pytest
 
+from dpmst import graph, harness
 from dpmst.accounting import PrivacyBudget
-from dpmst.graph import SpanningTree, build_graph
-from dpmst.harness import (CSV_COLUMNS, _run_single_trial, density_sweep,
-                           emit_csv, equivalence_suite, run_trials,
+from dpmst.graph import SpanningTree, build_graph, tree_weight
+from dpmst.harness import (CSV_COLUMNS, _run_single_trial, _tally_noisy_kruskal,
+                           _wrong_exponent_mst, density_sweep, emit_csv,
+                           equivalence_suite, family_graph, run_trials,
                            tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
 from dpmst.mechanisms import MECHANISMS, MechanismResult, UnknownMechanismError
 from dpmst.rng import RngStream
 
-from .test_graph import triangle
+from .test_graph import k4, triangle
+from .test_mechanisms import budget_for_eps_prime, parallel_edges, tree_counts
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +67,23 @@ class TestRunTrials:
     def test_unknown_mechanism(self, er_graph):
         with pytest.raises(UnknownMechanismError):
             run_trials(er_graph, "bogus", BUDGET, 1, 0)
+
+    def test_true_mst_computed_once_per_graph(self, monkeypatch):
+        g = erdos_renyi_instance(12, 0.7, 0, 100, RngStream(8))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kruskal(*args, **kwargs)
+
+        kruskal = graph.kruskal_mst
+        monkeypatch.setattr(graph, "kruskal_mst", counting)
+        # private kruskal itself runs no exact Kruskal
+        a = run_trials(g, "kruskal", BUDGET, 3, 1)
+        b = run_trials(g, "kruskal", BUDGET, 3, 2)
+        assert len(calls) == 1
+        assert a.records[0].true_weight == b.records[0].true_weight == \
+            tree_weight(g, kruskal(g))
 
     def test_non_minimal_tree_rejected_under_minus_inf_reference(self, monkeypatch):
         # the true tree {1, 2} sums to -inf under these noisy weights, so no
@@ -153,6 +173,100 @@ class TestEquivalenceSuite:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             equivalence_suite("k5", 1.0, 100, 0.01)
+
+
+class ZeroedExponential:
+    """Stream stand-in whose exponential draws are an RngStream's, with each
+    draw below ``cut`` replaced by exactly 0 (a -inf noisy weight)."""
+
+    def __init__(self, stream, cut):
+        self.stream, self.cut = stream, cut
+
+    def exponential(self, rate=1.0, size=None):
+        z = self.stream.exponential(rate, size)
+        return np.where(z < self.cut, 0.0, z)
+
+
+TALLY_GRAPHS = {
+    "k3": lambda: family_graph("k3"),
+    "k4": lambda: family_graph("k4"),
+    "k4-asymmetric": lambda: k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]),
+    "k3-mutant": lambda: triangle([0.0, 2.0, 4.0]),
+    "parallel-edges": parallel_edges,
+}
+
+BULK = {"perturb": MECHANISMS["perturb"], "onepass": MECHANISMS["onepass"],
+        "mutant": _wrong_exponent_mst}
+
+
+class TestBulkTally:
+    @pytest.mark.parametrize("mech", sorted(BULK))
+    @pytest.mark.parametrize("name", sorted(TALLY_GRAPHS))
+    def test_same_tally_as_one_call_per_trial(self, name, mech, monkeypatch):
+        g = TALLY_GRAPHS[name]()
+        budget = budget_for_eps_prime(g, 1.0)
+        for variates, trials in ((harness._BLOCK_VARIATES, 1500), (50, 1001)):
+            # with 50 variates a block has 8 to 16 rows, none dividing 1001
+            monkeypatch.setattr(harness, "_BLOCK_VARIATES", variates)
+            for seed in (3, 4, 5):
+                got = tree_distribution_test(g, 1.0, trials, 0.001, seed,
+                                             mechanisms=(mech,))[mech]
+                # the per-trial loop that the bulk tally replaces
+                ref = tree_counts(BULK[mech], g, budget, trials, RngStream(seed, (0,)))
+                assert got.counts == ref
+                assert got.chi == harness.chi_square_gof(
+                    ref, harness.exact_tree_distribution(
+                        g, budget.per_round(g.n - 1), g.delta_inf), 0.001)
+
+    @pytest.mark.parametrize("cut", [np.inf, 0.5])
+    @pytest.mark.parametrize("name", ["k4", "k4-asymmetric", "parallel-edges"])
+    def test_minus_inf_rows(self, name, cut, monkeypatch):
+        # every draw 0, or about 40% of them: rows of -inf ties, which the
+        # stable order breaks by edge id, as kruskal_mst does
+        g = TALLY_GRAPHS[name]()
+        budget = budget_for_eps_prime(g, 1.0)
+        monkeypatch.setattr(harness, "_BLOCK_VARIATES", 50)
+        got = _tally_noisy_kruskal(g, budget.per_round(g.n - 1), budget.delta_inf,
+                                   500, ZeroedExponential(RngStream(6), cut))
+        ref = tree_counts(MECHANISMS["perturb"], g, budget, 500,
+                          ZeroedExponential(RngStream(6), cut))
+        assert got == ref
+        if cut == np.inf:
+            assert got == {graph.kruskal_mst(g, np.zeros(g.m)).edge_ids: 500}
+
+    def test_one_exact_kruskal_per_scan_order(self, monkeypatch):
+        calls = []
+
+        def counting(g, weights=None):
+            calls.append(weights)
+            return kruskal(g, weights)
+
+        kruskal = harness.kruskal_mst
+        monkeypatch.setattr(harness, "kruskal_mst", counting)
+        monkeypatch.setattr(harness, "_BLOCK_VARIATES", 6 * 1000)
+        results = equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=9,
+                                    mechanisms=("perturb",))
+        assert sum(results["perturb"].counts.values()) == 20000
+        # 20 blocks, but each of the 6! scan orders runs Kruskal once
+        assert len(calls) <= 720
+
+    def test_other_ids_run_once_per_trial_through_the_registry(self, monkeypatch):
+        calls = {"kruskal": 0, "perturb": 0}
+
+        def counting(mech):
+            fn = MECHANISMS[mech]
+
+            def call(g, budget, stream):
+                calls[mech] += 1
+                return fn(g, budget, stream)
+            return call
+
+        for mech in calls:
+            monkeypatch.setitem(MECHANISMS, mech, counting(mech))
+        results = equivalence_suite("k3", 1.0, 300, 0.001, master_seed=2,
+                                    mechanisms=("kruskal", "perturb"))
+        assert calls == {"kruskal": 300, "perturb": 0}
+        assert sum(results["kruskal"].counts.values()) == 300
 
 
 class TestCli:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmst import instances
 from dpmst.graph import GraphError, build_graph, kruskal_mst, tree_weight
 from dpmst.instances import (GenerationError, ParseError, erdos_renyi_instance,
                              hard_instance, mi_sensitivity, mi_weight,
@@ -175,3 +176,47 @@ class TestInstanceFiles:
         path.write_text("2 1 1.0\n1 1 5.0\n", encoding="utf-8")
         with pytest.raises(GraphError):
             read_instance(path)
+
+    @pytest.mark.parametrize("comments", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_arrays_as_the_line_loop(self, tmp_path, seed, comments):
+        g = erdos_renyi_instance(60, 0.3, -50.0, 50.0, RngStream(seed))
+        path = tmp_path / "er.txt"
+        write_instance(g, path)
+        if comments:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines[1:1] = ["# edges follow", ""]
+            lines.insert(len(lines) // 2, "   # a note")
+            path.write_text("# generated\n\n" + "\n".join(lines) + "\n\n",
+                            encoding="utf-8")
+        got = read_instance(path)
+        edges, weights = instances._read_edge_lines(path)
+        assert np.array_equal(np.column_stack((got.u_arr, got.v_arr)), edges)
+        assert np.array_equal(got.weights, weights)
+        assert np.array_equal(got.weights, g.weights) and got.edges == g.edges
+
+    def test_blank_lines_and_leading_comments_stay_on_the_fast_path(self, tmp_path,
+                                                                    monkeypatch):
+        def refuse(path):
+            raise AssertionError("line loop used")
+
+        monkeypatch.setattr(instances, "_read_edge_lines", refuse)
+        path = tmp_path / "ok.txt"
+        path.write_text("# a triangle\n\n3 3 1.0\n1 2 1.0\n\n   \n 2\t3 2.0 \n1 3 3.0\n",
+                        encoding="utf-8")
+        g = read_instance(path)
+        assert g.edges == [(1, 2), (2, 3), (1, 3)]
+        assert g.weights.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("line", ["2 3 2.0 # note", "2.0 3 2.0", "2 3.0 2.0",
+                                      "1e3 3 2.0"])
+    def test_edge_lines_the_loop_rejects(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3 3 1.0\n1 2 1.0\n{line}\n1 3 3.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3"):
+            read_instance(path)
+
+    def test_underscore_weight_accepted_as_the_loop_does(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("3 3 1.0\n1 2 1_0\n2 3 2.0\n1 3 3.0\n", encoding="utf-8")
+        assert read_instance(path).weights.tolist() == [10.0, 2.0, 3.0]

@@ -98,6 +98,20 @@ class TestPerturbWeights:
     def test_rejects_bad_eps_prime_or_delta_inf(self, eps_prime, delta_inf):
         with pytest.raises(ValueError):
             perturb_weights(triangle(), eps_prime, delta_inf, RngStream(0))
+        with pytest.raises(ValueError):
+            perturb_weights(triangle(), eps_prime, delta_inf, RngStream(0), rows=5)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("graph", [
+        lambda: k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]), parallel_edges,
+    ], ids=["k4-asymmetric", "parallel-edges"])
+    def test_block_rows_are_successive_calls(self, graph, rows):
+        g = graph()
+        stream = RngStream(8)
+        calls = np.stack([perturb_weights(g, 0.7, 0.5, stream) for _ in range(rows)])
+        block = perturb_weights(g, 0.7, 0.5, RngStream(8), rows=rows)
+        assert block.shape == (rows, g.m)
+        assert np.array_equal(block, calls)
 
     def test_noise_vanishes_at_huge_eps_prime(self):
         g = triangle()
