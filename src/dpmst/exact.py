@@ -7,6 +7,7 @@ statistical suites share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import exp, fsum, inf
 
@@ -82,11 +83,14 @@ def brute_force_mst(g: WeightedGraph, weights=None) -> SpanningTree:
 def cycle_rule(g: WeightedGraph):
     """Removal rule for spanning-tree sampling over 0-based edge indices.
 
-    Given the selected prefix, returns every unselected edge whose endpoints
-    the prefix already connects.
+    Given the selected prefix (a tuple), returns every unselected edge whose
+    endpoints the prefix already connects. The rule is a pure function of
+    the prefix, so each rule caches its answers; callers must not mutate
+    the returned list.
     """
     u, v = g.u_arr.tolist(), g.v_arr.tolist()
 
+    @lru_cache(maxsize=1 << 16)
     def rule(selected):
         ds = DisjointSets(g.n)
         ds.join(((e, u[e], v[e]) for e in selected), len(selected))

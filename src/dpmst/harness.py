@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accounting import PrivacyBudget
-from .exact import ChiSquareResult, chi_square_gof, exact_tree_distribution
-from .graph import WeightedGraph, build_graph, kruskal_mst, tree_weight
+from .exact import (MAX_ITEMS, ChiSquareResult, SizeGuardError, chi_square_gof,
+                    exact_tree_distribution)
+from .graph import DisjointSets, WeightedGraph, build_graph, kruskal_mst, tree_weight
 from .instances import erdos_renyi_instance
 from .mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
-                         _noisy_kruskal, perturb_weights, run_mechanism)
+                         _noisy_kruskal, kruskal_sampling_weights, perturb_weights,
+                         run_mechanism)
 from .rng import RngStream
+from .sampling import SamplingTree, sum_tree
 
 CSV_COLUMNS = ("mechanism", "n", "m", "p", "eps", "delta", "rho", "eps_prime",
                "delta_inf", "trial", "seed", "true_weight", "private_weight",
@@ -216,7 +219,8 @@ _EXTRA_MECHANISMS = {"mutant": _wrong_exponent_mst}
 # perturbs at; tree_distribution_test tallies their trials in bulk
 _NOISY_KRUSKAL_FACTORS = {"perturb": 1.0, "onepass": 1.0, "mutant": 2.0}
 
-# noise variates per block of the bulk tally (2 MiB of doubles)
+# noise variates per block of the noise-then-Kruskal tally (2 MiB of
+# doubles); the private-Kruskal tally sizes its blocks from it too
 _BLOCK_VARIATES = 1 << 18
 
 
@@ -232,17 +236,22 @@ class EquivalenceResult:
 
 
 def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
-                         trials: int, stream: RngStream) -> dict[frozenset, int]:
+                         trials: int, stream: RngStream,
+                         tree_of: dict[bytes, frozenset] | None = None
+                         ) -> dict[frozenset, int]:
     """The tree tally of ``trials`` successive ``_noisy_kruskal`` calls on
     ``stream``, with one exact Kruskal per distinct scan order.
 
     The noise comes in blocks of ``perturb_weights`` rows, row t being the
     vector that call t would draw. Kruskal's tree is a function of the
     stable order of its weights alone, so rows with the same stable argsort
-    share one tree, computed once from the first of them.
+    share one tree, computed once from the first of them. ``tree_of`` maps
+    scan orders of ``g`` to trees; it holds for every eps', so callers may
+    share one across tallies.
     """
     block = max(1, _BLOCK_VARIATES // g.m)
-    tree_of: dict[bytes, frozenset] = {}  # scan order -> tree
+    if tree_of is None:
+        tree_of = {}
     counts: dict[frozenset, int] = {}
     for start in range(0, trials, block):
         noisy = perturb_weights(g, eps_prime, delta_inf, stream,
@@ -258,6 +267,93 @@ def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
     return counts
 
 
+def _private_kruskal_tables(g: WeightedGraph, budget: PrivacyBudget):
+    """The run-state tables of ``private_kruskal_mst`` on g; m <= ``exact.MAX_ITEMS``.
+
+    A call's state is D, the mask of the edges drawn so far, and A, the mask
+    of those accepted. ``sums[D]`` is the sum-tree array that the call
+    samples from in state D: a removal zeroes a leaf and recomputes every
+    ancestor from its children, so each node is the sum of its children's
+    current values, which is what ``sum_tree`` builds from D's live leaves.
+    ``joins[A, e]`` says whether edge e joins two trees of forest A, which
+    is the call's acceptance test.
+    """
+    m = g.m
+    if m > MAX_ITEMS:
+        raise SizeGuardError(f"the run-state tables need m <= {MAX_ITEMS}, got {m}")
+    states = 1 << m
+    in_mask = (np.arange(states)[:, None] >> np.arange(m)) & 1 == 1
+    sums = sum_tree(np.where(in_mask, 0.0, kruskal_sampling_weights(g, budget)))
+    u, v = g.u_arr.tolist(), g.v_arr.tolist()
+    joins = np.empty((states, m), dtype=bool)
+    for mask in range(states):
+        ds = DisjointSets(g.n)
+        ds.join(((e, u[e], v[e]) for e in range(m) if mask >> e & 1), m)
+        joins[mask] = [ds.find(u[e]) != ds.find(v[e]) for e in range(m)]
+    return sums, joins
+
+
+def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
+                           stream: RngStream) -> dict[frozenset, int]:
+    """The tree tally of ``trials`` successive ``private_kruskal_mst`` calls
+    on ``stream``, one table lookup per draw.
+
+    Each call reads one uniform per draw, and ``stream.uniform(size)`` gives
+    the same values in the same order, so a block of uniforms is read as
+    the calls would read it. The run that starts at position p of the block
+    takes d(p) <= m draws; it is computed for every p at once, one
+    vectorized draw at a time, from the tables of
+    ``_private_kruskal_tables``. Trial t then starts where trial t-1 ended.
+    The block's tail, which lacks m uniforms of lookahead, is carried into
+    the next block.
+    """
+    m, need = g.m, g.n - 1
+    sums, joins = _private_kruskal_tables(g, budget)
+    # a position holds about 16 words of run state while it is evaluated,
+    # so a block of _BLOCK_VARIATES / 16 uniforms also takes about 2 MiB
+    block = max(_BLOCK_VARIATES >> 4, 2 * m)
+    tally = np.zeros(1 << m, dtype=np.int64)
+    unif = np.empty(0)
+    while trials:
+        # trials * m uniforms always suffice, as no call draws more than m
+        fresh = min(block, trials * m) - len(unif)
+        unif = np.concatenate((unif, stream.uniform(fresh)))
+        starts = len(unif) - m + 1  # positions with m uniforms of lookahead
+        accepted = np.empty(starts, dtype=np.intp)  # A at the end of each run
+        steps = np.empty(starts, dtype=np.intp)  # d(p)
+        # the runs still going: their start, D, A and number accepted
+        pos = np.arange(starts)
+        d = np.zeros(starts, dtype=np.intp)
+        a = np.zeros(starts, dtype=np.intp)
+        k = np.zeros(starts, dtype=np.intp)
+        for j in range(m):
+            e = SamplingTree.sample_rows(sums, d, unif[pos + j])
+            bit = 1 << e
+            d |= bit
+            ok = joins[a, e]
+            a |= np.where(ok, bit, 0)
+            k += ok
+            if j + 1 < need:  # no run ends before n-1 draws
+                continue
+            end = k == need
+            accepted[pos[end]] = a[end]
+            steps[pos[end]] = j + 1
+            live = ~end
+            pos, d, a, k = pos[live], d[live], a[live], k[live]
+            if not pos.size:
+                break
+        steps = steps.tolist()
+        p, chain = 0, []
+        while trials and p < starts:
+            chain.append(p)
+            p += steps[p]
+            trials -= 1
+        tally += np.bincount(accepted[chain], minlength=len(tally))
+        unif = unif[p:]
+    return {frozenset(e + 1 for e in range(m) if mask >> e & 1): int(tally[mask])
+            for mask in np.flatnonzero(tally).tolist()}
+
+
 def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
                            alpha: float, master_seed: int = 0,
                            mechanisms=EQUIV_MECHANISMS) -> dict[str, EquivalenceResult]:
@@ -266,13 +362,15 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
 
     Mechanism idx draws from stream (master_seed, (idx,)). The input
     perturbation ids (``_NOISY_KRUSKAL_FACTORS``) are tallied in bulk by
-    ``_tally_noisy_kruskal``, with the same trees as one call per trial;
-    every other id runs once per trial through its registry.
+    ``_tally_noisy_kruskal``, sharing one scan-order cache, and ``kruskal``
+    by ``_tally_private_kruskal``, each with the same trees as one call per
+    trial; every other id runs once per trial through its registry.
     """
     rounds = g.n - 1
     budget = PrivacyBudget.from_rho(rounds * eps_prime ** 2 / 2.0, 1e-6, g.delta_inf)
     eps_used = budget.per_round(rounds)  # bit-identical to what mechanisms derive
     exact = exact_tree_distribution(g, eps_used, g.delta_inf)
+    tree_of: dict[bytes, frozenset] = {}
     out: dict[str, EquivalenceResult] = {}
     for idx, mech in enumerate(mechanisms):
         fn = _EXTRA_MECHANISMS.get(mech) or MECHANISMS.get(mech)
@@ -282,7 +380,9 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
         factor = _NOISY_KRUSKAL_FACTORS.get(mech)
         if factor is not None:
             counts = _tally_noisy_kruskal(g, factor * eps_used, budget.delta_inf,
-                                          trials, stream)
+                                          trials, stream, tree_of)
+        elif mech == "kruskal":
+            counts = _tally_private_kruskal(g, budget, trials, stream)
         else:
             counts = {}
             for _ in range(trials):

@@ -91,6 +91,20 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
 one_pass_mst = input_perturbation_mst
 
 
+def kruskal_sampling_weights(g: WeightedGraph, budget: PrivacyBudget) -> np.ndarray:
+    """exp(-eps' * w_e / (2 * delta_inf)) per edge, the weights private
+    Kruskal samples by, with eps' the budget's per-round share over n-1
+    rounds.
+
+    Shifting by the minimum only rescales them uniformly; weights that still
+    underflow are clamped to the smallest positive normal, which the sampler
+    cannot hit at double precision.
+    """
+    w = g.weights
+    s = np.exp(-budget.per_round(g.n - 1) * (w - w.min()) / (2.0 * budget.delta_inf))
+    return np.maximum(s, np.finfo(float).tiny)
+
+
 def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
                         stream: RngStream) -> MechanismResult:
     """Kruskal with each greedy choice replaced by the exponential mechanism.
@@ -114,14 +128,7 @@ def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
     """
     t0 = time.perf_counter_ns()
     n = g.n
-    eps_prime = budget.per_round(n - 1)
-    w = g.weights
-    # shifting by the minimum only rescales the sampling weights uniformly;
-    # weights that still underflow are clamped to the smallest positive
-    # normal, which the sampler cannot hit at double precision
-    s = np.exp(-eps_prime * (w - w.min()) / (2.0 * budget.delta_inf))
-    s = np.maximum(s, np.finfo(float).tiny)
-    tree = SamplingTree(s)
+    tree = SamplingTree(kruskal_sampling_weights(g, budget))
     ds = DisjointSets(n)
     u_arr, v_arr = g.u_arr, g.v_arr
     drawn: list[int] = []

@@ -28,6 +28,27 @@ class MatroidOracleError(ValueError):
     """The independence oracle failed a basic matroid axiom spot-check."""
 
 
+def sum_tree(leaves) -> np.ndarray:
+    """The sum-tree array of each row of ``leaves`` (over the last axis).
+
+    Node i sits at index i with its children at 2i and 2i + 1; leaf j sits
+    at size + j, size being m rounded up to a power of two, and padding
+    leaves hold 0. Built level by level, each node the sum of its two
+    children: the same additions as a node-by-node loop, so the same bits.
+    """
+    leaves = np.asarray(leaves, dtype=float)
+    m = leaves.shape[-1]
+    size = 1 << (m - 1).bit_length()
+    sums = np.zeros(leaves.shape[:-1] + (2 * size,))
+    sums[..., size:size + m] = leaves
+    lo = size >> 1
+    while lo:
+        np.add(sums[..., 2 * lo:4 * lo:2], sums[..., 2 * lo + 1:4 * lo:2],
+               out=sums[..., lo:2 * lo])
+        lo >>= 1
+    return sums
+
+
 class SamplingTree:
     """Binary tree of subtree weight sums over m leaves.
 
@@ -42,24 +63,14 @@ class SamplingTree:
             raise ValueError("need a non-empty sequence of leaf weights")
         if not weights.min() > 0:  # also false for NaN
             raise ValueError("all leaf weights must be positive")
-        m = len(weights)
-        size = 1 << (m - 1).bit_length()
-        sums = np.zeros(2 * size)
-        sums[size:size + m] = weights
-        # level by level, each node the sum of its two children: the same
-        # additions as a node-by-node loop, so the same bits
-        lo = size >> 1
         with np.errstate(over="ignore"):  # an infinite total is rejected below
-            while lo:
-                np.add(sums[2 * lo:4 * lo:2], sums[2 * lo + 1:4 * lo:2],
-                       out=sums[lo:2 * lo])
-                lo >>= 1
+            sums = sum_tree(weights)
         if not math.isfinite(sums[1]):
             raise ValueError("leaf weights must have a finite total")
-        self._size = size
+        self._size = len(sums) // 2
         self._sums = sums.tolist()  # scalar descents read Python floats faster
-        self.num_leaves = m
-        self.live = m
+        self.num_leaves = len(weights)
+        self.live = len(weights)
 
     @property
     def total(self) -> float:
@@ -88,6 +99,29 @@ class SamplingTree:
             else:
                 u -= ls
                 i = left + 1
+        return i - size
+
+    @staticmethod
+    def sample_rows(sums: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``sample`` applied over rows: entry k is the leaf that a tree
+        holding the array ``sums[rows[k]]`` returns for the uniform ``u[k]``.
+
+        ``sums`` is a table of arrays laid out as a tree holds them (see
+        ``sum_tree``). The rule and the float operations are those of the
+        scalar descent, so the leaves are the same, bit for bit.
+        """
+        width = sums.shape[1]
+        size = width >> 1
+        flat = sums.ravel()
+        base = rows * width
+        u = u * flat[base + 1]
+        i = np.ones(len(base), dtype=np.intp)
+        for _ in range(size.bit_length() - 1):  # the depth of every leaf
+            left = 2 * i
+            ls = flat[base + left]
+            go_left = ((u <= ls) & (ls > 0.0)) | (flat[base + left + 1] == 0.0)
+            u = np.where(go_left, u, u - ls)
+            i = np.where(go_left, left, left + 1)
         return i - size
 
     def remove(self, leaf: int):

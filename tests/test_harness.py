@@ -8,15 +8,16 @@ from dpmst import graph, harness
 from dpmst.accounting import PrivacyBudget
 from dpmst.graph import SpanningTree, build_graph, tree_weight
 from dpmst.harness import (CSV_COLUMNS, _run_single_trial, _tally_noisy_kruskal,
-                           _wrong_exponent_mst, density_sweep, emit_csv,
-                           equivalence_suite, family_graph, run_trials,
-                           tree_distribution_test)
+                           _tally_private_kruskal, _wrong_exponent_mst,
+                           density_sweep, emit_csv, equivalence_suite,
+                           family_graph, run_trials, tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
 from dpmst.mechanisms import MECHANISMS, MechanismResult, UnknownMechanismError
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
-from .test_mechanisms import budget_for_eps_prime, parallel_edges, tree_counts
+from .test_mechanisms import (budget_for_eps_prime, light_triangles_heavy_bridges,
+                              parallel_edges, tree_counts)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,21 @@ class ZeroedExponential:
         return np.where(z < self.cut, 0.0, z)
 
 
+class CycledUniform:
+    """Stream stand-in whose uniform draws cycle through ``values``; it
+    records the size of each vector draw."""
+
+    def __init__(self, values):
+        self.values, self.next, self.sizes = np.asarray(values, dtype=float), 0, []
+
+    def uniform(self, size=None):
+        if size is not None:
+            self.sizes.append(size)
+        at = (self.next + np.arange(1 if size is None else size)) % len(self.values)
+        self.next += len(at)
+        return float(self.values[at[0]]) if size is None else self.values[at]
+
+
 TALLY_GRAPHS = {
     "k3": lambda: family_graph("k3"),
     "k4": lambda: family_graph("k4"),
@@ -196,17 +212,23 @@ TALLY_GRAPHS = {
 }
 
 BULK = {"perturb": MECHANISMS["perturb"], "onepass": MECHANISMS["onepass"],
-        "mutant": _wrong_exponent_mst}
+        "mutant": _wrong_exponent_mst, "kruskal": MECHANISMS["kruskal"]}
+
+TALLY_CASES = [(name, mech) for name in sorted(TALLY_GRAPHS) for mech in sorted(BULK)]
+# m = 8, and private Kruskal draws and discards a triangle's third edge often
+TALLY_GRAPHS["light-triangles-heavy-bridges"] = light_triangles_heavy_bridges
+TALLY_CASES.append(("light-triangles-heavy-bridges", "kruskal"))
 
 
 class TestBulkTally:
-    @pytest.mark.parametrize("mech", sorted(BULK))
-    @pytest.mark.parametrize("name", sorted(TALLY_GRAPHS))
+    @pytest.mark.parametrize("name, mech", TALLY_CASES,
+                             ids=[f"{name}-{mech}" for name, mech in TALLY_CASES])
     def test_same_tally_as_one_call_per_trial(self, name, mech, monkeypatch):
         g = TALLY_GRAPHS[name]()
         budget = budget_for_eps_prime(g, 1.0)
         for variates, trials in ((harness._BLOCK_VARIATES, 1500), (50, 1001)):
-            # with 50 variates a block has 8 to 16 rows, none dividing 1001
+            # with 50 variates a noise block has 8 to 16 rows, none dividing
+            # 1001, and a block of uniforms ends inside a run
             monkeypatch.setattr(harness, "_BLOCK_VARIATES", variates)
             for seed in (3, 4, 5):
                 got = tree_distribution_test(g, 1.0, trials, 0.001, seed,
@@ -234,6 +256,23 @@ class TestBulkTally:
         if cut == np.inf:
             assert got == {graph.kruskal_mst(g, np.zeros(g.m)).edge_ids: 500}
 
+    @pytest.mark.parametrize("values", [[1.0], [2.0 ** -53],
+                                        [1.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53,
+                                         0.25, 1.0 / 3.0, 0.75]],
+                             ids=["one", "tiny", "mix"])
+    @pytest.mark.parametrize("name", sorted(TALLY_GRAPHS))
+    def test_private_kruskal_at_extreme_uniforms(self, name, values, monkeypatch):
+        # u = 1 and u = 2^-53 take the descent's edge cases at every draw;
+        # the seven-value cycle shifts against every run length
+        g = TALLY_GRAPHS[name]()
+        budget = budget_for_eps_prime(g, 1.0)
+        monkeypatch.setattr(harness, "_BLOCK_VARIATES", 50)
+        stub = CycledUniform(values)
+        got = _tally_private_kruskal(g, budget, 400, stub)
+        ref = tree_counts(MECHANISMS["kruskal"], g, budget, 400, CycledUniform(values))
+        assert got == ref
+        assert len(stub.sizes) > 1 and max(stub.sizes) <= 50  # blocks carried over
+
     def test_one_exact_kruskal_per_scan_order(self, monkeypatch):
         calls = []
 
@@ -250,8 +289,23 @@ class TestBulkTally:
         # 20 blocks, but each of the 6! scan orders runs Kruskal once
         assert len(calls) <= 720
 
+    def test_one_exact_kruskal_per_scan_order_across_ids(self, monkeypatch):
+        calls = []
+
+        def counting(g, weights=None):
+            calls.append(weights)
+            return kruskal(g, weights)
+
+        kruskal = harness.kruskal_mst
+        monkeypatch.setattr(harness, "kruskal_mst", counting)
+        equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=9,
+                          mechanisms=("perturb", "onepass", "mutant"))
+        # the tree of a scan order holds at every eps', so one cache serves
+        # all three ids
+        assert len(calls) <= 720
+
     def test_other_ids_run_once_per_trial_through_the_registry(self, monkeypatch):
-        calls = {"kruskal": 0, "perturb": 0}
+        calls = {"kruskal": 0, "pamst": 0, "perturb": 0}
 
         def counting(mech):
             fn = MECHANISMS[mech]
@@ -264,9 +318,9 @@ class TestBulkTally:
         for mech in calls:
             monkeypatch.setitem(MECHANISMS, mech, counting(mech))
         results = equivalence_suite("k3", 1.0, 300, 0.001, master_seed=2,
-                                    mechanisms=("kruskal", "perturb"))
-        assert calls == {"kruskal": 300, "perturb": 0}
-        assert sum(results["kruskal"].counts.values()) == 300
+                                    mechanisms=("kruskal", "pamst", "perturb"))
+        assert calls == {"kruskal": 0, "pamst": 300, "perturb": 0}
+        assert sum(results["pamst"].counts.values()) == 300
 
 
 class TestCli:
