@@ -157,8 +157,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
-    results = equivalence_suite(args.family, args.eps_prime, args.trials,
-                                args.alpha, master_seed=args.seed)
+    try:
+        results = equivalence_suite(args.family, args.eps_prime, args.trials,
+                                    args.alpha, master_seed=args.seed)
+    except ValueError as exc:
+        print(f"dpmst check-equiv: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     ok = True
     for mech in EQUIV_MECHANISMS:
         r = results[mech]

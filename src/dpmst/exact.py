@@ -211,6 +211,8 @@ def chi_square_gof(counts, exact: ExactDistribution, alpha: float,
     into the smallest regular bin if it stays undersized). Any observed mass
     outside the exact support fails outright.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n = sum(counts.values())
     if n <= 0:
         raise ValueError("no observations")

@@ -297,12 +297,9 @@ def _filtered_batches(g: WeightedGraph, w: np.ndarray, k: int):
 
 def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
     """True iff edge_ids (1-based) has size n-1 and is acyclic and connected."""
-    ids = set(edge_ids)
-    if len(ids) != g.n - 1:
+    idx = np.fromiter(set(edge_ids), dtype=np.int64) - 1
+    if len(idx) != g.n - 1 or ((idx < 0) | (idx >= g.m)).any():
         return False
-    if any(not (1 <= e <= g.m) for e in ids):
-        return False
-    idx = np.fromiter(ids, dtype=np.int64) - 1
     scan = zip(idx.tolist(), g.u_arr[idx].tolist(), g.v_arr[idx].tolist())
     return len(DisjointSets(g.n).join(scan, g.n - 1)) == g.n - 1
 

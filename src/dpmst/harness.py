@@ -17,7 +17,7 @@ import numpy as np
 from .accounting import PrivacyBudget
 from .exact import (MAX_ITEMS, ChiSquareResult, SizeGuardError, chi_square_gof,
                     exact_tree_distribution)
-from .graph import DisjointSets, WeightedGraph, build_graph, kruskal_mst, tree_weight
+from .graph import DisjointSets, WeightedGraph, build_graph, tree_weight
 from .instances import erdos_renyi_instance
 from .mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
                          _noisy_kruskal, kruskal_sampling_weights, perturb_weights,
@@ -235,66 +235,58 @@ class EquivalenceResult:
         return self.chi.passed
 
 
+def _join_table(g: WeightedGraph) -> np.ndarray:
+    """Kruskal's acceptance test on g (m <= ``exact.MAX_ITEMS``) as a table:
+    ``joins[A, e]`` is 1 << e if edge e joins two trees of the forest with
+    edge mask A, else 0, so a scan step is ``A |= joins[A, e]``."""
+    m = g.m
+    if m > MAX_ITEMS:
+        raise SizeGuardError(f"the join table needs m <= {MAX_ITEMS}, got {m}")
+    u, v = g.u_arr.tolist(), g.v_arr.tolist()
+    joins = np.empty((1 << m, m), dtype=np.intp)
+    for mask in range(1 << m):
+        ds = DisjointSets(g.n)
+        ds.join(((e, u[e], v[e]) for e in range(m) if mask >> e & 1), m)
+        joins[mask] = [1 << e if ds.find(u[e]) != ds.find(v[e]) else 0
+                       for e in range(m)]
+    return joins
+
+
+def _tree_counts(tally: np.ndarray) -> dict[frozenset, int]:
+    """The trees of a tally indexed by edge mask, as 1-based edge id sets."""
+    m = len(tally).bit_length() - 1
+    return {frozenset(e + 1 for e in range(m) if mask >> e & 1): int(tally[mask])
+            for mask in np.flatnonzero(tally).tolist()}
+
+
 def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
                          trials: int, stream: RngStream,
-                         tree_of: dict[bytes, frozenset] | None = None
-                         ) -> dict[frozenset, int]:
+                         joins: np.ndarray | None = None) -> dict[frozenset, int]:
     """The tree tally of ``trials`` successive ``_noisy_kruskal`` calls on
-    ``stream``, with one exact Kruskal per distinct scan order.
+    ``stream``, with Kruskal run over every noise row at once.
 
     The noise comes in blocks of ``perturb_weights`` rows, row t being the
-    vector that call t would draw. Kruskal's tree is a function of the
-    stable order of its weights alone, so rows with the same stable argsort
-    share one tree, computed once from the first of them. ``tree_of`` maps
-    scan orders of ``g`` to trees; it holds for every eps', so callers may
-    share one across tallies.
+    vector that call t would draw. Each row's stable argsort is the scan
+    order of ``kruskal_mst``, ties (-inf ones included) broken by edge id;
+    the m scan steps then run over all rows together, one lookup in the
+    join table of ``_join_table`` each.
     """
+    if joins is None:
+        joins = _join_table(g)
     block = max(1, _BLOCK_VARIATES // g.m)
-    if tree_of is None:
-        tree_of = {}
-    counts: dict[frozenset, int] = {}
+    tally = np.zeros(len(joins), dtype=np.int64)
     for start in range(0, trials, block):
         noisy = perturb_weights(g, eps_prime, delta_inf, stream,
                                 rows=min(block, trials - start))
-        orders, first, size = np.unique(np.argsort(noisy, axis=1, kind="stable"),
-                                        axis=0, return_index=True, return_counts=True)
-        for order, i, c in zip(orders, first.tolist(), size.tolist()):
-            key = order.tobytes()
-            ids = tree_of.get(key)
-            if ids is None:
-                ids = tree_of[key] = kruskal_mst(g, noisy[i]).edge_ids
-            counts[ids] = counts.get(ids, 0) + c
-    return counts
-
-
-def _private_kruskal_tables(g: WeightedGraph, budget: PrivacyBudget):
-    """The run-state tables of ``private_kruskal_mst`` on g; m <= ``exact.MAX_ITEMS``.
-
-    A call's state is D, the mask of the edges drawn so far, and A, the mask
-    of those accepted. ``sums[D]`` is the sum-tree array that the call
-    samples from in state D: a removal zeroes a leaf and recomputes every
-    ancestor from its children, so each node is the sum of its children's
-    current values, which is what ``sum_tree`` builds from D's live leaves.
-    ``joins[A, e]`` says whether edge e joins two trees of forest A, which
-    is the call's acceptance test.
-    """
-    m = g.m
-    if m > MAX_ITEMS:
-        raise SizeGuardError(f"the run-state tables need m <= {MAX_ITEMS}, got {m}")
-    states = 1 << m
-    in_mask = (np.arange(states)[:, None] >> np.arange(m)) & 1 == 1
-    sums = sum_tree(np.where(in_mask, 0.0, kruskal_sampling_weights(g, budget)))
-    u, v = g.u_arr.tolist(), g.v_arr.tolist()
-    joins = np.empty((states, m), dtype=bool)
-    for mask in range(states):
-        ds = DisjointSets(g.n)
-        ds.join(((e, u[e], v[e]) for e in range(m) if mask >> e & 1), m)
-        joins[mask] = [ds.find(u[e]) != ds.find(v[e]) for e in range(m)]
-    return sums, joins
+        accepted = np.zeros(len(noisy), dtype=np.intp)
+        for e in np.argsort(noisy, axis=1, kind="stable").T:
+            accepted |= joins[accepted, e]
+        tally += np.bincount(accepted, minlength=len(tally))
+    return _tree_counts(tally)
 
 
 def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
-                           stream: RngStream) -> dict[frozenset, int]:
+                           stream: RngStream, joins: np.ndarray) -> dict[frozenset, int]:
     """The tree tally of ``trials`` successive ``private_kruskal_mst`` calls
     on ``stream``, one table lookup per draw.
 
@@ -302,13 +294,16 @@ def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
     the same values in the same order, so a block of uniforms is read as
     the calls would read it. The run that starts at position p of the block
     takes d(p) <= m draws; it is computed for every p at once, one
-    vectorized draw at a time, from the tables of
-    ``_private_kruskal_tables``. Trial t then starts where trial t-1 ended.
-    The block's tail, which lacks m uniforms of lookahead, is carried into
-    the next block.
+    vectorized draw at a time, from its state: D, the edges drawn, and A,
+    those accepted. ``sums[D]`` is the sum tree that the call samples from
+    in state D, as ``sum_tree`` builds it from D's live leaves, and
+    ``joins[A, e]``, from ``_join_table(g)``, the call's acceptance test.
+    Trial t then starts where trial t-1 ended. The block's tail, which lacks
+    m uniforms of lookahead, is carried into the next block.
     """
     m, need = g.m, g.n - 1
-    sums, joins = _private_kruskal_tables(g, budget)
+    in_mask = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    sums = sum_tree(np.where(in_mask, 0.0, kruskal_sampling_weights(g, budget)))
     # a position holds about 16 words of run state while it is evaluated,
     # so a block of _BLOCK_VARIATES / 16 uniforms also takes about 2 MiB
     block = max(_BLOCK_VARIATES >> 4, 2 * m)
@@ -328,11 +323,10 @@ def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
         k = np.zeros(starts, dtype=np.intp)
         for j in range(m):
             e = SamplingTree.sample_rows(sums, d, unif[pos + j])
-            bit = 1 << e
-            d |= bit
-            ok = joins[a, e]
-            a |= np.where(ok, bit, 0)
-            k += ok
+            d |= 1 << e
+            bit = joins[a, e]
+            a |= bit
+            k += bit != 0
             if j + 1 < need:  # no run ends before n-1 draws
                 continue
             end = k == need
@@ -350,8 +344,7 @@ def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
             trials -= 1
         tally += np.bincount(accepted[chain], minlength=len(tally))
         unif = unif[p:]
-    return {frozenset(e + 1 for e in range(m) if mask >> e & 1): int(tally[mask])
-            for mask in np.flatnonzero(tally).tolist()}
+    return _tree_counts(tally)
 
 
 def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
@@ -362,15 +355,17 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
 
     Mechanism idx draws from stream (master_seed, (idx,)). The input
     perturbation ids (``_NOISY_KRUSKAL_FACTORS``) are tallied in bulk by
-    ``_tally_noisy_kruskal``, sharing one scan-order cache, and ``kruskal``
-    by ``_tally_private_kruskal``, each with the same trees as one call per
-    trial; every other id runs once per trial through its registry.
+    ``_tally_noisy_kruskal`` and ``kruskal`` by ``_tally_private_kruskal``,
+    each with the same trees as one call per trial, from one join table.
+    Every other id runs once per trial through its registry.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    joins = _join_table(g)  # the exact oracle needs m <= MAX_ITEMS too
     rounds = g.n - 1
     budget = PrivacyBudget.from_rho(rounds * eps_prime ** 2 / 2.0, 1e-6, g.delta_inf)
     eps_used = budget.per_round(rounds)  # bit-identical to what mechanisms derive
     exact = exact_tree_distribution(g, eps_used, g.delta_inf)
-    tree_of: dict[bytes, frozenset] = {}
     out: dict[str, EquivalenceResult] = {}
     for idx, mech in enumerate(mechanisms):
         fn = _EXTRA_MECHANISMS.get(mech) or MECHANISMS.get(mech)
@@ -380,9 +375,9 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
         factor = _NOISY_KRUSKAL_FACTORS.get(mech)
         if factor is not None:
             counts = _tally_noisy_kruskal(g, factor * eps_used, budget.delta_inf,
-                                          trials, stream, tree_of)
+                                          trials, stream, joins)
         elif mech == "kruskal":
-            counts = _tally_private_kruskal(g, budget, trials, stream)
+            counts = _tally_private_kruskal(g, budget, trials, stream, joins)
         else:
             counts = {}
             for _ in range(trials):

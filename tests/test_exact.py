@@ -282,6 +282,12 @@ class TestChiSquare:
         res = chi_square_gof({"a": 96, "b": 3, "c": 1}, exact, 0.01)
         assert res.df == 1  # the two 2-count bins pool into one
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+    def test_alpha_outside_open_unit_interval_rejected(self, alpha):
+        # alpha = 0 gave an inf threshold that every tally passed
+        with pytest.raises(ValueError, match="alpha"):
+            chi_square_gof({"a": 100, "b": 100, "c": 100}, UNIFORM3, alpha)
+
     def test_degenerate_support_rejected(self):
         with pytest.raises(ValueError):
             chi_square_gof({"a": 10}, ExactDistribution({"a": 1.0}), 0.01)

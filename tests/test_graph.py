@@ -372,6 +372,10 @@ class TestIsSpanningTree:
     def test_bad_ids_rejected(self):
         assert not is_spanning_tree(triangle(), {1, 99})
 
+    @pytest.mark.parametrize("ids", [{1, 4}, {0, 1}, {-1, 2}])
+    def test_ids_just_outside_the_range_rejected(self, ids):
+        assert not is_spanning_tree(triangle(), ids)
+
 
 class TestTreeWeight:
     def test_triangle(self):

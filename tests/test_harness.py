@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from dpmst import graph, harness
+from dpmst import graph, harness, mechanisms
 from dpmst.accounting import PrivacyBudget
+from dpmst.exact import MAX_ITEMS, SizeGuardError
 from dpmst.graph import SpanningTree, build_graph, tree_weight
 from dpmst.harness import (CSV_COLUMNS, _run_single_trial, _tally_noisy_kruskal,
                            _tally_private_kruskal, _wrong_exponent_mst,
@@ -268,41 +269,61 @@ class TestBulkTally:
         budget = budget_for_eps_prime(g, 1.0)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 50)
         stub = CycledUniform(values)
-        got = _tally_private_kruskal(g, budget, 400, stub)
+        got = _tally_private_kruskal(g, budget, 400, stub, harness._join_table(g))
         ref = tree_counts(MECHANISMS["kruskal"], g, budget, 400, CycledUniform(values))
         assert got == ref
         assert len(stub.sizes) > 1 and max(stub.sizes) <= 50  # blocks carried over
 
-    def test_one_exact_kruskal_per_scan_order(self, monkeypatch):
-        calls = []
+    def test_no_exact_kruskal_and_one_join_table_per_call(self, monkeypatch):
+        kruskal_calls, tables = [], []
 
-        def counting(g, weights=None):
-            calls.append(weights)
+        def counting_kruskal(g, weights=None):
+            kruskal_calls.append(weights)
             return kruskal(g, weights)
 
-        kruskal = harness.kruskal_mst
-        monkeypatch.setattr(harness, "kruskal_mst", counting)
+        def counting_table(g):
+            tables.append(g)
+            return join_table(g)
+
+        kruskal, join_table = graph.kruskal_mst, harness._join_table
+        for module in (graph, mechanisms, harness):
+            monkeypatch.setattr(module, "kruskal_mst", counting_kruskal, raising=False)
+        monkeypatch.setattr(harness, "_join_table", counting_table)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 6 * 1000)
-        results = equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=9,
-                                    mechanisms=("perturb",))
-        assert sum(results["perturb"].counts.values()) == 20000
-        # 20 blocks, but each of the 6! scan orders runs Kruskal once
-        assert len(calls) <= 720
+        for seed in (9, 10):
+            results = equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=seed,
+                                        mechanisms=("perturb", "kruskal",
+                                                    "onepass", "mutant"))
+            assert all(sum(r.counts.values()) == 20000 for r in results.values())
+        # 20 noise blocks per id, yet no exact Kruskal, and each call builds
+        # the join table once for all four ids
+        assert kruskal_calls == []
+        assert len(tables) == 2
 
-    def test_one_exact_kruskal_per_scan_order_across_ids(self, monkeypatch):
-        calls = []
+    def test_bulk_ids_need_at_most_max_items_edges(self, monkeypatch):
+        # k4 with three parallel edges: 9 edges, one more than the join
+        # table (and the exact oracle) allows
+        g = build_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                            (1, 2), (1, 3), (1, 4)], [1.0] * 9, delta_inf=1.0)
+        assert g.m == MAX_ITEMS + 1
 
-        def counting(g, weights=None):
-            calls.append(weights)
-            return kruskal(g, weights)
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew noise before the size check")
 
-        kruskal = harness.kruskal_mst
-        monkeypatch.setattr(harness, "kruskal_mst", counting)
-        equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=9,
-                          mechanisms=("perturb", "onepass", "mutant"))
-        # the tree of a scan order holds at every eps', so one cache serves
-        # all three ids
-        assert len(calls) <= 720
+        monkeypatch.setattr(harness, "perturb_weights", no_draw)
+        with pytest.raises(SizeGuardError):
+            tree_distribution_test(g, 1.0, 100, 0.001, mechanisms=("perturb",))
+        with pytest.raises(SizeGuardError):
+            _tally_noisy_kruskal(g, 1.0, 1.0, 100, RngStream(0))
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected_before_any_draw(self, trials, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("opened a stream before the trials check")
+
+        monkeypatch.setattr(harness, "RngStream", no_stream)
+        with pytest.raises(ValueError, match="trials"):
+            equivalence_suite("k3", 1.0, trials, 0.001)
 
     def test_other_ids_run_once_per_trial_through_the_registry(self, monkeypatch):
         calls = {"kruskal": 0, "pamst": 0, "perturb": 0}
@@ -370,6 +391,17 @@ class TestCli:
                          "--rho", "1.0", "--seed", "2",
                          "--out", str(tmp_path / "s.csv"))
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("arg, value, message", [
+        ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
+        ("--alpha", "nan", "alpha must be in (0, 1), got nan"),
+        ("--trials", "0", "trials must be >= 1, got 0"),
+    ], ids=["alpha-0", "alpha-nan", "trials-0"])
+    def test_check_equiv_bad_input_exit_one(self, arg, value, message):
+        # --alpha 0 used to pass every mechanism (threshold inf) and exit 0
+        r = self.run_cli("check-equiv", "--family", "k3", "--eps-prime", "1.0", arg, value)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.splitlines() == [f"dpmst check-equiv: {message}"]
 
     def test_statistical_failure_exit_two(self, monkeypatch):
         from dpmst import cli
