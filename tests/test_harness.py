@@ -397,11 +397,14 @@ class TestCli:
         ("--alpha", "nan", "alpha must be in (0, 1), got nan"),
         ("--trials", "0", "trials must be >= 1, got 0"),
     ], ids=["alpha-0", "alpha-nan", "trials-0"])
-    def test_check_equiv_bad_input_exit_one(self, arg, value, message):
+    def test_check_equiv_bad_input_exit_one(self, arg, value, message, capsys):
+        from dpmst import cli
+
         # --alpha 0 used to pass every mechanism (threshold inf) and exit 0
-        r = self.run_cli("check-equiv", "--family", "k3", "--eps-prime", "1.0", arg, value)
-        assert (r.returncode, r.stdout) == (1, "")
-        assert r.stderr.splitlines() == [f"dpmst check-equiv: {message}"]
+        code = cli.main(["check-equiv", "--family", "k3", "--eps-prime", "1.0", arg, value])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"dpmst check-equiv: {message}"]
 
     def test_statistical_failure_exit_two(self, monkeypatch):
         from dpmst import cli
