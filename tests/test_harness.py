@@ -274,20 +274,45 @@ class TestBulkTally:
         assert got == ref
         assert len(stub.sizes) > 1 and max(stub.sizes) <= 50  # blocks carried over
 
-    def test_no_exact_kruskal_and_one_join_table_per_call(self, monkeypatch):
-        kruskal_calls, tables = [], []
+    @staticmethod
+    def count_kruskal_calls(monkeypatch):
+        calls = []
+        kruskal = graph.kruskal_mst
 
-        def counting_kruskal(g, weights=None):
-            kruskal_calls.append(weights)
+        def counting(g, weights=None):
+            calls.append(weights)
             return kruskal(g, weights)
+
+        for module in (graph, mechanisms, harness):
+            monkeypatch.setattr(module, "kruskal_mst", counting, raising=False)
+        return calls
+
+    def test_one_exact_kruskal_per_scan_order(self, monkeypatch):
+        calls = self.count_kruskal_calls(monkeypatch)
+        monkeypatch.setattr(harness, "_BLOCK_VARIATES", 6 * 1000)
+        results = equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=9,
+                                    mechanisms=("perturb",))
+        assert sum(results["perturb"].counts.values()) == 20000
+        # 20 blocks, yet never more than one Kruskal per each of the 6! scan
+        # orders (the vectorized scan runs none)
+        assert len(calls) <= 720
+
+    def test_one_exact_kruskal_per_scan_order_across_ids(self, monkeypatch):
+        calls = self.count_kruskal_calls(monkeypatch)
+        equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=9,
+                          mechanisms=("perturb", "onepass", "mutant"))
+        # the tree of a scan order holds at every eps', so the three ids
+        # together stay within one Kruskal per scan order
+        assert len(calls) <= 720
+
+    def test_no_exact_kruskal_and_one_join_table_per_call(self, monkeypatch):
+        kruskal_calls, tables = self.count_kruskal_calls(monkeypatch), []
 
         def counting_table(g):
             tables.append(g)
             return join_table(g)
 
-        kruskal, join_table = graph.kruskal_mst, harness._join_table
-        for module in (graph, mechanisms, harness):
-            monkeypatch.setattr(module, "kruskal_mst", counting_kruskal, raising=False)
+        join_table = harness._join_table
         monkeypatch.setattr(harness, "_join_table", counting_table)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 6 * 1000)
         for seed in (9, 10):
