@@ -30,6 +30,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type: a float in (0, inf); NaN and inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dpmst",
                      description="Differentially private minimum spanning trees "
@@ -70,7 +81,7 @@ def _build_parser() -> _Parser:
 
     equiv = sub.add_parser("check-equiv", help="chi-square the three mechanisms against the exact tree distribution")
     equiv.add_argument("--family", required=True, choices=("k3", "k4"))
-    equiv.add_argument("--eps-prime", type=float, required=True)
+    equiv.add_argument("--eps-prime", type=_positive_finite, required=True)
     equiv.add_argument("--trials", type=int, default=200000)
     equiv.add_argument("--alpha", type=float, default=0.001)
     equiv.add_argument("--seed", type=int, default=0)

@@ -57,9 +57,9 @@ class DisjointSets:
     """Union-find over vertices 1..n: union by size, path halving.
 
     The one union-find of the package. ``merge`` reports whether u and v
-    were in different components, which is the cycle test private Kruskal
-    draws against; ``join`` runs that test along a whole edge scan, for
-    exact Kruskal, the spanning-tree check and the exact oracles.
+    were in different components; ``join`` runs that test along a whole
+    edge scan, for exact and private Kruskal, the spanning-tree check and
+    the exact oracles.
     """
 
     def __init__(self, n: int):
@@ -275,7 +275,7 @@ def _filtered_batches(g: WeightedGraph, w: np.ndarray, k: int):
     """Successive runs of (edge id, u, v) in (weight, id) order.
 
     Each run is every not yet yielded edge no heavier than the k-th smallest
-    of them, stably sorted; k doubles from run to run, so a scan that stops
+    of them, in (weight, id) order; k doubles from run to run, so a scan that stops
     early sorts little, and one that reads every edge costs about one full
     sort. NaN weights come last.
     """
@@ -286,7 +286,14 @@ def _filtered_batches(g: WeightedGraph, w: np.ndarray, k: int):
         else:
             head = np.ones(len(wr), dtype=bool)
         batch = np.flatnonzero(head) if rest is None else rest[head]
-        order = batch[np.argsort(w[batch], kind="stable")]
+        wb = w[batch]
+        order = np.argsort(wb)
+        ranked = wb[order]
+        if np.isnan(ranked[-1:]).any() or (ranked[1:] == ranked[:-1]).any():
+            # only a stable sort puts tied (or NaN) weights in id order; a
+            # batch without them has one sorted order, which any sort finds
+            order = np.argsort(wb, kind="stable")
+        order = batch[order]
         yield zip((order + 1).tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
         tail = np.flatnonzero(~head)
         if not tail.size:

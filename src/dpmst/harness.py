@@ -361,6 +361,8 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 < eps_prime < math.inf:  # also false for NaN
+        raise ValueError(f"eps_prime must be positive and finite, got {eps_prime}")
     joins = _join_table(g)  # the exact oracle needs m <= MAX_ITEMS too
     rounds = g.n - 1
     budget = PrivacyBudget.from_rho(rounds * eps_prime ** 2 / 2.0, 1e-6, g.delta_inf)

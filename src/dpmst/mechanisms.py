@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,25 @@ def kruskal_sampling_weights(g: WeightedGraph, budget: PrivacyBudget) -> np.ndar
     return np.maximum(s, np.finfo(float).tiny)
 
 
+# per graph, the (eps', delta_inf) pair and the sum tree private Kruskal
+# starts from at that pair; weak keys, so an entry never keeps its graph alive
+_START_TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kruskal_start_tree(g: WeightedGraph, budget: PrivacyBudget) -> SamplingTree:
+    """A copy of ``SamplingTree(kruskal_sampling_weights(g, budget))``.
+
+    The tree is a pure function of (g, eps', delta_inf), so it is built once
+    per graph and pair and each call copies its node list; another pair on
+    the same graph replaces the entry.
+    """
+    key = (budget.per_round(g.n - 1), budget.delta_inf)
+    hit = _START_TREES.get(g)
+    if hit is None or hit[0] != key:
+        hit = _START_TREES[g] = key, SamplingTree(kruskal_sampling_weights(g, budget))
+    return hit[1].copy()
+
+
 def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
                         stream: RngStream) -> MechanismResult:
     """Kruskal with each greedy choice replaced by the exponential mechanism.
@@ -113,7 +133,7 @@ def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
     probability proportional to exp(-eps' * w_e / (2 * delta_inf)) among
     such edges. One sum tree holds every edge not yet drawn; a round draws
     and deletes edges from it until one joins two components, and releases
-    that one.
+    that one. The draws are ``DisjointSets.join``'s edge scan.
 
     Discarding a cycle-closing draw is exact: an edge that closes a cycle
     keeps closing one for the rest of the run, so deleting it is what the
@@ -127,18 +147,17 @@ def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
     ``ops["draws"]`` is the number of draws, at most m.
     """
     t0 = time.perf_counter_ns()
-    n = g.n
-    tree = SamplingTree(kruskal_sampling_weights(g, budget))
-    ds = DisjointSets(n)
-    u_arr, v_arr = g.u_arr, g.v_arr
+    tree = _kruskal_start_tree(g, budget)
+    u_at, v_at = g.u_arr.item, g.v_arr.item
     drawn: list[int] = []
-    chosen: list[int] = []
-    while len(chosen) < n - 1:
-        e = tree.sample(stream)
-        tree.remove(e)
-        drawn.append(e)
-        if ds.merge(int(u_arr[e]), int(v_arr[e])):
-            chosen.append(e + 1)
+
+    def draws():
+        while True:
+            e = tree.pop(stream)
+            drawn.append(e)
+            yield e + 1, u_at(e), v_at(e)
+
+    chosen = DisjointSets(g.n).join(draws(), g.n - 1)
     checks = np.zeros(g.m, dtype=np.int64)
     checks[drawn] = 1
     return MechanismResult(tree=SpanningTree(frozenset(chosen)),

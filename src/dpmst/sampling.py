@@ -12,6 +12,7 @@ Plus the private maximum-weight matroid basis built on the same noise.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -80,7 +81,18 @@ class SamplingTree:
         return self._sums[self._size + leaf]
 
     def sample(self, stream: RngStream) -> int:
-        """Live leaf index drawn with probability weight / total.
+        """Live leaf index drawn with probability weight / total."""
+        return self._descend(stream) - self._size
+
+    def pop(self, stream: RngStream) -> int:
+        """``sample`` and then ``remove`` of the leaf drawn, in one walk down
+        and back up, with the same bits."""
+        node = self._descend(stream)
+        self._clear(node)
+        return node - self._size
+
+    def _descend(self, stream: RngStream) -> int:
+        """The node of a live leaf drawn with probability weight / total.
 
         The descent never enters a zero-sum child: when rounding (or u = 1)
         carries u past the live mass of one side, it takes the other.
@@ -99,7 +111,19 @@ class SamplingTree:
             else:
                 u -= ls
                 i = left + 1
-        return i - size
+        return i
+
+    def _clear(self, node: int):
+        """Zero a live leaf's node and recompute each ancestor as the sum of
+        its children. Float addition commutes, so adding the sibling to the
+        node just written gives the bits of left + right."""
+        sums = self._sums
+        s = sums[node] = 0.0
+        while node > 1:
+            s += sums[node ^ 1]
+            node >>= 1
+            sums[node] = s
+        self.live -= 1
 
     @staticmethod
     def sample_rows(sums: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -124,19 +148,19 @@ class SamplingTree:
             i = np.where(go_left, left, left + 1)
         return i - size
 
+    def copy(self) -> "SamplingTree":
+        """An independent tree with the same leaves, sums and removals."""
+        twin = copy.copy(self)
+        twin._sums = self._sums.copy()
+        return twin
+
     def remove(self, leaf: int):
         if not 0 <= leaf < self.num_leaves:
             raise IndexError(f"leaf {leaf} out of range")
         node = self._size + leaf
-        sums = self._sums
-        if sums[node] == 0.0:
+        if self._sums[node] == 0.0:
             raise ValueError(f"leaf {leaf} already removed")
-        sums[node] = 0.0
-        node >>= 1
-        while node:
-            sums[node] = sums[2 * node] + sums[2 * node + 1]
-            node >>= 1
-        self.live -= 1
+        self._clear(node)
 
 
 def sample_without_replacement(weights, k: int, stream: RngStream,
@@ -153,9 +177,8 @@ def sample_without_replacement(weights, k: int, stream: RngStream,
     alive = [True] * tree.num_leaves
     selected: list[int] = []
     while len(selected) < k and tree.live > 0:
-        j = tree.sample(stream)
+        j = tree.pop(stream)
         selected.append(j)
-        tree.remove(j)
         alive[j] = False
         if remove_rule is not None:
             for i in remove_rule(tuple(selected)):

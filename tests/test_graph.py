@@ -285,6 +285,28 @@ class TestFilterKruskal:
                            for kind in ("ties", "nonfinite", "uniform")]:
             assert kruskal_mst(g, w) == _reference_kruskal(g, w)
 
+    @pytest.mark.parametrize("kind", ["rounded", "rounded-tail", "one-minus-inf",
+                                      "minus-inf-ties", "nan"])
+    def test_batches_with_and_without_ties(self, kind):
+        # a batch is sorted by the default sort unless it holds a tie or a
+        # NaN; the bridge is in the last batch, so every batch is scanned
+        g = bridged_cliques(100)
+        assert filters(g)
+        rng = np.random.default_rng(19)
+        w = rng.random(g.m) * 100.0
+        if kind == "rounded":  # ties in every batch
+            w = np.round(w, 1)
+        elif kind == "rounded-tail":  # ties only past the first batch
+            w[w > 50.0] = np.round(w[w > 50.0], 1)
+        elif kind == "one-minus-inf":
+            w[rng.integers(g.m)] = -np.inf
+        elif kind == "minus-inf-ties":
+            w[rng.random(g.m) < 0.2] = -np.inf
+        else:  # NaN weights come last: empty batches, then one with every
+            # edge, where most of the tree is NaN edges tied with each other
+            w[rng.random(g.m) < 0.98] = np.nan
+        assert kruskal_mst(g, w) == _reference_kruskal(g, w)
+
     @pytest.mark.parametrize("fill", [-np.inf, np.nan])
     def test_constant_vector_ties_break_by_id(self, fill):
         g = hard_instance(60, 0.5, 3, RngStream(2))

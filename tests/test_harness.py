@@ -350,6 +350,16 @@ class TestBulkTally:
         with pytest.raises(ValueError, match="trials"):
             equivalence_suite("k3", 1.0, trials, 0.001)
 
+    @pytest.mark.parametrize("eps_prime", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_eps_prime_rejected_before_any_draw(self, eps_prime, monkeypatch):
+        # -1 used to run at +1, since only eps'^2 reaches the budget
+        def no_stream(*args):
+            raise AssertionError("opened a stream before the eps' check")
+
+        monkeypatch.setattr(harness, "RngStream", no_stream)
+        with pytest.raises(ValueError, match="eps_prime must be positive and finite"):
+            equivalence_suite("k3", eps_prime, 100, 0.001)
+
     def test_other_ids_run_once_per_trial_through_the_registry(self, monkeypatch):
         calls = {"kruskal": 0, "pamst": 0, "perturb": 0}
 
@@ -430,6 +440,23 @@ class TestCli:
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"dpmst check-equiv: {message}"]
+
+    @pytest.mark.parametrize("value, shown", [
+        ("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf"),
+    ], ids=["minus-1", "zero", "nan", "inf"])
+    def test_check_equiv_bad_eps_prime_exit_one(self, value, shown, capsys, monkeypatch):
+        from dpmst import cli
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("ran the suite on a bad --eps-prime")
+
+        monkeypatch.setattr(cli, "equivalence_suite", no_suite)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-equiv", "--family", "k3", "--eps-prime", value])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.splitlines()[-1] == ("dpmst check-equiv: error: argument --eps-prime: "
+                                        f"must be positive and finite, got {shown}")
 
     def test_statistical_failure_exit_two(self, monkeypatch):
         from dpmst import cli

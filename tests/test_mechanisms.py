@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -8,14 +10,16 @@ from scipy import stats
 from dpmst.accounting import PrivacyBudget
 from dpmst.exact import (chi_square_gof, exact_tree_distribution,
                          prim_tree_distribution)
-from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
+from dpmst.graph import (DisjointSets, build_graph, is_spanning_tree,
+                         kruskal_mst, tree_weight)
 from dpmst.harness import _EXTRA_MECHANISMS
 from dpmst.instances import erdos_renyi_instance
 from dpmst.mechanisms import (MECHANISMS, UnknownMechanismError,
-                              input_perturbation_mst, one_pass_mst, pamst,
-                              perturb_weights, private_kruskal_mst,
-                              run_mechanism, sealfon_mst)
+                              input_perturbation_mst, kruskal_sampling_weights,
+                              one_pass_mst, pamst, perturb_weights,
+                              private_kruskal_mst, run_mechanism, sealfon_mst)
 from dpmst.rng import RngStream
+from dpmst.sampling import SamplingTree
 
 from .test_graph import k4, triangle
 from .test_sampling import FixedUniform
@@ -69,6 +73,41 @@ def _reference_pamst(g, budget, stream):
         u, v = g.edges[e]
         in_tree[v if in_tree[u] else u] = True
     return frozenset(chosen)
+
+
+def _reference_private_kruskal(g, budget, stream):
+    """private_kruskal_mst's former body: a sum tree built per call, then
+    sample, remove and merge per draw. Returns (tree, draws, edge_checks)."""
+    tree = SamplingTree(kruskal_sampling_weights(g, budget))
+    ds = DisjointSets(g.n)
+    drawn, chosen = [], []
+    while len(chosen) < g.n - 1:
+        e = tree.sample(stream)
+        tree.remove(e)
+        drawn.append(e)
+        if ds.merge(int(g.u_arr[e]), int(g.v_arr[e])):
+            chosen.append(e + 1)
+    checks = np.zeros(g.m, dtype=np.int64)
+    checks[drawn] = 1
+    return frozenset(chosen), len(drawn), checks
+
+
+def assert_same_as_reference(g, budget, seed):
+    r = private_kruskal_mst(g, budget, RngStream(seed))
+    tree, draws, checks = _reference_private_kruskal(g, budget, RngStream(seed))
+    assert (r.tree.edge_ids, r.ops["draws"]) == (tree, draws)
+    assert np.array_equal(r.ops["edge_checks"], checks)
+
+
+def multigraph():
+    """ER(24, 0.4) with every edge doubled at a different weight and a
+    third copy of every fifth edge."""
+    g = erdos_renyi_instance(24, 0.4, 0, 100, RngStream(12))
+    extra = np.arange(0, g.m, 5)
+    u = np.concatenate([g.u_arr, g.v_arr, g.u_arr[extra]])
+    v = np.concatenate([g.v_arr, g.u_arr, g.v_arr[extra]])
+    w = np.concatenate([g.weights, g.weights[::-1], g.weights[extra] + 0.5])
+    return build_graph(g.n, np.column_stack([u, v]), w)
 
 
 def _reference_one_pass(g, budget, stream):
@@ -222,6 +261,81 @@ class TestPrivateKruskal:
         bound = 2 * math.ceil(math.log2(g.n)) + 2
         assert int(r.ops["edge_checks"].max()) <= bound
         assert is_spanning_tree(g, r.tree.edge_ids)
+
+    @pytest.mark.parametrize("graph", [
+        lambda: build_graph(8, [(u, v) for u in range(1, 9) for v in range(u + 1, 9)],
+                            RngStream(13).uniform(28) * 10.0),
+        lambda: erdos_renyi_instance(64, 0.3, 0, 100, RngStream(14)),
+        multigraph,
+    ], ids=["k8", "er-64", "multigraph"])
+    def test_same_as_former_body(self, graph):
+        g = graph()
+        for rho in (0.01, 1.0, 1e18):
+            budget = PrivacyBudget.from_rho(rho, 1e-6, 0.1)
+            for seed in range(8):
+                assert_same_as_reference(g, budget, seed)
+
+
+class TestPrivateKruskalStartTree:
+    """The sum tree is built once per graph and budget and copied per call."""
+
+    def test_alternating_budgets_on_one_graph(self):
+        g = erdos_renyi_instance(40, 0.5, 0, 100, RngStream(15))
+        budgets = [PrivacyBudget.from_rho(rho, 1e-6, 0.1) for rho in (0.05, 5.0)]
+        for seed in range(6):
+            assert_same_as_reference(g, budgets[seed % 2], seed)
+
+    def test_same_eps_prime_other_delta_inf_rebuilds(self):
+        g = erdos_renyi_instance(40, 0.5, 0, 100, RngStream(15))
+        for seed, delta_inf in enumerate((0.1, 1.0, 0.1)):
+            assert_same_as_reference(g, budget_for_eps_prime(g, 1.0, delta_inf), seed)
+
+    def test_two_graphs_with_equal_weights(self):
+        # two graph objects with equal edges and weights, and a third with
+        # the same edges and one weight changed: each call sees its own graph
+        a = erdos_renyi_instance(40, 0.5, 0, 100, RngStream(16))
+        ends = np.column_stack([a.u_arr, a.v_arr])
+        b = build_graph(a.n, ends, a.weights)
+        w = a.weights.copy()
+        w[int(np.argmin(w))] += 50.0
+        c = build_graph(a.n, ends, w)
+        budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
+        for seed in range(3):
+            for g in (a, b, c):
+                assert_same_as_reference(g, budget, seed)
+            assert (private_kruskal_mst(a, budget, RngStream(seed)).tree
+                    == private_kruskal_mst(b, budget, RngStream(seed)).tree)
+
+    def test_same_seed_twice_same_tree(self):
+        g = erdos_renyi_instance(40, 0.5, 0, 100, RngStream(17))
+        budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
+        first = private_kruskal_mst(g, budget, RngStream(5))
+        private_kruskal_mst(g, budget, RngStream(6))
+        again = private_kruskal_mst(g, budget, RngStream(5))
+        assert (first.tree, first.ops["draws"]) == (again.tree, again.ops["draws"])
+
+    def test_graph_is_collected(self):
+        budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
+        g = erdos_renyi_instance(40, 0.5, 0, 100, RngStream(18))
+        private_kruskal_mst(g, budget, RngStream(0))
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+        # a new graph often takes a freed one's address; it gets its own tree
+        for seed in range(19, 29):
+            assert_same_as_reference(k4(RngStream(seed).uniform(6) * 10.0), budget, seed)
+
+    def test_rejects_what_the_former_body_rejects(self):
+        # n = 1 has no edges to sample from; nothing is cached, so every
+        # call raises the former body's error
+        g = build_graph(1, [], [])
+        with pytest.raises(ValueError) as former:
+            _reference_private_kruskal(g, HUGE, RngStream(0))
+        for _ in range(2):
+            with pytest.raises(ValueError) as now:
+                private_kruskal_mst(g, HUGE, RngStream(0))
+            assert str(now.value) == str(former.value)
 
 
 class TestOnePass:

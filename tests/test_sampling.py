@@ -120,6 +120,100 @@ class TestSamplingTree:
         assert tree.sample(FixedUniform(u)) in live
 
 
+def _former_sample(tree, stream):
+    """``SamplingTree.sample`` as first written, on the tree's node list."""
+    sums, size = tree._sums, tree._size
+    u = stream.uniform() * sums[1]
+    i = 1
+    while i < size:
+        left = 2 * i
+        ls = sums[left]
+        if (u <= ls and ls > 0.0) or sums[left + 1] == 0.0:
+            i = left
+        else:
+            u -= ls
+            i = left + 1
+    return i - size
+
+
+def _former_remove(tree, leaf):
+    """``SamplingTree.remove`` as first written: each ancestor recomputed
+    as left + right."""
+    sums = tree._sums
+    node = tree._size + leaf
+    sums[node] = 0.0
+    node >>= 1
+    while node:
+        sums[node] = sums[2 * node] + sums[2 * node + 1]
+        node >>= 1
+    tree.live -= 1
+
+
+class TestPop:
+    """``pop``, and ``sample`` then ``remove``, against the former two walks."""
+
+    @given(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=40),
+           st.lists(st.integers(0, 1000), max_size=39),
+           st.lists(st.sampled_from([1.0, 2.0 ** -53, 0.5, 0.999, 0.25]), min_size=1))
+    @settings(max_examples=300)
+    def test_same_bits_as_the_former_sample_then_remove(self, weights, removal_picks, us):
+        # removals leave zero-sum subtrees, u = 1 carries the descent past
+        # the live mass of a side, and the weight range makes sums round
+        popped, split, former = (SamplingTree(weights) for _ in range(3))
+        live = list(range(len(weights)))
+        for pick in removal_picks[:len(weights) - 1]:
+            leaf = live.pop(pick % len(live))
+            popped.remove(leaf)
+            split.remove(leaf)
+            _former_remove(former, leaf)
+        assert popped._sums == former._sums
+        for k in range(len(live)):
+            u = FixedUniform(us[k % len(us)])
+            leaf = _former_sample(former, u)
+            _former_remove(former, leaf)
+            assert popped.pop(u) == leaf
+            assert split.sample(u) == leaf
+            split.remove(leaf)
+            for tree in (popped, split):
+                assert (tree._sums, tree.live) == (former._sums, former.live)
+        assert popped.total == 0.0
+        with pytest.raises(ValueError):
+            popped.pop(FixedUniform(0.5))
+
+    def test_u_one_carried_past_a_side_into_a_zero_sum_sibling(self):
+        # the root rounds 1 + 1.5 * 2^-53 up to 1 + 2^-52, so u = 1 leaves
+        # 2^-52 > leaf 2's weight for the right side, whose right child is
+        # empty: the descent must still end on leaf 2
+        popped = SamplingTree([1.0, 1.0, 1.5 * 2.0 ** -53, 1.0])
+        former = popped.copy()
+        for leaf in (1, 3):
+            popped.remove(leaf)
+            _former_remove(former, leaf)
+        assert _former_sample(former, FixedUniform(1.0)) == 2
+        assert popped.sample(FixedUniform(1.0)) == 2
+        assert popped.pop(FixedUniform(1.0)) == 2
+        _former_remove(former, 2)
+        assert popped._sums == former._sums
+
+    def test_same_leaves_as_the_former_walks_on_a_stream(self):
+        weights = RngStream(27).uniform(1000) * 10.0
+        popped, former = SamplingTree(weights), SamplingTree(weights)
+        a, b = RngStream(28), RngStream(28)
+        for _ in range(1000):
+            leaf = _former_sample(former, b)
+            _former_remove(former, leaf)
+            assert popped.pop(a) == leaf
+        assert popped._sums == former._sums
+
+    def test_copy_is_independent(self):
+        tree = SamplingTree([1.0, 2.0, 3.0])
+        sums = list(tree._sums)
+        twin = tree.copy()
+        twin.pop(FixedUniform(1.0))
+        assert (tree._sums, tree.live) == (sums, 3)
+        assert (twin.total, twin.live) == (3.0, 2)
+
+
 class TestSampleRows:
     def test_same_leaf_as_the_scalar_descent(self):
         # every removal mask of random weights, at random uniforms, at 1 and
