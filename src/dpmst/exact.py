@@ -12,7 +12,7 @@ from itertools import combinations
 from math import exp, fsum, inf
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtri
 
 from .graph import DisjointSets, SpanningTree, WeightedGraph
 
@@ -222,7 +222,7 @@ def chi_square_gof(counts, exact: ExactDistribution, alpha: float,
                 if c > 0 and outcome not in exact.probs)
     df_full = len(exact.probs) - 1
     if stray:
-        threshold = float(stats.chi2.ppf(1.0 - alpha, df_full))
+        threshold = float(chdtri(df_full, alpha))
         return ChiSquareResult(inf, df_full, threshold, alpha, False)
 
     bins = [(p * n, counts.get(outcome, 0)) for outcome, p in exact.probs.items()]
@@ -239,6 +239,6 @@ def chi_square_gof(counts, exact: ExactDistribution, alpha: float,
         raise ValueError("fewer than two usable bins after pooling")
     statistic = fsum((o - e) ** 2 / e for e, o in big)
     df = len(big) - 1
-    threshold = float(stats.chi2.ppf(1.0 - alpha, df))
+    threshold = float(chdtri(df, alpha))  # the upper-alpha chi2 quantile
     return ChiSquareResult(float(statistic), df, threshold, alpha,
                            statistic <= threshold)

@@ -182,12 +182,6 @@ class WeightedGraph:
         return len(self.u_arr)
 
     @functools.cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        """(u, v) per 0-based edge index, built on first use: paths that read
-        only ``u_arr``/``v_arr`` never hold the m tuples."""
-        return list(zip(self.u_arr.tolist(), self.v_arr.tolist()))
-
-    @functools.cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Vertex-to-edge incidence in CSR form, built on first use.
 
@@ -259,10 +253,9 @@ def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
     need, m = g.n - 1, len(w)
     k = max(4 * need, 32 * math.isqrt(m))
     if k >= m:
-        # nothing to filter: one full sort, scanned through g.edges, which on
-        # tiny graphs costs less per call than the batched scan
-        edges = g.edges
-        scan = ((e + 1, *edges[e]) for e in np.argsort(w, kind="stable").tolist())
+        # nothing to filter: one full sort, scanned as one batch
+        order = np.argsort(w, kind="stable")
+        scan = zip((order + 1).tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
     else:
         scan = itertools.chain.from_iterable(_filtered_batches(g, w, k))
     chosen = DisjointSets(g.n).join(scan, need)

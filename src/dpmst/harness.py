@@ -434,21 +434,3 @@ def emit_csv(report_or_sweep, path):
         else:
             raise TypeError(f"cannot emit {type(report_or_sweep).__name__} as CSV")
 
-
-# -- selftest ----------------------------------------------------------------
-
-def selftest(verbose: bool = True) -> bool:
-    """Abbreviated verification pass over the core claims; True iff all pass.
-
-    The statistical checks run at reduced trial counts so the whole pass stays
-    in the tens of seconds; the pytest suite is the full-strength version.
-    """
-    from . import selfcheck
-
-    results = selfcheck.run_all()
-    ok = True
-    for name, passed, detail in results:
-        ok = ok and passed
-        if verbose:
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-    return ok

@@ -109,7 +109,7 @@ def hard_instance(n: int, beta: float, s: int, stream: RngStream) -> WeightedGra
 def write_instance(g: WeightedGraph, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{g.n} {g.m} {g.delta_inf!r}\n")
-        for (u, v), w in zip(g.edges, g.weights):
+        for u, v, w in zip(g.u_arr.tolist(), g.v_arr.tolist(), g.weights):
             fh.write(f"{u} {v} {float(w)!r}\n")
 
 

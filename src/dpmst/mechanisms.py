@@ -57,9 +57,8 @@ def perturb_weights(g: WeightedGraph, eps_prime: float, delta_inf: float,
     """
     if not 0 < eps_prime < math.inf or not 0 < delta_inf < math.inf:
         raise ValueError("eps_prime and delta_inf must be positive and finite")
-    z = stream.exponential(1.0, size=g.m if rows is None else (rows, g.m))
-    with np.errstate(divide="ignore"):  # Exp(1) may round to exactly 0
-        return g.weights + delta_inf * (2.0 / eps_prime) * np.log(z)
+    ln_z = stream.ln_exponential(size=g.m if rows is None else (rows, g.m))
+    return g.weights + delta_inf * (2.0 / eps_prime) * ln_z
 
 
 def _noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,

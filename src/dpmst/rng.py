@@ -54,10 +54,15 @@ class RngStream:
         return -np.log(1.0 - self._gen.random(size)) / rate
 
     def ln_exponential(self, size=None):
-        """ln of a unit exponential; the negative of a standard Gumbel sample."""
+        """ln of a unit exponential; the negative of a standard Gumbel sample.
+
+        An exponential draw that rounds to 0 gives -inf.
+        """
         if size is None:
-            return math.log(self.exponential(1.0))
-        return np.log(self.exponential(1.0, size))
+            z = self.exponential(1.0)
+            return math.log(z) if z > 0 else -math.inf
+        with np.errstate(divide="ignore"):
+            return np.log(self.exponential(1.0, size))
 
     def gumbel(self, scale: float = 1.0, size=None):
         """Zero-location Gumbel with CDF exp(-exp(-z / scale))."""

@@ -253,9 +253,7 @@ def private_max_weight_basis(weights, is_independent, eps: float, delta: float,
 
     rho = rho_from_eps_delta(eps, delta)
     eps_prime = per_round_epsilon(rho, rank)
-    z = stream.exponential(1.0, size=m)
-    with np.errstate(divide="ignore"):  # Exp(1) may round to exactly 0
-        noisy = w - delta_inf * (2.0 / eps_prime) * np.log(z)
+    noisy = w - delta_inf * (2.0 / eps_prime) * stream.ln_exponential(size=m)
 
     order = np.argsort(-noisy, kind="stable")
     basis: list[int] = []

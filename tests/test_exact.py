@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from dpmst.exact import (ExactDistribution, SizeGuardError, brute_force_mst,
                          chi_square_gof, cycle_rule, enumerate_spanning_trees,
@@ -13,8 +16,9 @@ from dpmst.exact import (ExactDistribution, SizeGuardError, brute_force_mst,
                          prim_tree_distribution)
 from dpmst.graph import build_graph, kruskal_mst
 from dpmst.rng import RngStream
+from dpmst.selfcheck import random_connected_graph
 
-from .test_graph import k4, random_connected_graph, triangle
+from .test_graph import k4, triangle
 
 
 class TestEnumeration:
@@ -148,7 +152,7 @@ class TestTreeDistribution:
         for t, p in d.probs.items():
             degree = {}
             for e in t:
-                for v in g.edges[e - 1]:
+                for v in (g.u_arr[e - 1], g.v_arr[e - 1]):
                     degree[v] = degree.get(v, 0) + 1
             if max(degree.values()) == 3:
                 star_count += 1
@@ -261,6 +265,22 @@ class TestChiSquare:
     def test_stray_outcome_fails(self):
         res = chi_square_gof({"a": 100, "b": 100, "c": 99, "d": 1}, UNIFORM3, 0.001)
         assert not res.passed and math.isinf(res.statistic)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.001, 1e-6])
+    def test_threshold_is_the_upper_alpha_quantile(self, alpha):
+        for k in range(2, 41):
+            exact = ExactDistribution({i: 1 / k for i in range(k)})
+            for stray in (0, 1):
+                res = chi_square_gof({i: 100 for i in range(k + stray)}, exact, alpha)
+                assert res.df == k - 1
+                assert res.threshold == stats.chi2.isf(alpha, k - 1)
+
+    def test_import_dpmst_leaves_scipy_stats_out(self):
+        # scipy.stats was most of the import time of every dpmst command
+        code = ("import sys, dpmst; "
+                "print([m for m in sys.modules if m.startswith('scipy.stats')])")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
 
     def test_calibration_meta_trial(self):
         # a correct sampler should pass at alpha=0.001 in >= 99 of 100 runs

@@ -13,6 +13,7 @@ from dpmst.graph import (DisconnectedError, DisjointSets, EdgeIndexError,
 from dpmst.harness import family_graph
 from dpmst.instances import erdos_renyi_instance, hard_instance
 from dpmst.rng import RngStream
+from dpmst.selfcheck import random_connected_graph
 
 TRIANGLE = dict(n=3, edges=[(1, 2), (2, 3), (1, 3)])
 
@@ -23,22 +24,6 @@ def triangle(weights=(1.0, 2.0, 3.0)):
 
 def k4(weights):
     return build_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], weights)
-
-
-def random_connected_graph(stream, max_n=6):
-    """Random spanning path plus random extra edges; always connected."""
-    n = 2 + int(stream.uniform() * (max_n - 1))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    keep = {pr for pr in pairs if stream.uniform() <= 0.6}
-    perm = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = int(stream.uniform() * (i + 1))
-        perm[i], perm[j] = perm[j], perm[i]
-    for a, b in zip(perm, perm[1:]):
-        keep.add((min(a, b), max(a, b)))
-    edges = sorted(keep)
-    weights = [stream.uniform() * 100.0 for _ in edges]
-    return build_graph(n, edges, weights)
 
 
 def _reference_kruskal(g, weights=None):
@@ -55,9 +40,9 @@ def _reference_kruskal(g, weights=None):
 
     chosen = []
     need = g.n - 1
-    edges = g.edges
+    u_arr, v_arr = g.u_arr.tolist(), g.v_arr.tolist()
     for e in order:
-        u, v = edges[e]
+        u, v = u_arr[e], v_arr[e]
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -327,7 +312,8 @@ class TestFilterKruskal:
         g = random_connected_graph(RngStream(seed), max_n=40)
         w = random_weights(np.random.default_rng(seed), g.m, kind)
         ref = nx.Graph()
-        ref.add_weighted_edges_from((u, v, float(x)) for (u, v), x in zip(g.edges, w))
+        ref.add_weighted_edges_from((u, v, float(x)) for u, v, x in
+                                    zip(g.u_arr.tolist(), g.v_arr.tolist(), w))
         ids = np.fromiter(kruskal_mst(g, w).edge_ids, dtype=np.int64) - 1
         assert w[ids].sum() == pytest.approx(
             nx.minimum_spanning_tree(ref).size(weight="weight"), rel=1e-12)
@@ -341,7 +327,7 @@ class TestIncidence:
         assert indptr[0] == indptr[1] == 0 and indptr[-1] == 2 * g.m
         for x in range(1, g.n + 1):
             at_x = edge_ids[indptr[x]:indptr[x + 1]].tolist()
-            assert sorted(at_x) == [e for e, (u, v) in enumerate(g.edges) if x in (u, v)]
+            assert sorted(at_x) == np.flatnonzero((g.u_arr == x) | (g.v_arr == x)).tolist()
 
     def test_cached_and_read_only(self):
         g = k4([1.0] * 6)
@@ -359,7 +345,7 @@ class TestNeighbours:
         for x in range(1, g.n + 1):
             lo, hi = indptr[x], indptr[x + 1]
             for e, y in zip(edge_ids[lo:hi].tolist(), g.neighbours[lo:hi].tolist()):
-                assert {x, y} == set(g.edges[e])
+                assert {x, y} == {g.u_arr[e], g.v_arr[e]}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_other_endpoint_of_each_slot(self, seed):

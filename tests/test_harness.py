@@ -188,6 +188,9 @@ class ZeroedExponential:
         z = self.stream.exponential(rate, size)
         return np.where(z < self.cut, 0.0, z)
 
+    # the noise's ln(Exp(1)), taken of the draws above
+    ln_exponential = RngStream.ln_exponential
+
 
 class CycledUniform:
     """Stream stand-in whose uniform draws cycle through ``values``; it
@@ -457,6 +460,32 @@ class TestCli:
         assert (exc.value.code, out) == (1, "")
         assert err.splitlines()[-1] == ("dpmst check-equiv: error: argument --eps-prime: "
                                         f"must be positive and finite, got {shown}")
+
+    @pytest.mark.parametrize("failing, code", [((), 0), ((2,), 2)], ids=["pass", "fail"])
+    def test_selftest_prints_one_line_per_criterion(self, failing, code, capsys,
+                                                    monkeypatch):
+        from dpmst import cli, selfcheck
+
+        stubs = {n: (lambda n=n: (n not in failing, f"detail {n}")) for n in (1, 2, 7)}
+        monkeypatch.setattr(selfcheck, "CRITERIA", stubs)
+        assert cli.main(["selftest"]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            "[acceptance] criterion 1 PASS: detail 1",
+            f"[acceptance] criterion 2 {'FAIL' if failing else 'PASS'}: detail 2",
+            "[acceptance] criterion 7 PASS: detail 7"]
+
+    def test_selftest_runs_the_acceptance_tests_but_the_reds(self):
+        from dpmst import selfcheck
+
+        from . import test_acceptance
+
+        tested = sorted(int(name.split("_")[2]) for name in vars(test_acceptance)
+                        if name.startswith("test_criterion_"))
+        assert list(selfcheck.CRITERIA) == [n for n in tested if n not in (5, 6)]
+        for n, criterion in selfcheck.CRITERIA.items():
+            assert criterion is getattr(selfcheck, f"criterion_{n}")
 
     def test_statistical_failure_exit_two(self, monkeypatch):
         from dpmst import cli

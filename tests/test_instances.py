@@ -17,7 +17,11 @@ from .test_graph import k4
 
 
 def chain_path_ids(g):
-    return frozenset(e + 1 for e, (u, v) in enumerate(g.edges) if v == u + 1)
+    return frozenset((np.flatnonzero(g.v_arr == g.u_arr + 1) + 1).tolist())
+
+
+def endpoints(g):
+    return np.column_stack((g.u_arr, g.v_arr))
 
 
 class TestErdosRenyi:
@@ -40,7 +44,8 @@ class TestErdosRenyi:
     def test_reproducible(self):
         a = erdos_renyi_instance(50, 0.2, 0, 100, RngStream(5))
         b = erdos_renyi_instance(50, 0.2, 0, 100, RngStream(5))
-        assert a.edges == b.edges and np.array_equal(a.weights, b.weights)
+        assert np.array_equal(endpoints(a), endpoints(b))
+        assert np.array_equal(a.weights, b.weights)
 
 
 class TestMiWeight:
@@ -135,7 +140,7 @@ class TestInstanceFiles:
         path = tmp_path / "k4.txt"
         write_instance(g, path)
         g2 = read_instance(path)
-        assert g2.n == g.n and g2.edges == g.edges
+        assert g2.n == g.n and np.array_equal(endpoints(g2), endpoints(g))
         assert np.array_equal(g2.weights, g.weights)
         assert g2.delta_inf == g.delta_inf
 
@@ -191,9 +196,10 @@ class TestInstanceFiles:
                             encoding="utf-8")
         got = read_instance(path)
         edges, weights = instances._read_edge_lines(path)
-        assert np.array_equal(np.column_stack((got.u_arr, got.v_arr)), edges)
+        assert np.array_equal(endpoints(got), edges)
         assert np.array_equal(got.weights, weights)
-        assert np.array_equal(got.weights, g.weights) and got.edges == g.edges
+        assert np.array_equal(got.weights, g.weights)
+        assert np.array_equal(endpoints(got), endpoints(g))
 
     def test_blank_lines_and_leading_comments_stay_on_the_fast_path(self, tmp_path,
                                                                     monkeypatch):
@@ -205,7 +211,7 @@ class TestInstanceFiles:
         path.write_text("# a triangle\n\n3 3 1.0\n1 2 1.0\n\n   \n 2\t3 2.0 \n1 3 3.0\n",
                         encoding="utf-8")
         g = read_instance(path)
-        assert g.edges == [(1, 2), (2, 3), (1, 3)]
+        assert endpoints(g).tolist() == [[1, 2], [2, 3], [1, 3]]
         assert g.weights.tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("line", ["2 3 2.0 # note", "2.0 3 2.0", "2 3.0 2.0",

@@ -70,7 +70,7 @@ def _reference_pamst(g, budget, stream):
         target = stream.uniform() * cum[-1]
         e = int(crossing[np.searchsorted(cum, target, side="left")])
         chosen.append(e + 1)
-        u, v = g.edges[e]
+        u, v = g.u_arr[e], g.v_arr[e]
         in_tree[v if in_tree[u] else u] = True
     return frozenset(chosen)
 

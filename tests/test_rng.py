@@ -77,6 +77,20 @@ class TestLnExponential:
         z = RngStream(7).ln_exponential(size=10**6)
         assert abs(np.median(z) - math.log(math.log(2))) < 0.01
 
+    @pytest.mark.filterwarnings("error")
+    def test_exponential_rounded_to_zero_gives_minus_inf(self):
+        class ZeroGenerator:
+            # every random() is 0.0, so every Exp(1) draw rounds to 0
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        stream = RngStream(0)
+        stream._gen = ZeroGenerator()
+        assert stream.ln_exponential() == -math.inf
+        assert stream.gumbel(2.0) == math.inf
+        assert stream.ln_exponential(size=3).tolist() == [-math.inf] * 3
+        assert stream.gumbel(2.0, size=(2, 2)).tolist() == [[math.inf] * 2] * 2
+
 
 class TestNamedDistributions:
     def test_laplace_survival(self):

@@ -16,6 +16,7 @@ from dpmst.sampling import (MatroidOracleError, SamplingTree,
                             private_max_weight_basis,
                             race_sample_without_replacement, race_scores,
                             sample_without_replacement, sum_tree)
+from dpmst.selfcheck import graphic_matroid_oracle
 
 from .test_graph import k4
 
@@ -394,27 +395,6 @@ class TestImplementationExchangeability:
         assert total_variation(marginalize(iterative), marginalize(race)) < 0.01
         assert chi_square_gof(iterative, exact, 0.001).passed
         assert chi_square_gof(race, exact, 0.001).passed
-
-
-def graphic_matroid_oracle(g):
-    def is_independent(ids):
-        parent = list(range(g.n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in ids:
-            u, v = g.edges[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    return is_independent
 
 
 class TestMatroidBasis:
