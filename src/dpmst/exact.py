@@ -1,7 +1,7 @@
 """Exact small-instance ground truth: brute-force MST, spanning-tree enumeration,
 the exact output distribution of proportional sampling with candidate removal,
-the exact PAMST (Prim-cut) tree distribution, and the chi-square comparator the
-statistical suites share.
+the exact private-Kruskal and PAMST (Prim-cut) tree distributions, one DP over
+edge masks, and the chi-square comparator the statistical suites share.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import exp, fsum, inf
+from math import fsum, inf
 
 import numpy as np
 from scipy.special import chdtri
@@ -19,6 +19,7 @@ from .graph import DisjointSets, SpanningTree, WeightedGraph
 MAX_ENUM_VERTICES = 10
 MAX_ITEMS = 8
 MAX_DEPTH = 6
+MAX_EDGES = 16  # the join table has 2^m rows of m entries
 
 
 class SizeGuardError(ValueError):
@@ -138,60 +139,92 @@ def exact_selection_distribution(weights, k: int, remove_rule=None) -> ExactDist
     return ExactDistribution(out)
 
 
-def exact_tree_distribution(g: WeightedGraph, eps_prime: float,
-                            delta_inf: float = 1.0) -> ExactDistribution:
-    """Exact private-MST tree distribution for a small graph.
+def join_table(g: WeightedGraph) -> np.ndarray:
+    """Kruskal's acceptance test on g (m <= ``MAX_EDGES``) as a table:
+    ``joins[A, e]`` is 1 << e if edge e joins two trees of the forest with
+    edge mask A, else 0, so a scan step is ``A |= joins[A, e]``."""
+    m = g.m
+    if m > MAX_EDGES:
+        raise SizeGuardError(f"tables over edge masks need m <= {MAX_EDGES}, got {m}")
+    u, v = g.u_arr.tolist(), g.v_arr.tolist()
+    joins = np.empty((1 << m, m), dtype=np.intp)
+    for mask in range(1 << m):
+        ds = DisjointSets(g.n)
+        ds.join(((e, u[e], v[e]) for e in range(m) if mask >> e & 1), m)
+        joins[mask] = [1 << e if ds.find(u[e]) != ds.find(v[e]) else 0
+                       for e in range(m)]
+    return joins
 
-    Selection weights are exp(-eps' * (w_e - w_min) / (2 * delta_inf)) with the
-    cycle removal rule; the common shift cancels in every per-step ratio.
-    Outcomes are frozensets of 1-based edge ids.
+
+def by_edge_set(table: np.ndarray, masks: np.ndarray) -> dict[frozenset, object]:
+    """The entries of ``table``, indexed by edge mask, at ``masks``, keyed by
+    each mask's set of 1-based edge ids."""
+    m = len(table).bit_length() - 1
+    return {frozenset(e + 1 for e in range(m) if mask >> e & 1): x
+            for mask, x in zip(masks.tolist(), table[masks].tolist())}
+
+
+def _tree_dp(g: WeightedGraph, eps_prime: float, delta_inf: float,
+             candidates) -> ExactDistribution:
+    """The tree distribution of n-1 steps that each pick one edge allowed by
+    ``candidates`` with probability proportional to
+    s_e = exp(-eps' * w_e / (2 * delta_inf)).
+
+    ``candidates`` maps an array of accepted-edge masks A to a boolean
+    (len(A), m) array and must depend on A alone, so that
+    P[A | 1 << e] += P[A] * s_e / (sum of s_f over A's candidates f), one
+    popcount layer at a time. Each step shifts by its lightest candidate's
+    weight, so it has a term exp(0) = 1 and its total cannot underflow to
+    0. The support is every mask reached, even at an underflowed P.
     """
     if not 0 < eps_prime < inf or not 0 < delta_inf < inf:
         raise ValueError("eps_prime and delta_inf must be positive and finite")
-    w = g.weights
-    s = np.exp(-eps_prime * (w - w.min()) / (2.0 * delta_inf))
-    seqs = exact_selection_distribution(s.tolist(), g.n - 1, cycle_rule(g))
-    return seqs.collapse(lambda seq: frozenset(e + 1 for e in seq))
+    if g.m > MAX_EDGES:
+        raise SizeGuardError(f"tables over edge masks need m <= {MAX_EDGES}, got {g.m}")
+    coef = eps_prime / (2.0 * delta_inf)
+    front, prob = np.zeros(1, dtype=np.intp), np.ones(1)
+    for _ in range(g.n - 1):
+        cand = candidates(front)
+        w = np.where(cand, g.weights, inf)
+        s = np.exp(-coef * (w - w.min(axis=1, keepdims=True)))
+        at, e = np.nonzero(cand)
+        share = (s / s.sum(axis=1, keepdims=True))[at, e] * prob[front[at]]
+        nxt = front[at] | 1 << e
+        prob = np.bincount(nxt, weights=share, minlength=1 << g.m)
+        front = np.unique(nxt)
+    return ExactDistribution(by_edge_set(prob, front))
+
+
+def exact_tree_distribution(g: WeightedGraph, eps_prime: float,
+                            delta_inf: float = 1.0, *,
+                            joins: np.ndarray | None = None) -> ExactDistribution:
+    """Exact private-Kruskal tree distribution, m <= ``MAX_EDGES``: each
+    step's candidates are the edges that join two trees of the forest so
+    far, read from ``joins`` (g's ``join_table``, built if not given).
+    Outcomes are frozensets of 1-based edge ids.
+    """
+    if joins is None:
+        joins = join_table(g)
+    return _tree_dp(g, eps_prime, delta_inf, lambda masks: joins[masks] != 0)
 
 
 def prim_tree_distribution(g: WeightedGraph, eps_prime: float,
                            delta_inf: float = 1.0) -> ExactDistribution:
     """Exact tree distribution of PAMST (Prim growth from vertex 1 with the
-    exponential mechanism over each cut) for a small graph.
-
-    Depth-first over the cut choices: each crossing edge is picked with
-    probability exp(-eps' * (w_e - w_cut_min) / (2 * delta_inf)) over the sum
-    of these across the cut. The shift is each cut's own minimum, so every
-    cut has a term exp(0) = 1; a shift by the global minimum can leave a cut
-    whose terms all underflow to 0. Each tree's path probabilities are summed
-    with ``fsum``. Outcomes are frozensets of 1-based edge ids.
-
-    The paths number the product of the n-1 cut sizes (14,400 on K6), so
-    this is for graphs of a few vertices even below the size guard.
+    exponential mechanism over each cut), m <= ``MAX_EDGES``. A subtree's
+    edge mask fixes its vertex set (vertex 1 and its edges' endpoints) and
+    so its cut: the candidates are the edges with one endpoint in that set.
+    Outcomes are frozensets of 1-based edge ids.
     """
-    if g.n > MAX_ENUM_VERTICES:
-        raise SizeGuardError(f"enumeration limited to n <= {MAX_ENUM_VERTICES}, got {g.n}")
-    if not 0 < eps_prime < inf or not 0 < delta_inf < inf:
-        raise ValueError("eps_prime and delta_inf must be positive and finite")
-    coef = eps_prime / (2.0 * delta_inf)
-    w = g.weights.tolist()
-    ends = list(zip(g.u_arr.tolist(), g.v_arr.tolist()))
-    paths: dict[frozenset, list[float]] = {}
+    u, v = g.u_arr, g.v_arr
+    ends = 1 << u | 1 << v  # each edge's endpoints as a vertex bit mask
 
-    def visit(in_tree: frozenset, chosen: tuple, prob: float):
-        if len(in_tree) == g.n:
-            paths.setdefault(frozenset(chosen), []).append(prob)
-            return
-        cut = [e for e, (u, v) in enumerate(ends) if (u in in_tree) != (v in in_tree)]
-        low = min(w[e] for e in cut)
-        s = [exp(-coef * (w[e] - low)) for e in cut]
-        total = fsum(s)
-        for e, se in zip(cut, s):
-            u, v = ends[e]
-            visit(in_tree | {u, v}, chosen + (e + 1,), prob * (se / total))
+    def crossing(masks):
+        held = (masks[:, None] >> np.arange(g.m)) & 1 == 1
+        verts = np.bitwise_or.reduce(np.where(held, ends, 0), axis=1) | 1 << 1
+        return (verts[:, None] >> u & 1) != (verts[:, None] >> v & 1)
 
-    visit(frozenset({1}), (), 1.0)
-    return ExactDistribution({t: fsum(p) for t, p in paths.items()})
+    return _tree_dp(g, eps_prime, delta_inf, crossing)
 
 
 @dataclass(frozen=True)

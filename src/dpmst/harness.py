@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accounting import PrivacyBudget
-from .exact import (MAX_ITEMS, ChiSquareResult, SizeGuardError, chi_square_gof,
-                    exact_tree_distribution)
-from .graph import DisjointSets, WeightedGraph, build_graph, tree_weight
+from .exact import (ChiSquareResult, by_edge_set, chi_square_gof,
+                    exact_tree_distribution, join_table, prim_tree_distribution)
+from .graph import WeightedGraph, build_graph, tree_weight
 from .instances import erdos_renyi_instance
 from .mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
                          _noisy_kruskal, kruskal_sampling_weights, perturb_weights,
@@ -235,30 +235,6 @@ class EquivalenceResult:
         return self.chi.passed
 
 
-def _join_table(g: WeightedGraph) -> np.ndarray:
-    """Kruskal's acceptance test on g (m <= ``exact.MAX_ITEMS``) as a table:
-    ``joins[A, e]`` is 1 << e if edge e joins two trees of the forest with
-    edge mask A, else 0, so a scan step is ``A |= joins[A, e]``."""
-    m = g.m
-    if m > MAX_ITEMS:
-        raise SizeGuardError(f"the join table needs m <= {MAX_ITEMS}, got {m}")
-    u, v = g.u_arr.tolist(), g.v_arr.tolist()
-    joins = np.empty((1 << m, m), dtype=np.intp)
-    for mask in range(1 << m):
-        ds = DisjointSets(g.n)
-        ds.join(((e, u[e], v[e]) for e in range(m) if mask >> e & 1), m)
-        joins[mask] = [1 << e if ds.find(u[e]) != ds.find(v[e]) else 0
-                       for e in range(m)]
-    return joins
-
-
-def _tree_counts(tally: np.ndarray) -> dict[frozenset, int]:
-    """The trees of a tally indexed by edge mask, as 1-based edge id sets."""
-    m = len(tally).bit_length() - 1
-    return {frozenset(e + 1 for e in range(m) if mask >> e & 1): int(tally[mask])
-            for mask in np.flatnonzero(tally).tolist()}
-
-
 def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
                          trials: int, stream: RngStream,
                          joins: np.ndarray | None = None) -> dict[frozenset, int]:
@@ -269,10 +245,10 @@ def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
     vector that call t would draw. Each row's stable argsort is the scan
     order of ``kruskal_mst``, ties (-inf ones included) broken by edge id;
     the m scan steps then run over all rows together, one lookup in the
-    join table of ``_join_table`` each.
+    join table of ``exact.join_table`` each.
     """
     if joins is None:
-        joins = _join_table(g)
+        joins = join_table(g)
     block = max(1, _BLOCK_VARIATES // g.m)
     tally = np.zeros(len(joins), dtype=np.int64)
     for start in range(0, trials, block):
@@ -282,7 +258,7 @@ def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
         for e in np.argsort(noisy, axis=1, kind="stable").T:
             accepted |= joins[accepted, e]
         tally += np.bincount(accepted, minlength=len(tally))
-    return _tree_counts(tally)
+    return by_edge_set(tally, np.flatnonzero(tally))
 
 
 def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
@@ -297,7 +273,7 @@ def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
     vectorized draw at a time, from its state: D, the edges drawn, and A,
     those accepted. ``sums[D]`` is the sum tree that the call samples from
     in state D, as ``sum_tree`` builds it from D's live leaves, and
-    ``joins[A, e]``, from ``_join_table(g)``, the call's acceptance test.
+    ``joins[A, e]``, from ``exact.join_table(g)``, the call's acceptance test.
     Trial t then starts where trial t-1 ended. The block's tail, which lacks
     m uniforms of lookahead, is carried into the next block.
     """
@@ -344,35 +320,46 @@ def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
             trials -= 1
         tally += np.bincount(accepted[chain], minlength=len(tally))
         unif = unif[p:]
-    return _tree_counts(tally)
+    return by_edge_set(tally, np.flatnonzero(tally))
 
 
 def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
                            alpha: float, master_seed: int = 0,
                            mechanisms=EQUIV_MECHANISMS) -> dict[str, EquivalenceResult]:
-    """Tally each mechanism's trees and chi-square them against the exact
-    product-formula tree distribution.
+    """Tally each mechanism's trees and chi-square them against its exact
+    tree distribution: ``pamst``'s Prim-cut one, and the private-Kruskal one
+    for every other id. ``sealfon-laplace`` and ``sealfon-gauss`` have no
+    exact tree distribution and are refused before any draw.
 
     Mechanism idx draws from stream (master_seed, (idx,)). The input
     perturbation ids (``_NOISY_KRUSKAL_FACTORS``) are tallied in bulk by
     ``_tally_noisy_kruskal`` and ``kruskal`` by ``_tally_private_kruskal``,
-    each with the same trees as one call per trial, from one join table.
-    Every other id runs once per trial through its registry.
+    each with the same trees as one call per trial. Both tallies and the
+    Kruskal oracle read one join table. Every other id runs once per trial
+    through its registry.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 < eps_prime < math.inf:  # also false for NaN
         raise ValueError(f"eps_prime must be positive and finite, got {eps_prime}")
-    joins = _join_table(g)  # the exact oracle needs m <= MAX_ITEMS too
+    for mech in mechanisms:
+        if mech in ("sealfon-laplace", "sealfon-gauss"):  # release the noisy vector
+            raise ValueError(f"{mech!r} has no exact tree distribution to test against")
+        if mech not in MECHANISMS and mech not in _EXTRA_MECHANISMS:
+            raise UnknownMechanismError(f"unknown mechanism {mech!r}")
+    joins = join_table(g)  # needs m <= exact.MAX_EDGES
     rounds = g.n - 1
     budget = PrivacyBudget.from_rho(rounds * eps_prime ** 2 / 2.0, 1e-6, g.delta_inf)
     eps_used = budget.per_round(rounds)  # bit-identical to what mechanisms derive
-    exact = exact_tree_distribution(g, eps_used, g.delta_inf)
+    oracle = {}  # each oracle is computed once, and only if an id needs it
+    if "pamst" in mechanisms:
+        oracle["pamst"] = prim_tree_distribution(g, eps_used, g.delta_inf)
+    if kruskal_ids := set(mechanisms) - {"pamst"}:
+        oracle |= dict.fromkeys(kruskal_ids, exact_tree_distribution(
+            g, eps_used, g.delta_inf, joins=joins))
     out: dict[str, EquivalenceResult] = {}
     for idx, mech in enumerate(mechanisms):
-        fn = _EXTRA_MECHANISMS.get(mech) or MECHANISMS.get(mech)
-        if fn is None:
-            raise UnknownMechanismError(f"unknown mechanism {mech!r}")
+        fn = _EXTRA_MECHANISMS.get(mech) or MECHANISMS[mech]
         stream = RngStream(master_seed, (idx,))
         factor = _NOISY_KRUSKAL_FACTORS.get(mech)
         if factor is not None:
@@ -385,7 +372,7 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
             for _ in range(trials):
                 tree = fn(g, budget, stream).tree
                 counts[tree.edge_ids] = counts.get(tree.edge_ids, 0) + 1
-        chi = chi_square_gof(counts, exact, alpha)
+        chi = chi_square_gof(counts, oracle[mech], alpha)
         out[mech] = EquivalenceResult(mechanism=mech, counts=counts, chi=chi)
     return out
 

@@ -10,15 +10,68 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dpmst.exact import (ExactDistribution, SizeGuardError, brute_force_mst,
-                         chi_square_gof, cycle_rule, enumerate_spanning_trees,
-                         exact_selection_distribution, exact_tree_distribution,
-                         prim_tree_distribution)
+from dpmst.exact import (MAX_EDGES, ExactDistribution, SizeGuardError,
+                         brute_force_mst, chi_square_gof, cycle_rule,
+                         enumerate_spanning_trees, exact_selection_distribution,
+                         exact_tree_distribution, join_table, prim_tree_distribution)
 from dpmst.graph import build_graph, kruskal_mst
 from dpmst.rng import RngStream
 from dpmst.selfcheck import random_connected_graph
 
 from .test_graph import k4, triangle
+
+
+def matrix_tree_count(g):
+    """Kirchhoff: the number of spanning trees is any cofactor of the
+    Laplacian (parallel edges counted), a count independent of the union-find."""
+    lap = np.zeros((g.n, g.n))
+    for u, v in zip(g.u_arr - 1, g.v_arr - 1):
+        lap[u, v] -= 1
+        lap[v, u] -= 1
+        lap[u, u] += 1
+        lap[v, v] += 1
+    return round(np.linalg.det(lap[1:, 1:]))
+
+
+def complete_graph(n, weights):
+    return build_graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)],
+                       weights)
+
+
+def prim_paths_reference(g, eps_prime, delta_inf=1.0):
+    """PAMST's tree distribution by enumerating every path of cut choices
+    depth-first: each crossing edge is picked with probability
+    exp(-eps' * (w_e - w_cut_min) / (2 * delta_inf)) over the sum of these
+    across the cut, and each tree's path probabilities are summed with fsum.
+    The paths number the product of the n-1 cut sizes, so this is for graphs
+    of a few vertices."""
+    coef = eps_prime / (2.0 * delta_inf)
+    w = g.weights.tolist()
+    ends = list(zip(g.u_arr.tolist(), g.v_arr.tolist()))
+    paths = {}
+
+    def visit(in_tree, chosen, prob):
+        if len(in_tree) == g.n:
+            paths.setdefault(frozenset(chosen), []).append(prob)
+            return
+        cut = [e for e, (u, v) in enumerate(ends) if (u in in_tree) != (v in in_tree)]
+        low = min(w[e] for e in cut)
+        s = [math.exp(-coef * (w[e] - low)) for e in cut]
+        total = math.fsum(s)
+        for e, se in zip(cut, s):
+            u, v = ends[e]
+            visit(in_tree | {u, v}, chosen + (e + 1,), prob * (se / total))
+
+    visit(frozenset({1}), (), 1.0)
+    return ExactDistribution({t: math.fsum(p) for t, p in paths.items()})
+
+
+def selection_reference(g, eps_prime):
+    """The private-Kruskal tree distribution through the ordered-selection
+    enumeration with the cycle rule, collapsed to edge sets."""
+    s = np.exp(-eps_prime * (g.weights - g.weights.min()) / 2.0)
+    seqs = exact_selection_distribution(s.tolist(), g.n - 1, cycle_rule(g))
+    return seqs.collapse(lambda seq: frozenset(e + 1 for e in seq))
 
 
 class TestEnumeration:
@@ -33,18 +86,10 @@ class TestEnumeration:
         assert len(enumerate_spanning_trees(g)) == 1
 
     def test_count_matches_matrix_tree_theorem(self):
-        # Kirchhoff: the number of spanning trees is any cofactor of the
-        # Laplacian, a count independent of the union-find
         stream = RngStream(102)
         for _ in range(40):
             g = random_connected_graph(stream, max_n=7)
-            lap = np.zeros((g.n, g.n))
-            for u, v in zip(g.u_arr - 1, g.v_arr - 1):
-                lap[u, v] -= 1
-                lap[v, u] -= 1
-                lap[u, u] += 1
-                lap[v, v] += 1
-            assert len(enumerate_spanning_trees(g)) == round(np.linalg.det(lap[1:, 1:]))
+            assert len(enumerate_spanning_trees(g)) == matrix_tree_count(g)
 
     def test_size_guard(self):
         g = build_graph(11, [(i, i + 1) for i in range(1, 11)], [1.0] * 10)
@@ -239,7 +284,8 @@ class TestPrimTreeDistribution:
         assert d[frozenset({1, 3})] == pytest.approx(1 / (1 + math.e), abs=1e-15)
 
     def test_size_guard(self):
-        g = build_graph(11, [(i, i + 1) for i in range(1, 11)], [1.0] * 10)
+        g = build_graph(MAX_EDGES + 2, [(i, i + 1) for i in range(1, MAX_EDGES + 2)],
+                        [1.0] * (MAX_EDGES + 1))
         with pytest.raises(SizeGuardError):
             prim_tree_distribution(g, 1.0)
 
@@ -248,6 +294,93 @@ class TestPrimTreeDistribution:
     def test_rejects_bad_eps_prime_or_delta_inf(self, eps_prime, delta_inf):
         with pytest.raises(ValueError):
             prim_tree_distribution(triangle(), eps_prime, delta_inf)
+
+
+class TestTreeDp:
+    """The mask DP behind both tree oracles, against the enumerations it
+    replaced, the matrix-tree theorem and closed forms."""
+
+    @staticmethod
+    def small_graphs():
+        # every draw the selection enumeration takes (m <= 8, n - 1 <= 6)
+        stream, out = RngStream(105), [triangle(), k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])]
+        while len(out) < 60:
+            g = random_connected_graph(stream)
+            if g.m <= 8:
+                out.append(g)
+        return out
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert set(got.probs) == set(ref.probs)
+        assert max(abs(got[t] - p) for t, p in ref.probs.items()) <= 1e-14
+
+    @pytest.mark.parametrize("eps_prime", [0.5, 1.0, 3.0])
+    def test_kruskal_dp_matches_the_selection_enumeration(self, eps_prime):
+        for g in self.small_graphs():
+            self.assert_same(exact_tree_distribution(g, eps_prime),
+                             selection_reference(g, eps_prime))
+
+    @pytest.mark.parametrize("eps_prime", [0.5, 1.0, 3.0])
+    def test_prim_dp_matches_the_path_enumeration(self, eps_prime):
+        for g in self.small_graphs():
+            self.assert_same(prim_tree_distribution(g, eps_prime),
+                             prim_paths_reference(g, eps_prime))
+
+    @staticmethod
+    def multigraphs():
+        # K5 (m = 10), K6 (m = 15) and random graphs with parallel edges
+        stream = RngStream(106)
+        out = [complete_graph(5, [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3, 5.8, 9.7, 9.3]),
+               complete_graph(6, [stream.uniform() * 10.0 for _ in range(15)])]
+        while len(out) < 6:
+            g = random_connected_graph(stream, max_n=5)
+            extra = [int(stream.uniform() * g.m) for _ in range(4)]
+            edges = list(zip(g.u_arr.tolist(), g.v_arr.tolist()))
+            edges += [edges[e] for e in extra]
+            if len(edges) <= MAX_EDGES:
+                out.append(build_graph(g.n, edges, [stream.uniform() * 10.0
+                                                    for _ in edges]))
+        return out
+
+    @pytest.mark.parametrize("oracle", [exact_tree_distribution, prim_tree_distribution],
+                             ids=["kruskal", "prim"])
+    def test_support_is_every_spanning_tree(self, oracle):
+        sizes = []
+        for g in self.multigraphs():
+            d = oracle(g, 1.0)
+            sizes.append(len(d))
+            assert len(d) == matrix_tree_count(g)
+            assert all(len(t) == g.n - 1 for t in d.support())
+            assert d.total() == pytest.approx(1.0, abs=1e-15)  # an fsum
+        assert sizes[:2] == [125, 1296]  # Cayley: n^(n-2)
+
+    @pytest.mark.parametrize("oracle", [exact_tree_distribution, prim_tree_distribution],
+                             ids=["kruskal", "prim"])
+    def test_weight_span_beyond_a_global_shift(self, oracle):
+        # after edge 1 the candidates weigh 1000 and 1001; shifted by the
+        # global minimum 0 at eps' = 3 both terms underflow to 0.0
+        g = build_graph(3, [(1, 2), (2, 3), (2, 3)], [0.0, 1000.0, 1001.0])
+        d = oracle(g, 3.0)
+        assert d[frozenset({1, 2})] == pytest.approx(1 / (1 + math.exp(-1.5)), abs=1e-15)
+        assert d[frozenset({1, 3})] == pytest.approx(1 / (1 + math.exp(1.5)), abs=1e-15)
+
+    @pytest.mark.parametrize("oracle", [exact_tree_distribution, prim_tree_distribution],
+                             ids=["kruskal", "prim"])
+    def test_support_keeps_trees_whose_probability_underflows(self, oracle):
+        # exp(-1500) is 0.0, so both trees through edge 3 get probability
+        # 0.0, yet they are spanning trees the steps reach
+        d = oracle(triangle([0.0, 0.0, 3000.0]), 1.0)
+        assert d.probs == {frozenset({1, 2}): 1.0, frozenset({1, 3}): 0.0,
+                           frozenset({2, 3}): 0.0}
+
+    def test_size_guard(self):
+        g = build_graph(4, [(1, 2), (2, 3), (3, 4)] * 5 + [(1, 3), (2, 4)],
+                        [1.0] * (MAX_EDGES + 1))
+        for build in (join_table, lambda g: exact_tree_distribution(g, 1.0)):
+            with pytest.raises(SizeGuardError):
+                build(g)
+
 
 UNIFORM3 = ExactDistribution({"a": 1 / 3, "b": 1 / 3, "c": 1 / 3})
 

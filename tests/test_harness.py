@@ -4,9 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from dpmst import graph, harness, mechanisms
+from dpmst import exact, graph, harness, mechanisms
 from dpmst.accounting import PrivacyBudget
-from dpmst.exact import MAX_ITEMS, SizeGuardError
+from dpmst.exact import (MAX_EDGES, SizeGuardError, chi_square_gof, join_table,
+                         prim_tree_distribution)
 from dpmst.graph import SpanningTree, build_graph, tree_weight
 from dpmst.harness import (CSV_COLUMNS, _run_single_trial, _tally_noisy_kruskal,
                            _tally_private_kruskal, _wrong_exponent_mst,
@@ -272,7 +273,7 @@ class TestBulkTally:
         budget = budget_for_eps_prime(g, 1.0)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 50)
         stub = CycledUniform(values)
-        got = _tally_private_kruskal(g, budget, 400, stub, harness._join_table(g))
+        got = _tally_private_kruskal(g, budget, 400, stub, join_table(g))
         ref = tree_counts(MECHANISMS["kruskal"], g, budget, 400, CycledUniform(values))
         assert got == ref
         assert len(stub.sizes) > 1 and max(stub.sizes) <= 50  # blocks carried over
@@ -315,8 +316,8 @@ class TestBulkTally:
             tables.append(g)
             return join_table(g)
 
-        join_table = harness._join_table
-        monkeypatch.setattr(harness, "_join_table", counting_table)
+        for module in (exact, harness):
+            monkeypatch.setattr(module, "join_table", counting_table)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 6 * 1000)
         for seed in (9, 10):
             results = equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=seed,
@@ -324,16 +325,16 @@ class TestBulkTally:
                                                     "onepass", "mutant"))
             assert all(sum(r.counts.values()) == 20000 for r in results.values())
         # 20 noise blocks per id, yet no exact Kruskal, and each call builds
-        # the join table once for all four ids
+        # the join table once for all four ids and the exact oracle
         assert kruskal_calls == []
         assert len(tables) == 2
 
     def test_bulk_ids_need_at_most_max_items_edges(self, monkeypatch):
-        # k4 with three parallel edges: 9 edges, one more than the join
-        # table (and the exact oracle) allows
-        g = build_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
-                            (1, 2), (1, 3), (1, 4)], [1.0] * 9, delta_inf=1.0)
-        assert g.m == MAX_ITEMS + 1
+        # k4 with eleven parallel edges: 17 edges, one more than the join
+        # table (and the exact oracles) allow
+        k4_edges = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        g = build_graph(4, k4_edges * 2 + k4_edges[:5], [1.0] * 17, delta_inf=1.0)
+        assert g.m == MAX_EDGES + 1
 
         def no_draw(*args, **kwargs):
             raise AssertionError("drew noise before the size check")
@@ -380,6 +381,48 @@ class TestBulkTally:
                                     mechanisms=("kruskal", "pamst", "perturb"))
         assert calls == {"kruskal": 0, "pamst": 300, "perturb": 0}
         assert sum(results["pamst"].counts.values()) == 300
+
+
+class TestOracles:
+    """Each id is judged against its own exact tree distribution."""
+
+    def test_pamst_is_judged_by_the_prim_oracle(self):
+        # against the Kruskal oracle a correct pamst scores chi2 760-820 at
+        # these 5,000 trials (seeds 1-3), with a threshold of 37.7
+        g = k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
+        result = tree_distribution_test(g, 1.0, 5000, 0.001, master_seed=1,
+                                        mechanisms=("pamst",))["pamst"]
+        eps_used = budget_for_eps_prime(g, 1.0).per_round(g.n - 1)
+        assert result.chi == chi_square_gof(
+            result.counts, prim_tree_distribution(g, eps_used), 0.001)
+        assert result.passed
+
+    @pytest.mark.parametrize("mech", ["sealfon-laplace", "sealfon-gauss"])
+    def test_ids_without_an_exact_tree_distribution_refused(self, mech, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("opened a stream before the id check")
+
+        monkeypatch.setattr(harness, "RngStream", no_stream)
+        with pytest.raises(ValueError, match="no exact tree distribution"):
+            equivalence_suite("k3", 1.0, 100, 0.001, mechanisms=("perturb", mech))
+
+    def test_weight_span_beyond_a_global_shift(self):
+        # the candidates after edge 1 weigh 1000 and 1001, which a global
+        # shift at eps' = 3 turned into two 0.0 terms
+        g = build_graph(3, [(1, 2), (2, 3), (2, 3)], [0.0, 1000.0, 1001.0])
+        results = tree_distribution_test(g, 3.0, 5000, 0.001, master_seed=1,
+                                         mechanisms=("perturb", "onepass", "pamst"))
+        assert all(r.passed for r in results.values())
+
+    def test_k5_with_unequal_weights(self):
+        g = build_graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)],
+                        [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3, 5.8, 9.7, 9.3])
+        results = tree_distribution_test(
+            g, 1.0, 20000, 0.001, master_seed=1,
+            mechanisms=("perturb", "kruskal", "onepass", "pamst", "mutant"))
+        assert {mech: r.passed for mech, r in results.items()} == {
+            "perturb": True, "kruskal": True, "onepass": True, "pamst": True,
+            "mutant": False}
 
 
 class TestCli:
