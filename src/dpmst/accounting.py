@@ -72,6 +72,8 @@ class PrivacyBudget:
 
     ``rho`` is the canonical quantity the mechanisms spend; ``per_round``
     derives the per-selection epsilon once the number of rounds is known.
+    Both constructors refuse a NaN or infinite eps or rho: an infinite
+    budget means zero noise, which the mechanisms cannot draw.
     """
 
     epsilon: float
@@ -81,14 +83,16 @@ class PrivacyBudget:
 
     @classmethod
     def from_eps_delta(cls, eps: float, delta: float, delta_inf: float = 1.0) -> "PrivacyBudget":
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         _check_sensitivity(delta_inf)
         return cls(float(eps), float(delta), float(delta_inf),
                    rho_from_eps_delta(eps, delta))
 
     @classmethod
     def from_rho(cls, rho: float, delta: float, delta_inf: float = 1.0) -> "PrivacyBudget":
-        if not rho > 0:
-            raise ValueError(f"rho must be positive, got {rho}")
+        if not 0 < rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {rho}")
         _check_sensitivity(delta_inf)
         return cls(eps_from_rho_delta(rho, delta), float(delta), float(delta_inf),
                    float(rho))

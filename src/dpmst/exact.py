@@ -142,18 +142,23 @@ def exact_selection_distribution(weights, k: int, remove_rule=None) -> ExactDist
 def join_table(g: WeightedGraph) -> np.ndarray:
     """Kruskal's acceptance test on g (m <= ``MAX_EDGES``) as a table:
     ``joins[A, e]`` is 1 << e if edge e joins two trees of the forest with
-    edge mask A, else 0, so a scan step is ``A |= joins[A, e]``."""
+    edge mask A, else 0, so a scan step is ``A |= joins[A, e]``.
+
+    The forests' component labels are built one edge bit at a time: the
+    masks in [2^b, 2^(b+1)) are those in [0, 2^b) plus edge b, whose merge
+    relabels v_b's component with u_b's label.
+    """
     m = g.m
     if m > MAX_EDGES:
         raise SizeGuardError(f"tables over edge masks need m <= {MAX_EDGES}, got {m}")
-    u, v = g.u_arr.tolist(), g.v_arr.tolist()
-    joins = np.empty((1 << m, m), dtype=np.intp)
-    for mask in range(1 << m):
-        ds = DisjointSets(g.n)
-        ds.join(((e, u[e], v[e]) for e in range(m) if mask >> e & 1), m)
-        joins[mask] = [1 << e if ds.find(u[e]) != ds.find(v[e]) else 0
-                       for e in range(m)]
-    return joins
+    u, v = g.u_arr, g.v_arr
+    comp = np.empty((1 << m, g.n + 1), dtype=np.int8)  # n <= m + 1 = 17
+    comp[0] = np.arange(g.n + 1)
+    for b in range(m):
+        low = comp[:1 << b]
+        cu, cv = low[:, u[b], None], low[:, v[b], None]
+        comp[1 << b:2 << b] = np.where(low == cv, cu, low)
+    return (comp[:, u] != comp[:, v]).astype(np.intp) << np.arange(m)
 
 
 def by_edge_set(table: np.ndarray, masks: np.ndarray) -> dict[frozenset, object]:

@@ -58,8 +58,13 @@ class DisjointSets:
 
     The one union-find of the package. ``merge`` reports whether u and v
     were in different components; ``join`` runs that test along a whole
-    edge scan, for exact and private Kruskal, the spanning-tree check and
-    the exact oracles.
+    edge scan, for private Kruskal, the spanning-tree check, the exact
+    oracles' enumerations, and exact Kruskal on small graphs (the scan
+    branch of ``kruskal_mst``). On larger graphs ``kruskal_mst`` keeps its
+    components as an array of labels instead, which Borůvka rounds merge
+    many edges at a time; both give the same tree, the unique one under
+    the (weight, id) ranks. ``exact.join_table`` likewise labels the
+    components of every edge mask at once.
     """
 
     def __init__(self, n: int):
@@ -232,67 +237,181 @@ def build_graph(n, edges, weights, delta_inf: float = 1.0) -> WeightedGraph:
     return WeightedGraph(n, edges, weights, delta_inf)
 
 
+# kruskal_mst's one-by-one scan sorts all m edges and walks about min(k, m)
+# of them in Python; up to these sizes it beats the fixed cost of the array
+# rounds (Borůvka over filtered batches)
+SCAN_MAX_EDGES, SCAN_MAX_STEPS = 4096, 1024
+
+
 def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
     """Exact MST for the given weights (default: the graph's own).
 
-    Edges are scanned in (weight, edge id) order, so ties break toward the
+    Edges are ranked in (weight, edge id) order, so ties break toward the
     lowest edge id; NaN weights come last. Callers routinely pass noisy weight
     vectors distinct from ``g.weights``, which may hold -inf.
 
-    This is filter-Kruskal (Osipov, Sanders & Singler, ALENEX 2009). With
-    k = max(4(n-1), 32*isqrt(m)), only the edges no heavier than the k-th
-    smallest weight are sorted and scanned first; if those do not span, the
-    next 2k of the rest follow, then 4k, and so on. Every edge tied with a
-    batch's cut-off weight is in that batch, so the scan order, and hence
-    the tree, is that of one stable sort of all m weights. When k >= m the
-    whole vector is sorted at once.
+    The ranks are a strict total order, so the minimum spanning tree under
+    them is unique: every branch below returns the tree of Kruskal's scan in
+    that order, the one of a single stable sort of all m weights.
+
+    Both branches start from k = ceil(n ln n) edges, about twice the prefix
+    of a random order that spans.
+
+    - m <= ``SCAN_MAX_EDGES`` and min(k, m) <= ``SCAN_MAX_STEPS``: one sort
+      of all m weights, then the ``DisjointSets.join`` scan along it, whose
+      edges are turned into Python ints k, 2k, 4k, ... at a time. On such
+      small graphs its per-edge Python costs less than the fixed cost of the
+      array rounds.
+    - Otherwise: filter-Kruskal (Osipov, Sanders & Singler, ALENEX 2009)
+      with Borůvka rounds in place of the scan, see ``_boruvka_batches``.
     """
     w = g.weights if weights is None else np.asarray(weights, dtype=float)
     if len(w) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(w)}")
-    need, m = g.n - 1, len(w)
-    k = max(4 * need, 32 * math.isqrt(m))
-    if k >= m:
-        # nothing to filter: one full sort, scanned as one batch
-        order = np.argsort(w, kind="stable")
-        scan = zip((order + 1).tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
+    need = g.n - 1
+    k = max(1, math.ceil(g.n * math.log(g.n)))
+    if len(w) <= SCAN_MAX_EDGES and min(k, len(w)) <= SCAN_MAX_STEPS:
+        scan = itertools.chain.from_iterable(
+            _triples(g, _scan_order(w, np.arange(len(w))), k))
+        chosen = DisjointSets(g.n).join(scan, need)
     else:
-        scan = itertools.chain.from_iterable(_filtered_batches(g, w, k))
-    chosen = DisjointSets(g.n).join(scan, need)
+        chosen = _boruvka_batches(g, w, k, need)
     if len(chosen) != need:
         raise DisconnectedError("graph is not connected")
     return SpanningTree(frozenset(chosen))
 
 
-def _filtered_batches(g: WeightedGraph, w: np.ndarray, k: int):
-    """Successive runs of (edge id, u, v) in (weight, id) order.
+def _triples(g: WeightedGraph, order: np.ndarray, k: int):
+    """Runs of (edge id, u, v) along ``order``, k, 2k, 4k, ... edges long,
+    so that a scan that stops early converts few edges to Python ints."""
+    lo = 0
+    while lo < len(order):
+        run = order[lo:lo + k]
+        yield zip((run + 1).tolist(), g.u_arr[run].tolist(), g.v_arr[run].tolist())
+        lo, k = lo + k, 2 * k
 
-    Each run is every not yet yielded edge no heavier than the k-th smallest
-    of them, in (weight, id) order; k doubles from run to run, so a scan that stops
-    early sorts little, and one that reads every edge costs about one full
-    sort. NaN weights come last.
+
+def _boruvka_batches(g: WeightedGraph, w: np.ndarray, k: int, need: int) -> list[int]:
+    """The 1-based ids of Kruskal's picks, stopping at ``need``, in the
+    order Kruskal picks them, found batch by batch with array work only.
+
+    The first batch holds the k lightest edges (all of them when m <= k),
+    each later one twice as many of the edges left. A batch is every left
+    edge no heavier than the k-th lightest of them, ties included, so the
+    batches are runs of the (weight, id) order. Each batch is sorted and
+    handed to ``_boruvka`` in runs of 2n, 4n, ... edges, so that most of
+    its heavier runs are dead before they are read. Before the next batch
+    is cut, the filter drops every left edge whose ends already share a
+    component: Kruskal would skip it.
     """
-    wr, rest = w, None  # rest[i] is the edge index of wr[i]; None while wr is w
+    comp = np.arange(g.n + 1)  # each vertex's component, named by one of its vertices
+    picked: list[int] = []
+    batch, rest = _lightest(w, None, k)
     while True:
-        if k < len(wr):
-            head = wr <= np.partition(wr, k - 1)[k - 1]
-        else:
-            head = np.ones(len(wr), dtype=bool)
-        batch = np.flatnonzero(head) if rest is None else rest[head]
-        wb = w[batch]
-        order = np.argsort(wb)
-        ranked = wb[order]
-        if np.isnan(ranked[-1:]).any() or (ranked[1:] == ranked[:-1]).any():
-            # only a stable sort puts tied (or NaN) weights in id order; a
-            # batch without them has one sorted order, which any sort finds
-            order = np.argsort(wb, kind="stable")
-        order = batch[order]
-        yield zip((order + 1).tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
-        tail = np.flatnonzero(~head)
-        if not tail.size:
+        scan, lo, run = _scan_order(w, batch), 0, 2 * g.n
+        while lo < len(scan) and len(picked) < need:
+            _boruvka(comp, scan[lo:lo + run], g.u_arr, g.v_arr, need, picked)
+            lo, run = lo + run, 2 * run
+        if len(picked) == need or rest is None:
+            break
+        rest = rest[comp[g.u_arr[rest]] != comp[g.v_arr[rest]]]
+        if not len(rest):
+            break
+        k *= 2
+        batch, rest = _lightest(w, rest, k)
+    # in the scan's pick order: a SpanningTree's frozenset then iterates as
+    # the scan's does, and so does tree_weight's float sum over it
+    ids = np.asarray(picked, dtype=np.int64)
+    return ids[np.lexsort((ids, w[ids - 1]))].tolist()
+
+
+def _lightest(w: np.ndarray, idx: np.ndarray | None, k: int):
+    """Split the edges ``idx`` (None: all) into those no heavier than the
+    k-th lightest of them and the others (None when there are none).
+
+    A NaN k-th weight puts every edge in the first part, since all NaNs are
+    tied with each other.
+    """
+    wr = w if idx is None else w[idx]
+    if k < len(wr):
+        part = np.argpartition(wr, k - 1)
+        kth = wr[part[k - 1]]
+        if kth == kth:  # not NaN
+            if np.count_nonzero(wr <= kth) == k:
+                head, tail = part[:k], part[k:]
+            else:  # edges tied with the k-th lie on both sides of it
+                light = wr <= kth
+                head, tail = np.flatnonzero(light), np.flatnonzero(~light)
+            if idx is None:
+                return head, tail
+            return idx[head], idx[tail]
+    return (np.arange(len(w)) if idx is None else idx), None
+
+
+def _scan_order(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """The edges ``batch`` in (weight, id) order, NaN last."""
+    wb = w[batch]
+    order = np.argsort(wb)
+    ranked = wb[order]
+    if np.isnan(ranked[-1:]).any() or (ranked[1:] == ranked[:-1]).any():
+        # only a stable sort of ascending ids puts tied (or NaN) weights in
+        # id order; a batch without them has one sorted order, which any
+        # sort finds
+        batch = np.sort(batch)
+        order = np.argsort(w[batch], kind="stable")
+    return batch[order]
+
+
+def _boruvka(comp: np.ndarray, scan: np.ndarray, u_arr: np.ndarray,
+             v_arr: np.ndarray, need: int, picked: list[int]) -> None:
+    """Contract the edges ``scan`` (0-based, in rank order) into ``comp``
+    by Borůvka rounds and append Kruskal's picks among them to ``picked``
+    as 1-based ids, stopping once it holds ``need``.
+
+    A round gives each component the lowest-ranked edge that leaves it (an
+    ``np.minimum.at`` over positions in ``scan``). By the cut property that
+    edge is in the unique MST of the batch on top of the components so far,
+    which is what Kruskal picks from it. Each component then hooks onto the
+    far end of its edge; two components that picked the same edge form the
+    only cycles, and the lower-named of each pair becomes the root. Pointer
+    jumping flattens the hooks. Edges inside a component are dead: they are
+    moved to the unused label 0, and dropped once they are the majority.
+    """
+    size = len(comp)
+    cu, cv = comp[u_arr[scan]], comp[v_arr[scan]]
+    while len(picked) < need:
+        live = cu != cv
+        alive = np.count_nonzero(live)
+        if not alive:
             return
-        rest = tail if rest is None else rest[tail]
-        wr, k = w[rest], 2 * k
+        if 2 * alive < len(cu):
+            cu, cv, scan = cu[live], cv[live], scan[live]
+        else:
+            cu *= live
+            cv *= live
+        r = len(cu)
+        pos = np.arange(r)
+        best = np.full(size, r)
+        np.minimum.at(best, cu, pos)
+        np.minimum.at(best, cv, pos)
+        best[0] = r  # label 0 holds the dead edges
+        roots = np.flatnonzero(best < r)
+        e = best[roots]
+        far = cu[e] + cv[e] - roots
+        hook = np.arange(size)
+        hook[roots] = far
+        mutual = hook[far] == roots
+        lower = roots < far
+        picked.extend((scan[e[~mutual | lower]] + 1).tolist())
+        pairs = roots[mutual & lower]
+        hook[pairs] = pairs
+        while True:
+            jumped = hook[hook]
+            if np.array_equal(jumped, hook):
+                break
+            hook = jumped
+        comp[:] = hook[comp]
+        cu, cv = hook[cu], hook[cv]
 
 
 def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:

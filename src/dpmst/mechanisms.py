@@ -57,8 +57,10 @@ def perturb_weights(g: WeightedGraph, eps_prime: float, delta_inf: float,
     """
     if not 0 < eps_prime < math.inf or not 0 < delta_inf < math.inf:
         raise ValueError("eps_prime and delta_inf must be positive and finite")
-    ln_z = stream.ln_exponential(size=g.m if rows is None else (rows, g.m))
-    return g.weights + delta_inf * (2.0 / eps_prime) * ln_z
+    noisy = stream.ln_exponential(size=g.m if rows is None else (rows, g.m))
+    noisy *= delta_inf * (2.0 / eps_prime)
+    noisy += g.weights
+    return noisy
 
 
 def _noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
@@ -175,13 +177,14 @@ def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
     t0 = time.perf_counter_ns()
     if mode == "laplace_pure":
         scale = g.m * budget.delta_inf / budget.epsilon
-        noisy = g.weights + stream.laplace(scale, size=g.m)
+        noisy = stream.laplace(scale, size=g.m)
     elif mode == "gaussian_zcdp":
         sigma = gaussian_sigma_for_input_privatization(
             budget.rho, g.m, budget.delta_inf)
-        noisy = g.weights + stream.gaussian(sigma, size=g.m)
+        noisy = stream.gaussian(sigma, size=g.m)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    noisy += g.weights
     tree = kruskal_mst(g, noisy)
     return MechanismResult(tree=tree, noisy_weights=noisy,
                            noisy_weights_released=True,

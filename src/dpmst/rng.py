@@ -51,7 +51,13 @@ class RngStream:
             raise ValueError(f"rate must be positive, got {rate}")
         if size is None:
             return -math.log(1.0 - self._gen.random()) / rate
-        return -np.log(1.0 - self._gen.random(size)) / rate
+        # in place on the uniform block: -log(1 - u) / rate, bit for bit
+        x = self._gen.random(size)
+        np.subtract(1.0, x, out=x)
+        np.log(x, out=x)
+        np.negative(x, out=x)
+        x /= rate
+        return x
 
     def ln_exponential(self, size=None):
         """ln of a unit exponential; the negative of a standard Gumbel sample.
@@ -61,8 +67,9 @@ class RngStream:
         if size is None:
             z = self.exponential(1.0)
             return math.log(z) if z > 0 else -math.inf
+        z = self.exponential(1.0, size)
         with np.errstate(divide="ignore"):
-            return np.log(self.exponential(1.0, size))
+            return np.log(z, out=z)
 
     def gumbel(self, scale: float = 1.0, size=None):
         """Zero-location Gumbel with CDF exp(-exp(-z / scale))."""

@@ -133,9 +133,12 @@ NAN = float("nan")
     lambda: PrivacyBudget.from_eps_delta(1.0, 1e-6, delta_inf=math.inf),
     lambda: PrivacyBudget.from_rho(NAN, 1e-6),
     lambda: PrivacyBudget.from_rho(1.0, 1e-6, delta_inf=NAN),
+    lambda: PrivacyBudget.from_eps_delta(math.inf, 1e-6),
+    lambda: PrivacyBudget.from_rho(math.inf, 1e-6),
 ], ids=["rho-eps", "eps-rho", "per-round-rho", "sigma-rho", "sigma-delta-inf",
         "budget-eps", "budget-delta", "budget-eps-delta-inf",
-        "budget-eps-delta-inf-infinite", "budget-rho", "budget-rho-delta-inf"])
+        "budget-eps-delta-inf-infinite", "budget-rho", "budget-rho-delta-inf",
+        "budget-eps-infinite", "budget-rho-infinite"])
 def test_nan_budget_rejected(call):
     with pytest.raises(ValueError):
         call()

@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmst import graph
 from dpmst.exact import brute_force_mst
 from dpmst.graph import (DisconnectedError, DisjointSets, EdgeIndexError,
                          EndpointError, GraphError, LengthMismatchError,
@@ -12,6 +14,7 @@ from dpmst.graph import (DisconnectedError, DisjointSets, EdgeIndexError,
                          is_spanning_tree, kruskal_mst, tree_weight)
 from dpmst.harness import family_graph
 from dpmst.instances import erdos_renyi_instance, hard_instance
+from dpmst.mechanisms import perturb_weights
 from dpmst.rng import RngStream
 from dpmst.selfcheck import random_connected_graph
 
@@ -27,36 +30,30 @@ def k4(weights):
 
 
 def _reference_kruskal(g, weights=None):
-    """kruskal_mst before filter-Kruskal: one stable argsort of all m weights."""
+    """kruskal_mst as one stable argsort of all m weights and the
+    ``DisjointSets.join`` scan along it."""
     w = g.weights if weights is None else np.asarray(weights, dtype=float)
     order = np.argsort(w, kind="stable")
-    parent = list(range(g.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    need = g.n - 1
-    u_arr, v_arr = g.u_arr.tolist(), g.v_arr.tolist()
-    for e in order:
-        u, v = u_arr[e], v_arr[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(int(e) + 1)
-            if len(chosen) == need:
-                break
-    if len(chosen) != need:
+    scan = zip((order + 1).tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
+    chosen = DisjointSets(g.n).join(scan, g.n - 1)
+    if len(chosen) != g.n - 1:
         raise DisconnectedError("graph is not connected")
     return SpanningTree(frozenset(chosen))
 
 
 def filters(g) -> bool:
-    """True when kruskal_mst sorts a prefix rather than all m weights."""
-    return max(4 * (g.n - 1), 32 * math.isqrt(g.m)) < g.m
+    """True when kruskal_mst runs Borůvka over filtered batches rather than
+    the one-by-one scan."""
+    k = max(1, math.ceil(g.n * math.log(g.n)))
+    return g.m > graph.SCAN_MAX_EDGES or min(k, g.m) > graph.SCAN_MAX_STEPS
+
+
+def boruvka_tree(g, weights, k):
+    """The Borůvka branch of kruskal_mst on any graph, with first batch k."""
+    chosen = graph._boruvka_batches(g, np.asarray(weights, dtype=float), k, g.n - 1)
+    if len(chosen) != g.n - 1:
+        raise DisconnectedError("graph is not connected")
+    return SpanningTree(frozenset(chosen))
 
 
 def random_weights(rng, m, kind):
@@ -243,10 +240,10 @@ class TestFilterKruskal:
         assert kruskal_mst(g, w) == _reference_kruskal(g, w)
 
     @pytest.mark.parametrize("make", [
-        lambda: bridged_cliques(100),  # widens twice to reach the bridge
-        lambda: hard_instance(60, 0.5, 3, RngStream(11)),
+        lambda: bridged_cliques(100),  # the bridge is alone in the last batch
+        lambda: hard_instance(100, 0.5, 3, RngStream(11)),
         lambda: erdos_renyi_instance(300, 0.05, 0.0, 1.0, RngStream(5)),
-    ], ids=["bridged-cliques", "hard-60", "er-300"])
+    ], ids=["bridged-cliques", "hard-100", "er-300"])
     def test_filtered_instances(self, make):
         g = make()
         assert filters(g)
@@ -274,7 +271,7 @@ class TestFilterKruskal:
                                       "minus-inf-ties", "nan"])
     def test_batches_with_and_without_ties(self, kind):
         # a batch is sorted by the default sort unless it holds a tie or a
-        # NaN; the bridge is in the last batch, so every batch is scanned
+        # NaN; the bridge is in the last batch, so every batch is contracted
         g = bridged_cliques(100)
         assert filters(g)
         rng = np.random.default_rng(19)
@@ -294,7 +291,8 @@ class TestFilterKruskal:
 
     @pytest.mark.parametrize("fill", [-np.inf, np.nan])
     def test_constant_vector_ties_break_by_id(self, fill):
-        g = hard_instance(60, 0.5, 3, RngStream(2))
+        g = hard_instance(100, 0.5, 3, RngStream(2))
+        assert filters(g)
         w = np.full(g.m, fill)
         assert kruskal_mst(g, w) == _reference_kruskal(g, w)
 
@@ -317,6 +315,94 @@ class TestFilterKruskal:
         ids = np.fromiter(kruskal_mst(g, w).edge_ids, dtype=np.int64) - 1
         assert w[ids].sum() == pytest.approx(
             nx.minimum_spanning_tree(ref).size(weight="weight"), rel=1e-12)
+
+
+class TestBoruvkaBatches:
+    """The Borůvka branch against the reference on any graph, its first
+    batch size forced where the size rule would pick the scan."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ties", "nonfinite", "uniform"]),
+           st.integers(1, 200))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_at_any_first_batch(self, seed, kind, k):
+        g = random_connected_graph(RngStream(seed), max_n=70)
+        w = random_weights(np.random.default_rng(seed), g.m, kind)
+        assert boruvka_tree(g, w, k) == _reference_kruskal(g, w)
+
+    @pytest.mark.parametrize("eps_prime", [0.05, 1.0, 30.0])
+    def test_noisy_er_vectors(self, eps_prime):
+        g = erdos_renyi_instance(400, 0.1, 0.0, 100.0, RngStream(21))
+        assert filters(g)
+        for i in range(5):
+            w = perturb_weights(g, eps_prime, 1.0, RngStream(22, (i,)))
+            tree, ref = kruskal_mst(g, w), _reference_kruskal(g, w)
+            assert tree == ref
+            # the same set order, so tree_weight adds in the same order
+            assert list(tree.edge_ids) == list(ref.edge_ids)
+            assert tree_weight(g, tree) == tree_weight(g, ref)
+
+    @pytest.mark.parametrize("k", [1, 40, 97, 300])
+    def test_ties_straddle_a_batch_cut_off(self, k):
+        g = erdos_renyi_instance(60, 0.3, 0.0, 1.0, RngStream(23))
+        w = np.round(np.random.default_rng(k).random(g.m) * 8.0)
+        cut = np.sort(w)[k - 1]
+        assert (w == cut).sum() > 1 and (w < cut).sum() < k < (w <= cut).sum()
+        assert boruvka_tree(g, w, k) == _reference_kruskal(g, w)
+
+    @pytest.mark.parametrize("k", [1, 10, 100, 10**6])
+    @pytest.mark.parametrize("kind", ["minus-inf", "nan", "both"])
+    def test_minus_inf_and_nan(self, kind, k):
+        g = erdos_renyi_instance(50, 0.3, 0.0, 1.0, RngStream(24))
+        rng = np.random.default_rng(25)
+        w = rng.random(g.m)
+        if kind != "nan":
+            w[rng.random(g.m) < 0.3] = -np.inf
+        if kind != "minus-inf":
+            w[rng.random(g.m) < 0.3] = np.nan
+        assert boruvka_tree(g, w, k) == _reference_kruskal(g, w)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multigraph_with_parallel_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        base = erdos_renyi_instance(40, 0.2, 0.0, 1.0, RngStream(26, (seed,)))
+        edges = np.column_stack([base.u_arr, base.v_arr])
+        edges = np.concatenate([edges, edges[rng.integers(base.m, size=base.m)]])
+        g = build_graph(40, edges, np.zeros(len(edges)))
+        for w in (rng.random(g.m), np.round(rng.random(g.m) * 4.0)):
+            for k in (1, 50, g.m):
+                assert boruvka_tree(g, w, k) == _reference_kruskal(g, w)
+
+    def test_first_batch_that_does_not_span_runs_the_filter(self, monkeypatch):
+        g = bridged_cliques(100)
+        w = np.random.default_rng(27).random(g.m)
+        w[-1] = 2.0  # the bridge is the heaviest edge
+        cuts = []
+        lightest = graph._lightest
+
+        def counting(w, idx, k):
+            cuts.append(g.m if idx is None else len(idx))
+            return lightest(w, idx, k)
+
+        monkeypatch.setattr(graph, "_lightest", counting)
+        assert kruskal_mst(g, w) == _reference_kruskal(g, w)
+        # the filter leaves the bridge alone for the second batch
+        assert cuts == [g.m, 1]
+
+    def test_single_vertex(self):
+        g = build_graph(1, [], [])
+        assert boruvka_tree(g, [], 1) == SpanningTree(frozenset())
+
+    @pytest.mark.parametrize("size", [4, 100])
+    def test_disconnected_result_raises(self, size):
+        # two cliques with no bridge, past WeightedGraph's own check
+        whole = bridged_cliques(size)
+        g = SimpleNamespace(n=whole.n, m=whole.m - 1, u_arr=whole.u_arr[:-1],
+                            v_arr=whole.v_arr[:-1], weights=whole.weights[:-1])
+        assert filters(g) == (size == 100)
+        with pytest.raises(DisconnectedError):
+            kruskal_mst(g)
+        with pytest.raises(DisconnectedError):
+            boruvka_tree(g, g.weights, 7)
 
 
 class TestIncidence:

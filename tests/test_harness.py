@@ -459,6 +459,31 @@ class TestCli:
                          "--seed", "1", "--out", str(tmp_path / "o.csv"))
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--mech", "pamst", "--eps", "inf"], "eps must be positive and finite, got inf"),
+        (["run", "--mech", "kruskal", "--eps", "inf"], "eps must be positive and finite, got inf"),
+        (["run", "--mech", "sealfon-gauss", "--eps", "inf"],
+         "eps must be positive and finite, got inf"),
+        (["sweep-density", "--n", "10", "--densities", "0.5", "--rho", "inf"],
+         "rho must be positive and finite, got inf"),
+    ], ids=["run-pamst", "run-kruskal", "run-sealfon-gauss", "sweep-density"])
+    def test_infinite_budget_exit_one(self, argv, message, tmp_path, capsys, monkeypatch):
+        from dpmst import cli
+
+        # each mechanism used to fail its own way deep in a trial
+        graph_file = tmp_path / "k4.txt"
+        write_instance(k4([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), graph_file)
+        extra = ["--graph", str(graph_file), "--delta", "1e-6"] if argv[0] == "run" else []
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("opened a stream on an infinite budget")
+
+        monkeypatch.setattr(harness, "RngStream", no_stream)
+        code = cli.main(argv + extra + ["--seed", "1", "--out", str(tmp_path / "o.csv")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"dpmst {argv[0]}: {message}"]
+
     def test_sweep_density_cli(self, tmp_path):
         out = tmp_path / "sweep.csv"
         r = self.run_cli("sweep-density", "--n", "10", "--densities", "0.8,1.0",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpmst.accounting import PrivacyBudget
+from dpmst.accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
 from dpmst.exact import (chi_square_gof, exact_tree_distribution,
                          prim_tree_distribution)
 from dpmst.graph import (DisjointSets, build_graph, is_spanning_tree,
@@ -151,6 +151,16 @@ class TestPerturbWeights:
         block = perturb_weights(g, 0.7, 0.5, RngStream(8), rows=rows)
         assert block.shape == (rows, g.m)
         assert np.array_equal(block, calls)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_same_bits_as_the_out_of_place_expression(self, rows):
+        g = erdos_renyi_instance(40, 0.5, 0.0, 100.0, RngStream(30))
+        eps_prime, delta_inf = 0.7, 0.5
+        u = RngStream(31)._gen.random(g.m if rows is None else (rows, g.m))
+        with np.errstate(divide="ignore"):
+            expect = g.weights + delta_inf * (2.0 / eps_prime) * np.log(-np.log(1 - u))
+        got = perturb_weights(g, eps_prime, delta_inf, RngStream(31), rows=rows)
+        assert got.tobytes() == expect.tobytes()
 
     def test_noise_vanishes_at_huge_eps_prime(self):
         g = triangle()
@@ -413,6 +423,20 @@ class TestSealfon:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             sealfon_mst(triangle(), HUGE, RngStream(0), mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["laplace_pure", "gaussian_zcdp"])
+    def test_noisy_vector_is_weights_plus_one_draw(self, mode):
+        g = erdos_renyi_instance(40, 0.5, 0.0, 100.0, RngStream(32))
+        budget = PrivacyBudget.from_eps_delta(1.0, 1e-6, 1.0)
+        stream = RngStream(33)
+        if mode == "laplace_pure":
+            noise = stream.laplace(g.m * budget.delta_inf / budget.epsilon, size=g.m)
+        else:
+            noise = stream.gaussian(gaussian_sigma_for_input_privatization(
+                budget.rho, g.m, budget.delta_inf), size=g.m)
+        r = sealfon_mst(g, budget, RngStream(33), mode=mode)
+        assert r.noisy_weights.tobytes() == (g.weights + noise).tobytes()
+        assert r.tree == kruskal_mst(g, g.weights + noise)
 
 
 class TestPamst:
