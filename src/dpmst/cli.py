@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--seed", type=int, required=True)
     sweep.add_argument("--out", required=True)
 
-    equiv = sub.add_parser("check-equiv", help="chi-square the three mechanisms against the exact tree distribution")
+    equiv = sub.add_parser("check-equiv", help="chi-square the three equivalent "
+                           "mechanisms and pamst against their exact tree distributions")
     equiv.add_argument("--family", required=True, choices=("k3", "k4"))
     equiv.add_argument("--eps-prime", type=_positive_finite, required=True)
     equiv.add_argument("--trials", type=int, default=200000)
@@ -169,14 +170,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
+    # pamst comes last, so the three Kruskal-equivalent ids keep their streams
+    judged = EQUIV_MECHANISMS + ("pamst",)
     try:
         results = equivalence_suite(args.family, args.eps_prime, args.trials,
-                                    args.alpha, master_seed=args.seed)
+                                    args.alpha, master_seed=args.seed,
+                                    mechanisms=judged)
     except ValueError as exc:
         print(f"dpmst check-equiv: {exc}", file=sys.stderr)
         return USAGE_ERROR
     ok = True
-    for mech in EQUIV_MECHANISMS:
+    for mech in judged:
         r = results[mech]
         ok = ok and r.passed
         print(f"[{'PASS' if r.passed else 'FAIL'}] {mech}: chi2 = {r.chi.statistic:.3f} "

@@ -216,6 +216,18 @@ class WeightedGraph:
         return out
 
     @functools.cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """``incidence`` and ``neighbours`` as the int32 ``(indptr, indices)``
+        of an n x n CSR matrix, vertex v being row and column v - 1, built on
+        first use. Its entries follow the incidence slots, so a parallel edge
+        is a duplicate entry. Read-only.
+        """
+        indptr = self.incidence[0][1:].astype(np.int32)
+        cols = (self.neighbours - 1).astype(np.int32)
+        indptr.flags.writeable = cols.flags.writeable = False
+        return indptr, cols
+
+    @functools.cached_property
     def mst(self) -> SpanningTree:
         """The exact MST of the graph's own weights, ``kruskal_mst(self)``,
         computed on first use."""
@@ -298,7 +310,8 @@ def _triples(g: WeightedGraph, order: np.ndarray, k: int):
 
 def _boruvka_batches(g: WeightedGraph, w: np.ndarray, k: int, need: int) -> list[int]:
     """The 1-based ids of Kruskal's picks, stopping at ``need``, in the
-    order Kruskal picks them, found batch by batch with array work only.
+    order the Borůvka rounds find them, found batch by batch with array
+    work only.
 
     The first batch holds the k lightest edges (all of them when m <= k),
     each later one twice as many of the edges left. A batch is every left
@@ -324,10 +337,7 @@ def _boruvka_batches(g: WeightedGraph, w: np.ndarray, k: int, need: int) -> list
             break
         k *= 2
         batch, rest = _lightest(w, rest, k)
-    # in the scan's pick order: a SpanningTree's frozenset then iterates as
-    # the scan's does, and so does tree_weight's float sum over it
-    ids = np.asarray(picked, dtype=np.int64)
-    return ids[np.lexsort((ids, w[ids - 1]))].tolist()
+    return picked
 
 
 def _lightest(w: np.ndarray, idx: np.ndarray | None, k: int):
@@ -429,10 +439,15 @@ def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
 
 
 def tree_weight(g: WeightedGraph, tree) -> float:
-    """Total weight of a tree (or any iterable of 1-based edge ids) under g's weights."""
+    """Total weight of a tree (or any iterable of 1-based edge ids) under g's weights.
+
+    The weights are added in edge-id order, so the float sum depends on the
+    set of ids alone, not on the order in which they were inserted.
+    """
     ids = np.fromiter(tree.edge_ids if isinstance(tree, SpanningTree) else tree,
                       dtype=np.int64)
     bad = np.flatnonzero((ids < 1) | (ids > g.m))
     if bad.size:
         raise EdgeIndexError(f"edge id {ids[bad[0]]} out of range [1, {g.m}]")
+    ids.sort()
     return float(g.weights[ids - 1].sum())

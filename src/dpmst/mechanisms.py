@@ -4,7 +4,9 @@ Six registry ids. ``perturb`` and ``onepass`` both name input perturbation,
 the one noise-then-Kruskal body (``_noisy_kruskal``), which samples the same
 tree distribution as ``kruskal``, the per-round exponential mechanism. The
 baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input
-privatization) and ``pamst`` (Prim-based).
+privatization) and ``pamst`` (Prim-based). ``pamst`` too reads the vector
+``perturb_weights`` draws: its tree is the shortest-path tree from vertex 1
+under lengths exp(eps' / (2 * delta_inf) * w~_e).
 
 Every mechanism takes (graph, budget, stream) and returns a MechanismResult;
 none reads system entropy.
@@ -18,6 +20,8 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
 from .graph import DisjointSets, SpanningTree, WeightedGraph, kruskal_mst
@@ -191,6 +195,18 @@ def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
                            wall_time_ns=time.perf_counter_ns() - t0)
 
 
+# pamst goes straight to its exact path when its largest clock would be
+# exp(coef * (max - min) of the noisy weights) >= exp(PAMST_MAX_LOG_SPAN):
+# the distances Dijkstra adds would overflow, or swamp the light clocks.
+PAMST_MAX_LOG_SPAN = 700.0
+# It also does so on graphs of at most PAMST_RACE_MAX_N vertices, where the
+# race's n-1 rounds cost less than Dijkstra's fixed cost (mostly scipy's
+# input checks). Median us a call on 300 noisy vectors, Dijkstra with its
+# certificate against the race, 2-core x86 machine: K3 52 against 24, K4 53
+# against 35, K5 53 against 46, K6 52 against 57, K8 53 against 80.
+PAMST_RACE_MAX_N = 5
+
+
 def pamst(g: WeightedGraph, budget: PrivacyBudget,
           stream: RngStream) -> MechanismResult:
     """Prim-Jarnik growth from vertex 1 with a private selection per cut.
@@ -200,64 +216,125 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     s_e = exp(-eps' * w_e / (2 * delta_inf))), composing to the same budget
     as the Kruskal-style mechanisms.
 
-    A round draws in two stages. First an outside vertex b, with
-    probability proportional to its cut mass M_b, the sum of s_e over the
-    crossing edges into b; then one of those edges, proportional to s_e.
-    (M_b / sum of M) * (s_e / M_b) = s_e / (sum of s over the cut), so this
-    is the per-cut exponential mechanism itself. The masses are Prim's key
-    array: when x joins, its own mass is dropped and each of its edges to
-    an outside vertex adds s_e to that vertex's, so a round reads x's
-    incidence slots and n + 1 masses instead of the m edges, and a call is
-    O(m + n^2).
+    The rounds are one race of exponential clocks. Edge e rings X_e ~
+    Exp(s_e) after its first endpoint joins, and the first crossing edge to
+    ring joins its far end. The first of independent clocks to ring is e
+    with probability s_e / (sum of s over the cut), and the clocks that
+    have not rung are memoryless, so every round is the per-cut exponential
+    mechanism. Vertex v joins at its distance from vertex 1 under lengths
+    X_e, so the released tree is the shortest-path tree. And
+    X_e = Exp(1) / s_e = exp(coef * w~_e), coef = eps' / (2 * delta_inf),
+    where w~ = ``perturb_weights(g, eps', delta_inf, stream)``: ``pamst``
+    reads ``perturb``'s noisy vector, m draws, and the tree is a function
+    of it alone. The vector is not returned (``noisy_weights`` is None): the
+    tree is not its minimum spanning tree.
 
-    The masses are kept as logs, log M_b, and each draw subtracts its
-    largest log term before exponentiating: stage 2 shifts by the cut's
-    minimum weight into b, stage 1 by the heaviest vertex mass. The largest
-    term is then exp(0) = 1, so no draw's total underflows to 0. Linear
-    masses would need one shift fixed before the cuts are known, and with
-    the global minimum weight a cut lying more than about 745 / coef above
-    it (coef = eps' / (2 * delta_inf)) has all its masses 0.0. The masses
-    grow with ``np.logaddexp.at``, which adds every edge of a parallel
-    bundle; a fancy-index write would keep only one of them.
+    ``_dijkstra_tree`` computes the tree with one scipy Dijkstra and keeps
+    it only under a certificate that no rounding can have changed it; when
+    the certificate fails, or the clocks span more than
+    ``PAMST_MAX_LOG_SPAN`` in logs, or a w~ is -inf, or the graph has at
+    most ``PAMST_RACE_MAX_N`` vertices, ``_prim_race`` runs the race on log
+    clocks instead. Both give the tree of the same w~.
 
-    ``ops["edge_scans"]`` counts the incidence slots read (each vertex's
-    once, so at most 2m); ``ops["draws"]`` is 2(n-1), two uniforms a round.
+    ``ops["edge_scans"]`` counts the incidence slots read (2m a path, so
+    at most 4m); ``ops["draws"]`` is m, one per edge.
     """
     t0 = time.perf_counter_ns()
+    eps_prime = budget.per_round(g.n - 1)
+    log_clock = perturb_weights(g, eps_prime, budget.delta_inf, stream)
+    log_clock *= eps_prime / (2.0 * budget.delta_inf)
+    chosen, scans = None, 0
+    if g.n > PAMST_RACE_MAX_N:
+        lo = log_clock.min()
+        if lo > -math.inf and log_clock.max() - lo < PAMST_MAX_LOG_SPAN:
+            chosen, scans = _dijkstra_tree(g, log_clock, lo), 2 * g.m
+    if chosen is None:
+        chosen, scans = _prim_race(g, log_clock), scans + 2 * g.m
+    return MechanismResult(tree=SpanningTree(frozenset(chosen)),
+                           wall_time_ns=time.perf_counter_ns() - t0,
+                           ops={"edge_scans": scans, "draws": g.m})
+
+
+def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray,
+                   lo: float) -> list[int] | None:
+    """The shortest-path tree from vertex 1 under lengths
+    X_e = exp(log_clock_e - lo) >= 1, as 1-based edge ids, or None when
+    its certificate fails.
+
+    One ``scipy.sparse.csgraph.dijkstra`` call returns the distances t.
+    The certificate reads each edge's slack min(t_u, t_v) + X_e -
+    max(t_u, t_v). Dijkstra set each t_v as the float sum t_p + X_e along
+    v's tree edge, so the n-1 tree edges have slack exactly 0. The tree is
+    kept only if no other edge does and every other slack exceeds
+    4 n 2^-53 max(t_u, t_v). That bound covers the rounding of n-1 sums
+    on each side and of the slack itself, so the exact slacks of the
+    non-tree edges are positive too: the tree is the unique shortest-path
+    tree of the lengths X_e, and no ties or swamped clocks chose it.
+    """
+    length = np.exp(log_clock - lo)
+    indptr, cols = g.adjacency
+    t = np.empty(g.n + 1)  # t[v] for vertex v, so the 1-based endpoints index it
+    t[1:] = dijkstra(csr_matrix((length[g.incidence[1]], cols, indptr),
+                                shape=(g.n, g.n)), indices=0)
+    tu, tv = t[g.u_arr], t[g.v_arr]
+    far = np.maximum(tu, tv)
+    slack = np.minimum(tu, tv, out=tu)
+    slack += length
+    slack -= far
+    tight = slack == 0.0
+    far *= 4.0 * g.n * 2.0 ** -53
+    # a NaN slack (an overflowed t) is neither tight nor above the bound
+    if (np.count_nonzero(tight) != g.n - 1
+            or np.count_nonzero(slack > far) != g.m - g.n + 1):
+        return None
+    return (np.flatnonzero(tight) + 1).tolist()
+
+
+def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> list[int]:
+    """The race's tree from vertex 1 under clocks X_e = exp(log_clock_e),
+    as 1-based edge ids, without Dijkstra's absolute times.
+
+    Prim's key array holds, for each outside vertex, the log of the time
+    left on its earliest crossing clock, and the edge of that clock. Each
+    round the smallest key wins, and every other key is re-based to the
+    time left after it, log(R - R*) = log R + log(-expm1(log R* - log R)).
+    The keys are logs and relative to the last ring, so no clock
+    overflows, underflows or is swamped by the time already run. The
+    joining vertex's edges then start their clocks. A -inf clock rings at
+    once; ties go to the lowest vertex, and between one vertex's clocks to
+    the lowest edge id.
+    """
     n = g.n
-    coef = budget.per_round(n - 1) / (2.0 * budget.delta_inf)
     indptr, incident = g.incidence
     indptr = indptr.tolist()
     nbr = g.neighbours
-    log_s = -coef * g.weights[incident]  # log s_e per incidence slot
-    log_mass = np.full(n + 1, -np.inf)
-    in_tree = np.zeros(n + 1, dtype=bool)
-    unif = stream.uniform(2 * (n - 1))  # the same values as 2(n-1) scalar draws
-    x, lo, hi = 1, indptr[1], indptr[2]
-    inside = in_tree[nbr[lo:hi]]  # slots of x whose far end is in the tree
-    scans = hi - lo
+    slot_clock = log_clock[incident]
+    key = np.full(n + 1, np.inf)  # inside vertices and vertex 0 stay at +inf
+    via = np.zeros(n + 1, dtype=np.int64)
+    outside = np.ones(n + 1, dtype=bool)
+    outside[0] = False
+    x = 1
     chosen: list[int] = []
-    for r in range(n - 1):
-        in_tree[x] = True
-        log_mass[x] = -np.inf
-        out = ~inside
-        np.logaddexp.at(log_mass, nbr[lo:hi][out], log_s[lo:hi][out])
-        # stage 1: the vertex; the largest term is exp(0) = 1, so the target
-        # is positive and lands on a vertex of positive mass
-        cum = np.exp(log_mass - log_mass.max()).cumsum()
-        x = int(cum.searchsorted(unif[2 * r] * cum[-1], side="left"))
-        # stage 2: the edge among x's slots that reach the tree; the other
-        # slots get mass 0, which the same search never lands on
-        lo, hi = indptr[x], indptr[x + 1]
-        inside = in_tree[nbr[lo:hi]]
-        scans += hi - lo
-        ls = np.where(inside, log_s[lo:hi], -np.inf)
-        cum = np.exp(ls - ls.max()).cumsum()
-        j = int(cum.searchsorted(unif[2 * r + 1] * cum[-1], side="left"))
-        chosen.append(int(incident[lo + j]) + 1)
-    return MechanismResult(tree=SpanningTree(frozenset(chosen)),
-                           wall_time_ns=time.perf_counter_ns() - t0,
-                           ops={"edge_scans": scans, "draws": 2 * (n - 1)})
+    with np.errstate(divide="ignore"):  # a tied key re-bases to log(0)
+        for _ in range(n - 1):
+            outside[x] = False
+            key[x] = np.inf
+            lo, hi = indptr[x], indptr[x + 1]
+            keep = outside[nbr[lo:hi]]
+            y, c, e = nbr[lo:hi][keep], slot_clock[lo:hi][keep], incident[lo:hi][keep]
+            np.minimum.at(key, y, c)
+            won = c == key[y]  # a new clock tied with an old one wins
+            y, e = y[won], e[won]
+            via[y] = g.m
+            np.minimum.at(via, y, e)
+            x = int(key.argmin())
+            chosen.append(via.item(x) + 1)
+            k = key.item(x)
+            if k > -math.inf:
+                left = np.expm1(k - key)
+                np.negative(left, out=left)
+                key += np.log(left, out=left)
+    return chosen
 
 
 def _sealfon_laplace(g, budget, stream):

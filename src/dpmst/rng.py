@@ -91,8 +91,15 @@ class RngStream:
         """Zero-mean normal with standard deviation sigma."""
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
-        out = self._gen.normal(0.0, sigma, size)
-        return float(out) if size is None else out
+        # Generator.normal(0.0, sigma, size) is 0.0 + sigma * z over the same
+        # standard normals z, which is sigma * z bit for bit unless that is
+        # -0.0; filling z and scaling it in place skips normal's per-draw
+        # broadcast of loc and scale
+        if size is None:
+            return sigma * self._gen.standard_normal()
+        out = self._gen.standard_normal(size)
+        out *= sigma
+        return out
 
     def beta(self, alpha: float, beta: float, size=None):
         """Beta(alpha, beta) via the two-gamma construction X/(X+Y)."""

@@ -446,6 +446,9 @@ class TestCli:
         r = self.run_cli("check-equiv", "--family", "k3", "--eps-prime", "1.0",
                          "--trials", "4000", "--alpha", "0.001")
         assert r.returncode == 0, r.stdout + r.stderr
+        # pamst is judged too, against its own (Prim-cut) oracle
+        assert [line.split(":")[0] for line in r.stdout.splitlines()] == [
+            "[PASS] perturb", "[PASS] kruskal", "[PASS] onepass", "[PASS] pamst"]
 
     def test_usage_error_exit_one(self):
         r = self.run_cli("run", "--graph", "x", "--mech", "not-a-mech",
@@ -560,10 +563,10 @@ class TestCli:
         from dpmst.exact import ChiSquareResult
         from dpmst.harness import EquivalenceResult
 
-        def fake_suite(family, eps_prime, trials, alpha, master_seed=0):
+        def fake_suite(family, eps_prime, trials, alpha, master_seed=0,
+                       mechanisms=()):
             chi = ChiSquareResult(999.0, 2, 13.8, alpha, False)
-            return {m: EquivalenceResult(m, {}, chi)
-                    for m in ("perturb", "kruskal", "onepass")}
+            return {m: EquivalenceResult(m, {}, chi) for m in mechanisms}
 
         monkeypatch.setattr(cli, "equivalence_suite", fake_suite)
         code = cli.main(["check-equiv", "--family", "k3", "--eps-prime", "1.0",

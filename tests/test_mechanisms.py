@@ -16,7 +16,8 @@ from dpmst.harness import _EXTRA_MECHANISMS
 from dpmst.instances import erdos_renyi_instance
 from dpmst.mechanisms import (MECHANISMS, UnknownMechanismError,
                               input_perturbation_mst, kruskal_sampling_weights,
-                              one_pass_mst, pamst, perturb_weights,
+                              _dijkstra_tree, _prim_race, one_pass_mst,
+                              pamst, perturb_weights,
                               private_kruskal_mst, run_mechanism, sealfon_mst)
 from dpmst.rng import RngStream
 from dpmst.sampling import SamplingTree
@@ -486,6 +487,43 @@ class TestPamst:
         counts = tree_counts(pamst, g, budget, 20000, RngStream(39))
         assert chi_square_gof(counts, exact, 0.001).passed
 
+    def test_heavy_then_light(self):
+        # vertex 2 joins at about exp(50) and the light clocks after it are
+        # below its last bit, so Dijkstra's times tie and the certificate
+        # must refuse its tree; an uncertified Dijkstra releases one tree
+        g = build_graph(4, [(1, 2), (2, 3), (2, 4), (3, 4)], [100.0, 0.0, 0.3, 0.1])
+        budget = budget_for_eps_prime(g, 1.0)
+        noisy = perturb_weights(g, 1.0, 1.0, RngStream(45))
+        assert _dijkstra_tree(g, 0.5 * noisy, 0.5 * noisy.min()) is None
+        counts = tree_counts(pamst, g, budget, 20000, RngStream(46))
+        assert chi_square_gof(counts, prim_tree_distribution(g, 1.0), 0.001).passed
+
+    def test_certificate_needs_a_margin(self):
+        # lengths 1, 1 and 2 + 2^-51 on (1,2), (2,3), (1,3): the path through
+        # vertex 2 wins by about an ulp, inside the rounding bound
+        g = build_graph(3, [(1, 2), (2, 3), (1, 3)], [0.0, 0.0, 0.0])
+        assert _dijkstra_tree(g, np.log([1.0, 1.0, 2.0 + 2.0 ** -51]), 0.0) is None
+        assert sorted(_dijkstra_tree(g, np.log([1.0, 1.0, 3.0]), 0.0)) == [1, 2]
+
+    @pytest.mark.parametrize("graph", [
+        lambda: erdos_renyi_instance(60, 0.3, 0, 100, RngStream(47)),
+        lambda: erdos_renyi_instance(64, 1.0, 0, 100, RngStream(48)),
+        multigraph,
+    ], ids=["er60", "k64", "multigraph"])
+    @pytest.mark.parametrize("rho", [0.01, 1.0])
+    def test_dijkstra_and_exact_path_agree(self, graph, rho):
+        g = graph()
+        eps_prime = PrivacyBudget.from_rho(rho, 1e-6, 0.1).per_round(g.n - 1)
+        certified = 0
+        for seed in range(20):
+            clock = perturb_weights(g, eps_prime, 0.1, RngStream(49, (seed,)))
+            clock *= eps_prime / 0.2
+            tree = _dijkstra_tree(g, clock, clock.min())
+            if tree is not None:
+                certified += 1
+                assert sorted(tree) == sorted(_prim_race(g, clock))
+        assert certified > 0
+
     def test_huge_budget_returns_true_mst_on_dense_graph(self):
         g = erdos_renyi_instance(64, 1.0, 0, 100, RngStream(40))
         best = kruskal_mst(g)
@@ -508,7 +546,7 @@ class TestPamst:
         for rho in (0.01, 1.0, 1e18):
             r = pamst(g, PrivacyBudget.from_rho(rho, 1e-6, 0.1), RngStream(43))
             assert r.ops["edge_scans"] <= 4 * g.m
-            assert r.ops["draws"] == 2 * (g.n - 1)
+            assert r.ops["draws"] == g.m
 
     def test_error_indistinguishable_from_input_perturbation_on_dense_graph(self):
         from dpmst.harness import run_trials

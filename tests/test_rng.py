@@ -101,6 +101,14 @@ class TestNamedDistributions:
         x = RngStream(9).gaussian(1.0, size=10**6)
         assert abs(x.var() - 1.0) < 0.01
 
+    @pytest.mark.parametrize("size", [None, 209850])
+    @pytest.mark.parametrize("sigma", [1.0, 0.37, 1e5])
+    def test_gaussian_same_bits_as_generator_normal(self, size, sigma):
+        got = RngStream(11, (2,)).gaussian(sigma, size)
+        want = RngStream(11, (2,))._gen.normal(0.0, sigma, size)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_gumbel_mean_is_euler_gamma(self):
         x = RngStream(10).gumbel(1.0, size=10**6)
         assert abs(x.mean() - EULER_GAMMA) < 0.01

@@ -242,13 +242,20 @@ class TestSampleRows:
 
 
 class FixedUniform:
-    """Stream stand-in whose every uniform() draw is ``u``."""
+    """Stream stand-in whose every uniform draw is ``u``."""
 
     def __init__(self, u):
         self.u = u
 
     def uniform(self, size=None):
         return self.u if size is None else np.full(size, self.u)
+
+    def ln_exponential(self, size=None):
+        """``RngStream.ln_exponential`` of uniform draws all ``u``: ln(-ln u),
+        so u = 1 gives -inf and u = 2**-53 the largest value."""
+        with np.errstate(divide="ignore"):
+            z = np.log(-np.log(self.uniform(size)))
+        return float(z) if size is None else z
 
 
 def _reference_sums(weights):
