@@ -58,8 +58,8 @@ class DisjointSets:
 
     The one union-find of the package. ``merge`` reports whether u and v
     were in different components; ``join`` runs that test along a whole
-    edge scan, for private Kruskal, the spanning-tree check, the exact
-    oracles' enumerations, and exact Kruskal on small graphs (the scan
+    edge scan, for the spanning-tree check, the exact oracles'
+    enumerations, and exact Kruskal on small graphs (the scan
     branch of ``kruskal_mst``). On larger graphs ``kruskal_mst`` keeps its
     components as an array of labels instead, which Borůvka rounds merge
     many edges at a time; both give the same tree, the unique one under

@@ -20,10 +20,8 @@ from .exact import (ChiSquareResult, by_edge_set, chi_square_gof,
 from .graph import WeightedGraph, build_graph, tree_weight
 from .instances import erdos_renyi_instance
 from .mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
-                         _noisy_kruskal, kruskal_sampling_weights, perturb_weights,
-                         run_mechanism)
+                         _noisy_kruskal, perturb_weights, run_mechanism)
 from .rng import RngStream
-from .sampling import SamplingTree, sum_tree
 
 CSV_COLUMNS = ("mechanism", "n", "m", "p", "eps", "delta", "rho", "eps_prime",
                "delta_inf", "trial", "seed", "true_weight", "private_weight",
@@ -217,10 +215,10 @@ _EXTRA_MECHANISMS = {"mutant": _wrong_exponent_mst}
 
 # the ids whose body is _noisy_kruskal, each with the multiple of eps' it
 # perturbs at; tree_distribution_test tallies their trials in bulk
-_NOISY_KRUSKAL_FACTORS = {"perturb": 1.0, "onepass": 1.0, "mutant": 2.0}
+_NOISY_KRUSKAL_FACTORS = {"perturb": 1.0, "kruskal": 1.0, "onepass": 1.0,
+                          "mutant": 2.0}
 
-# noise variates per block of the noise-then-Kruskal tally (2 MiB of
-# doubles); the private-Kruskal tally sizes its blocks from it too
+# noise variates per block of the noise-then-Kruskal tally (2 MiB of doubles)
 _BLOCK_VARIATES = 1 << 18
 
 
@@ -261,68 +259,6 @@ def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
     return by_edge_set(tally, np.flatnonzero(tally))
 
 
-def _tally_private_kruskal(g: WeightedGraph, budget: PrivacyBudget, trials: int,
-                           stream: RngStream, joins: np.ndarray) -> dict[frozenset, int]:
-    """The tree tally of ``trials`` successive ``private_kruskal_mst`` calls
-    on ``stream``, one table lookup per draw.
-
-    Each call reads one uniform per draw, and ``stream.uniform(size)`` gives
-    the same values in the same order, so a block of uniforms is read as
-    the calls would read it. The run that starts at position p of the block
-    takes d(p) <= m draws; it is computed for every p at once, one
-    vectorized draw at a time, from its state: D, the edges drawn, and A,
-    those accepted. ``sums[D]`` is the sum tree that the call samples from
-    in state D, as ``sum_tree`` builds it from D's live leaves, and
-    ``joins[A, e]``, from ``exact.join_table(g)``, the call's acceptance test.
-    Trial t then starts where trial t-1 ended. The block's tail, which lacks
-    m uniforms of lookahead, is carried into the next block.
-    """
-    m, need = g.m, g.n - 1
-    in_mask = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
-    sums = sum_tree(np.where(in_mask, 0.0, kruskal_sampling_weights(g, budget)))
-    # a position holds about 16 words of run state while it is evaluated,
-    # so a block of _BLOCK_VARIATES / 16 uniforms also takes about 2 MiB
-    block = max(_BLOCK_VARIATES >> 4, 2 * m)
-    tally = np.zeros(1 << m, dtype=np.int64)
-    unif = np.empty(0)
-    while trials:
-        # trials * m uniforms always suffice, as no call draws more than m
-        fresh = min(block, trials * m) - len(unif)
-        unif = np.concatenate((unif, stream.uniform(fresh)))
-        starts = len(unif) - m + 1  # positions with m uniforms of lookahead
-        accepted = np.empty(starts, dtype=np.intp)  # A at the end of each run
-        steps = np.empty(starts, dtype=np.intp)  # d(p)
-        # the runs still going: their start, D, A and number accepted
-        pos = np.arange(starts)
-        d = np.zeros(starts, dtype=np.intp)
-        a = np.zeros(starts, dtype=np.intp)
-        k = np.zeros(starts, dtype=np.intp)
-        for j in range(m):
-            e = SamplingTree.sample_rows(sums, d, unif[pos + j])
-            d |= 1 << e
-            bit = joins[a, e]
-            a |= bit
-            k += bit != 0
-            if j + 1 < need:  # no run ends before n-1 draws
-                continue
-            end = k == need
-            accepted[pos[end]] = a[end]
-            steps[pos[end]] = j + 1
-            live = ~end
-            pos, d, a, k = pos[live], d[live], a[live], k[live]
-            if not pos.size:
-                break
-        steps = steps.tolist()
-        p, chain = 0, []
-        while trials and p < starts:
-            chain.append(p)
-            p += steps[p]
-            trials -= 1
-        tally += np.bincount(accepted[chain], minlength=len(tally))
-        unif = unif[p:]
-    return by_edge_set(tally, np.flatnonzero(tally))
-
-
 def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
                            alpha: float, master_seed: int = 0,
                            mechanisms=EQUIV_MECHANISMS) -> dict[str, EquivalenceResult]:
@@ -332,11 +268,10 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
     exact tree distribution and are refused before any draw.
 
     Mechanism idx draws from stream (master_seed, (idx,)). The input
-    perturbation ids (``_NOISY_KRUSKAL_FACTORS``) are tallied in bulk by
-    ``_tally_noisy_kruskal`` and ``kruskal`` by ``_tally_private_kruskal``,
-    each with the same trees as one call per trial. Both tallies and the
-    Kruskal oracle read one join table. Every other id runs once per trial
-    through its registry.
+    perturbation ids (``_NOISY_KRUSKAL_FACTORS``, ``kruskal`` among them)
+    are tallied in bulk by ``_tally_noisy_kruskal``, with the same trees as
+    one call per trial. The tally and the Kruskal oracle read one join
+    table. Every other id runs once per trial through its registry.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -365,8 +300,6 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
         if factor is not None:
             counts = _tally_noisy_kruskal(g, factor * eps_used, budget.delta_inf,
                                           trials, stream, joins)
-        elif mech == "kruskal":
-            counts = _tally_private_kruskal(g, budget, trials, stream, joins)
         else:
             counts = {}
             for _ in range(trials):

@@ -1,8 +1,9 @@
 """The private MST mechanisms.
 
-Six registry ids. ``perturb`` and ``onepass`` both name input perturbation,
-the one noise-then-Kruskal body (``_noisy_kruskal``), which samples the same
-tree distribution as ``kruskal``, the per-round exponential mechanism. The
+Six registry ids. ``perturb``, ``onepass`` and ``kruskal`` all run input
+perturbation, the one noise-then-Kruskal body (``_noisy_kruskal``). It
+samples the tree distribution of Kruskal with the exponential mechanism in
+every round, so ``kruskal`` is that body plus the op counts of its scan. The
 baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input
 privatization) and ``pamst`` (Prim-based). ``pamst`` too reads the vector
 ``perturb_weights`` draws: its tree is the shortest-path tree from vertex 1
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +24,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
-from .graph import DisjointSets, SpanningTree, WeightedGraph, kruskal_mst
+from .graph import SpanningTree, WeightedGraph, kruskal_mst
 from .rng import RngStream
-from .sampling import SamplingTree
 
 
 class UnknownMechanismError(ValueError):
@@ -97,77 +96,40 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
 one_pass_mst = input_perturbation_mst
 
 
-def kruskal_sampling_weights(g: WeightedGraph, budget: PrivacyBudget) -> np.ndarray:
-    """exp(-eps' * w_e / (2 * delta_inf)) per edge, the weights private
-    Kruskal samples by, with eps' the budget's per-round share over n-1
-    rounds.
-
-    Shifting by the minimum only rescales them uniformly; weights that still
-    underflow are clamped to the smallest positive normal, which the sampler
-    cannot hit at double precision.
-    """
-    w = g.weights
-    s = np.exp(-budget.per_round(g.n - 1) * (w - w.min()) / (2.0 * budget.delta_inf))
-    return np.maximum(s, np.finfo(float).tiny)
-
-
-# per graph, the (eps', delta_inf) pair and the sum tree private Kruskal
-# starts from at that pair; weak keys, so an entry never keeps its graph alive
-_START_TREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _kruskal_start_tree(g: WeightedGraph, budget: PrivacyBudget) -> SamplingTree:
-    """A copy of ``SamplingTree(kruskal_sampling_weights(g, budget))``.
-
-    The tree is a pure function of (g, eps', delta_inf), so it is built once
-    per graph and pair and each call copies its node list; another pair on
-    the same graph replaces the entry.
-    """
-    key = (budget.per_round(g.n - 1), budget.delta_inf)
-    hit = _START_TREES.get(g)
-    if hit is None or hit[0] != key:
-        hit = _START_TREES[g] = key, SamplingTree(kruskal_sampling_weights(g, budget))
-    return hit[1].copy()
-
-
 def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
                         stream: RngStream) -> MechanismResult:
     """Kruskal with each greedy choice replaced by the exponential mechanism.
 
     Each of the n-1 rounds picks an edge that closes no cycle with
     probability proportional to exp(-eps' * w_e / (2 * delta_inf)) among
-    such edges. One sum tree holds every edge not yet drawn; a round draws
-    and deletes edges from it until one joins two components, and releases
-    that one. The draws are ``DisjointSets.join``'s edge scan.
+    such edges (McSherry & Talwar, FOCS 2007). That is the input
+    perturbation release: the -ln(Exp(1)) noise is a Gumbel race, the
+    lightest noisy edge that closes no cycle wins each round with the
+    mechanism's probability, and the race's leftover clocks are
+    memoryless. So the body is one ``input_perturbation_mst`` call.
 
-    Discarding a cycle-closing draw is exact: an edge that closes a cycle
-    keeps closing one for the rest of the run, so deleting it is what the
-    eager rule (drop every edge the forest spans) does anyway, only later;
-    and deleting it leaves the relative masses of the live edges unchanged.
-    So each accepted draw has the exponential mechanism's distribution over
-    the edges that close no cycle. The discarded draws are internal coins
-    and are never released.
-
-    ``ops["edge_checks"]`` is 1 for each drawn edge and 0 otherwise;
-    ``ops["draws"]`` is the number of draws, at most m.
+    ``ops`` describes Kruskal's scan of the noisy vector w~. With (w*, e*)
+    the largest (w~, id) over the released tree's edges, the scan reads
+    every edge ranked at or before (w*, e*) under (w~, id) and no other.
+    ``ops["edge_checks"]`` is 1 for each of those edges and 0 otherwise;
+    ``ops["draws"]`` is their number, from n-1 to m. By the Gumbel-top-k
+    identity the scan order is weighted sampling without replacement, so
+    the count has the distribution of the per-round mechanism's draws when
+    cycle-closing edges are deleted only once drawn.
     """
     t0 = time.perf_counter_ns()
-    tree = _kruskal_start_tree(g, budget)
-    u_at, v_at = g.u_arr.item, g.v_arr.item
-    drawn: list[int] = []
-
-    def draws():
-        while True:
-            e = tree.pop(stream)
-            drawn.append(e)
-            yield e + 1, u_at(e), v_at(e)
-
-    chosen = DisjointSets(g.n).join(draws(), g.n - 1)
-    checks = np.zeros(g.m, dtype=np.int64)
-    checks[drawn] = 1
-    return MechanismResult(tree=SpanningTree(frozenset(chosen)),
-                           wall_time_ns=time.perf_counter_ns() - t0,
-                           ops={"edge_checks": checks, "draws": len(drawn)})
+    result = input_perturbation_mst(g, budget, stream)
+    noisy = result.noisy_weights
+    ids = np.fromiter(result.tree.edge_ids, dtype=np.int64) - 1
+    tree_noisy = noisy[ids]
+    last = tree_noisy.max()
+    e_last = ids[tree_noisy == last].max()
+    scanned = noisy < last
+    scanned[:e_last + 1] |= noisy[:e_last + 1] == last
+    result.ops = {"edge_checks": scanned.astype(np.int64),
+                  "draws": int(np.count_nonzero(scanned))}
+    result.wall_time_ns = time.perf_counter_ns() - t0
+    return result
 
 
 def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,

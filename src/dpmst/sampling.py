@@ -4,6 +4,8 @@ Two interchangeable implementations of the same output distribution:
 
 * ``sample_without_replacement`` resamples proportionally each round from a
   binary sum tree, deleting the pick and whatever the removal rule names.
+  With ``exact.cycle_rule`` as the rule it is private Kruskal written
+  round by round; the mechanisms release its tree distribution in one pass.
 * ``race_sample_without_replacement`` draws one exponential race score per
   item up front and repeatedly takes the argmin over live candidates.
 
@@ -12,7 +14,6 @@ Plus the private maximum-weight matroid basis built on the same noise.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +31,7 @@ class MatroidOracleError(ValueError):
 
 
 def sum_tree(leaves) -> np.ndarray:
-    """The sum-tree array of each row of ``leaves`` (over the last axis).
+    """The sum-tree array of the m weights ``leaves``.
 
     Node i sits at index i with its children at 2i and 2i + 1; leaf j sits
     at size + j, size being m rounded up to a power of two, and padding
@@ -38,14 +39,13 @@ def sum_tree(leaves) -> np.ndarray:
     children: the same additions as a node-by-node loop, so the same bits.
     """
     leaves = np.asarray(leaves, dtype=float)
-    m = leaves.shape[-1]
+    m = len(leaves)
     size = 1 << (m - 1).bit_length()
-    sums = np.zeros(leaves.shape[:-1] + (2 * size,))
-    sums[..., size:size + m] = leaves
+    sums = np.zeros(2 * size)
+    sums[size:size + m] = leaves
     lo = size >> 1
     while lo:
-        np.add(sums[..., 2 * lo:4 * lo:2], sums[..., 2 * lo + 1:4 * lo:2],
-               out=sums[..., lo:2 * lo])
+        np.add(sums[2 * lo:4 * lo:2], sums[2 * lo + 1:4 * lo:2], out=sums[lo:2 * lo])
         lo >>= 1
     return sums
 
@@ -124,35 +124,6 @@ class SamplingTree:
             node >>= 1
             sums[node] = s
         self.live -= 1
-
-    @staticmethod
-    def sample_rows(sums: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``sample`` applied over rows: entry k is the leaf that a tree
-        holding the array ``sums[rows[k]]`` returns for the uniform ``u[k]``.
-
-        ``sums`` is a table of arrays laid out as a tree holds them (see
-        ``sum_tree``). The rule and the float operations are those of the
-        scalar descent, so the leaves are the same, bit for bit.
-        """
-        width = sums.shape[1]
-        size = width >> 1
-        flat = sums.ravel()
-        base = rows * width
-        u = u * flat[base + 1]
-        i = np.ones(len(base), dtype=np.intp)
-        for _ in range(size.bit_length() - 1):  # the depth of every leaf
-            left = 2 * i
-            ls = flat[base + left]
-            go_left = ((u <= ls) & (ls > 0.0)) | (flat[base + left + 1] == 0.0)
-            u = np.where(go_left, u, u - ls)
-            i = np.where(go_left, left, left + 1)
-        return i - size
-
-    def copy(self) -> "SamplingTree":
-        """An independent tree with the same leaves, sums and removals."""
-        twin = copy.copy(self)
-        twin._sums = self._sums.copy()
-        return twin
 
     def remove(self, leaf: int):
         if not 0 <= leaf < self.num_leaves:

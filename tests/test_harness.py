@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -10,8 +11,7 @@ from dpmst.exact import (MAX_EDGES, SizeGuardError, chi_square_gof, join_table,
                          prim_tree_distribution)
 from dpmst.graph import SpanningTree, build_graph, tree_weight
 from dpmst.harness import (CSV_COLUMNS, _run_single_trial, _tally_noisy_kruskal,
-                           _tally_private_kruskal, _wrong_exponent_mst,
-                           density_sweep, emit_csv, equivalence_suite,
+                           _wrong_exponent_mst, density_sweep, emit_csv, equivalence_suite,
                            family_graph, run_trials, tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
 from dpmst.mechanisms import MECHANISMS, MechanismResult, UnknownMechanismError
@@ -194,18 +194,20 @@ class ZeroedExponential:
 
 
 class CycledUniform:
-    """Stream stand-in whose uniform draws cycle through ``values``; it
-    records the size of each vector draw."""
+    """Stream stand-in whose noise is ``RngStream.ln_exponential`` of
+    uniform draws u that cycle through ``values``, ln(-ln u); it records
+    the size of each draw."""
 
     def __init__(self, values):
         self.values, self.next, self.sizes = np.asarray(values, dtype=float), 0, []
 
-    def uniform(self, size=None):
-        if size is not None:
-            self.sizes.append(size)
-        at = (self.next + np.arange(1 if size is None else size)) % len(self.values)
-        self.next += len(at)
-        return float(self.values[at[0]]) if size is None else self.values[at]
+    def ln_exponential(self, size):
+        self.sizes.append(size)
+        count = math.prod(np.atleast_1d(size))
+        u = self.values[(self.next + np.arange(count)) % len(self.values)]
+        self.next += count
+        with np.errstate(divide="ignore"):
+            return np.log(-np.log(u)).reshape(size)
 
 
 TALLY_GRAPHS = {
@@ -220,7 +222,7 @@ BULK = {"perturb": MECHANISMS["perturb"], "onepass": MECHANISMS["onepass"],
         "mutant": _wrong_exponent_mst, "kruskal": MECHANISMS["kruskal"]}
 
 TALLY_CASES = [(name, mech) for name in sorted(TALLY_GRAPHS) for mech in sorted(BULK)]
-# m = 8, and private Kruskal draws and discards a triangle's third edge often
+# m = 8, and Kruskal's scan often reads and skips a triangle's third edge
 TALLY_GRAPHS["light-triangles-heavy-bridges"] = light_triangles_heavy_bridges
 TALLY_CASES.append(("light-triangles-heavy-bridges", "kruskal"))
 
@@ -267,16 +269,18 @@ class TestBulkTally:
                              ids=["one", "tiny", "mix"])
     @pytest.mark.parametrize("name", sorted(TALLY_GRAPHS))
     def test_private_kruskal_at_extreme_uniforms(self, name, values, monkeypatch):
-        # u = 1 and u = 2^-53 take the descent's edge cases at every draw;
-        # the seven-value cycle shifts against every run length
+        # u = 1 gives -inf noise, whose ties the scan breaks by edge id, and
+        # u = 2^-53 the largest; the seven-value cycle shifts against every
+        # block of rows. kruskal is tallied as input perturbation at eps'.
         g = TALLY_GRAPHS[name]()
         budget = budget_for_eps_prime(g, 1.0)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 50)
         stub = CycledUniform(values)
-        got = _tally_private_kruskal(g, budget, 400, stub, join_table(g))
+        monkeypatch.setattr(harness, "RngStream", lambda *args: stub)
+        got = tree_distribution_test(g, 1.0, 400, 0.001, mechanisms=("kruskal",))
         ref = tree_counts(MECHANISMS["kruskal"], g, budget, 400, CycledUniform(values))
-        assert got == ref
-        assert len(stub.sizes) > 1 and max(stub.sizes) <= 50  # blocks carried over
+        assert got["kruskal"].counts == ref
+        assert len(stub.sizes) > 1 and max(math.prod(s) for s in stub.sizes) <= 50
 
     @staticmethod
     def count_kruskal_calls(monkeypatch):
@@ -413,6 +417,14 @@ class TestOracles:
         results = tree_distribution_test(g, 3.0, 5000, 0.001, master_seed=1,
                                          mechanisms=("perturb", "onepass", "pamst"))
         assert all(r.passed for r in results.values())
+
+    def test_kruskal_weight_span_beyond_a_global_shift(self):
+        # the graph above: a kruskal sampler shifted by the global minimum
+        # weight drew edges 2 and 3 uniformly, chi2 about 13,000
+        g = build_graph(3, [(1, 2), (2, 3), (2, 3)], [0.0, 1000.0, 1001.0])
+        result = tree_distribution_test(g, 3.0, 20000, 0.001, master_seed=1,
+                                        mechanisms=("kruskal",))["kruskal"]
+        assert result.passed
 
     def test_k5_with_unequal_weights(self):
         g = build_graph(5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)],

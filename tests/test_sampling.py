@@ -15,7 +15,7 @@ from dpmst.rng import RngStream
 from dpmst.sampling import (MatroidOracleError, SamplingTree,
                             private_max_weight_basis,
                             race_sample_without_replacement, race_scores,
-                            sample_without_replacement, sum_tree)
+                            sample_without_replacement)
 from dpmst.selfcheck import graphic_matroid_oracle
 
 from .test_graph import k4
@@ -185,8 +185,8 @@ class TestPop:
         # the root rounds 1 + 1.5 * 2^-53 up to 1 + 2^-52, so u = 1 leaves
         # 2^-52 > leaf 2's weight for the right side, whose right child is
         # empty: the descent must still end on leaf 2
-        popped = SamplingTree([1.0, 1.0, 1.5 * 2.0 ** -53, 1.0])
-        former = popped.copy()
+        weights = [1.0, 1.0, 1.5 * 2.0 ** -53, 1.0]
+        popped, former = SamplingTree(weights), SamplingTree(weights)
         for leaf in (1, 3):
             popped.remove(leaf)
             _former_remove(former, leaf)
@@ -205,40 +205,6 @@ class TestPop:
             _former_remove(former, leaf)
             assert popped.pop(a) == leaf
         assert popped._sums == former._sums
-
-    def test_copy_is_independent(self):
-        tree = SamplingTree([1.0, 2.0, 3.0])
-        sums = list(tree._sums)
-        twin = tree.copy()
-        twin.pop(FixedUniform(1.0))
-        assert (tree._sums, tree.live) == (sums, 3)
-        assert (twin.total, twin.live) == (3.0, 2)
-
-
-class TestSampleRows:
-    def test_same_leaf_as_the_scalar_descent(self):
-        # every removal mask of random weights, at random uniforms, at 1 and
-        # 2^-53, and at each cumulative boundary of the live leaves and the
-        # doubles on either side of it
-        stream = RngStream(26)
-        for m in (1, 2, 3, 5, 8):
-            for weights in (stream.uniform(m) * 10.0 ** stream.uniform(m),
-                            np.ones(m), 2.0 ** -np.arange(m)):
-                masks = np.arange(1 << m)[:-1]  # all but the empty tree
-                removed = (masks[:, None] >> np.arange(m)) & 1 == 1
-                table = sum_tree(np.where(removed, 0.0, weights))
-                for mask in masks.tolist():
-                    tree = SamplingTree(weights)
-                    for leaf in np.flatnonzero(removed[mask]).tolist():
-                        tree.remove(leaf)
-                    assert table[mask].tolist() == tree._sums
-                    live = np.where(removed[mask], 0.0, weights)
-                    edges = np.cumsum(live) / tree.total
-                    us = np.concatenate((stream.uniform(20), [1.0, 2.0 ** -53], edges,
-                                         np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)))
-                    us = us[(us > 0.0) & (us <= 1.0)]
-                    got = SamplingTree.sample_rows(table, np.full(len(us), mask), us)
-                    assert got.tolist() == [tree.sample(FixedUniform(u)) for u in us.tolist()]
 
 
 class FixedUniform:
