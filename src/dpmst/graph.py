@@ -46,9 +46,6 @@ class SpanningTree:
 
     edge_ids: frozenset[int]
 
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edge_ids))
-
     def __len__(self):
         return len(self.edge_ids)
 

@@ -19,8 +19,8 @@ from .exact import (ChiSquareResult, by_edge_set, chi_square_gof,
                     exact_tree_distribution, join_table, prim_tree_distribution)
 from .graph import WeightedGraph, build_graph, tree_weight
 from .instances import erdos_renyi_instance
-from .mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
-                         _noisy_kruskal, perturb_weights, run_mechanism)
+from .mechanisms import (MECHANISMS, UnknownMechanismError, _dijkstra_tree,
+                         perturb_weights, run_mechanism)
 from .rng import RngStream
 
 CSV_COLUMNS = ("mechanism", "n", "m", "p", "eps", "delta", "rho", "eps_prime",
@@ -202,23 +202,7 @@ def family_graph(family: str) -> WeightedGraph:
     return build_graph(n, edges, weights, delta_inf=1.0)
 
 
-def _wrong_exponent_mst(g, budget, stream) -> MechanismResult:
-    """Deliberately broken sampler: exponent eps' instead of eps'/2.
-
-    exp(-eps' * w / delta_inf) is the race at twice the per-round budget.
-    Kept for suite calibration; the goodness-of-fit test must reject it.
-    """
-    return _noisy_kruskal(g, 2.0 * budget.per_round(g.n - 1), budget.delta_inf, stream)
-
-
-_EXTRA_MECHANISMS = {"mutant": _wrong_exponent_mst}
-
-# the ids whose body is _noisy_kruskal, each with the multiple of eps' it
-# perturbs at; tree_distribution_test tallies their trials in bulk
-_NOISY_KRUSKAL_FACTORS = {"perturb": 1.0, "kruskal": 1.0, "onepass": 1.0,
-                          "mutant": 2.0}
-
-# noise variates per block of the noise-then-Kruskal tally (2 MiB of doubles)
+# noise variates per block of a tally (2 MiB of doubles)
 _BLOCK_VARIATES = 1 << 18
 
 
@@ -233,79 +217,93 @@ class EquivalenceResult:
         return self.chi.passed
 
 
-def _tally_noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
-                         trials: int, stream: RngStream,
-                         joins: np.ndarray | None = None) -> dict[frozenset, int]:
-    """The tree tally of ``trials`` successive ``_noisy_kruskal`` calls on
-    ``stream``, with Kruskal run over every noise row at once.
+def _kruskal_masks(g: WeightedGraph, noisy: np.ndarray, coef: float,
+                   joins: np.ndarray) -> np.ndarray:
+    """Exact Kruskal's tree of each row of ``noisy``, as an edge mask. Each
+    row's stable argsort is the scan order of ``kruskal_mst``, ties (-inf
+    ones included) broken by edge id; the m scan steps then run over all
+    rows together, one lookup in ``joins`` each. ``coef`` is unused: no
+    positive scale changes the order."""
+    accepted = np.zeros(len(noisy), dtype=np.intp)
+    for e in np.argsort(noisy, axis=1, kind="stable").T:
+        accepted |= joins[accepted, e]
+    return accepted
 
-    The noise comes in blocks of ``perturb_weights`` rows, row t being the
-    vector that call t would draw. Each row's stable argsort is the scan
-    order of ``kruskal_mst``, ties (-inf ones included) broken by edge id;
-    the m scan steps then run over all rows together, one lookup in the
-    join table of ``exact.join_table`` each.
+
+def _prim_masks(g: WeightedGraph, noisy: np.ndarray, coef: float,
+                joins: np.ndarray) -> np.ndarray:
+    """``pamst``'s tree of each row of ``noisy``, as an edge mask: the
+    shortest-path tree from vertex 1 under lengths exp(coef * w~_e), by the
+    ``_dijkstra_tree`` that ``pamst`` calls with one row."""
+    noisy *= coef
+    return _dijkstra_tree(g, noisy)[0] @ (1 << np.arange(g.m))
+
+
+# each id the suite judges: the tree rule it applies to perturb_weights rows
+# and the multiple of eps' it draws them at. The mutants, exponent eps' /
+# delta_inf for eps' / (2 * delta_inf), are judged at eps' and must fail.
+_JUDGED = {"perturb": (_kruskal_masks, 1.0), "kruskal": (_kruskal_masks, 1.0),
+           "onepass": (_kruskal_masks, 1.0), "mutant": (_kruskal_masks, 2.0),
+           "pamst": (_prim_masks, 1.0), "pamst-mutant": (_prim_masks, 2.0)}
+
+
+def _tally_trees(g: WeightedGraph, rule, eps_prime: float, delta_inf: float,
+                 trials: int, stream: RngStream, joins: np.ndarray) -> dict[frozenset, int]:
+    """The tree tally of ``trials`` successive releases on ``stream`` that
+    each draw ``perturb_weights(g, eps_prime, delta_inf, stream)`` and
+    release ``rule``'s tree of it, given g's ``join_table``. The noise
+    comes in blocks of ``perturb_weights`` rows, row t being the
+    vector that release t would draw, and ``rule`` maps a whole block to one
+    edge mask per row, with coef = eps' / (2 * delta_inf).
     """
-    if joins is None:
-        joins = join_table(g)
     block = max(1, _BLOCK_VARIATES // g.m)
+    coef = eps_prime / (2.0 * delta_inf)
     tally = np.zeros(len(joins), dtype=np.int64)
     for start in range(0, trials, block):
         noisy = perturb_weights(g, eps_prime, delta_inf, stream,
                                 rows=min(block, trials - start))
-        accepted = np.zeros(len(noisy), dtype=np.intp)
-        for e in np.argsort(noisy, axis=1, kind="stable").T:
-            accepted |= joins[accepted, e]
-        tally += np.bincount(accepted, minlength=len(tally))
+        tally += np.bincount(rule(g, noisy, coef, joins), minlength=len(tally))
     return by_edge_set(tally, np.flatnonzero(tally))
 
 
 def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
                            alpha: float, master_seed: int = 0,
                            mechanisms=EQUIV_MECHANISMS) -> dict[str, EquivalenceResult]:
-    """Tally each mechanism's trees and chi-square them against its exact
-    tree distribution: ``pamst``'s Prim-cut one, and the private-Kruskal one
-    for every other id. ``sealfon-laplace`` and ``sealfon-gauss`` have no
-    exact tree distribution and are refused before any draw.
+    """Tally each id's trees and chi-square them against the exact tree
+    distribution of its rule in ``_JUDGED`` at eps': the Prim-cut one for
+    ``pamst`` and ``pamst-mutant``, private Kruskal's for the others.
+    ``sealfon-laplace`` and ``sealfon-gauss`` have no exact tree
+    distribution and are refused before any draw.
 
-    Mechanism idx draws from stream (master_seed, (idx,)). The input
-    perturbation ids (``_NOISY_KRUSKAL_FACTORS``, ``kruskal`` among them)
-    are tallied in bulk by ``_tally_noisy_kruskal``, with the same trees as
-    one call per trial. The tally and the Kruskal oracle read one join
-    table. Every other id runs once per trial through its registry.
+    Id idx draws from stream (master_seed, (idx,)), tallied in bulk by
+    ``_tally_trees`` with the same trees as one call per trial. The tally
+    and the Kruskal oracle read one join table.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 < eps_prime < math.inf:  # also false for NaN
         raise ValueError(f"eps_prime must be positive and finite, got {eps_prime}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     for mech in mechanisms:
         if mech in ("sealfon-laplace", "sealfon-gauss"):  # release the noisy vector
             raise ValueError(f"{mech!r} has no exact tree distribution to test against")
-        if mech not in MECHANISMS and mech not in _EXTRA_MECHANISMS:
+        if mech not in _JUDGED:
             raise UnknownMechanismError(f"unknown mechanism {mech!r}")
     joins = join_table(g)  # needs m <= exact.MAX_EDGES
     rounds = g.n - 1
     budget = PrivacyBudget.from_rho(rounds * eps_prime ** 2 / 2.0, 1e-6, g.delta_inf)
     eps_used = budget.per_round(rounds)  # bit-identical to what mechanisms derive
-    oracle = {}  # each oracle is computed once, and only if an id needs it
-    if "pamst" in mechanisms:
-        oracle["pamst"] = prim_tree_distribution(g, eps_used, g.delta_inf)
-    if kruskal_ids := set(mechanisms) - {"pamst"}:
-        oracle |= dict.fromkeys(kruskal_ids, exact_tree_distribution(
-            g, eps_used, g.delta_inf, joins=joins))
+    oracle = {}  # each rule's oracle is computed once, and only if an id needs it
     out: dict[str, EquivalenceResult] = {}
     for idx, mech in enumerate(mechanisms):
-        fn = _EXTRA_MECHANISMS.get(mech) or MECHANISMS[mech]
-        stream = RngStream(master_seed, (idx,))
-        factor = _NOISY_KRUSKAL_FACTORS.get(mech)
-        if factor is not None:
-            counts = _tally_noisy_kruskal(g, factor * eps_used, budget.delta_inf,
-                                          trials, stream, joins)
-        else:
-            counts = {}
-            for _ in range(trials):
-                tree = fn(g, budget, stream).tree
-                counts[tree.edge_ids] = counts.get(tree.edge_ids, 0) + 1
-        chi = chi_square_gof(counts, oracle[mech], alpha)
+        rule, factor = _JUDGED[mech]
+        if rule not in oracle:
+            oracle[rule] = (prim_tree_distribution(g, eps_used, g.delta_inf) if rule is _prim_masks
+                            else exact_tree_distribution(g, eps_used, g.delta_inf, joins=joins))
+        counts = _tally_trees(g, rule, factor * eps_used, budget.delta_inf, trials,
+                              RngStream(master_seed, (idx,)), joins)
+        chi = chi_square_gof(counts, oracle[rule], alpha)
         out[mech] = EquivalenceResult(mechanism=mech, counts=counts, chi=chi)
     return out
 

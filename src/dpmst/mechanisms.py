@@ -5,9 +5,9 @@ perturbation, the one noise-then-Kruskal body (``_noisy_kruskal``). It
 samples the tree distribution of Kruskal with the exponential mechanism in
 every round, so ``kruskal`` is that body plus the op counts of its scan. The
 baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input
-privatization) and ``pamst`` (Prim-based). ``pamst`` too reads the vector
-``perturb_weights`` draws: its tree is the shortest-path tree from vertex 1
-under lengths exp(eps' / (2 * delta_inf) * w~_e).
+privatization) and ``pamst`` (Prim-based): the shortest-path tree from
+vertex 1 under lengths exp(eps' / (2 * delta_inf) * w~_e) of ``perturb``'s
+vector w~, which ``_dijkstra_tree`` computes for a block of vectors at once.
 
 Every mechanism takes (graph, budget, stream) and returns a MechanismResult;
 none reads system entropy.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -163,10 +164,10 @@ def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
 PAMST_MAX_LOG_SPAN = 700.0
 # It also does so on graphs of at most PAMST_RACE_MAX_N vertices, where the
 # race's n-1 rounds cost less than Dijkstra's fixed cost (mostly scipy's
-# input checks). Median us a call on 300 noisy vectors, Dijkstra with its
-# certificate against the race, 2-core x86 machine: K3 52 against 24, K4 53
-# against 35, K5 53 against 46, K6 52 against 57, K8 53 against 80.
-PAMST_RACE_MAX_N = 5
+# input checks). Median us a call on 300 noisy vectors, one-row Dijkstra
+# against the race, shared 2-core x86 machine: K3 85 against 24, K5 122
+# against 70, K8 138 against 126, K9 134 against 139, K10 135 against 157.
+PAMST_RACE_MAX_N = 8
 
 
 def pamst(g: WeightedGraph, budget: PrivacyBudget,
@@ -191,41 +192,38 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     of it alone. The vector is not returned (``noisy_weights`` is None): the
     tree is not its minimum spanning tree.
 
-    ``_dijkstra_tree`` computes the tree with one scipy Dijkstra and keeps
-    it only under a certificate that no rounding can have changed it; when
-    the certificate fails, or the clocks span more than
-    ``PAMST_MAX_LOG_SPAN`` in logs, or a w~ is -inf, or the graph has at
-    most ``PAMST_RACE_MAX_N`` vertices, ``_prim_race`` runs the race on log
-    clocks instead. Both give the tree of the same w~.
-
-    ``ops["edge_scans"]`` counts the incidence slots read (2m a path, so
-    at most 4m); ``ops["draws"]`` is m, one per edge.
+    ``_dijkstra_tree`` computes the tree as a block of one row, or
+    ``_prim_race`` on at most ``PAMST_RACE_MAX_N`` vertices: the same tree.
+    ``ops["edge_scans"]`` counts incidence slots read, 2m a path (4m without
+    a certified Dijkstra tree); ``ops["draws"]`` is m, one per edge.
     """
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
     log_clock = perturb_weights(g, eps_prime, budget.delta_inf, stream)
     log_clock *= eps_prime / (2.0 * budget.delta_inf)
-    chosen, scans = None, 0
     if g.n > PAMST_RACE_MAX_N:
-        lo = log_clock.min()
-        if lo > -math.inf and log_clock.max() - lo < PAMST_MAX_LOG_SPAN:
-            chosen, scans = _dijkstra_tree(g, log_clock, lo), 2 * g.m
-    if chosen is None:
-        chosen, scans = _prim_race(g, log_clock), scans + 2 * g.m
+        tree, certified = _dijkstra_tree(g, log_clock[None])
+        chosen = (np.flatnonzero(tree[0]) + 1).tolist()
+        scans = 2 * g.m if certified[0] else 4 * g.m
+    else:
+        chosen, scans = _prim_race(g, log_clock), 2 * g.m
     return MechanismResult(tree=SpanningTree(frozenset(chosen)),
                            wall_time_ns=time.perf_counter_ns() - t0,
                            ops={"edge_scans": scans, "draws": g.m})
 
 
-def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray,
-                   lo: float) -> list[int] | None:
-    """The shortest-path tree from vertex 1 under lengths
-    X_e = exp(log_clock_e - lo) >= 1, as 1-based edge ids, or None when
-    its certificate fails.
+def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest-path tree from vertex 1 of each row of a (rows, m)
+    block, under lengths X_e = exp(log_clock_e), as a (rows, m) boolean edge
+    mask, and whether Dijkstra's tree was certified for the row. The other
+    rows, and those whose clocks hold a -inf or span ``PAMST_MAX_LOG_SPAN``
+    or more in logs, take ``_prim_race``'s tree.
 
-    One ``scipy.sparse.csgraph.dijkstra`` call returns the distances t.
-    The certificate reads each edge's slack min(t_u, t_v) + X_e -
-    max(t_u, t_v). Dijkstra set each t_v as the float sum t_p + X_e along
+    One ``scipy.sparse.csgraph.dijkstra`` call runs over disjoint copies of
+    the graph, one per row with its own source, under lengths
+    exp(log_clock_e - lo) >= 1 for the row's minimum lo. The certificate
+    reads each edge's slack min(t_u, t_v) + X_e - max(t_u, t_v) on the
+    distances t. Dijkstra set each t_v as the float sum t_p + X_e along
     v's tree edge, so the n-1 tree edges have slack exactly 0. The tree is
     kept only if no other edge does and every other slack exceeds
     4 n 2^-53 max(t_u, t_v). That bound covers the rounding of n-1 sums
@@ -233,23 +231,38 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray,
     non-tree edges are positive too: the tree is the unique shortest-path
     tree of the lengths X_e, and no ties or swamped clocks chose it.
     """
-    length = np.exp(log_clock - lo)
-    indptr, cols = g.adjacency
-    t = np.empty(g.n + 1)  # t[v] for vertex v, so the 1-based endpoints index it
-    t[1:] = dijkstra(csr_matrix((length[g.incidence[1]], cols, indptr),
-                                shape=(g.n, g.n)), indices=0)
-    tu, tv = t[g.u_arr], t[g.v_arr]
-    far = np.maximum(tu, tv)
-    slack = np.minimum(tu, tv, out=tu)
-    slack += length
-    slack -= far
-    tight = slack == 0.0
-    far *= 4.0 * g.n * 2.0 ** -53
-    # a NaN slack (an overflowed t) is neither tight nor above the bound
-    if (np.count_nonzero(tight) != g.n - 1
-            or np.count_nonzero(slack > far) != g.m - g.n + 1):
-        return None
-    return (np.flatnonzero(tight) + 1).tolist()
+    n, m = g.n, g.m
+    lo = log_clock.min(axis=1)
+    certified = log_clock.max(axis=1) < lo + PAMST_MAX_LOG_SPAN  # false at lo = -inf
+    tree = np.zeros(log_clock.shape, dtype=bool)
+    rows = np.flatnonzero(certified)
+    if k := len(rows):
+        length = np.exp(log_clock[rows] - lo[rows, None])
+        slots, (indptr, cols) = g.incidence[1], g.adjacency
+        # copy c numbers its vertices from c * n and its slots from c * m; one
+        # row is g's own arrays: the three offset copies cost a K256 call 25%
+        if k > 1:
+            copy = np.arange(k)[:, None]
+            slots = (slots + m * copy).ravel()
+            indptr = np.append((indptr[:-1] + 2 * m * copy).ravel(), 2 * m * k)
+            cols = (cols + n * copy).ravel()
+        block = csr_matrix((length.ravel()[slots], cols, indptr), shape=(k * n, k * n))
+        t = np.empty((k, n + 1))  # t[:, v] for vertex v, so the 1-based endpoints index it
+        t[:, 1:] = dijkstra(block, indices=n * np.arange(k), min_only=True).reshape(k, n)
+        tu, tv = np.take(t, g.u_arr, axis=1), np.take(t, g.v_arr, axis=1)
+        far = np.maximum(tu, tv)
+        slack = np.minimum(tu, tv, out=tu)
+        slack += length
+        slack -= far
+        tight = slack == 0.0
+        far *= 4.0 * n * 2.0 ** -53
+        # a NaN slack (an overflowed t) is neither tight nor above the bound
+        certified[rows] = ((np.bincount(np.flatnonzero(tight) // m, minlength=k) == n - 1)
+                           & (tight | (slack > far)).all(axis=1))
+        tree[rows] = tight
+    for r in np.flatnonzero(~certified):
+        tree[r] = np.isin(np.arange(1, m + 1), _prim_race(g, log_clock[r]))
+    return tree, certified
 
 
 def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> list[int]:
@@ -299,21 +312,13 @@ def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> list[int]:
     return chosen
 
 
-def _sealfon_laplace(g, budget, stream):
-    return sealfon_mst(g, budget, stream, mode="laplace_pure")
-
-
-def _sealfon_gauss(g, budget, stream):
-    return sealfon_mst(g, budget, stream, mode="gaussian_zcdp")
-
-
 MECHANISMS = {
     "perturb": input_perturbation_mst,
     "kruskal": private_kruskal_mst,
     "onepass": input_perturbation_mst,
     "pamst": pamst,
-    "sealfon-laplace": _sealfon_laplace,
-    "sealfon-gauss": _sealfon_gauss,
+    "sealfon-laplace": partial(sealfon_mst, mode="laplace_pure"),
+    "sealfon-gauss": partial(sealfon_mst, mode="gaussian_zcdp"),
 }
 
 

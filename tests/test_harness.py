@@ -10,16 +10,17 @@ from dpmst.accounting import PrivacyBudget
 from dpmst.exact import (MAX_EDGES, SizeGuardError, chi_square_gof, join_table,
                          prim_tree_distribution)
 from dpmst.graph import SpanningTree, build_graph, tree_weight
-from dpmst.harness import (CSV_COLUMNS, _run_single_trial, _tally_noisy_kruskal,
-                           _wrong_exponent_mst, density_sweep, emit_csv, equivalence_suite,
-                           family_graph, run_trials, tree_distribution_test)
+from dpmst.harness import (CSV_COLUMNS, _JUDGED, _kruskal_masks, _prim_masks,
+                           _run_single_trial, _tally_trees, density_sweep, emit_csv,
+                           equivalence_suite, family_graph, run_trials,
+                           tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
 from dpmst.mechanisms import MECHANISMS, MechanismResult, UnknownMechanismError
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
 from .test_mechanisms import (budget_for_eps_prime, light_triangles_heavy_bridges,
-                              parallel_edges, tree_counts)
+                              parallel_edges, tree_counts, wrong_exponent)
 
 
 @pytest.fixture(scope="module")
@@ -219,12 +220,33 @@ TALLY_GRAPHS = {
 }
 
 BULK = {"perturb": MECHANISMS["perturb"], "onepass": MECHANISMS["onepass"],
-        "mutant": _wrong_exponent_mst, "kruskal": MECHANISMS["kruskal"]}
+        "mutant": wrong_exponent, "kruskal": MECHANISMS["kruskal"]}
 
 TALLY_CASES = [(name, mech) for name in sorted(TALLY_GRAPHS) for mech in sorted(BULK)]
 # m = 8, and Kruskal's scan often reads and skips a triangle's third edge
 TALLY_GRAPHS["light-triangles-heavy-bridges"] = light_triangles_heavy_bridges
 TALLY_CASES.append(("light-triangles-heavy-bridges", "kruskal"))
+# m = 15, the largest graph here
+TALLY_GRAPHS["k6-asymmetric"] = lambda: build_graph(
+    6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)],
+    [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3, 5.8, 9.7, 9.3, 2.3, 8.4, 6.2, 6.4, 3.3],
+    delta_inf=1.0)
+# the graph of TestPamst::test_heavy_then_light: the certificate failed on
+# all 50,000 rows of one eps' = 1 block, so the tally races row by row
+TALLY_GRAPHS["heavy-then-light"] = lambda: build_graph(
+    4, [(1, 2), (2, 3), (2, 4), (3, 4)], [100.0, 0.0, 0.3, 0.1])
+# per call, pamst runs the race on all of these; the tally runs Dijkstra
+BULK["pamst"] = MECHANISMS["pamst"]
+TALLY_CASES += [(name, "pamst") for name in (
+    "k3", "k4", "k4-asymmetric", "parallel-edges", "light-triangles-heavy-bridges",
+    "k6-asymmetric", "heavy-then-light")]
+
+
+def oracle(mech, g, eps_prime):
+    """The exact tree distribution that ``mech`` is judged against."""
+    if _JUDGED[mech][0] is _prim_masks:
+        return prim_tree_distribution(g, eps_prime, g.delta_inf)
+    return exact.exact_tree_distribution(g, eps_prime, g.delta_inf)
 
 
 class TestBulkTally:
@@ -243,25 +265,26 @@ class TestBulkTally:
                 # the per-trial loop that the bulk tally replaces
                 ref = tree_counts(BULK[mech], g, budget, trials, RngStream(seed, (0,)))
                 assert got.counts == ref
-                assert got.chi == harness.chi_square_gof(
-                    ref, harness.exact_tree_distribution(
-                        g, budget.per_round(g.n - 1), g.delta_inf), 0.001)
+                assert got.chi == chi_square_gof(
+                    ref, oracle(mech, g, budget.per_round(g.n - 1)), 0.001)
 
     @pytest.mark.parametrize("cut", [np.inf, 0.5])
     @pytest.mark.parametrize("name", ["k4", "k4-asymmetric", "parallel-edges"])
     def test_minus_inf_rows(self, name, cut, monkeypatch):
         # every draw 0, or about 40% of them: rows of -inf ties, which the
-        # stable order breaks by edge id, as kruskal_mst does
+        # stable order breaks by edge id, as kruskal_mst does, and which
+        # send pamst's rows to the race
         g = TALLY_GRAPHS[name]()
         budget = budget_for_eps_prime(g, 1.0)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 50)
-        got = _tally_noisy_kruskal(g, budget.per_round(g.n - 1), budget.delta_inf,
-                                   500, ZeroedExponential(RngStream(6), cut))
-        ref = tree_counts(MECHANISMS["perturb"], g, budget, 500,
-                          ZeroedExponential(RngStream(6), cut))
-        assert got == ref
-        if cut == np.inf:
-            assert got == {graph.kruskal_mst(g, np.zeros(g.m)).edge_ids: 500}
+        for rule, mech in ((_kruskal_masks, "perturb"), (_prim_masks, "pamst")):
+            got = _tally_trees(g, rule, budget.per_round(g.n - 1), budget.delta_inf,
+                               500, ZeroedExponential(RngStream(6), cut), join_table(g))
+            ref = tree_counts(MECHANISMS[mech], g, budget, 500,
+                              ZeroedExponential(RngStream(6), cut))
+            assert got == ref
+            if cut == np.inf and mech == "perturb":
+                assert got == {graph.kruskal_mst(g, np.zeros(g.m)).edge_ids: 500}
 
     @pytest.mark.parametrize("values", [[1.0], [2.0 ** -53],
                                         [1.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53,
@@ -281,6 +304,22 @@ class TestBulkTally:
         ref = tree_counts(MECHANISMS["kruskal"], g, budget, 400, CycledUniform(values))
         assert got["kruskal"].counts == ref
         assert len(stub.sizes) > 1 and max(math.prod(s) for s in stub.sizes) <= 50
+
+    @pytest.mark.parametrize("values", [[1.0], [2.0 ** -53],
+                                        [1.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53,
+                                         0.25, 1.0 / 3.0, 0.75]],
+                             ids=["one", "tiny", "mix"])
+    @pytest.mark.parametrize("name", sorted(TALLY_GRAPHS))
+    def test_pamst_at_extreme_uniforms(self, name, values, monkeypatch):
+        # all -inf noise sends every row to the race, all-equal noise gives
+        # Dijkstra ties, and the mix gives both within one block
+        g = TALLY_GRAPHS[name]()
+        budget = budget_for_eps_prime(g, 1.0)
+        monkeypatch.setattr(harness, "_BLOCK_VARIATES", 50)
+        monkeypatch.setattr(harness, "RngStream", lambda *args: CycledUniform(values))
+        got = tree_distribution_test(g, 1.0, 400, 0.001, mechanisms=("pamst",))
+        ref = tree_counts(MECHANISMS["pamst"], g, budget, 400, CycledUniform(values))
+        assert got["pamst"].counts == ref
 
     @staticmethod
     def count_kruskal_calls(monkeypatch):
@@ -344,10 +383,9 @@ class TestBulkTally:
             raise AssertionError("drew noise before the size check")
 
         monkeypatch.setattr(harness, "perturb_weights", no_draw)
-        with pytest.raises(SizeGuardError):
-            tree_distribution_test(g, 1.0, 100, 0.001, mechanisms=("perturb",))
-        with pytest.raises(SizeGuardError):
-            _tally_noisy_kruskal(g, 1.0, 1.0, 100, RngStream(0))
+        for mech in ("perturb", "pamst"):
+            with pytest.raises(SizeGuardError):
+                tree_distribution_test(g, 1.0, 100, 0.001, mechanisms=(mech,))
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_below_one_rejected_before_any_draw(self, trials, monkeypatch):
@@ -368,23 +406,27 @@ class TestBulkTally:
         with pytest.raises(ValueError, match="eps_prime must be positive and finite"):
             equivalence_suite("k3", eps_prime, 100, 0.001)
 
-    def test_other_ids_run_once_per_trial_through_the_registry(self, monkeypatch):
-        calls = {"kruskal": 0, "pamst": 0, "perturb": 0}
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, np.nan])
+    def test_bad_alpha_rejected_before_any_draw(self, alpha, monkeypatch):
+        # alpha used to be checked only by the first chi-square, after that
+        # id's whole tally
+        def no_stream(*args):
+            raise AssertionError("opened a stream before the alpha check")
 
-        def counting(mech):
-            fn = MECHANISMS[mech]
+        monkeypatch.setattr(harness, "RngStream", no_stream)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            equivalence_suite("k3", 1.0, 100, alpha)
 
-            def call(g, budget, stream):
-                calls[mech] += 1
-                return fn(g, budget, stream)
-            return call
+    def test_no_id_runs_through_the_registry(self, monkeypatch):
+        def no_call(g, budget, stream):
+            raise AssertionError("a registry function ran")
 
-        for mech in calls:
-            monkeypatch.setitem(MECHANISMS, mech, counting(mech))
+        for mech in list(MECHANISMS):
+            monkeypatch.setitem(MECHANISMS, mech, no_call)
         results = equivalence_suite("k3", 1.0, 300, 0.001, master_seed=2,
-                                    mechanisms=("kruskal", "pamst", "perturb"))
-        assert calls == {"kruskal": 0, "pamst": 300, "perturb": 0}
-        assert sum(results["pamst"].counts.values()) == 300
+                                    mechanisms=tuple(_JUDGED))
+        assert set(results) == set(_JUDGED)
+        assert all(sum(r.counts.values()) == 300 for r in results.values())
 
 
 class TestOracles:
@@ -400,6 +442,17 @@ class TestOracles:
         assert result.chi == chi_square_gof(
             result.counts, prim_tree_distribution(g, eps_used), 0.001)
         assert result.passed
+
+    @pytest.mark.parametrize("graph", [
+        lambda: triangle([1.0, 2.0, 3.0]), lambda: k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]),
+    ], ids=["k3", "k4-asymmetric"])
+    def test_prim_mutant_rejected(self, graph):
+        # at twice eps' pamst's trees leave the Prim-cut oracle: chi2 about
+        # 790 against 13.8 on k3 and 2,160 against 37.7 on the K4
+        results = tree_distribution_test(graph(), 1.0, 5000, 0.001, master_seed=1,
+                                         mechanisms=("pamst", "pamst-mutant"))
+        assert results["pamst"].passed
+        assert not results["pamst-mutant"].passed
 
     @pytest.mark.parametrize("mech", ["sealfon-laplace", "sealfon-gauss"])
     def test_ids_without_an_exact_tree_distribution_refused(self, mech, monkeypatch):

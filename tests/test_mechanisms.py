@@ -9,10 +9,9 @@ from dpmst.accounting import PrivacyBudget, gaussian_sigma_for_input_privatizati
 from dpmst.exact import (chi_square_gof, exact_tree_distribution,
                          prim_tree_distribution)
 from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
-from dpmst.harness import _EXTRA_MECHANISMS
 from dpmst.instances import erdos_renyi_instance
 from dpmst.mechanisms import (MECHANISMS, UnknownMechanismError,
-                              input_perturbation_mst,
+                              input_perturbation_mst, _noisy_kruskal,
                               _dijkstra_tree, _prim_race, one_pass_mst,
                               pamst, perturb_weights,
                               private_kruskal_mst, run_mechanism, sealfon_mst)
@@ -91,6 +90,10 @@ def _reference_one_pass(g, budget, stream):
     with np.errstate(divide="ignore"):
         scores = np.log(z) + eps_prime * (w - w.min()) / (2.0 * budget.delta_inf)
     return kruskal_mst(g, scores).edge_ids
+
+
+def wrong_exponent(g, budget, stream):
+    return _noisy_kruskal(g, 2.0 * budget.per_round(g.n - 1), budget.delta_inf, stream)
 
 
 def _reference_wrong_exponent(g, budget, stream):
@@ -322,14 +325,13 @@ class TestOnePass:
         # onepass and the mutant are input perturbation at eps' and 2 eps';
         # their former bodies ranked log-form race scores instead
         g = graph()
-        mutant = _EXTRA_MECHANISMS["mutant"]
         for budget in (PrivacyBudget.from_rho(0.01, 1e-6, 1.0),
                        PrivacyBudget.from_rho(1.0, 1e-6, 0.1), HUGE):
             for seed in range(10):
                 got = run_mechanism("onepass", g, budget, RngStream(35, (seed,)))
                 assert got.tree.edge_ids == _reference_one_pass(
                     g, budget, RngStream(35, (seed,)))
-                got = mutant(g, budget, RngStream(36, (seed,)))
+                got = wrong_exponent(g, budget, RngStream(36, (seed,)))
                 assert got.tree.edge_ids == _reference_wrong_exponent(
                     g, budget, RngStream(36, (seed,)))
 
@@ -436,7 +438,9 @@ class TestPamst:
         g = build_graph(4, [(1, 2), (2, 3), (2, 4), (3, 4)], [100.0, 0.0, 0.3, 0.1])
         budget = budget_for_eps_prime(g, 1.0)
         noisy = perturb_weights(g, 1.0, 1.0, RngStream(45))
-        assert _dijkstra_tree(g, 0.5 * noisy, 0.5 * noisy.min()) is None
+        tree, certified = _dijkstra_tree(g, 0.5 * noisy[None])
+        assert not certified[0]
+        assert sorted(np.flatnonzero(tree[0]) + 1) == sorted(_prim_race(g, 0.5 * noisy))
         counts = tree_counts(pamst, g, budget, 20000, RngStream(46))
         assert chi_square_gof(counts, prim_tree_distribution(g, 1.0), 0.001).passed
 
@@ -444,8 +448,11 @@ class TestPamst:
         # lengths 1, 1 and 2 + 2^-51 on (1,2), (2,3), (1,3): the path through
         # vertex 2 wins by about an ulp, inside the rounding bound
         g = build_graph(3, [(1, 2), (2, 3), (1, 3)], [0.0, 0.0, 0.0])
-        assert _dijkstra_tree(g, np.log([1.0, 1.0, 2.0 + 2.0 ** -51]), 0.0) is None
-        assert sorted(_dijkstra_tree(g, np.log([1.0, 1.0, 3.0]), 0.0)) == [1, 2]
+        tree, certified = _dijkstra_tree(g, np.log([[1.0, 1.0, 2.0 + 2.0 ** -51],
+                                                    [1.0, 1.0, 3.0]]))
+        assert certified.tolist() == [False, True]
+        # the refused row takes the race's tree, which the exact lengths give
+        assert tree.tolist() == [[True, True, False], [True, True, False]]
 
     @pytest.mark.parametrize("graph", [
         lambda: erdos_renyi_instance(60, 0.3, 0, 100, RngStream(47)),
@@ -456,15 +463,14 @@ class TestPamst:
     def test_dijkstra_and_exact_path_agree(self, graph, rho):
         g = graph()
         eps_prime = PrivacyBudget.from_rho(rho, 1e-6, 0.1).per_round(g.n - 1)
-        certified = 0
-        for seed in range(20):
-            clock = perturb_weights(g, eps_prime, 0.1, RngStream(49, (seed,)))
-            clock *= eps_prime / 0.2
-            tree = _dijkstra_tree(g, clock, clock.min())
-            if tree is not None:
-                certified += 1
-                assert sorted(tree) == sorted(_prim_race(g, clock))
-        assert certified > 0
+        clock = np.stack([perturb_weights(g, eps_prime, 0.1, RngStream(49, (seed,)))
+                          for seed in range(20)])
+        clock *= eps_prime / 0.2
+        # the 20 seeds as one block: each row is its own copy of the graph
+        tree, certified = _dijkstra_tree(g, clock)
+        assert certified.any()
+        for row, c in zip(tree, clock):
+            assert sorted(np.flatnonzero(row) + 1) == sorted(_prim_race(g, c))
 
     def test_huge_budget_returns_true_mst_on_dense_graph(self):
         g = erdos_renyi_instance(64, 1.0, 0, 100, RngStream(40))
