@@ -12,7 +12,6 @@ from itertools import combinations
 from math import fsum, inf
 
 import numpy as np
-from scipy.special import chdtri
 
 from .graph import DisjointSets, SpanningTree, WeightedGraph
 
@@ -247,7 +246,9 @@ def chi_square_gof(counts, exact: ExactDistribution, alpha: float,
 
     Bins with expected count below ``min_expected`` are pooled (the pool folds
     into the smallest regular bin if it stays undersized). Any observed mass
-    outside the exact support fails outright.
+    outside the exact support fails outright. The threshold is the upper-alpha
+    chi-square quantile, from ``scipy.special.chdtri``, which is imported on
+    the first call so that ``import dpmst`` does not load scipy.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -258,25 +259,25 @@ def chi_square_gof(counts, exact: ExactDistribution, alpha: float,
         raise ValueError("degenerate support")
     stray = sum(c for outcome, c in counts.items()
                 if c > 0 and outcome not in exact.probs)
-    df_full = len(exact.probs) - 1
     if stray:
-        threshold = float(chdtri(df_full, alpha))
-        return ChiSquareResult(inf, df_full, threshold, alpha, False)
+        statistic, df = inf, len(exact.probs) - 1
+    else:
+        bins = [(p * n, counts.get(outcome, 0)) for outcome, p in exact.probs.items()]
+        small = [(e, o) for e, o in bins if e < min_expected]
+        big = [(e, o) for e, o in bins if e >= min_expected]
+        if small:
+            pooled = (fsum(e for e, _ in small), sum(o for _, o in small))
+            if pooled[0] >= min_expected or len(big) < 2:
+                big.append(pooled)
+            else:
+                i = min(range(len(big)), key=lambda j: big[j][0])
+                big[i] = (big[i][0] + pooled[0], big[i][1] + pooled[1])
+        if len(big) < 2:
+            raise ValueError("fewer than two usable bins after pooling")
+        statistic = fsum((o - e) ** 2 / e for e, o in big)
+        df = len(big) - 1
+    from scipy.special import chdtri
 
-    bins = [(p * n, counts.get(outcome, 0)) for outcome, p in exact.probs.items()]
-    small = [(e, o) for e, o in bins if e < min_expected]
-    big = [(e, o) for e, o in bins if e >= min_expected]
-    if small:
-        pooled = (fsum(e for e, _ in small), sum(o for _, o in small))
-        if pooled[0] >= min_expected or len(big) < 2:
-            big.append(pooled)
-        else:
-            i = min(range(len(big)), key=lambda j: big[j][0])
-            big[i] = (big[i][0] + pooled[0], big[i][1] + pooled[1])
-    if len(big) < 2:
-        raise ValueError("fewer than two usable bins after pooling")
-    statistic = fsum((o - e) ** 2 / e for e, o in big)
-    df = len(big) - 1
-    threshold = float(chdtri(df, alpha))  # the upper-alpha chi2 quantile
+    threshold = float(chdtri(df, alpha))
     return ChiSquareResult(float(statistic), df, threshold, alpha,
                            statistic <= threshold)

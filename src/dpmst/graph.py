@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 class GraphError(ValueError):
@@ -60,8 +58,10 @@ class DisjointSets:
     branch of ``kruskal_mst``). On larger graphs ``kruskal_mst`` keeps its
     components as an array of labels instead, which Borůvka rounds merge
     many edges at a time; both give the same tree, the unique one under
-    the (weight, id) ranks. ``exact.join_table`` likewise labels the
-    components of every edge mask at once.
+    the (weight, id) ranks. The connectivity check every ``WeightedGraph``
+    passes (``_connected``) runs on those Borůvka labels too, with the edge
+    ids as ranks. ``exact.join_table`` likewise labels the components of
+    every edge mask at once.
     """
 
     def __init__(self, n: int):
@@ -235,10 +235,16 @@ class WeightedGraph:
 
 
 def _connected(n, u_arr, v_arr) -> bool:
-    """True iff the edges (u_arr[i], v_arr[i]) connect all of vertices 1..n."""
-    # vertex v is matrix node v - 1, so no isolated node 0 adds a component
-    adj = coo_matrix((np.ones(len(u_arr)), (u_arr - 1, v_arr - 1)), shape=(n, n))
-    return connected_components(adj, directed=False, return_labels=False) == 1
+    """True iff the edges (u_arr[i], v_arr[i]) connect all of vertices 1..n.
+
+    ``kruskal_mst``'s Borůvka engine under the edge ids as ranks: the edges
+    connect the vertices iff that engine picks n - 1 of them, a spanning
+    tree. Every ranking picks a spanning forest of the same components, so
+    the ids serve, and the check needs no weights and no scipy.
+    """
+    k = max(1, math.ceil(n * math.log(n)))
+    ranks = np.arange(len(u_arr), dtype=float)
+    return len(_boruvka_batches(n, u_arr, v_arr, ranks, k, n - 1)) == n - 1
 
 
 def build_graph(n, edges, weights, delta_inf: float = 1.0) -> WeightedGraph:
@@ -289,7 +295,7 @@ def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
             _triples(g, _scan_order(w, np.arange(len(w))), k))
         chosen = DisjointSets(g.n).join(scan, need)
     else:
-        chosen = _boruvka_batches(g, w, k, need)
+        chosen = _boruvka_batches(g.n, g.u_arr, g.v_arr, w, k, need)
     if len(chosen) != need:
         raise DisconnectedError("graph is not connected")
     return SpanningTree(frozenset(chosen))
@@ -305,10 +311,11 @@ def _triples(g: WeightedGraph, order: np.ndarray, k: int):
         lo, k = lo + k, 2 * k
 
 
-def _boruvka_batches(g: WeightedGraph, w: np.ndarray, k: int, need: int) -> list[int]:
-    """The 1-based ids of Kruskal's picks, stopping at ``need``, in the
-    order the Borůvka rounds find them, found batch by batch with array
-    work only.
+def _boruvka_batches(n: int, u_arr: np.ndarray, v_arr: np.ndarray,
+                     w: np.ndarray, k: int, need: int) -> list[int]:
+    """The 1-based ids of Kruskal's picks on the edges (u_arr[i], v_arr[i])
+    over vertices 1..n, stopping at ``need``, in the order the Borůvka
+    rounds find them, found batch by batch with array work only.
 
     The first batch holds the k lightest edges (all of them when m <= k),
     each later one twice as many of the edges left. A batch is every left
@@ -319,17 +326,17 @@ def _boruvka_batches(g: WeightedGraph, w: np.ndarray, k: int, need: int) -> list
     is cut, the filter drops every left edge whose ends already share a
     component: Kruskal would skip it.
     """
-    comp = np.arange(g.n + 1)  # each vertex's component, named by one of its vertices
+    comp = np.arange(n + 1)  # each vertex's component, named by one of its vertices
     picked: list[int] = []
     batch, rest = _lightest(w, None, k)
     while True:
-        scan, lo, run = _scan_order(w, batch), 0, 2 * g.n
+        scan, lo, run = _scan_order(w, batch), 0, 2 * n
         while lo < len(scan) and len(picked) < need:
-            _boruvka(comp, scan[lo:lo + run], g.u_arr, g.v_arr, need, picked)
+            _boruvka(comp, scan[lo:lo + run], u_arr, v_arr, need, picked)
             lo, run = lo + run, 2 * run
         if len(picked) == need or rest is None:
             break
-        rest = rest[comp[g.u_arr[rest]] != comp[g.v_arr[rest]]]
+        rest = rest[comp[u_arr[rest]] != comp[v_arr[rest]]]
         if not len(rest):
             break
         k *= 2

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
 from .graph import SpanningTree, WeightedGraph, kruskal_mst
@@ -230,7 +228,13 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray) -> tuple[np.ndarray,
     on each side and of the slack itself, so the exact slacks of the
     non-tree edges are positive too: the tree is the unique shortest-path
     tree of the lengths X_e, and no ties or swamped clocks chose it.
+
+    scipy is imported here, on the first call, so that ``import dpmst``
+    and every other mechanism run without loading it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     n, m = g.n, g.m
     lo = log_clock.min(axis=1)
     certified = log_clock.max(axis=1) < lo + PAMST_MAX_LOG_SPAN  # false at lo = -inf

@@ -50,7 +50,8 @@ def filters(g) -> bool:
 
 def boruvka_tree(g, weights, k):
     """The Borůvka branch of kruskal_mst on any graph, with first batch k."""
-    chosen = graph._boruvka_batches(g, np.asarray(weights, dtype=float), k, g.n - 1)
+    chosen = graph._boruvka_batches(g.n, g.u_arr, g.v_arr,
+                                     np.asarray(weights, dtype=float), k, g.n - 1)
     if len(chosen) != g.n - 1:
         raise DisconnectedError("graph is not connected")
     return SpanningTree(frozenset(chosen))
@@ -122,6 +123,97 @@ class TestBuildGraph:
         g = triangle()
         with pytest.raises(ValueError):
             g.weights[0] = 99.0
+
+
+def scipy_connected(n, edges) -> bool:
+    """The connectivity check ``graph._connected`` replaced, as the oracle."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    u, v = (np.asarray([e[i] for e in edges], dtype=np.int64) for i in (0, 1))
+    adj = coo_matrix((np.ones(len(u)), (u - 1, v - 1)), shape=(n, n))
+    return connected_components(adj, directed=False, return_labels=False) == 1
+
+
+@st.composite
+def multigraphs(draw, max_n=40, max_m=250):
+    """n vertices and m random (u, v) edges without self-loops: parallel
+    edges and isolated vertices are likely, and m often exceeds
+    kruskal_mst's first batch, so the filter between batches runs."""
+    n, m = draw(st.integers(1, max_n)), draw(st.integers(0, max_m))
+    if n == 1:
+        return n, []
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.integers(1, n + 1, size=m)
+    v = (u + rng.integers(1, n, size=m) - 1) % n + 1
+    return n, list(zip(u.tolist(), v.tolist()))
+
+
+@st.composite
+def split_graphs(draw):
+    """Random spanning trees on each block of a random partition of 1..n
+    into c >= 2 blocks, plus the c - 1 edges that link the blocks."""
+    n = draw(st.integers(2, 60))
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(8, n - 1))))
+    blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    edges = []
+    for block in blocks:
+        for i in range(1, len(block)):
+            edges.append((block[draw(st.integers(0, i - 1))], block[i]))
+    links = [(a[0], b[-1]) for a, b in zip(blocks, blocks[1:])]
+    return n, draw(st.permutations(edges)), links
+
+
+class TestConnected:
+    @staticmethod
+    def connected(n, edges):
+        u, v = (np.asarray([e[i] for e in edges], dtype=np.int64) for i in (0, 1))
+        return graph._connected(n, u, v)
+
+    @given(multigraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_scipy_on_multigraphs(self, case):
+        n, edges = case
+        assert self.connected(n, edges) == scipy_connected(n, edges)
+
+    @given(multigraphs(max_n=12, max_m=30))
+    @settings(max_examples=200, deadline=None)
+    def test_build_graph_rejects_what_scipy_rejects(self, case):
+        n, edges = case
+        if scipy_connected(n, edges):
+            assert build_graph(n, edges, np.ones(len(edges))).m == len(edges)
+        else:
+            with pytest.raises(DisconnectedError):
+                build_graph(n, edges, np.ones(len(edges)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_no_edges(self, n):
+        assert self.connected(n, []) == (n == 1) == scipy_connected(n, [])
+
+    @given(split_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_several_components(self, case):
+        n, edges, links = case
+        assert not self.connected(n, edges) and not scipy_connected(n, edges)
+        assert not self.connected(n, edges + links[1:])
+        assert self.connected(n, edges + links) and scipy_connected(n, edges + links)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 500, 2000])
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    def test_paths_and_stars(self, n, shape):
+        rng = np.random.default_rng(n)
+        label = rng.permutation(n) + 1
+        if shape == "path":
+            edges = [(int(label[i]), int(label[i + 1])) for i in range(n - 1)]
+        else:
+            edges = [(int(label[0]), int(label[i])) for i in range(1, n)]
+        edges = [edges[i] for i in rng.permutation(n - 1)]
+        assert self.connected(n, edges) and scipy_connected(n, edges)
+        for drop in {0, (n - 1) // 2, n - 2}:
+            cut = edges[:drop] + edges[drop + 1:]
+            assert not self.connected(n, cut) and not scipy_connected(n, cut)
+            assert self.connected(n, cut + [edges[drop]] * 2)
 
 
 class TestDisjointSets:

@@ -637,3 +637,57 @@ class TestCli:
         code = cli.main(["check-equiv", "--family", "k3", "--eps-prime", "1.0",
                          "--trials", "10", "--alpha", "0.001"])
         assert code == 2
+
+
+class TestScipyFree:
+    """``import dpmst`` and the input-perturbation ``dpmst run`` path load no
+    scipy; ``pamst``, the chi-square threshold and ``selftest`` load it on
+    first use. Each case runs a fresh interpreter, as does
+    ``TestCli.test_check_equiv_exit_zero`` for ``check-equiv``."""
+
+    SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+    def python(self, code, *args):
+        return subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True)
+
+    def test_import_dpmst(self):
+        r = self.python(f"import sys, dpmst; {self.SCIPY_LOADED}")
+        assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
+
+    def test_gen_then_run_input_perturbation_ids(self, tmp_path):
+        code = ("import sys\n"
+                "from dpmst import cli\n"
+                "out = sys.argv[1]\n"
+                "assert cli.main(['gen', '--model', 'er', '--n', '40', '--p', '0.3',"
+                " '--seed', '2', '--out', out + '/er.txt']) == 0\n"
+                "for mech in ('perturb', 'onepass', 'kruskal', 'sealfon-laplace',"
+                " 'sealfon-gauss'):\n"
+                "    assert cli.main(['run', '--graph', out + '/er.txt', '--mech', mech,"
+                " '--eps', '1.0', '--delta', '1e-6', '--trials', '3', '--seed', '1',"
+                " '--out', out + '/' + mech + '.csv']) == 0\n"
+                f"{self.SCIPY_LOADED}\n")
+        r = self.python(code, str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert lines[-1] == "[]"
+        assert [line.split(" on ")[0] for line in lines[1:-1]] == [
+            "perturb", "onepass", "kruskal", "sealfon-laplace", "sealfon-gauss"]
+
+    def test_pamst_run_loads_scipy_on_first_use(self, tmp_path):
+        # n = 40 is above PAMST_RACE_MAX_N, so pamst runs its Dijkstra path
+        graph_file, csv_file = tmp_path / "er.txt", tmp_path / "pamst.csv"
+        write_instance(erdos_renyi_instance(40, 0.3, 0, 100, RngStream(2)), graph_file)
+        code = ("import sys\n"
+                "from dpmst import cli\n"
+                "assert 'scipy' not in sys.modules\n"
+                "assert cli.main(['run', '--graph', sys.argv[1], '--mech', 'pamst',"
+                " '--eps', '1.0', '--delta', '1e-6', '--trials', '3', '--seed', '1',"
+                " '--out', sys.argv[2]]) == 0\n"
+                "print('scipy.sparse.csgraph' in sys.modules)\n")
+        r = self.python(code, str(graph_file), str(csv_file))
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.splitlines()
+        assert lines[0].startswith("pamst on n=40 m=") and lines[1] == "True"
+        rows = csv_file.read_text().splitlines()
+        assert len(rows) == 4 and all(row.startswith("pamst,") for row in rows[1:])
