@@ -17,8 +17,7 @@ from .mechanisms import (MECHANISMS, MechanismResult, input_perturbation_mst,
                          one_pass_mst, pamst, perturb_weights,
                          private_kruskal_mst, run_mechanism, sealfon_mst)
 from .rng import RngStream
-from .sampling import (SamplingTree, private_max_weight_basis,
-                       race_sample_without_replacement, race_scores,
+from .sampling import (private_max_weight_basis, race_scores,
                        sample_without_replacement)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

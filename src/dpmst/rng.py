@@ -103,8 +103,8 @@ class RngStream:
 
     def beta(self, alpha: float, beta: float, size=None):
         """Beta(alpha, beta) via the two-gamma construction X/(X+Y)."""
-        if alpha <= 0 or beta <= 0:
-            raise ValueError(f"shape parameters must be positive, got {alpha}, {beta}")
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):  # also false for NaN
+            raise ValueError(f"shape parameters must be positive and finite, got {alpha}, {beta}")
         x = self._gen.standard_gamma(alpha, size)
         y = self._gen.standard_gamma(beta, size)
         out = x / (x + y)
@@ -122,7 +122,7 @@ class RngStream:
             raise ValueError(f"count must be a nonnegative integer, got {count}")
         count = int(count)
         p_arr = np.asarray(p, dtype=float)
-        if np.any(p_arr < 0) or np.any(p_arr > 1):
+        if not np.all((0 <= p_arr) & (p_arr <= 1)):  # also false for NaN
             raise ValueError("p must lie in [0, 1]")
         if p_arr.ndim == 0:
             if size is None:

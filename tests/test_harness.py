@@ -521,6 +521,17 @@ class TestCli:
                          "--out", "y")
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_gen_hard_bad_beta_exit_one(self, beta, tmp_path, capsys):
+        from dpmst import cli
+
+        # a NaN or infinite beta used to write an all-zero-weight graph
+        out = tmp_path / "hard.txt"
+        code = cli.main(["gen", "--model", "hard", "--n", "10", "--beta", beta,
+                         "--seed", "1", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("dpmst gen: shape parameters")
+
     def test_missing_file_exit_three(self, tmp_path):
         r = self.run_cli("run", "--graph", str(tmp_path / "absent.txt"),
                          "--mech", "onepass", "--eps", "1", "--delta", "1e-6",

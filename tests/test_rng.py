@@ -149,6 +149,19 @@ class TestBetaBinomial:
         with pytest.raises(ValueError):
             stream.binomial(3, 1.5)
 
+    @pytest.mark.parametrize("shape", [0.0, -1.0, math.nan, math.inf])
+    def test_beta_refuses_shapes_outside_open_positive_range(self, shape):
+        # a NaN or infinite shape used to pass and draw NaN proportions
+        for alpha, beta in ((shape, 1.0), (1.0, shape)):
+            with pytest.raises(ValueError):
+                RngStream(0).beta(alpha, beta, size=3)
+
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.5, [0.5, math.nan], [0.5, -0.1]])
+    def test_binomial_refuses_p_outside_unit_interval(self, p):
+        # random() < NaN is False, so a NaN p used to count zero successes
+        with pytest.raises(ValueError):
+            RngStream(0).binomial(3, p)
+
     def test_binomial_vector_probabilities(self):
         p = np.array([0.0, 0.5, 1.0])
         out = RngStream(14).binomial(6, p)
