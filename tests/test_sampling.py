@@ -38,6 +38,51 @@ def empirical_distribution(weights, k, rule, trials, stream):
     return counts
 
 
+class TestSamplingTree:
+    """The former sum-tree sampler's behaviours, drawn by the one sampler."""
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            sample_without_replacement([1.0, 0.0], 1, RngStream(0))
+
+    def test_two_leaf_frequency(self):
+        stream = RngStream(21)
+        hits = sum(sample_without_replacement([1.0, 1.0], 1, stream)[0]
+                   for _ in range(10**5))
+        assert abs(hits / 10**5 - 0.5) < 0.01
+
+    def test_proportional_frequency(self):
+        stream = RngStream(22)
+        hits = sum(sample_without_replacement([1.0, 3.0], 1, stream)[0]
+                   for _ in range(10**5))
+        assert abs(hits / 10**5 - 0.75) < 0.01
+
+    def test_four_leaf_chi_square(self):
+        from dpmst.exact import ExactDistribution
+        stream = RngStream(23)
+        counts = Counter(sample_without_replacement([1.0, 2.0, 3.0, 4.0], 1, stream)[0]
+                         for _ in range(10**5))
+        exact = ExactDistribution({i: (i + 1) / 10.0 for i in range(4)})
+        assert chi_square_gof(counts, exact, 0.01).passed
+
+    def test_never_samples_removed_leaf(self):
+        # item 0 is removed after the first selection, so it may only come first
+        stream = RngStream(24)
+        for _ in range(10**4):
+            out = sample_without_replacement([5.0, 1.0, 1.0], 3, stream,
+                                             lambda sel: [0])
+            assert 0 not in out[1:] and len(set(out)) == len(out)
+
+    def test_rejects_nan_and_infinite_total(self):
+        for weights in ([1.0, float("nan")], [1.0, float("inf")]):
+            with pytest.raises(ValueError):
+                sample_without_replacement(weights, 1, RngStream(0))
+        # the race forms no total, so finite weights whose sum overflows are
+        # valid: both items are selected, in either order
+        out = sample_without_replacement([1e308, 1e308], 2, RngStream(0))
+        assert sorted(out) == [0, 1]
+
+
 class TestIterativeSelection:
     """The round-by-round selection's behaviours, drawn by the one-shot race."""
 
