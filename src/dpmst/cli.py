@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--dataset-size", type=int, default=10000, help="records behind the MI matrix (mi-chain)")
     gen.add_argument("--beta", type=float, default=None, help="beta shape (hard); default ln(n)/2")
     gen.add_argument("--s", type=int, default=10, help="binomial trials (hard)")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=int, default=None, help="required by er and hard")
     gen.add_argument("--out", required=True)
 
     run = sub.add_parser("run", help="run one mechanism repeatedly on an instance")
@@ -93,15 +93,18 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    stream = RngStream(args.seed)
+    if args.seed is None and args.model != "mi-chain":  # mi-chain draws nothing
+        print(f"dpmst gen: --model {args.model} needs --seed", file=sys.stderr)
+        return USAGE_ERROR
     try:
         if args.model == "er":
-            g = erdos_renyi_instance(args.n, args.p, args.wmin, args.wmax, stream)
+            g = erdos_renyi_instance(args.n, args.p, args.wmin, args.wmax,
+                                     RngStream(args.seed))
         elif args.model == "mi-chain":
             g = mutual_info_chain_instance(args.n, args.flip_p, args.dataset_size)
         else:
             beta = args.beta if args.beta is not None else 0.5 * math.log(args.n)
-            g = hard_instance(args.n, beta, args.s, stream)
+            g = hard_instance(args.n, beta, args.s, RngStream(args.seed))
     except (ValueError, GenerationError) as exc:
         print(f"dpmst gen: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -13,7 +13,7 @@ from math import fsum, inf
 
 import numpy as np
 
-from .graph import DisjointSets, SpanningTree, WeightedGraph
+from .graph import SpanningTree, WeightedGraph, join
 
 MAX_ENUM_VERTICES = 10
 MAX_ITEMS = 8
@@ -37,13 +37,6 @@ class ExactDistribution:
     def support(self) -> list:
         return list(self.probs)
 
-    def collapse(self, key_fn) -> "ExactDistribution":
-        """Marginalize by mapping outcomes through key_fn and summing."""
-        grouped: dict = {}
-        for outcome, p in self.probs.items():
-            grouped.setdefault(key_fn(outcome), []).append(p)
-        return ExactDistribution({k: fsum(v) for k, v in grouped.items()})
-
     def __len__(self):
         return len(self.probs)
 
@@ -60,7 +53,7 @@ def enumerate_spanning_trees(g: WeightedGraph) -> list[SpanningTree]:
     out = []
     for combo in combinations(range(1, g.m + 1), need):
         scan = ((e, u[e - 1], v[e - 1]) for e in combo)
-        if len(DisjointSets(g.n).join(scan, need)) == need:
+        if len(join(g.n, scan, need)) == need:
             out.append(SpanningTree(frozenset(combo)))
     return out
 
@@ -84,7 +77,8 @@ def cycle_rule(g: WeightedGraph):
     """Removal rule for spanning-tree sampling over 0-based edge indices.
 
     Given the selected prefix (a tuple), returns every unselected edge whose
-    endpoints the prefix already connects. The rule is a pure function of
+    endpoints the prefix already connects: the edges j that ``join`` over
+    the prefix and then j does not accept. The rule is a pure function of
     the prefix, so each rule caches its answers; callers must not mutate
     the returned list.
     """
@@ -92,11 +86,10 @@ def cycle_rule(g: WeightedGraph):
 
     @lru_cache(maxsize=1 << 16)
     def rule(selected):
-        ds = DisjointSets(g.n)
-        ds.join(((e, u[e], v[e]) for e in selected), len(selected))
-        chosen = set(selected)
-        return [j for j in range(g.m)
-                if j not in chosen and ds.find(u[j]) == ds.find(v[j])]
+        prefix = [(e, u[e], v[e]) for e in selected]
+        need = len(selected) + 1
+        return [j for j in range(g.m) if j not in selected
+                and j not in join(g.n, prefix + [(j, u[j], v[j])], need)]
 
     return rule
 

@@ -1,4 +1,4 @@
-"""Weighted-graph core: validation, union-find, incidence, exact MST.
+"""Weighted-graph core: validation, the ``join`` scan, incidence, exact MST.
 
 Vertices are 1-based (1..n) and edge ids are 1-based (1..m) everywhere in the
 public API; internal arrays are 0-based.
@@ -48,93 +48,46 @@ class SpanningTree:
         return len(self.edge_ids)
 
 
-class DisjointSets:
-    """Union-find over vertices 1..n: union by size, path halving.
+def join(n: int, edges, need: int) -> list[int]:
+    """Union-find over vertices 1..n (union by size, path halving) along
+    ``(e, u, v)`` triples in scan order: return the e of each edge that
+    joined two components, stopping after ``need`` of them.
 
-    The one union-find of the package. ``merge`` reports whether u and v
-    were in different components; ``join`` runs that test along a whole
-    edge scan, for the spanning-tree check, the exact oracles'
-    enumerations, and exact Kruskal on small graphs (the scan
-    branch of ``kruskal_mst``). On larger graphs ``kruskal_mst`` keeps its
-    components as an array of labels instead, which Borůvka rounds merge
-    many edges at a time; both give the same tree, the unique one under
-    the (weight, id) ranks. The connectivity check every ``WeightedGraph``
-    passes (``_connected``) runs on those Borůvka labels too, with the edge
-    ids as ranks. ``exact.join_table`` likewise labels the components of
-    every edge mask at once.
+    The one union-find of the package: the spanning-tree check, the exact
+    oracles' enumerations and cycle rule, and exact Kruskal on small graphs
+    (the scan branch of ``kruskal_mst``). On larger graphs ``kruskal_mst``
+    keeps its components as an array of labels instead, which Borůvka rounds
+    merge many edges at a time; both give the same tree, the unique one
+    under the (weight, id) ranks. The connectivity check every
+    ``WeightedGraph`` passes (``_connected``) runs on those Borůvka labels
+    too, with the edge ids as ranks. ``exact.join_table`` likewise labels
+    the components of every edge mask at once.
+
+    There is no per-edge range check: the endpoints come from a validated
+    ``WeightedGraph``.
     """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got {n}")
-        self.n = n
-        self._parent = list(range(n + 1))
-        self._size = [1] * (n + 1)
-
-    def _check_vertex(self, v: int):
-        if not 1 <= v <= self.n:
-            raise EndpointError(f"vertex {v} out of range [1, {self.n}]")
-
-    def find(self, v: int) -> int:
-        parent = self._parent
+    joined: list[int] = []
+    if need < 1:
+        return joined
+    parent, size = list(range(n + 1)), [1] * (n + 1)
+    for e, u, v in edges:
+        # find(u) and find(v) written out: two calls per edge made a
+        # long scan about 1.5 times slower
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
-        return v
-
-    def merge(self, u: int, v: int) -> bool:
-        """Merge the components of u and v; False if already merged."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if self._size[ru] < self._size[rv]:
-            ru, rv = rv, ru
-        self._parent[rv] = ru
-        self._size[ru] += self._size[rv]
-        return True
-
-    def join(self, edges, need: int) -> list[int]:
-        """Merge along ``(e, u, v)`` triples in scan order; return the e of
-        each edge that joined two components, stopping after ``need`` of them.
-
-        Unlike ``merge`` there is no per-edge range check: the endpoints come
-        from a validated ``WeightedGraph``.
-        """
-        joined: list[int] = []
-        if need < 1:
-            return joined
-        parent, size = self._parent, self._size
-        for e, u, v in edges:
-            # find(u) and find(v) written out: two calls per edge made a
-            # long scan about 1.5 times slower
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                if size[u] < size[v]:
-                    u, v = v, u
-                parent[v] = u
-                size[u] += size[v]
-                joined.append(e)
-                if len(joined) == need:
-                    break
-        return joined
-
-    def size(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._size[self.find(v)]
-
-    def components(self) -> list[list[int]]:
-        """Vertex lists of the components, each sorted, ordered by least vertex."""
-        groups: dict[int, list[int]] = {}
-        for v in range(1, self.n + 1):
-            groups.setdefault(self.find(v), []).append(v)
-        return list(groups.values())
+        if u != v:
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            joined.append(e)
+            if len(joined) == need:
+                break
+    return joined
 
 
 class WeightedGraph:
@@ -278,7 +231,7 @@ def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
     of a random order that spans.
 
     - m <= ``SCAN_MAX_EDGES`` and min(k, m) <= ``SCAN_MAX_STEPS``: one sort
-      of all m weights, then the ``DisjointSets.join`` scan along it, whose
+      of all m weights, then the ``join`` scan along it, whose
       edges are turned into Python ints k, 2k, 4k, ... at a time. On such
       small graphs its per-edge Python costs less than the fixed cost of the
       array rounds.
@@ -293,7 +246,7 @@ def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
     if len(w) <= SCAN_MAX_EDGES and min(k, len(w)) <= SCAN_MAX_STEPS:
         scan = itertools.chain.from_iterable(
             _triples(g, _scan_order(w, np.arange(len(w))), k))
-        chosen = DisjointSets(g.n).join(scan, need)
+        chosen = join(g.n, scan, need)
     else:
         chosen = _boruvka_batches(g.n, g.u_arr, g.v_arr, w, k, need)
     if len(chosen) != need:
@@ -439,7 +392,7 @@ def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
     if len(idx) != g.n - 1 or ((idx < 0) | (idx >= g.m)).any():
         return False
     scan = zip(idx.tolist(), g.u_arr[idx].tolist(), g.v_arr[idx].tolist())
-    return len(DisjointSets(g.n).join(scan, g.n - 1)) == g.n - 1
+    return len(join(g.n, scan, g.n - 1)) == g.n - 1
 
 
 def tree_weight(g: WeightedGraph, tree) -> float:

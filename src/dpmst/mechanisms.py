@@ -1,8 +1,8 @@
 """The private MST mechanisms.
 
 Six registry ids. ``perturb``, ``onepass`` and ``kruskal`` all run input
-perturbation, the one noise-then-Kruskal body (``_noisy_kruskal``). It
-samples the tree distribution of Kruskal with the exponential mechanism in
+perturbation, the one noise-then-Kruskal body (``input_perturbation_mst``).
+It samples the tree distribution of Kruskal with the exponential mechanism in
 every round, so ``kruskal`` is that body plus the op counts of its scan. The
 baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input
 privatization) and ``pamst`` (Prim-based): the shortest-path tree from
@@ -65,15 +65,6 @@ def perturb_weights(g: WeightedGraph, eps_prime: float, delta_inf: float,
     return noisy
 
 
-def _noisy_kruskal(g: WeightedGraph, eps_prime: float, delta_inf: float,
-                   stream: RngStream) -> MechanismResult:
-    """Perturb every weight once at eps', then run exact Kruskal."""
-    t0 = time.perf_counter_ns()
-    noisy = perturb_weights(g, eps_prime, delta_inf, stream)
-    return MechanismResult(tree=kruskal_mst(g, noisy), noisy_weights=noisy,
-                           wall_time_ns=time.perf_counter_ns() - t0)
-
-
 def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
                            stream: RngStream) -> MechanismResult:
     """Perturb every weight once, then run any exact MST algorithm.
@@ -89,10 +80,10 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
     a positive affine map of the perturbed weight, so the tree is the same
     for every draw.
     """
-    return _noisy_kruskal(g, budget.per_round(g.n - 1), budget.delta_inf, stream)
-
-
-one_pass_mst = input_perturbation_mst
+    t0 = time.perf_counter_ns()
+    noisy = perturb_weights(g, budget.per_round(g.n - 1), budget.delta_inf, stream)
+    return MechanismResult(tree=kruskal_mst(g, noisy), noisy_weights=noisy,
+                           wall_time_ns=time.perf_counter_ns() - t0)
 
 
 def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,

@@ -47,8 +47,8 @@ class RngStream:
 
     def exponential(self, rate: float = 1.0, size=None):
         """Exponential with density rate * exp(-rate * x) on x >= 0."""
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:  # also false for NaN
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         if size is None:
             return -math.log(1.0 - self._gen.random()) / rate
         # in place on the uniform block: -log(1 - u) / rate, bit for bit
@@ -71,26 +71,18 @@ class RngStream:
         with np.errstate(divide="ignore"):
             return np.log(z, out=z)
 
-    def gumbel(self, scale: float = 1.0, size=None):
-        """Zero-location Gumbel with CDF exp(-exp(-z / scale))."""
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        if size is None:
-            return -scale * self.ln_exponential()
-        return -scale * self.ln_exponential(size)
-
     def laplace(self, scale: float = 1.0, size=None):
         """Zero-location Laplace, built as the difference of two unit exponentials."""
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:  # also false for NaN
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         if size is None:
             return scale * (self.exponential(1.0) - self.exponential(1.0))
         return scale * (self.exponential(1.0, size) - self.exponential(1.0, size))
 
     def gaussian(self, sigma: float = 1.0, size=None):
         """Zero-mean normal with standard deviation sigma."""
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:  # also false for NaN
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         # Generator.normal(0.0, sigma, size) is 0.0 + sigma * z over the same
         # standard normals z, which is sigma * z bit for bit unless that is
         # -0.0; filling z and scaling it in place skips normal's per-draw

@@ -20,7 +20,7 @@ from scipy import stats
 from .accounting import (PrivacyBudget, eps_from_rho_delta, per_round_epsilon,
                          rho_from_eps_delta)
 from .exact import brute_force_mst
-from .graph import DisjointSets, build_graph, is_spanning_tree, kruskal_mst
+from .graph import build_graph, is_spanning_tree, join, kruskal_mst
 from .harness import equivalence_suite, tree_distribution_test
 from .instances import (erdos_renyi_instance, hard_instance, mi_weight,
                         mutual_info_chain_instance, parity_even_prob)
@@ -52,7 +52,7 @@ def graphic_matroid_oracle(g):
 
     def is_independent(ids):
         scan = ((e, u_arr[e], v_arr[e]) for e in ids)
-        return len(DisjointSets(g.n).join(scan, len(ids))) == len(ids)
+        return len(join(g.n, scan, len(ids))) == len(ids)
 
     return is_independent
 

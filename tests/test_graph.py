@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from dpmst import graph
 from dpmst.exact import brute_force_mst
-from dpmst.graph import (DisconnectedError, DisjointSets, EdgeIndexError,
-                         EndpointError, GraphError, LengthMismatchError,
-                         SelfLoopError, SpanningTree, build_graph,
-                         is_spanning_tree, kruskal_mst, tree_weight)
+from dpmst.graph import (DisconnectedError, EdgeIndexError, EndpointError,
+                         GraphError, LengthMismatchError, SelfLoopError,
+                         SpanningTree, build_graph, is_spanning_tree, join,
+                         kruskal_mst, tree_weight)
 from dpmst.harness import family_graph
 from dpmst.instances import erdos_renyi_instance, hard_instance
 from dpmst.mechanisms import perturb_weights
@@ -31,11 +31,11 @@ def k4(weights):
 
 def _reference_kruskal(g, weights=None):
     """kruskal_mst as one stable argsort of all m weights and the
-    ``DisjointSets.join`` scan along it."""
+    ``join`` scan along it."""
     w = g.weights if weights is None else np.asarray(weights, dtype=float)
     order = np.argsort(w, kind="stable")
     scan = zip((order + 1).tolist(), g.u_arr[order].tolist(), g.v_arr[order].tolist())
-    chosen = DisjointSets(g.n).join(scan, g.n - 1)
+    chosen = join(g.n, scan, g.n - 1)
     if len(chosen) != g.n - 1:
         raise DisconnectedError("graph is not connected")
     return SpanningTree(frozenset(chosen))
@@ -217,64 +217,28 @@ class TestConnected:
 
 
 class TestDisjointSets:
-    def test_merge_idempotent(self):
-        ds = DisjointSets(3)
-        assert ds.merge(1, 2) is True
-        assert ds.merge(1, 2) is False
-
-    def test_chain_merges(self):
-        ds = DisjointSets(4)
-        for u, v in [(1, 2), (2, 3), (3, 4)]:
-            assert ds.merge(u, v)
-        assert ds.size(1) == 4
-        assert ds.components() == [[1, 2, 3, 4]] or len(ds.components()) == 1
-
-    def test_partition_after_two_merges(self):
-        ds = DisjointSets(5)
-        ds.merge(1, 2)
-        ds.merge(3, 4)
-        assert ds.find(1) != ds.find(3)
-
-    def test_out_of_range(self):
-        ds = DisjointSets(3)
-        with pytest.raises(EndpointError):
-            ds.merge(1, 4)
-
     def test_join_follows_scan_order_and_stops_at_need(self):
         scan = [(10, 1, 2), (11, 2, 3), (12, 1, 3), (13, 3, 4)]
-        assert DisjointSets(4).join(scan, 3) == [10, 11, 13]
-        assert DisjointSets(4).join(scan[::-1], 3) == [13, 12, 11]
-        ds = DisjointSets(4)
-        assert ds.join(scan, 1) == [10]
-        assert ds.find(2) != ds.find(3)  # nothing past the stop was merged
-        assert DisjointSets(4).join(scan, 0) == []
+        assert join(4, scan, 3) == [10, 11, 13]
+        assert join(4, scan[::-1], 3) == [13, 12, 11]
+        assert join(4, scan, 1) == [10]
+        assert join(4, scan, 0) == []
 
     @given(st.integers(2, 8), st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
                                        max_size=20), st.integers(1, 8))
-    def test_join_accepts_what_merge_accepts(self, n, ops, need):
+    def test_join_accepts_the_edges_whose_ends_are_not_yet_connected(self, n, ops, need):
+        nx = pytest.importorskip("networkx")
         scan = [(i, u, v) for i, (u, v) in enumerate(ops) if u <= n and v <= n]
-        ds = DisjointSets(n)
+        forest = nx.Graph()
+        forest.add_nodes_from(range(1, n + 1))
         expect = []
         for i, u, v in scan:
             if len(expect) == need:
                 break
-            if ds.merge(u, v):
+            if not nx.has_path(forest, u, v):
+                forest.add_edge(u, v)
                 expect.append(i)
-        joined = DisjointSets(n)
-        assert joined.join(scan, need) == expect
-        assert joined.components() == ds.components()
-
-    @given(st.integers(2, 8), st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)),
-                                       max_size=20))
-    def test_members_partition_vertices(self, n, ops):
-        ds = DisjointSets(n)
-        for u, v in ops:
-            if u <= n and v <= n and u != v:
-                ds.merge(u, v)
-        comps = ds.components()
-        flat = sorted(v for comp in comps for v in comp)
-        assert flat == list(range(1, n + 1))
-        assert sum(len(c) for c in comps) == n
+        assert join(n, scan, need) == expect
 
 
 class TestKruskal:

@@ -532,6 +532,23 @@ class TestCli:
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err.startswith("dpmst gen: shape parameters")
 
+    def test_gen_mi_chain_needs_no_seed(self, tmp_path):
+        from dpmst import cli
+
+        # the mi-chain model draws nothing, so --seed used to be required in vain
+        out = tmp_path / "mi.txt"
+        assert cli.main(["gen", "--model", "mi-chain", "--n", "10", "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("model", ["er", "hard"])
+    def test_gen_without_seed_exit_one(self, model, tmp_path, capsys):
+        from dpmst import cli
+
+        out = tmp_path / "g.txt"
+        assert cli.main(["gen", "--model", model, "--n", "10", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "--seed" in capsys.readouterr().err
+
     def test_missing_file_exit_three(self, tmp_path):
         r = self.run_cli("run", "--graph", str(tmp_path / "absent.txt"),
                          "--mech", "onepass", "--eps", "1", "--delta", "1e-6",

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from dpmst.exact import (chi_square_gof, exact_tree_distribution,
                          prim_tree_distribution)
 from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
 from dpmst.instances import erdos_renyi_instance
-from dpmst.mechanisms import (MECHANISMS, UnknownMechanismError,
-                              input_perturbation_mst, _noisy_kruskal,
-                              _dijkstra_tree, _prim_race, one_pass_mst,
+from dpmst.mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
+                              input_perturbation_mst, _dijkstra_tree, _prim_race,
                               pamst, perturb_weights,
                               private_kruskal_mst, run_mechanism, sealfon_mst)
 from dpmst.rng import RngStream
@@ -83,7 +83,7 @@ def multigraph():
 
 
 def _reference_one_pass(g, budget, stream):
-    """one_pass_mst's former body: log-form race scores, then Kruskal."""
+    """onepass's former body: log-form race scores, then Kruskal."""
     eps_prime = budget.per_round(g.n - 1)
     w = g.weights
     z = stream.exponential(1.0, size=g.m)
@@ -93,7 +93,9 @@ def _reference_one_pass(g, budget, stream):
 
 
 def wrong_exponent(g, budget, stream):
-    return _noisy_kruskal(g, 2.0 * budget.per_round(g.n - 1), budget.delta_inf, stream)
+    """Input perturbation at 2 eps': the noise is half what eps' needs."""
+    noisy = perturb_weights(g, 2.0 * budget.per_round(g.n - 1), budget.delta_inf, stream)
+    return MechanismResult(tree=kruskal_mst(g, noisy), noisy_weights=noisy)
 
 
 def _reference_wrong_exponent(g, budget, stream):
@@ -298,7 +300,8 @@ class TestOnePass:
     def test_k3_matches_exact_distribution(self):
         g = triangle()
         budget = budget_for_eps_prime(g, 1.0)
-        counts = tree_counts(one_pass_mst, g, budget, 30000, RngStream(12))
+        counts = tree_counts(partial(run_mechanism, "onepass"), g, budget, 30000,
+                             RngStream(12))
         assert chi_square_gof(counts, exact_tree_distribution(g, 1.0), 0.001).passed
 
     def test_shared_randomness_identity_with_input_perturbation(self):
@@ -308,11 +311,10 @@ class TestOnePass:
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 1.0)
         for seed in range(50):
             a = input_perturbation_mst(g, budget, RngStream(seed, (2,))).tree
-            b = one_pass_mst(g, budget, RngStream(seed, (2,))).tree
+            b = run_mechanism("onepass", g, budget, RngStream(seed, (2,))).tree
             assert a == b
 
     def test_is_input_perturbation(self):
-        assert one_pass_mst is input_perturbation_mst
         assert MECHANISMS["onepass"] is input_perturbation_mst
 
     @pytest.mark.parametrize("graph", [
@@ -339,8 +341,8 @@ class TestOnePass:
         g = build_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)], [1.0, 2.0, 3.0, 4.0])
         budget = budget_for_eps_prime(g, 0.5)
         for seed in range(20):
-            assert one_pass_mst(g, budget, RngStream(seed)).tree.edge_ids == \
-                frozenset({1, 2, 3, 4})
+            got = run_mechanism("onepass", g, budget, RngStream(seed))
+            assert got.tree.edge_ids == frozenset({1, 2, 3, 4})
 
 
 class TestSealfon:
