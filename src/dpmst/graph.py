@@ -178,6 +178,15 @@ class WeightedGraph:
         return indptr, cols
 
     @functools.cached_property
+    def by_weight(self) -> np.ndarray:
+        """The 0-based edge indices in (weight, id) order, built on first
+        use: the weight buckets of ``input_perturbation_mst``'s lazy reveal.
+        Read-only."""
+        order = np.argsort(self.weights, kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @functools.cached_property
     def mst(self) -> SpanningTree:
         """The exact MST of the graph's own weights, ``kruskal_mst(self)``,
         computed on first use."""

@@ -104,6 +104,26 @@ class RngStream:
 
     # -- discrete ------------------------------------------------------------
 
+    def coin_heads(self, sizes, p) -> np.ndarray:
+        """The heads among independent coins, block j holding ``sizes[j]``
+        coins of heads probability ``p[j]``: their 0-based positions in the
+        blocks laid end to end, block by block, in no order within a block.
+
+        Each block draws its head count from Binomial(sizes[j], p[j]), then
+        that many distinct positions uniformly, so a block costs its heads,
+        not its coins.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        p = np.asarray(p, dtype=float)
+        if (sizes < 0).any() or not np.all((0 <= p) & (p <= 1)):  # also false for NaN
+            raise ValueError("sizes must be nonnegative and p must lie in [0, 1]")
+        heads = self._gen.binomial(sizes, p)
+        starts = np.cumsum(sizes) - sizes
+        picks = [start + self._gen.choice(size, k, replace=False, shuffle=False)
+                 for start, size, k in zip(starts.tolist(), sizes.tolist(), heads.tolist())
+                 if k]
+        return np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64)
+
     def binomial(self, count: int, p, size=None):
         """Binomial(count, p) as a sum of count Bernoulli draws.
 

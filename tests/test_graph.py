@@ -503,6 +503,20 @@ class TestNeighbours:
             g.neighbours[0] = 1
 
 
+class TestByWeight:
+    def test_weight_then_id_order(self):
+        g = k4([2.0, 1.0, 2.0, 0.5, 1.0, 2.0])
+        assert g.by_weight.tolist() == [3, 1, 4, 0, 2, 5]
+
+    def test_built_on_first_use_cached_and_read_only(self):
+        # not in __init__: a graph that never reveals noise lazily never sorts
+        g = k4([1.0] * 6)
+        assert "by_weight" not in vars(g)
+        assert g.by_weight is g.by_weight
+        with pytest.raises(ValueError):
+            g.by_weight[0] = 1
+
+
 class TestIsSpanningTree:
     def test_triangle_pair(self):
         assert is_spanning_tree(triangle(), {1, 2})

@@ -9,17 +9,19 @@ from dpmst import exact, graph, harness, mechanisms
 from dpmst.accounting import PrivacyBudget
 from dpmst.exact import (MAX_EDGES, SizeGuardError, chi_square_gof, join_table,
                          prim_tree_distribution)
-from dpmst.graph import SpanningTree, build_graph, tree_weight
+from dpmst.graph import SpanningTree, build_graph, kruskal_mst, tree_weight
 from dpmst.harness import (CSV_COLUMNS, _JUDGED, _kruskal_masks, _prim_masks,
                            _run_single_trial, _tally_trees, density_sweep, emit_csv,
                            equivalence_suite, family_graph, run_trials,
                            tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
-from dpmst.mechanisms import MECHANISMS, MechanismResult, UnknownMechanismError
+from dpmst.mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
+                              input_perturbation_mst)
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
-from .test_mechanisms import (budget_for_eps_prime, light_triangles_heavy_bridges,
+from .test_mechanisms import (above_size_rule, budget_for_eps_prime,
+                              light_triangles_heavy_bridges,
                               parallel_edges, tree_counts, wrong_exponent)
 
 
@@ -100,6 +102,25 @@ class TestRunTrials:
         with pytest.raises(RuntimeError, match="non-minimal"):
             _run_single_trial(triangle(), "perturb", BUDGET, 0, 0, 3.0,
                               lambda noisy: float(noisy[[0, 1]].sum()))
+
+    def test_non_minimal_tree_rejected_with_a_clamped_vector(self, monkeypatch):
+        # above the size rule the vector holds one clamp value, above every
+        # revealed weight, for each unrevealed edge; a tree of clamped edges
+        # outweighs the true tree, which holds some revealed ones
+        g = above_size_rule()
+        r = input_perturbation_mst(g, BUDGET, RngStream(43))
+        clamped = r.noisy_weights == r.noisy_weights.max()
+        assert clamped.sum() > g.m // 2 and r.noisy_weights[~clamped].max() < r.noisy_weights.max()
+        heavy = kruskal_mst(g, (~clamped).astype(float))
+
+        def clamped_tree(g, budget, stream):
+            return MechanismResult(tree=heavy, noisy_weights=r.noisy_weights)
+
+        monkeypatch.setitem(MECHANISMS, "perturb", clamped_tree)
+        true_ids = np.fromiter(g.mst.edge_ids, dtype=np.int64) - 1
+        with pytest.raises(RuntimeError, match="non-minimal"):
+            _run_single_trial(g, "perturb", BUDGET, 0, 0, tree_weight(g, g.mst),
+                              lambda noisy: float(noisy[true_ids].sum()))
 
 
 class TestEmitCsv:

@@ -11,8 +11,9 @@ from dpmst.exact import (chi_square_gof, exact_tree_distribution,
                          prim_tree_distribution)
 from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
 from dpmst.instances import erdos_renyi_instance
-from dpmst.mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
-                              input_perturbation_mst, _dijkstra_tree, _prim_race,
+from dpmst.mechanisms import (LAZY_MIN_EDGES, MECHANISMS, MechanismResult,
+                              UnknownMechanismError, input_perturbation_mst,
+                              _dijkstra_tree, _first_window, _prim_race,
                               pamst, perturb_weights,
                               private_kruskal_mst, run_mechanism, sealfon_mst)
 from dpmst.rng import RngStream
@@ -280,13 +281,19 @@ class TestPrivateKruskal:
         assert int(r.ops["edge_checks"].max()) <= bound
         assert is_spanning_tree(g, r.tree.edge_ids)
 
-    @pytest.mark.parametrize("stream", [lambda seed: RngStream(33, (seed,)),
-                                        lambda seed: FixedUniform(1.0)],
-                             ids=["random", "all-minus-inf"])
-    def test_edge_checks_are_the_scan_prefix(self, stream):
+    @pytest.mark.parametrize("graph, stream", [
+        (lambda: erdos_renyi_instance(40, 0.3, 0, 100, RngStream(32)),
+         lambda seed: RngStream(33, (seed,))),
+        (lambda: erdos_renyi_instance(40, 0.3, 0, 100, RngStream(32)),
+         lambda seed: FixedUniform(1.0)),
+        (lambda: above_size_rule(), lambda seed: RngStream(33, (seed,))),
+    ], ids=["random", "all-minus-inf", "above-size-rule"])
+    def test_edge_checks_are_the_scan_prefix(self, graph, stream):
         # the edges Kruskal's scan reads: the (w~, id) order up to the
-        # released tree's last edge; all -inf noise ranks by edge id alone
-        g = erdos_renyi_instance(40, 0.3, 0, 100, RngStream(32))
+        # released tree's last edge; all -inf noise ranks by edge id alone.
+        # Above the size rule the unrevealed edges share the clamp, above
+        # every revealed weight, so the scan reads revealed edges only
+        g = graph()
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
         for seed in range(5):
             r = private_kruskal_mst(g, budget, stream(seed))
@@ -508,16 +515,132 @@ class TestPamst:
         assert a[0] <= b[1] and b[0] <= a[1]
 
 
+def k5():
+    """K5 with U(0, 5) weights at two decimals (numpy seed 3)."""
+    edges = [(u, v) for u in range(1, 6) for v in range(u + 1, 6)]
+    return build_graph(5, edges, np.round(np.random.default_rng(3).uniform(0, 5, 10), 2))
+
+
+def zero_rate_graph():
+    """K3 with a fourth vertex hung on two edges whose weights are 1000
+    noise scales: at eps' = 1 and delta_inf = 1 (scale b = 2) their rates
+    exp(-w / b) underflow to 0, so only the lazy reveal's extension can
+    draw their noise, and every tree holds one of them."""
+    return build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4), (1, 4)],
+                       [1.0, 2.0, 3.0, 2000.0, 2001.0])
+
+
+def above_size_rule():
+    """An ER graph on which input_perturbation_mst reveals its noise lazily."""
+    n = 512
+    p = min(1.0, 1.1 * LAZY_MIN_EDGES / (n * (n - 1) / 2))
+    g = erdos_renyi_instance(n, p, 0, 100, RngStream(41))
+    assert _first_window(g, 1.0) < math.inf
+    return g
+
+
+class CountingStream(RngStream):
+    """An RngStream that counts its ln_exponential calls. The lazy reveal
+    makes one only to extend its first window, and the full draw one per
+    release."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.ln_exponential_calls = 0
+
+    def ln_exponential(self, size=None):
+        self.ln_exponential_calls += 1
+        return super().ln_exponential(size)
+
+
+class TestLazyReveal:
+    """input_perturbation_mst's window: the full draw below the size rule,
+    and the same tree distribution from the lazy reveal above it."""
+
+    @pytest.mark.parametrize("graph", [
+        lambda: erdos_renyi_instance(12, 0.6, 0, 100, RngStream(13)),
+        lambda: erdos_renyi_instance(256, 1.0, 0.0, 100.0, RngStream(1, (1,))),
+        above_size_rule,
+    ], ids=["er-12", "k256", "above-size-rule"])
+    def test_full_draw_below_the_size_rule(self, graph):
+        # below the rule perturb, onepass and kruskal release Kruskal's tree
+        # of the perturb_weights vector of the same stream: the tallies' row
+        # t is call t, and criterion 9 shares its noise; above it they do not
+        g = graph()
+        budget = PrivacyBudget.from_rho(1.0, 1e-6, 1.0)
+        eps_prime = budget.per_round(g.n - 1)
+        same = []
+        for seed in range(3):
+            full = kruskal_mst(g, perturb_weights(g, eps_prime, 1.0, RngStream(seed, (4,))))
+            for mech in ("perturb", "onepass", "kruskal"):
+                same.append(run_mechanism(mech, g, budget, RngStream(seed, (4,))).tree == full)
+        if _first_window(g, 1.0) == math.inf:
+            assert all(same)
+        else:
+            assert not any(same)
+
+    @pytest.mark.parametrize("window", ["first", "extension"])
+    @pytest.mark.parametrize("neighbour", [False, True], ids=["w", "w+s"])
+    @pytest.mark.parametrize("graph", [
+        triangle,
+        lambda: k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]),
+        k5,
+        zero_rate_graph,
+    ], ids=["k3", "k4-asymmetric", "k5", "zero-rate"])
+    def test_matches_exact_distribution(self, graph, neighbour, window):
+        # the "first" window gives the lightest edge p_e = 0.8, so that the
+        # thinning matters and some releases span at once and others extend;
+        # the "extension" window reveals no edge, so every release extends.
+        # Thinning at p_e instead of p_e / q_b fails all eight "first" cases.
+        g = graph()
+        if neighbour:  # w + delta_inf * s, s = (+1, -1, +1, ...)
+            signs = np.resize([1.0, -1.0], g.m)
+            g = build_graph(g.n, np.column_stack([g.u_arr, g.v_arr]),
+                            g.weights + g.delta_inf * signs)
+        budget = budget_for_eps_prime(g, 1.0)
+        eps_prime = budget.per_round(g.n - 1)
+        lightest = g.weights.min() / (2.0 * g.delta_inf / eps_prime)
+        log_window = lightest + (math.log(math.log(5.0)) if window == "first" else -50.0)
+        trials, stream = 8000 if window == "first" else 4000, CountingStream(40)
+        counts = Counter(input_perturbation_mst(g, budget, stream, _log_window=log_window)
+                         .tree.edge_ids for _ in range(trials))
+        exact = exact_tree_distribution(g, eps_prime, g.delta_inf)
+        assert chi_square_gof(counts, exact, 0.001).passed
+        extended = stream.ln_exponential_calls
+        if window == "extension" or graph is zero_rate_graph:
+            assert extended == trials
+        else:
+            assert trials / 20 < extended < trials * 3 / 4
+
+    def test_zero_rate_edges_have_their_odds(self):
+        # (3, 4) and (1, 4) differ by one weight unit, so at eps' = 1 and
+        # delta_inf = 1 their odds are exp(1/2), although neither rate is
+        # representable
+        g = zero_rate_graph()
+        counts = Counter()
+        stream = RngStream(42)
+        for _ in range(4000):
+            tree = input_perturbation_mst(g, budget_for_eps_prime(g, 1.0), stream,
+                                          _log_window=0.0).tree
+            counts[4 in tree.edge_ids] += 1
+        assert counts[True] + counts[False] == 4000
+        share = counts[True] / 4000
+        expect = 1.0 / (1.0 + math.exp(-0.5))
+        assert abs(share - expect) < 4 * math.sqrt(expect * (1 - expect) / 4000)
+
+
 class TestCrossMechanismInvariants:
     def test_noisy_tree_never_beats_noisy_true_mst(self):
-        g = erdos_renyi_instance(20, 0.5, 0, 100, RngStream(19))
+        # above the size rule the true tree's clamped sum is at most its
+        # full-noise sum, so the check is at least as strict
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
-        true_ids = [e - 1 for e in kruskal_mst(g).edge_ids]
-        for seed in range(50):
-            r = input_perturbation_mst(g, budget, RngStream(seed, (3,)))
-            got = sum(r.noisy_weights[e - 1] for e in r.tree.edge_ids)
-            ref = r.noisy_weights[true_ids].sum()
-            assert got <= ref + 1e-9
+        for g in (erdos_renyi_instance(20, 0.5, 0, 100, RngStream(19)), above_size_rule()):
+            true_ids = [e - 1 for e in kruskal_mst(g).edge_ids]
+            for seed in range(50):
+                r = input_perturbation_mst(g, budget, RngStream(seed, (3,)))
+                got = sum(r.noisy_weights[e - 1] for e in r.tree.edge_ids)
+                ref = r.noisy_weights[true_ids].sum()
+                assert got <= ref + 1e-9
 
     def test_error_decreases_as_rho_grows(self):
         g = erdos_renyi_instance(32, 1.0, 0, 100, RngStream(20))
@@ -548,9 +671,10 @@ class TestCrossMechanismInvariants:
         assert is_spanning_tree(g, r.tree.edge_ids)
 
     def test_tree_is_mst_of_returned_noisy_weights(self):
-        g = erdos_renyi_instance(15, 0.5, 0, 100, RngStream(23))
+        # above the size rule too, where the vector holds the clamp
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
-        for mech in ("perturb", "kruskal", "onepass", "sealfon-laplace", "sealfon-gauss"):
-            for seed in range(5):
-                r = run_mechanism(mech, g, budget, RngStream(24, (seed,)))
-                assert r.tree == kruskal_mst(g, r.noisy_weights)
+        for g in (erdos_renyi_instance(15, 0.5, 0, 100, RngStream(23)), above_size_rule()):
+            for mech in ("perturb", "kruskal", "onepass", "sealfon-laplace", "sealfon-gauss"):
+                for seed in range(5):
+                    r = run_mechanism(mech, g, budget, RngStream(24, (seed,)))
+                    assert r.tree == kruskal_mst(g, r.noisy_weights)

@@ -175,6 +175,31 @@ class TestBetaBinomial:
         assert out[0] == 0 and out[2] == 6 and 0 <= out[1] <= 6
 
 
+class TestCoinHeads:
+    def test_each_coin_lands_heads_at_its_block_probability(self):
+        stream, reps = RngStream(15), 20000
+        sizes, p = np.array([5, 3, 4]), np.array([0.3, 0.9, 0.0])
+        hits = np.zeros(12)
+        for _ in range(reps):
+            heads = stream.coin_heads(sizes, p)
+            assert len(np.unique(heads)) == len(heads)
+            hits[heads] += 1
+        expect = np.repeat(p, sizes)
+        sigma = np.sqrt(expect * (1 - expect) / reps)
+        assert (np.abs(hits / reps - expect) <= 4 * sigma + 1e-12).all()
+
+    def test_certain_and_impossible_blocks(self):
+        heads = RngStream(16).coin_heads([4, 0, 3], [1.0, 0.5, 0.0])
+        assert sorted(heads.tolist()) == [0, 1, 2, 3]
+        assert RngStream(16).coin_heads([], []).tolist() == []
+
+    @pytest.mark.parametrize("sizes, p", [([3], [math.nan]), ([3], [1.5]), ([3], [-0.1]),
+                                          ([-1], [0.5])])
+    def test_refuses_bad_blocks(self, sizes, p):
+        with pytest.raises(ValueError):
+            RngStream(0).coin_heads(sizes, p)
+
+
 class TestExponentialFacts:
     def test_minimum_fact(self):
         # P(X1 is the min) = lambda_1 / (lambda_1 + lambda_2) = 1/4
