@@ -80,8 +80,9 @@ def _noise_scale(eps_prime: float, delta_inf: float) -> float:
 
 # input_perturbation_mst draws all m noisy weights unless the graph has at
 # least LAZY_MIN_EDGES edges and LAZY_MIN_DENSITY * n ln n of them; then it
-# reveals those of a first window (``_lazy_mst``). Median ms per call, full draw against lazy
-# reveal, 40 interleaved calls each, eps = 1, delta = 1e-6, delta_inf = 1,
+# reveals those of a first window (``_lazy_mst``). Median ms per call, full
+# draw against lazy reveal, 40 interleaved calls each, eps = 1, delta =
+# 1e-6, delta_inf = 1,
 # on a shared 2-core x86 machine, as (m, m / n ln n): K256 (32,640; 23)
 # 0.94 against 0.82, ER(512, 0.3) (39,352; 12) 1.13 against 1.07,
 # ER(1024, 0.1) (52,414; 7.4) 1.44 against 1.46, ER(512, 0.5) (65,581; 21)
@@ -91,10 +92,15 @@ def _noise_scale(eps_prime: float, delta_inf: float) -> float:
 # ER(4096, 0.05) (420,538; 12) 11.1 against 7.83. At rho = 1 and
 # delta_inf = 0.1, where the noise scale is 6% of the weight range or
 # less: K256 1.17 against 1.51, ER(512, 0.5) 1.92 against 1.78, ER(1024,
-# 0.2) 3.05 against 2.53, ER(2048, 0.1) 6.17 against 4.33. So below 2^16
-# edges the lazy reveal gains at most 13% and loses 29% on K256 at the
-# smaller scale, and below 10 n ln n it gains at most 5% and loses 26% at
-# m / n ln n = 2.3.
+# 0.2) 3.05 against 2.53, ER(2048, 0.1) 6.17 against 4.33. Sparse graphs,
+# 80 interleaved calls, eps = 1: ER(16384, 0.001) (134,661; 0.8) 14.4
+# against 23.7, ER(4096, 0.01) (83,520; 2.5) 4.99 against 5.95, ER(4096,
+# 0.02) (167,308; 4.9) 5.00 against 5.13, ER(2048, 0.05) (104,841; 6.7)
+# 2.64 against 2.43, ER(4096, 0.03) (251,097; 7.4) 7.27 against 6.58. So
+# below 2^16 edges the lazy reveal gains at most 13% and loses 29% on K256
+# at the smaller scale, and below 10 n ln n it gains at most 10% and loses
+# up to 65% as m / n ln n falls. No benchmark workload sits above 2^16
+# edges and below 10 n ln n; that side of the rule rests on this ladder.
 LAZY_MIN_EDGES, LAZY_MIN_DENSITY = 65536, 10.0
 # The first window expects LAZY_WINDOW * n ln n revealed edges, about 1.5
 # times the median prefix Kruskal's scan reads on ER(2048, 0.1); its
@@ -105,8 +111,7 @@ LAZY_BUCKET, LAZY_STRIDE = 16384, 512
 
 
 def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
-                           stream: RngStream, *,
-                           _log_window: float | None = None) -> MechanismResult:
+                           stream: RngStream) -> MechanismResult:
     """Perturb every weight once, then run any exact MST algorithm.
 
     Only the edge set is the private release; the noisy vector is far too
@@ -125,13 +130,12 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
     infinite: the noise is ``perturb_weights``' vector, draw for draw, and
     ``kruskal_mst`` takes it. On larger graphs ``_lazy_mst`` reveals only
     the edges whose clocks ring in a first window (``_first_window``), with
-    the same tree distribution. ``_log_window`` forces its ln T, inf being
-    the full draw.
+    the same tree distribution.
     """
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
     scale = _noise_scale(eps_prime, budget.delta_inf)
-    log_window = _first_window(g, scale) if _log_window is None else _log_window
+    log_window = _first_window(g, scale)
     if log_window == math.inf:
         noisy = perturb_weights(g, eps_prime, budget.delta_inf, stream)
         tree = kruskal_mst(g, noisy)

@@ -11,10 +11,11 @@ from dpmst.exact import (chi_square_gof, exact_tree_distribution,
                          prim_tree_distribution)
 from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
 from dpmst.instances import erdos_renyi_instance
+from dpmst import mechanisms
 from dpmst.mechanisms import (LAZY_MIN_EDGES, MECHANISMS, MechanismResult,
                               UnknownMechanismError, input_perturbation_mst,
-                              _dijkstra_tree, _first_window, _prim_race,
-                              pamst, perturb_weights,
+                              _dijkstra_tree, _first_window, _lazy_mst,
+                              _noise_scale, _prim_race, pamst, perturb_weights,
                               private_kruskal_mst, run_mechanism, sealfon_mst)
 from dpmst.rng import RngStream
 
@@ -587,11 +588,14 @@ class TestLazyReveal:
         k5,
         zero_rate_graph,
     ], ids=["k3", "k4-asymmetric", "k5", "zero-rate"])
-    def test_matches_exact_distribution(self, graph, neighbour, window):
+    def test_matches_exact_distribution(self, graph, neighbour, window, monkeypatch):
         # the "first" window gives the lightest edge p_e = 0.8, so that the
         # thinning matters and some releases span at once and others extend;
         # the "extension" window reveals no edge, so every release extends.
-        # Thinning at p_e instead of p_e / q_b fails all eight "first" cases.
+        # Buckets of two edges give every graph several envelopes q_b.
+        # Thinning at p_e instead of p_e / q_b, or at p_e / q_0 in every
+        # bucket, fails all eight "first" cases.
+        monkeypatch.setattr(mechanisms, "LAZY_BUCKET", 2)
         g = graph()
         if neighbour:  # w + delta_inf * s, s = (+1, -1, +1, ...)
             signs = np.resize([1.0, -1.0], g.m)
@@ -599,11 +603,12 @@ class TestLazyReveal:
                             g.weights + g.delta_inf * signs)
         budget = budget_for_eps_prime(g, 1.0)
         eps_prime = budget.per_round(g.n - 1)
-        lightest = g.weights.min() / (2.0 * g.delta_inf / eps_prime)
-        log_window = lightest + (math.log(math.log(5.0)) if window == "first" else -50.0)
+        scale = _noise_scale(eps_prime, g.delta_inf)
+        log_window = g.weights.min() / scale + (
+            math.log(math.log(5.0)) if window == "first" else -50.0)
         trials, stream = 8000 if window == "first" else 4000, CountingStream(40)
-        counts = Counter(input_perturbation_mst(g, budget, stream, _log_window=log_window)
-                         .tree.edge_ids for _ in range(trials))
+        counts = Counter(_lazy_mst(g, scale, stream, log_window)[0].edge_ids
+                         for _ in range(trials))
         exact = exact_tree_distribution(g, eps_prime, g.delta_inf)
         assert chi_square_gof(counts, exact, 0.001).passed
         extended = stream.ln_exponential_calls
@@ -620,8 +625,7 @@ class TestLazyReveal:
         counts = Counter()
         stream = RngStream(42)
         for _ in range(4000):
-            tree = input_perturbation_mst(g, budget_for_eps_prime(g, 1.0), stream,
-                                          _log_window=0.0).tree
+            tree = _lazy_mst(g, _noise_scale(1.0, g.delta_inf), stream, 0.0)[0]
             counts[4 in tree.edge_ids] += 1
         assert counts[True] + counts[False] == 4000
         share = counts[True] / 4000
