@@ -144,10 +144,8 @@ class WeightedGraph:
         vertex x are ``edge_ids[indptr[x]:indptr[x + 1]]``, each once.
         Both arrays are read-only.
         """
-        ends = np.concatenate([self.u_arr, self.v_arr])
-        indptr = np.zeros(self.n + 2, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=self.n + 1), out=indptr[1:])
-        edge_ids = np.argsort(ends, kind="stable") % self.m
+        indptr, order = _endpoint_slots(self.n, self.u_arr, self.v_arr)
+        edge_ids = order % self.m
         indptr.flags.writeable = edge_ids.flags.writeable = False
         return indptr, edge_ids
 
@@ -194,6 +192,22 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m}, delta_inf={self.delta_inf})"
+
+
+def _endpoint_slots(n: int, u_arr: np.ndarray,
+                    v_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 2m endpoints of the edges (u_arr[i], v_arr[i]) grouped by vertex:
+    ``(indptr, order)``, where the slots of vertex x are
+    ``order[indptr[x]:indptr[x + 1]]``, each an index into
+    ``concatenate([u_arr, v_arr])`` (so of edge ``order % m``), in
+    increasing order. ``indptr`` has n + 2 entries, vertex 0 holding none.
+    """
+    ends = np.concatenate([u_arr, v_arr])
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n + 1), out=indptr[1:])
+    if n < 1 << 16:  # numpy's stable sort of 16-bit keys is a radix sort, 6x faster
+        ends = ends.astype(np.uint16)
+    return indptr, np.argsort(ends, kind="stable")
 
 
 def _connected(n, u_arr, v_arr) -> bool:
@@ -250,26 +264,32 @@ def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
     w = g.weights if weights is None else np.asarray(weights, dtype=float)
     if len(w) != g.m:
         raise LengthMismatchError(f"expected {g.m} weights, got {len(w)}")
-    need = g.n - 1
-    k = max(1, math.ceil(g.n * math.log(g.n)))
-    if len(w) <= SCAN_MAX_EDGES and min(k, len(w)) <= SCAN_MAX_STEPS:
-        scan = itertools.chain.from_iterable(
-            _triples(g, _scan_order(w, np.arange(len(w))), k))
-        chosen = join(g.n, scan, need)
-    else:
-        chosen = _boruvka_batches(g.n, g.u_arr, g.v_arr, w, k, need)
-    if len(chosen) != need:
+    chosen = _kruskal_picks(g.n, g.u_arr, g.v_arr, w, g.n - 1)
+    if len(chosen) != g.n - 1:
         raise DisconnectedError("graph is not connected")
     return SpanningTree(frozenset(chosen))
 
 
-def _triples(g: WeightedGraph, order: np.ndarray, k: int):
-    """Runs of (edge id, u, v) along ``order``, k, 2k, 4k, ... edges long,
-    so that a scan that stops early converts few edges to Python ints."""
+def _kruskal_picks(n: int, u_arr: np.ndarray, v_arr: np.ndarray, w: np.ndarray,
+                   need: int) -> list[int]:
+    """The 1-based indices of Kruskal's picks under the (w, index) ranks
+    among the edges (u_arr[i], v_arr[i]) over vertices 1..n, stopping at
+    ``need``: the branch choice of ``kruskal_mst``, on any set of edges."""
+    k = max(1, math.ceil(n * math.log(n)))
+    if len(w) <= SCAN_MAX_EDGES and min(k, len(w)) <= SCAN_MAX_STEPS:
+        scan = itertools.chain.from_iterable(
+            _triples(u_arr, v_arr, _scan_order(w, np.arange(len(w))), k))
+        return join(n, scan, need)
+    return _boruvka_batches(n, u_arr, v_arr, w, k, need)
+
+
+def _triples(u_arr: np.ndarray, v_arr: np.ndarray, order: np.ndarray, k: int):
+    """Runs of (1-based index, u, v) along ``order``, k, 2k, 4k, ... edges
+    long, so that a scan that stops early converts few edges to Python ints."""
     lo = 0
     while lo < len(order):
         run = order[lo:lo + k]
-        yield zip((run + 1).tolist(), g.u_arr[run].tolist(), g.v_arr[run].tolist())
+        yield zip((run + 1).tolist(), u_arr[run].tolist(), v_arr[run].tolist())
         lo, k = lo + k, 2 * k
 
 

@@ -9,6 +9,7 @@ baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input
 privatization) and ``pamst`` (Prim-based): the shortest-path tree from
 vertex 1 under lengths exp(eps' / (2 * delta_inf) * w~_e) of ``perturb``'s
 vector w~, which ``_dijkstra_tree`` computes for a block of vectors at once.
+On large graphs ``pamst`` too draws only the noise its tree can reach.
 
 Every mechanism takes (graph, budget, stream) and returns a MechanismResult;
 none reads system entropy.
@@ -24,7 +25,8 @@ from functools import partial
 import numpy as np
 
 from .accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
-from .graph import SpanningTree, WeightedGraph, _boruvka_batches, kruskal_mst
+from .graph import (SpanningTree, WeightedGraph, _endpoint_slots, _kruskal_picks,
+                    kruskal_mst)
 from .rng import RngStream
 
 
@@ -105,7 +107,8 @@ LAZY_MIN_EDGES, LAZY_MIN_DENSITY = 65536, 10.0
 # The first window expects LAZY_WINDOW * n ln n revealed edges, about 1.5
 # times the median prefix Kruskal's scan reads on ER(2048, 0.1); its
 # expectation is read on every LAZY_STRIDE-th edge in weight order. Weight
-# buckets of LAZY_BUCKET edges share one envelope rate.
+# buckets of min(LAZY_BUCKET, the power of two at or above n ln n) edges
+# share one envelope rate.
 LAZY_WINDOW = 0.8
 LAZY_BUCKET, LAZY_STRIDE = 16384, 512
 
@@ -145,10 +148,11 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
                            wall_time_ns=time.perf_counter_ns() - t0)
 
 
-def _first_window(g: WeightedGraph, scale: float) -> float:
-    """ln T of the first window: inf below the size rule (``LAZY_MIN_EDGES``
-    and ``LAZY_MIN_DENSITY``), else about the ln T by which LAZY_WINDOW *
-    n ln n clocks are expected to ring. The expectation, sum_e 1 -
+def _first_window(g: WeightedGraph, scale: float, min_edges: int = LAZY_MIN_EDGES,
+                  window: float = LAZY_WINDOW) -> float:
+    """ln T of the first window: inf below the size rule (``min_edges`` and
+    ``LAZY_MIN_DENSITY``), else about the ln T by which ``window`` * n ln n
+    clocks are expected to ring. The expectation, sum_e 1 -
     exp(-exp(ln T - w_e/b)), is read on every ``LAZY_STRIDE``-th edge of
     ``g.by_weight``. The first guess is the later of two: the T at which
     the rates sum to the target (each term is at most its rate times T),
@@ -156,10 +160,10 @@ def _first_window(g: WeightedGraph, scale: float) -> float:
     then scales T by target / expected, which keeps the expectation on the
     side of the target where it started and moves it closer. A solve that
     over- or underflows gives inf too."""
-    if g.m < max(LAZY_MIN_EDGES, LAZY_MIN_DENSITY * g.n * math.log(g.n)):
+    if g.m < max(min_edges, LAZY_MIN_DENSITY * g.n * math.log(g.n)):
         return math.inf
     minus_ln_s = g.weights[g.by_weight[LAZY_STRIDE // 2::LAZY_STRIDE]] / scale
-    target, low = LAZY_WINDOW * g.n * math.log(g.n) / LAZY_STRIDE, minus_ln_s[0]
+    target, low = window * g.n * math.log(g.n) / LAZY_STRIDE, minus_ln_s[0]
     with np.errstate(all="ignore"):
         log_t = math.log(target / np.exp(low - minus_ln_s).sum()) + low
         log_t = max(log_t, minus_ln_s[min(int(target), len(minus_ln_s) - 1)] - 1.0)
@@ -168,58 +172,52 @@ def _first_window(g: WeightedGraph, scale: float) -> float:
     return log_t if math.isfinite(log_t) else math.inf
 
 
-def _lazy_mst(g: WeightedGraph, scale: float, stream: RngStream,
-              log_window: float) -> tuple[SpanningTree, np.ndarray]:
-    """Kruskal's tree of ``perturb_weights``' noisy weights w + b ln(E),
-    b = ``scale``, revealing only the edges whose noise falls in a window.
+def _reveal(g: WeightedGraph, scale: float, stream: RngStream,
+            log_window: float) -> tuple[np.ndarray, np.ndarray]:
+    """The clocks that ring by T = exp(log_window), with their noisy
+    weights: ``(rev, noisy_rev)``, the 0-based ids in increasing order and
+    w_e + b ln(E_e), b = ``scale``, for each.
 
     Edge e is an exponential clock X_e = E_e / s_e of rate s_e = exp(-w_e/b),
-    and its noisy weight is b ln(X_e), so Kruskal scans the edges in the
-    order their clocks ring. Clock e rings by T = exp(log_window) with
-    probability p_e = 1 - exp(-s_e T), independently of the others:
+    and b ln(X_e) is ``perturb_weights``' noisy weight. Clock e rings by T
+    with probability p_e = 1 - exp(-s_e T), independently of the others:
     ln(s_e T) = a_e = log_window - w_e/b, kept in logs so that no rate
     under- or overflows.
 
     - The heads among coins of probability q_j, the p_e of the lightest
-      edge of weight bucket j (a run of ``LAZY_BUCKET`` edges of
-      ``g.by_weight``), are the candidates; each is kept with probability
-      p_e / q_j. So edge e is revealed with probability p_e, at a cost of
-      about the number revealed.
+      edge of weight bucket j (a run of ``g.by_weight``, min(LAZY_BUCKET,
+      the power of two at or above n ln n) edges long), are the candidates;
+      each is kept with probability p_e / q_j. So edge e is revealed with
+      probability p_e, at a cost of about the number revealed.
     - A revealed edge's E_e is drawn conditioned on E_e <= s_e T by inverse
       CDF, -ln(1 - U p_e) for U uniform.
-    - Kruskal's engine runs on the revealed edges. Every unrevealed edge
-      rings after T, later than every revealed one, so if the revealed edges
-      span, the tree is the full vector's. The returned vector then holds
-      one clamp value, just above every revealed weight, for each unrevealed
-      edge: the tree is also its MST.
-    - Otherwise the clocks that have not rung are memoryless: each other E_e
-      is s_e T + Exp(1), ln E_e = logaddexp(ln Exp(1), a_e), and Kruskal runs
-      on the full vector. Edges whose rate underflows (p_e = 0) come here.
     """
     w, m = g.weights, g.m
-    lightest = w[g.by_weight[::LAZY_BUCKET]] / scale
-    sizes = np.minimum(LAZY_BUCKET, m - LAZY_BUCKET * np.arange(len(lightest)))
-    q = -np.expm1(-np.exp(log_window - lightest))
-    heads = stream.coin_heads(sizes, q)
-    cand = g.by_weight[heads]
-    p = -np.expm1(-np.exp(log_window - w[cand] / scale))
-    # in id order, so that noisy ties break as in kruskal_mst
-    rev = np.sort(cand[stream.uniform(len(cand)) * q[heads // LAZY_BUCKET] <= p])
-    a = log_window - w[rev] / scale
-    p = -np.expm1(-np.exp(a))
-    with np.errstate(divide="ignore"):  # U p_e that underflows: ln E = -inf
+    bucket = min(LAZY_BUCKET, 1 << (max(1, math.ceil(g.n * math.log(g.n))) - 1).bit_length())
+    lightest = w[g.by_weight[::bucket]] / scale
+    sizes = np.minimum(bucket, m - bucket * np.arange(len(lightest)))
+    # exp(a_e) that overflows gives p_e = 1; U p_e that underflows, ln E = -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        q = -np.expm1(-np.exp(log_window - lightest))
+        heads = stream.coin_heads(sizes, q)
+        cand = g.by_weight[heads]
+        p = -np.expm1(-np.exp(log_window - w[cand] / scale))
+        # in id order, so that noisy ties break as in kruskal_mst
+        rev = np.sort(cand[stream.uniform(len(cand)) * q[heads // bucket] <= p])
+        a = log_window - w[rev] / scale
+        p = -np.expm1(-np.exp(a))
         ln_e = np.log(-np.log1p(-stream.uniform(len(rev)) * p))
-    noisy_rev = w[rev] + scale * np.minimum(ln_e, a, out=ln_e)
-    need = g.n - 1
-    if len(rev) >= need:
-        k = max(1, math.ceil(g.n * math.log(g.n)))
-        picked = _boruvka_batches(g.n, g.u_arr[rev], g.v_arr[rev], noisy_rev, k, need)
-        if len(picked) == need:
-            clamp = np.nextafter(max(scale * log_window, noisy_rev.max()), math.inf)
-            noisy = np.full(m, clamp)
-            noisy[rev] = noisy_rev
-            tree = SpanningTree(frozenset((rev[np.asarray(picked) - 1] + 1).tolist()))
-            return tree, noisy
+    return rev, w[rev] + scale * np.minimum(ln_e, a, out=ln_e)
+
+
+def _extend(g: WeightedGraph, scale: float, stream: RngStream, log_window: float,
+            rev: np.ndarray, noisy_rev: np.ndarray) -> np.ndarray:
+    """The full noisy vector after ``_reveal``: ``noisy_rev`` on ``rev``,
+    and every other edge's clock drawn conditioned on ringing after T. The
+    clocks that have not rung are memoryless, so each other E_e is
+    s_e T + Exp(1), ln E_e = logaddexp(ln Exp(1), a_e). Edges whose rate
+    underflows (p_e = 0) are drawn here, with their exact odds."""
+    w, m = g.weights, g.m
     rest = np.ones(m, dtype=bool)
     rest[rev] = False
     rest = np.flatnonzero(rest)
@@ -227,6 +225,34 @@ def _lazy_mst(g: WeightedGraph, scale: float, stream: RngStream,
     noisy[rev] = noisy_rev
     ln_e = np.logaddexp(stream.ln_exponential(size=len(rest)), log_window - w[rest] / scale)
     noisy[rest] = w[rest] + scale * ln_e
+    return noisy
+
+
+def _lazy_mst(g: WeightedGraph, scale: float, stream: RngStream,
+              log_window: float) -> tuple[SpanningTree, np.ndarray]:
+    """Kruskal's tree of ``perturb_weights``' noisy weights w + b ln(E),
+    b = ``scale``, revealing only the edges whose noise falls in a window.
+
+    Kruskal scans the edges in the order their clocks ring (``_reveal``).
+    It runs, by ``kruskal_mst``'s own choice of scan or Borůvka, on the
+    edges revealed by T = exp(log_window). Every unrevealed edge rings after
+    T, later than every revealed one, so if the revealed edges span, the
+    tree is the full vector's. The returned vector then holds one clamp
+    value, just above every revealed weight, for each unrevealed edge: the
+    tree is also its MST. Otherwise ``_extend`` draws the other clocks and
+    Kruskal runs on the full vector.
+    """
+    rev, noisy_rev = _reveal(g, scale, stream, log_window)
+    need = g.n - 1
+    if len(rev) >= need:
+        picked = _kruskal_picks(g.n, g.u_arr[rev], g.v_arr[rev], noisy_rev, need)
+        if len(picked) == need:
+            clamp = np.nextafter(max(scale * log_window, noisy_rev.max()), math.inf)
+            noisy = np.full(g.m, clamp)
+            noisy[rev] = noisy_rev
+            tree = SpanningTree(frozenset((rev[np.asarray(picked) - 1] + 1).tolist()))
+            return tree, noisy
+    noisy = _extend(g, scale, stream, log_window, rev, noisy_rev)
     return kruskal_mst(g, noisy), noisy
 
 
@@ -301,6 +327,25 @@ PAMST_MAX_LOG_SPAN = 700.0
 # against the race, shared 2-core x86 machine: K3 85 against 24, K5 122
 # against 70, K8 138 against 126, K9 134 against 139, K10 135 against 157.
 PAMST_RACE_MAX_N = 8
+# pamst draws all m clocks unless the graph has at least PAMST_MIN_EDGES
+# edges and LAZY_MIN_DENSITY * n ln n of them; then it reveals those that
+# ring in a first window expecting PAMST_WINDOW * n ln n of them. Median ms
+# per call, full draw against lazy reveal, 80 interleaved calls, eps = 1,
+# delta = 1e-6, delta_inf = 1, on a shared 2-core x86 machine, as (m, m /
+# n ln n): K128 (8,128; 13) 0.42 against 0.62, K181 (16,290; 17) 0.67
+# against 0.81, K200 (19,900; 19) 0.90 against 0.94, K230 (26,335; 21) 1.02
+# against 0.93, K256 (32,640; 23) 1.25 against 1.06, ER(362, 0.5) (32,666;
+# 15) 1.46 against 1.35, ER(512, 0.3) (39,174; 12) 2.07 against 1.90,
+# ER(1024, 0.1) (52,177; 7.4) 2.37 against 2.49, ER(1024, 0.05) (26,174;
+# 3.7) 1.46 against 2.23, ER(2048, 0.02) (41,829; 2.7) 3.38 against 5.48,
+# ER(512, 0.5) (65,585; 21) 2.64 against 1.79, ER(2048, 0.1) (208,953; 13)
+# 9.93 against 5.71. At rho = 1 and delta_inf = 0.1: K181 0.78 against
+# 0.80, K200 0.91 against 0.87, K230 1.43 against 1.13, K256 1.82 against
+# 1.32, ER(512, 0.3) 1.67 against 1.49, ER(1024, 0.1) 2.42 against 2.57,
+# ER(2048, 0.02) 2.88 against 4.83, ER(2048, 0.1) 12.4 against 7.26. The
+# 40 to 80 calls of each point extended at most 3 times. A target of 1.0
+# n ln n extended 87 of 150 K256 calls at rho = 0.01, and 1.25 extended 13.
+PAMST_MIN_EDGES, PAMST_WINDOW = 24576, 1.5
 
 
 def pamst(g: WeightedGraph, budget: PrivacyBudget,
@@ -320,37 +365,87 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     mechanism. Vertex v joins at its distance from vertex 1 under lengths
     X_e, so the released tree is the shortest-path tree. And
     X_e = Exp(1) / s_e = exp(coef * w~_e), coef = eps' / (2 * delta_inf),
-    where w~ = ``perturb_weights(g, eps', delta_inf, stream)``: ``pamst``
-    reads ``perturb``'s noisy vector, m draws, and the tree is a function
-    of it alone. The vector is not returned (``noisy_weights`` is None): the
-    tree is not its minimum spanning tree.
+    where w~ is ``perturb``'s noisy vector. The vector is not returned
+    (``noisy_weights`` is None): the tree is not its minimum spanning tree.
 
-    ``_dijkstra_tree`` computes the tree as a block of one row, or
-    ``_prim_race`` on at most ``PAMST_RACE_MAX_N`` vertices: the same tree.
-    ``ops["edge_scans"]`` counts incidence slots read, 2m a path (4m without
-    a certified Dijkstra tree); ``ops["draws"]`` is m, one per edge.
+    Below a size rule (``PAMST_MIN_EDGES`` and ``LAZY_MIN_DENSITY``), or
+    when the first window lies ``PAMST_MAX_LOG_SPAN`` or more above the
+    lightest edge's w / b (huge budgets), w~ is
+    ``perturb_weights(g, eps', delta_inf, stream)``, m draws, and the tree
+    is a function of it alone: ``_dijkstra_tree`` computes it as a block of
+    one row, or ``_prim_race`` on at most ``PAMST_RACE_MAX_N`` vertices,
+    the same tree. Above the rule ``_lazy_pamst`` reveals only the clocks
+    that ring in a first window, with the same tree distribution.
+
+    ``ops["edge_scans"]`` counts incidence slots read: 2m a full path, 4m
+    without a certified Dijkstra tree, plus 2 per revealed edge for the
+    lazy path's Dijkstra. ``ops["draws"]`` counts the clocks drawn: m, or
+    the revealed ones when the lazy path's tree was certified.
     """
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
-    log_clock = perturb_weights(g, eps_prime, budget.delta_inf, stream)
-    log_clock *= eps_prime / (2.0 * budget.delta_inf)
+    scale = _noise_scale(eps_prime, budget.delta_inf)
+    log_window = _first_window(g, scale, PAMST_MIN_EDGES, PAMST_WINDOW)
+    # a window PAMST_MAX_LOG_SPAN above the lightest rate's clock would hold
+    # clocks that span that much, and the lazy certificate refuse them
+    if log_window == math.inf or (
+            log_window - g.weights[g.by_weight[0]] / scale >= PAMST_MAX_LOG_SPAN):
+        log_clock = perturb_weights(g, eps_prime, budget.delta_inf, stream)
+        log_clock *= eps_prime / (2.0 * budget.delta_inf)
+        chosen, scans = _spt(g, log_clock)
+        ops = {"edge_scans": scans, "draws": g.m}
+    else:
+        chosen, ops = _lazy_pamst(g, scale, stream, log_window)
+    return MechanismResult(tree=SpanningTree(frozenset(chosen)),
+                           wall_time_ns=time.perf_counter_ns() - t0, ops=ops)
+
+
+def _spt(g: WeightedGraph, log_clock: np.ndarray) -> tuple[list[int], int]:
+    """The race's tree under all m clocks X_e = exp(log_clock_e), as 1-based
+    edge ids, and the incidence slots read: ``_dijkstra_tree`` as a block of
+    one row, or ``_prim_race`` on at most ``PAMST_RACE_MAX_N`` vertices."""
     if g.n > PAMST_RACE_MAX_N:
         tree, certified = _dijkstra_tree(g, log_clock[None])
-        chosen = (np.flatnonzero(tree[0]) + 1).tolist()
-        scans = 2 * g.m if certified[0] else 4 * g.m
-    else:
-        chosen, scans = _prim_race(g, log_clock), 2 * g.m
-    return MechanismResult(tree=SpanningTree(frozenset(chosen)),
-                           wall_time_ns=time.perf_counter_ns() - t0,
-                           ops={"edge_scans": scans, "draws": g.m})
+        return (np.flatnonzero(tree[0]) + 1).tolist(), 2 * g.m if certified[0] else 4 * g.m
+    return _prim_race(g, log_clock), 2 * g.m
 
 
-def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shortest-path tree from vertex 1 of each row of a (rows, m)
-    block, under lengths X_e = exp(log_clock_e), as a (rows, m) boolean edge
-    mask, and whether Dijkstra's tree was certified for the row. The other
-    rows, and those whose clocks hold a -inf or span ``PAMST_MAX_LOG_SPAN``
-    or more in logs, take ``_prim_race``'s tree.
+def _lazy_pamst(g: WeightedGraph, scale: float, stream: RngStream,
+                log_window: float) -> tuple[list[int], dict]:
+    """``pamst``'s tree, as 1-based edge ids, and its ops, from the clocks
+    X_e = exp(w~_e / b), b = ``scale``, that ring by T = exp(log_window).
+
+    ``_reveal`` draws those clocks, and ``_dijkstra_tree`` runs on the
+    revealed edges with the window's certificate: every vertex reached, at
+    a distance below T. Every unrevealed clock is above T, so above every
+    distance: it can neither shorten a path nor tie with one, and the
+    shortest-path tree of the revealed edges is that of all m. Otherwise
+    ``_extend`` draws the other clocks, conditioned on ringing after T, and
+    the tree is ``_spt``'s of the full vector.
+    """
+    rev, noisy_rev = _reveal(g, scale, stream, log_window)
+    scans = 0
+    if len(rev) >= g.n - 1:
+        tree, certified = _dijkstra_tree(g, (noisy_rev / scale)[None], rev, log_window)
+        if certified[0]:
+            return (rev[tree[0]] + 1).tolist(), {"edge_scans": 2 * len(rev), "draws": len(rev)}
+        scans = 2 * len(rev)
+    noisy = _extend(g, scale, stream, log_window, rev, noisy_rev)
+    chosen, full = _spt(g, noisy / scale)
+    return chosen, {"edge_scans": scans + full, "draws": g.m}
+
+
+def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | None = None,
+                   log_window: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest-path tree from vertex 1 of each row of a (rows, k)
+    block, under lengths X_e = exp(log_clock_e), as a (rows, k) boolean
+    edge mask, and whether Dijkstra's tree was certified for the row. The
+    columns are the edges ``edges`` (0-based, increasing), by default all
+    m; every other edge's clock is above exp(log_window). Over all m edges
+    the other rows, and those whose clocks hold a -inf or span
+    ``PAMST_MAX_LOG_SPAN`` or more in logs, take ``_prim_race``'s tree.
+    Over a subset they are only reported, for the caller to extend, and
+    the span counts log_window too.
 
     One ``scipy.sparse.csgraph.dijkstra`` call runs over disjoint copies of
     the graph, one per row with its own source, under lengths
@@ -364,20 +459,41 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray) -> tuple[np.ndarray,
     non-tree edges are positive too: the tree is the unique shortest-path
     tree of the lengths X_e, and no ties or swamped clocks chose it.
 
+    Over a subset every other edge's clock is known only to exceed
+    T = exp(log_window), so the tree is kept only if, also, every distance
+    is below exp(log_window - lo) (1 - 2 (n + |log_window| + |lo| + 3)
+    2^-53), and so every vertex was reached. An exact distance is within a
+    factor 1 + n 2^-53 of the float sum of its at most n-1 lengths. The
+    bound, and each length, is an exp of a log of size at most
+    |log_window| + |lo| after a subtraction and a division or two, so
+    within a factor 1 + (|log_window| + |lo| + 3) 2^-53 of its exact
+    value; the margin is twice the two together. Then each other edge's
+    length exceeds every exact distance, so its slack is positive and it
+    lies on no shortest path: the tree over the subset is the tree over
+    all m edges.
+
     scipy is imported here, on the first call, so that ``import dpmst``
     and every other mechanism run without loading it.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    n, m = g.n, g.m
+    n, m = g.n, log_clock.shape[1]
+    if edges is None:
+        u_arr, v_arr = g.u_arr, g.v_arr
+        slots, (indptr, cols) = g.incidence[1], g.adjacency
+    else:
+        u_arr, v_arr = g.u_arr[edges], g.v_arr[edges]
+        indptr, order = _endpoint_slots(n, u_arr, v_arr)
+        slots, cols = order % m, np.concatenate([v_arr, u_arr])[order] - 1
+        indptr = indptr[1:]
     lo = log_clock.min(axis=1)
-    certified = log_clock.max(axis=1) < lo + PAMST_MAX_LOG_SPAN  # false at lo = -inf
+    # false at lo = -inf; over a subset the bound exp(log_window - lo) is finite too
+    certified = np.maximum(log_clock.max(axis=1), log_window) < lo + PAMST_MAX_LOG_SPAN
     tree = np.zeros(log_clock.shape, dtype=bool)
     rows = np.flatnonzero(certified)
     if k := len(rows):
         length = np.exp(log_clock[rows] - lo[rows, None])
-        slots, (indptr, cols) = g.incidence[1], g.adjacency
         # copy c numbers its vertices from c * n and its slots from c * m; one
         # row is g's own arrays: the three offset copies cost a K256 call 25%
         if k > 1:
@@ -388,19 +504,24 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray) -> tuple[np.ndarray,
         block = csr_matrix((length.ravel()[slots], cols, indptr), shape=(k * n, k * n))
         t = np.empty((k, n + 1))  # t[:, v] for vertex v, so the 1-based endpoints index it
         t[:, 1:] = dijkstra(block, indices=n * np.arange(k), min_only=True).reshape(k, n)
-        tu, tv = np.take(t, g.u_arr, axis=1), np.take(t, g.v_arr, axis=1)
+        tu, tv = np.take(t, u_arr, axis=1), np.take(t, v_arr, axis=1)
         far = np.maximum(tu, tv)
         slack = np.minimum(tu, tv, out=tu)
         slack += length
-        slack -= far
+        with np.errstate(invalid="ignore"):  # inf - inf at an unreached edge
+            slack -= far
         tight = slack == 0.0
         far *= 4.0 * n * 2.0 ** -53
-        # a NaN slack (an overflowed t) is neither tight nor above the bound
+        # a NaN slack (an overflowed or unreached t) is neither tight nor above the bound
         certified[rows] = ((np.bincount(np.flatnonzero(tight) // m, minlength=k) == n - 1)
                            & (tight | (slack > far)).all(axis=1))
+        if edges is not None:  # an unreached vertex has t = inf
+            margin = 2.0 * (n + abs(log_window) + np.abs(lo[rows]) + 3.0) * 2.0 ** -53
+            certified[rows] &= t[:, 1:].max(axis=1) < np.exp(log_window - lo[rows]) * (1.0 - margin)
         tree[rows] = tight
-    for r in np.flatnonzero(~certified):
-        tree[r] = np.isin(np.arange(1, m + 1), _prim_race(g, log_clock[r]))
+    if edges is None:
+        for r in np.flatnonzero(~certified):
+            tree[r] = np.isin(np.arange(1, m + 1), _prim_race(g, log_clock[r]))
     return tree, certified
 
 

@@ -12,10 +12,11 @@ from dpmst.exact import (chi_square_gof, exact_tree_distribution,
 from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
 from dpmst.instances import erdos_renyi_instance
 from dpmst import mechanisms
-from dpmst.mechanisms import (LAZY_MIN_EDGES, MECHANISMS, MechanismResult,
-                              UnknownMechanismError, input_perturbation_mst,
-                              _dijkstra_tree, _first_window, _lazy_mst,
-                              _noise_scale, _prim_race, pamst, perturb_weights,
+from dpmst.mechanisms import (LAZY_MIN_EDGES, MECHANISMS, PAMST_MIN_EDGES, PAMST_WINDOW,
+                              MechanismResult, UnknownMechanismError,
+                              input_perturbation_mst, _dijkstra_tree, _extend,
+                              _first_window, _lazy_mst, _lazy_pamst, _noise_scale,
+                              _prim_race, _reveal, _spt, pamst, perturb_weights,
                               private_kruskal_mst, run_mechanism, sealfon_mst)
 from dpmst.rng import RngStream
 
@@ -497,14 +498,23 @@ class TestPamst:
             r = pamst(g, PrivacyBudget.from_rho(rho, 1e-6, 0.1), FixedUniform(u))
             assert is_spanning_tree(g, r.tree.edge_ids)
 
-    @pytest.mark.parametrize("p", [0.5, 1.0])
-    def test_op_counts(self, p):
-        # each vertex's incidence slots are read once, not the m edges per round
-        g = erdos_renyi_instance(64, p, 0, 100, RngStream(42, (int(10 * p),)))
+    @pytest.mark.parametrize("n, p", [(64, 0.5), (64, 1.0), (256, 1.0)],
+                             ids=["0.5", "1.0", "k256-above-size-rule"])
+    def test_op_counts(self, n, p):
+        # each vertex's incidence slots are read once, not the m edges per
+        # round. Above the size rule the draws are the clocks revealed, and
+        # the lazy Dijkstra reads two slots per revealed edge
+        g = erdos_renyi_instance(n, p, 0, 100, RngStream(42, (int(10 * p),)))
         for rho in (0.01, 1.0, 1e18):
             r = pamst(g, PrivacyBudget.from_rho(rho, 1e-6, 0.1), RngStream(43))
-            assert r.ops["edge_scans"] <= 4 * g.m
-            assert r.ops["draws"] == g.m
+            draws, scans = r.ops["draws"], r.ops["edge_scans"]
+            if n == 64:
+                assert scans <= 4 * g.m and draws == g.m
+            else:
+                assert g.n - 1 <= draws <= g.m
+                assert scans <= 2 * draws + 4 * g.m
+                if rho < 1e18:  # the revealed tree was certified
+                    assert draws < g.m and scans == 2 * draws
 
     def test_error_indistinguishable_from_input_perturbation_on_dense_graph(self):
         from dpmst.harness import run_trials
@@ -529,6 +539,12 @@ def zero_rate_graph():
     draw their noise, and every tree holds one of them."""
     return build_graph(4, [(1, 2), (2, 3), (1, 3), (3, 4), (1, 4)],
                        [1.0, 2.0, 3.0, 2000.0, 2001.0])
+
+
+def at_neighbour(g):
+    """g at the neighbouring weights w + delta_inf * s, s = (+1, -1, +1, ...)."""
+    signs = np.resize([1.0, -1.0], g.m)
+    return build_graph(g.n, np.column_stack([g.u_arr, g.v_arr]), g.weights + g.delta_inf * signs)
 
 
 def above_size_rule():
@@ -596,11 +612,7 @@ class TestLazyReveal:
         # Thinning at p_e instead of p_e / q_b, or at p_e / q_0 in every
         # bucket, fails all eight "first" cases.
         monkeypatch.setattr(mechanisms, "LAZY_BUCKET", 2)
-        g = graph()
-        if neighbour:  # w + delta_inf * s, s = (+1, -1, +1, ...)
-            signs = np.resize([1.0, -1.0], g.m)
-            g = build_graph(g.n, np.column_stack([g.u_arr, g.v_arr]),
-                            g.weights + g.delta_inf * signs)
+        g = at_neighbour(graph()) if neighbour else graph()
         budget = budget_for_eps_prime(g, 1.0)
         eps_prime = budget.per_round(g.n - 1)
         scale = _noise_scale(eps_prime, g.delta_inf)
@@ -631,6 +643,105 @@ class TestLazyReveal:
         share = counts[True] / 4000
         expect = 1.0 / (1.0 + math.exp(-0.5))
         assert abs(share - expect) < 4 * math.sqrt(expect * (1 - expect) / 4000)
+
+
+def k4_asymmetric():
+    return k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
+
+
+class TestLazyPamst:
+    """pamst's window: the full draw below the size rule, and the same tree
+    distribution from the lazy reveal above it."""
+
+    # ln T less the lightest edge's w / b: "first" gives that edge p_e =
+    # 0.8, so that some releases are certified at once and others extend;
+    # "extension" reveals no edge; at "coverage" (p_e = 0.9) the revealed
+    # edges span in most releases, and their distances often exceed T
+    WINDOWS = {"first": math.log(math.log(5.0)), "extension": -50.0,
+               "coverage": math.log(math.log(10.0))}
+    GRAPHS = pytest.mark.parametrize("graph", [triangle, k4_asymmetric, k5],
+                                     ids=["k3", "k4-asymmetric", "k5"])
+    NEIGHBOURS = pytest.mark.parametrize("neighbour", [False, True], ids=["w", "w+s"])
+
+    @staticmethod
+    def setup_graph(graph, neighbour, window, monkeypatch):
+        """The graph, at w or w + delta_inf * (+1, -1, +1, ...), its noise
+        scale at eps' = 1, and the window's ln T, with buckets of two edges
+        so that every graph spans several envelopes."""
+        monkeypatch.setattr(mechanisms, "LAZY_BUCKET", 2)
+        g = at_neighbour(graph()) if neighbour else graph()
+        scale = _noise_scale(budget_for_eps_prime(g, 1.0).per_round(g.n - 1), g.delta_inf)
+        return g, scale, g.weights.min() / scale + TestLazyPamst.WINDOWS[window]
+
+    @pytest.mark.parametrize("graph", [
+        k4_asymmetric,
+        lambda: erdos_renyi_instance(12, 0.6, 0, 100, RngStream(13)),
+        lambda: erdos_renyi_instance(128, 1.0, 0.0, 100.0, RngStream(1, (1,))),
+        lambda: erdos_renyi_instance(256, 1.0, 0.0, 100.0, RngStream(1, (1,))),
+    ], ids=["k4-asymmetric", "er-12", "k128", "k256"])
+    def test_full_draw_below_the_size_rule(self, graph):
+        # below the rule pamst releases the Dijkstra tree of the
+        # perturb_weights vector of the same stream: the tallies' row t is
+        # call t, whose Prim rule is that Dijkstra; above it it does not
+        g = graph()
+        budget = PrivacyBudget.from_rho(1.0, 1e-6, 1.0)
+        eps_prime = budget.per_round(g.n - 1)
+        same = []
+        for seed in range(3):
+            clock = perturb_weights(g, eps_prime, 1.0, RngStream(seed, (5,))) * (eps_prime / 2.0)
+            full = frozenset((np.flatnonzero(_dijkstra_tree(g, clock[None])[0][0]) + 1).tolist())
+            same.append(pamst(g, budget, RngStream(seed, (5,))).tree.edge_ids == full)
+        scale = _noise_scale(eps_prime, 1.0)
+        if _first_window(g, scale, PAMST_MIN_EDGES, PAMST_WINDOW) == math.inf:
+            assert all(same)
+        else:
+            assert not any(same)
+
+    @pytest.mark.parametrize("window", ["first", "extension", "coverage"])
+    @NEIGHBOURS
+    @GRAPHS
+    def test_matches_prim_distribution(self, graph, neighbour, window, monkeypatch):
+        g, scale, log_window = self.setup_graph(graph, neighbour, window, monkeypatch)
+        trials, stream = 1500, CountingStream(43)
+        counts, refused = Counter(), 0
+        for _ in range(trials):
+            chosen, ops = _lazy_pamst(g, scale, stream, log_window)
+            counts[frozenset(chosen)] += 1
+            # the race reads 2m slots, so more means a refused lazy Dijkstra
+            refused += ops["edge_scans"] > 2 * g.m
+        eps_prime = budget_for_eps_prime(g, 1.0).per_round(g.n - 1)
+        exact = prim_tree_distribution(g, eps_prime, g.delta_inf)
+        assert chi_square_gof(counts, exact, 0.001).passed
+        extended = stream.ln_exponential_calls
+        if window == "extension":
+            assert extended == trials
+        else:
+            assert trials / 20 < extended < trials * 19 / 20
+        if window == "coverage":
+            assert refused > trials / 20
+
+    @NEIGHBOURS
+    @GRAPHS
+    def test_certified_tree_is_the_full_tree(self, graph, neighbour, monkeypatch):
+        # the revealed edges' shortest-path tree is sometimes not the full
+        # vector's: an unrevealed clock, above T but below some distance,
+        # would shorten a path. Only the window's bound on the distances
+        # refuses those; without it every case here fails
+        g, scale, log_window = self.setup_graph(graph, neighbour, "coverage", monkeypatch)
+        stream, wrong = RngStream(44), 0
+        for _ in range(600):
+            rev, noisy_rev = _reveal(g, scale, stream, log_window)
+            if len(rev) < g.n - 1:
+                _extend(g, scale, stream, log_window, rev, noisy_rev)
+                continue
+            tree, certified = _dijkstra_tree(g, (noisy_rev / scale)[None], rev, log_window)
+            noisy = _extend(g, scale, stream, log_window, rev, noisy_rev)
+            full = sorted(_spt(g, noisy / scale)[0])
+            got = sorted((rev[tree[0]] + 1).tolist())
+            if certified[0]:
+                assert got == full
+            wrong += len(got) == g.n - 1 and got != full
+        assert wrong > 0
 
 
 class TestCrossMechanismInvariants:
