@@ -368,9 +368,7 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     where w~ is ``perturb``'s noisy vector. The vector is not returned
     (``noisy_weights`` is None): the tree is not its minimum spanning tree.
 
-    Below a size rule (``PAMST_MIN_EDGES`` and ``LAZY_MIN_DENSITY``), or
-    when the first window lies ``PAMST_MAX_LOG_SPAN`` or more above the
-    lightest edge's w / b (huge budgets), w~ is
+    Below a size rule (``PAMST_MIN_EDGES`` and ``LAZY_MIN_DENSITY``) w~ is
     ``perturb_weights(g, eps', delta_inf, stream)``, m draws, and the tree
     is a function of it alone: ``_dijkstra_tree`` computes it as a block of
     one row, or ``_prim_race`` on at most ``PAMST_RACE_MAX_N`` vertices,
@@ -386,10 +384,7 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     eps_prime = budget.per_round(g.n - 1)
     scale = _noise_scale(eps_prime, budget.delta_inf)
     log_window = _first_window(g, scale, PAMST_MIN_EDGES, PAMST_WINDOW)
-    # a window PAMST_MAX_LOG_SPAN above the lightest rate's clock would hold
-    # clocks that span that much, and the lazy certificate refuse them
-    if log_window == math.inf or (
-            log_window - g.weights[g.by_weight[0]] / scale >= PAMST_MAX_LOG_SPAN):
+    if log_window == math.inf:
         log_clock = perturb_weights(g, eps_prime, budget.delta_inf, stream)
         log_clock *= eps_prime / (2.0 * budget.delta_inf)
         chosen, scans = _spt(g, log_clock)
