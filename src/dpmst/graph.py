@@ -185,6 +185,13 @@ class WeightedGraph:
         return order
 
     @functools.cached_property
+    def windows(self) -> dict:
+        """The lazy reveal's first windows, ln T keyed by (noise scale,
+        target count), filled by ``mechanisms._first_window``. The graph is
+        immutable, so no entry goes stale."""
+        return {}
+
+    @functools.cached_property
     def mst(self) -> SpanningTree:
         """The exact MST of the graph's own weights, ``kruskal_mst(self)``,
         computed on first use."""

@@ -80,36 +80,35 @@ def _noise_scale(eps_prime: float, delta_inf: float) -> float:
     return delta_inf * (2.0 / eps_prime)
 
 
-# input_perturbation_mst draws all m noisy weights unless the graph has at
-# least LAZY_MIN_EDGES edges and LAZY_MIN_DENSITY * n ln n of them; then it
-# reveals those of a first window (``_lazy_mst``). Median ms per call, full
-# draw against lazy reveal, 40 interleaved calls each, eps = 1, delta =
-# 1e-6, delta_inf = 1,
-# on a shared 2-core x86 machine, as (m, m / n ln n): K256 (32,640; 23)
-# 0.94 against 0.82, ER(512, 0.3) (39,352; 12) 1.13 against 1.07,
-# ER(1024, 0.1) (52,414; 7.4) 1.44 against 1.46, ER(512, 0.5) (65,581; 21)
-# 2.12 against 1.59, ER(2048, 0.05) (104,998; 6.7) 2.91 against 2.75,
-# ER(1024, 0.2) (104,971; 15) 3.36 against 2.44, ER(8192, 0.005) (167,736;
-# 2.3) 8.41 against 10.6, ER(2048, 0.1) (210,347; 13) 6.24 against 4.24,
-# ER(4096, 0.05) (420,538; 12) 11.1 against 7.83. At rho = 1 and
-# delta_inf = 0.1, where the noise scale is 6% of the weight range or
-# less: K256 1.17 against 1.51, ER(512, 0.5) 1.92 against 1.78, ER(1024,
-# 0.2) 3.05 against 2.53, ER(2048, 0.1) 6.17 against 4.33. Sparse graphs,
-# 80 interleaved calls, eps = 1: ER(16384, 0.001) (134,661; 0.8) 14.4
-# against 23.7, ER(4096, 0.01) (83,520; 2.5) 4.99 against 5.95, ER(4096,
-# 0.02) (167,308; 4.9) 5.00 against 5.13, ER(2048, 0.05) (104,841; 6.7)
-# 2.64 against 2.43, ER(4096, 0.03) (251,097; 7.4) 7.27 against 6.58. So
-# below 2^16 edges the lazy reveal gains at most 13% and loses 29% on K256
-# at the smaller scale, and below 10 n ln n it gains at most 10% and loses
-# up to 65% as m / n ln n falls. No benchmark workload sits above 2^16
-# edges and below 10 n ln n; that side of the rule rests on this ladder.
-LAZY_MIN_EDGES, LAZY_MIN_DENSITY = 65536, 10.0
-# The first window expects LAZY_WINDOW * n ln n revealed edges, about 1.5
-# times the median prefix Kruskal's scan reads on ER(2048, 0.1); its
-# expectation is read on every LAZY_STRIDE-th edge in weight order. Weight
-# buckets of min(LAZY_BUCKET, the power of two at or above n ln n) edges
-# share one envelope rate.
-LAZY_WINDOW = 0.8
+# input_perturbation_mst and pamst draw all m noisy weights unless the graph
+# has at least LAZY_MIN_EDGES edges and LAZY_MIN_DENSITY * n ln n of them;
+# then they reveal those of a first window. The ladder (scripts/lazy_ladder.py:
+# median ms per call of the lazy reveal over the full draw's, 80 interleaved
+# calls a side, shared 2-core x86 machine), lowest to highest over perturb,
+# kruskal and pamst at eps = 1, delta_inf = 1 and at rho = 1, delta_inf =
+# 0.1, as (m, m / n ln n): K128 (8,128; 13) 1.01-1.27, K181 (16,290; 17)
+# 0.87-1.15, K200 (19,900; 19) 0.83-0.98, K221 (24,310; 20) 0.76-0.97, K230
+# (26,335; 21) 0.73-0.95, K256 (32,640; 23) 0.64-0.91, ER(362, 0.5)
+# (32,737; 15) 0.74-0.94, ER(512, 0.3) (39,189; 12) 0.79-0.99, ER(512, 0.5)
+# (65,253; 20) 0.61-0.82, ER(1024, 0.2) (105,113; 15) 0.64-0.78, ER(2048,
+# 0.1) (209,468; 13) 0.59-0.75. Below the density half: ER(1024, 0.1)
+# (52,603; 7.4) 0.93-1.04, ER(1024, 0.05) (26,255; 3.7) 1.25-1.39,
+# ER(2048, 0.02) (42,083; 2.7) 1.26-1.57, ER(4096, 0.01) (84,020; 2.5)
+# 1.23-1.57. The reveal pays from about 20,000 edges; the floor keeps a
+# margin above K200, which read up to 1.01 in an earlier run. No benchmark
+# workload sits near either edge of the rule; both rest on this ladder.
+LAZY_MIN_EDGES, LAZY_MIN_DENSITY = 24576, 10.0
+# Kruskal's first window expects (n/2)(ln n + LAZY_GUMBEL) revealed edges: a
+# random order of edges connects the graph after about (n/2)(ln n + G) of
+# them, G Gumbel (Erdős & Rényi, 1960), and 4.6 is G's 99th percentile. That
+# is 0.80 n ln n on ER(2048, 0.1); on K256 at eps = 1, delta_inf = 1, 5 of
+# 600 calls extended it, against 22 at 0.8 n ln n. pamst's expects
+# PAMST_WINDOW * n ln n, as its tree also needs every distance below T: on
+# K256 at rho = 0.01, 1.0 n ln n extended 87 of 150 calls and 1.25 n ln n 13.
+# Each expectation is read on every LAZY_STRIDE-th edge in weight order.
+# Weight buckets of min(LAZY_BUCKET, the power of two at or above n ln n)
+# edges share one envelope rate.
+LAZY_GUMBEL, PAMST_WINDOW = 4.6, 1.5
 LAZY_BUCKET, LAZY_STRIDE = 16384, 512
 
 
@@ -138,7 +137,7 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
     scale = _noise_scale(eps_prime, budget.delta_inf)
-    log_window = _first_window(g, scale)
+    log_window = _first_window(g, scale, g.n / 2 * (math.log(g.n) + LAZY_GUMBEL))
     if log_window == math.inf:
         noisy = perturb_weights(g, eps_prime, budget.delta_inf, stream)
         tree = kruskal_mst(g, noisy)
@@ -148,28 +147,31 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
                            wall_time_ns=time.perf_counter_ns() - t0)
 
 
-def _first_window(g: WeightedGraph, scale: float, min_edges: int = LAZY_MIN_EDGES,
-                  window: float = LAZY_WINDOW) -> float:
-    """ln T of the first window: inf below the size rule (``min_edges`` and
-    ``LAZY_MIN_DENSITY``), else about the ln T by which ``window`` * n ln n
-    clocks are expected to ring. The expectation, sum_e 1 -
-    exp(-exp(ln T - w_e/b)), is read on every ``LAZY_STRIDE``-th edge of
-    ``g.by_weight``. The first guess is the later of two: the T at which
-    the rates sum to the target (each term is at most its rate times T),
-    and the target's quantile of w/b, less 1, for rates far apart. Each step
-    then scales T by target / expected, which keeps the expectation on the
-    side of the target where it started and moves it closer. A solve that
-    over- or underflows gives inf too."""
-    if g.m < max(min_edges, LAZY_MIN_DENSITY * g.n * math.log(g.n)):
+def _first_window(g: WeightedGraph, scale: float, target: float) -> float:
+    """ln T of the first window: inf below the size rule (``LAZY_MIN_EDGES``
+    and ``LAZY_MIN_DENSITY``), else about the ln T by which ``target``
+    clocks are expected to ring, solved once per graph, scale and target and
+    kept in ``g.windows``. The expectation, sum_e 1 - exp(-exp(ln T -
+    w_e/b)), is read on every ``LAZY_STRIDE``-th edge of ``g.by_weight``.
+    The first guess is the later of two: the T at which the rates sum to
+    the target (each term is at most its rate times T), and the target's
+    quantile of w/b, less 1, for rates far apart. Each step then scales T
+    by target / expected, which keeps the expectation on the side of the
+    target where it started and moves it closer. A solve that over- or
+    underflows gives inf too."""
+    if g.m < max(LAZY_MIN_EDGES, LAZY_MIN_DENSITY * g.n * math.log(g.n)):
         return math.inf
-    minus_ln_s = g.weights[g.by_weight[LAZY_STRIDE // 2::LAZY_STRIDE]] / scale
-    target, low = window * g.n * math.log(g.n) / LAZY_STRIDE, minus_ln_s[0]
-    with np.errstate(all="ignore"):
-        log_t = math.log(target / np.exp(low - minus_ln_s).sum()) + low
-        log_t = max(log_t, minus_ln_s[min(int(target), len(minus_ln_s) - 1)] - 1.0)
-        for _ in range(4):
-            log_t += math.log(target / -np.expm1(-np.exp(log_t - minus_ln_s)).sum())
-    return log_t if math.isfinite(log_t) else math.inf
+    key = (scale, target)
+    if key not in g.windows:
+        minus_ln_s = g.weights[g.by_weight[LAZY_STRIDE // 2::LAZY_STRIDE]] / scale
+        per_stride, low = target / LAZY_STRIDE, minus_ln_s[0]
+        with np.errstate(all="ignore"):
+            log_t = math.log(per_stride / np.exp(low - minus_ln_s).sum()) + low
+            log_t = max(log_t, minus_ln_s[min(int(per_stride), len(minus_ln_s) - 1)] - 1.0)
+            for _ in range(4):
+                log_t += math.log(per_stride / -np.expm1(-np.exp(log_t - minus_ln_s)).sum())
+        g.windows[key] = log_t if math.isfinite(log_t) else math.inf
+    return g.windows[key]
 
 
 def _reveal(g: WeightedGraph, scale: float, stream: RngStream,
@@ -327,25 +329,6 @@ PAMST_MAX_LOG_SPAN = 700.0
 # against the race, shared 2-core x86 machine: K3 85 against 24, K5 122
 # against 70, K8 138 against 126, K9 134 against 139, K10 135 against 157.
 PAMST_RACE_MAX_N = 8
-# pamst draws all m clocks unless the graph has at least PAMST_MIN_EDGES
-# edges and LAZY_MIN_DENSITY * n ln n of them; then it reveals those that
-# ring in a first window expecting PAMST_WINDOW * n ln n of them. Median ms
-# per call, full draw against lazy reveal, 80 interleaved calls, eps = 1,
-# delta = 1e-6, delta_inf = 1, on a shared 2-core x86 machine, as (m, m /
-# n ln n): K128 (8,128; 13) 0.42 against 0.62, K181 (16,290; 17) 0.67
-# against 0.81, K200 (19,900; 19) 0.90 against 0.94, K230 (26,335; 21) 1.02
-# against 0.93, K256 (32,640; 23) 1.25 against 1.06, ER(362, 0.5) (32,666;
-# 15) 1.46 against 1.35, ER(512, 0.3) (39,174; 12) 2.07 against 1.90,
-# ER(1024, 0.1) (52,177; 7.4) 2.37 against 2.49, ER(1024, 0.05) (26,174;
-# 3.7) 1.46 against 2.23, ER(2048, 0.02) (41,829; 2.7) 3.38 against 5.48,
-# ER(512, 0.5) (65,585; 21) 2.64 against 1.79, ER(2048, 0.1) (208,953; 13)
-# 9.93 against 5.71. At rho = 1 and delta_inf = 0.1: K181 0.78 against
-# 0.80, K200 0.91 against 0.87, K230 1.43 against 1.13, K256 1.82 against
-# 1.32, ER(512, 0.3) 1.67 against 1.49, ER(1024, 0.1) 2.42 against 2.57,
-# ER(2048, 0.02) 2.88 against 4.83, ER(2048, 0.1) 12.4 against 7.26. The
-# 40 to 80 calls of each point extended at most 3 times. A target of 1.0
-# n ln n extended 87 of 150 K256 calls at rho = 0.01, and 1.25 extended 13.
-PAMST_MIN_EDGES, PAMST_WINDOW = 24576, 1.5
 
 
 def pamst(g: WeightedGraph, budget: PrivacyBudget,
@@ -368,7 +351,7 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     where w~ is ``perturb``'s noisy vector. The vector is not returned
     (``noisy_weights`` is None): the tree is not its minimum spanning tree.
 
-    Below a size rule (``PAMST_MIN_EDGES`` and ``LAZY_MIN_DENSITY``) w~ is
+    Below the size rule of ``_first_window`` w~ is
     ``perturb_weights(g, eps', delta_inf, stream)``, m draws, and the tree
     is a function of it alone: ``_dijkstra_tree`` computes it as a block of
     one row, or ``_prim_race`` on at most ``PAMST_RACE_MAX_N`` vertices,
@@ -383,7 +366,7 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
     scale = _noise_scale(eps_prime, budget.delta_inf)
-    log_window = _first_window(g, scale, PAMST_MIN_EDGES, PAMST_WINDOW)
+    log_window = _first_window(g, scale, PAMST_WINDOW * g.n * math.log(g.n))
     if log_window == math.inf:
         log_clock = perturb_weights(g, eps_prime, budget.delta_inf, stream)
         log_clock *= eps_prime / (2.0 * budget.delta_inf)
@@ -479,9 +462,10 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | 
         slots, (indptr, cols) = g.incidence[1], g.adjacency
     else:
         u_arr, v_arr = g.u_arr[edges], g.v_arr[edges]
+        # int32, as g.adjacency: scipy would check and convert int64 arrays
         indptr, order = _endpoint_slots(n, u_arr, v_arr)
-        slots, cols = order % m, np.concatenate([v_arr, u_arr])[order] - 1
-        indptr = indptr[1:]
+        slots, cols = order % m, (np.concatenate([v_arr, u_arr])[order] - 1).astype(np.int32)
+        indptr = indptr[1:].astype(np.int32)
     lo = log_clock.min(axis=1)
     # false at lo = -inf; over a subset the bound exp(log_window - lo) is finite too
     certified = np.maximum(log_clock.max(axis=1), log_window) < lo + PAMST_MAX_LOG_SPAN

@@ -12,7 +12,7 @@ from dpmst.exact import (chi_square_gof, exact_tree_distribution,
 from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
 from dpmst.instances import erdos_renyi_instance
 from dpmst import mechanisms
-from dpmst.mechanisms import (LAZY_MIN_EDGES, MECHANISMS, PAMST_MIN_EDGES, PAMST_WINDOW,
+from dpmst.mechanisms import (LAZY_GUMBEL, LAZY_MIN_DENSITY, LAZY_MIN_EDGES, MECHANISMS,
                               MechanismResult, UnknownMechanismError,
                               input_perturbation_mst, _dijkstra_tree, _extend,
                               _first_window, _lazy_mst, _lazy_pamst, _noise_scale,
@@ -550,10 +550,21 @@ def at_neighbour(g):
 def above_size_rule():
     """An ER graph on which input_perturbation_mst reveals its noise lazily."""
     n = 512
-    p = min(1.0, 1.1 * LAZY_MIN_EDGES / (n * (n - 1) / 2))
+    p = min(1.0, 1.1 * max(LAZY_MIN_EDGES, LAZY_MIN_DENSITY * n * math.log(n)) / (n * (n - 1) / 2))
     g = erdos_renyi_instance(n, p, 0, 100, RngStream(41))
-    assert _first_window(g, 1.0) < math.inf
+    assert is_lazy(g)
     return g
+
+
+def is_lazy(g):
+    """Whether g is above the size rule that both lazy reveals read."""
+    return _first_window(g, 1.0, g.n) < math.inf
+
+
+def complete(n):
+    """K_n with U(0, 100) weights; K221 (24,310 edges) lies just below the
+    size rule's floor and K256 (32,640) above it."""
+    return erdos_renyi_instance(n, 1.0, 0.0, 100.0, RngStream(1, (1,)))
 
 
 class CountingStream(RngStream):
@@ -574,16 +585,18 @@ class TestLazyReveal:
     """input_perturbation_mst's window: the full draw below the size rule,
     and the same tree distribution from the lazy reveal above it."""
 
-    @pytest.mark.parametrize("graph", [
-        lambda: erdos_renyi_instance(12, 0.6, 0, 100, RngStream(13)),
-        lambda: erdos_renyi_instance(256, 1.0, 0.0, 100.0, RngStream(1, (1,))),
-        above_size_rule,
-    ], ids=["er-12", "k256", "above-size-rule"])
-    def test_full_draw_below_the_size_rule(self, graph):
+    @pytest.mark.parametrize("graph, lazy", [
+        (lambda: erdos_renyi_instance(12, 0.6, 0, 100, RngStream(13)), False),
+        (partial(complete, 221), False),
+        (partial(complete, 256), True),
+        (above_size_rule, True),
+    ], ids=["er-12", "k221", "k256", "above-size-rule"])
+    def test_full_draw_below_the_size_rule(self, graph, lazy):
         # below the rule perturb, onepass and kruskal release Kruskal's tree
         # of the perturb_weights vector of the same stream: the tallies' row
         # t is call t, and criterion 9 shares its noise; above it they do not
         g = graph()
+        assert is_lazy(g) == lazy
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 1.0)
         eps_prime = budget.per_round(g.n - 1)
         same = []
@@ -591,10 +604,31 @@ class TestLazyReveal:
             full = kruskal_mst(g, perturb_weights(g, eps_prime, 1.0, RngStream(seed, (4,))))
             for mech in ("perturb", "onepass", "kruskal"):
                 same.append(run_mechanism(mech, g, budget, RngStream(seed, (4,))).tree == full)
-        if _first_window(g, 1.0) == math.inf:
-            assert all(same)
-        else:
-            assert not any(same)
+        assert not any(same) if lazy else all(same)
+
+    def test_window_is_solved_once_per_graph_and_scale(self):
+        g = above_size_rule()
+        edges = np.column_stack([g.u_arr, g.v_arr])
+        target = g.n / 2 * (math.log(g.n) + LAZY_GUMBEL)
+        budget = PrivacyBudget.from_rho(1.0, 1e-6, 1.0)
+        scale = _noise_scale(budget.per_round(g.n - 1), 1.0)
+        cold = [run_mechanism("perturb", g, budget, RngStream(seed, (6,))) for seed in range(3)]
+        log_t = g.windows[scale, target]
+        # the cached window is a fresh solve's, and gives the same releases
+        fresh = build_graph(g.n, edges, g.weights)
+        assert fresh.windows == {}
+        assert _first_window(fresh, scale, target) == log_t
+        for seed, result in enumerate(cold):
+            warm = run_mechanism("perturb", g, budget, RngStream(seed, (6,)))
+            assert warm.tree == result.tree
+            assert np.array_equal(warm.noisy_weights, result.noisy_weights)
+        # a second budget gets its own window
+        assert _first_window(g, 2 * scale, target) == g.windows[2 * scale, target] != log_t
+        # a graph of the same topology and other weights solves its own:
+        # adding c to every weight adds c / b to ln T
+        shifted = build_graph(g.n, edges, g.weights + 50.0)
+        assert _first_window(shifted, scale, target) == pytest.approx(log_t + 50.0 / scale)
+        assert g.windows[scale, target] == log_t
 
     @pytest.mark.parametrize("window", ["first", "extension"])
     @pytest.mark.parametrize("neighbour", [False, True], ids=["w", "w+s"])
@@ -673,17 +707,19 @@ class TestLazyPamst:
         scale = _noise_scale(budget_for_eps_prime(g, 1.0).per_round(g.n - 1), g.delta_inf)
         return g, scale, g.weights.min() / scale + TestLazyPamst.WINDOWS[window]
 
-    @pytest.mark.parametrize("graph", [
-        k4_asymmetric,
-        lambda: erdos_renyi_instance(12, 0.6, 0, 100, RngStream(13)),
-        lambda: erdos_renyi_instance(128, 1.0, 0.0, 100.0, RngStream(1, (1,))),
-        lambda: erdos_renyi_instance(256, 1.0, 0.0, 100.0, RngStream(1, (1,))),
-    ], ids=["k4-asymmetric", "er-12", "k128", "k256"])
-    def test_full_draw_below_the_size_rule(self, graph):
+    @pytest.mark.parametrize("graph, lazy", [
+        (k4_asymmetric, False),
+        (lambda: erdos_renyi_instance(12, 0.6, 0, 100, RngStream(13)), False),
+        (partial(complete, 128), False),
+        (partial(complete, 221), False),
+        (partial(complete, 256), True),
+    ], ids=["k4-asymmetric", "er-12", "k128", "k221", "k256"])
+    def test_full_draw_below_the_size_rule(self, graph, lazy):
         # below the rule pamst releases the Dijkstra tree of the
         # perturb_weights vector of the same stream: the tallies' row t is
         # call t, whose Prim rule is that Dijkstra; above it it does not
         g = graph()
+        assert is_lazy(g) == lazy
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 1.0)
         eps_prime = budget.per_round(g.n - 1)
         same = []
@@ -691,11 +727,7 @@ class TestLazyPamst:
             clock = perturb_weights(g, eps_prime, 1.0, RngStream(seed, (5,))) * (eps_prime / 2.0)
             full = frozenset((np.flatnonzero(_dijkstra_tree(g, clock[None])[0][0]) + 1).tolist())
             same.append(pamst(g, budget, RngStream(seed, (5,))).tree.edge_ids == full)
-        scale = _noise_scale(eps_prime, 1.0)
-        if _first_window(g, scale, PAMST_MIN_EDGES, PAMST_WINDOW) == math.inf:
-            assert all(same)
-        else:
-            assert not any(same)
+        assert not any(same) if lazy else all(same)
 
     @pytest.mark.parametrize("window", ["first", "extension", "coverage"])
     @NEIGHBOURS
