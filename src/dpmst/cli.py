@@ -12,7 +12,7 @@ import sys
 
 from .accounting import PrivacyBudget
 from .graph import GraphError
-from .harness import (EQUIV_MECHANISMS, density_sweep, emit_csv,
+from .harness import (EQUIV_FAMILIES, EQUIV_MECHANISMS, density_sweep, emit_csv,
                       equivalence_suite, run_trials)
 from .instances import (GenerationError, ParseError, erdos_renyi_instance,
                         hard_instance, mutual_info_chain_instance, read_instance,
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
 
     equiv = sub.add_parser("check-equiv", help="chi-square the three equivalent "
                            "mechanisms and pamst against their exact tree distributions")
-    equiv.add_argument("--family", required=True, choices=("k3", "k4"))
+    equiv.add_argument("--family", required=True, choices=tuple(EQUIV_FAMILIES))
     equiv.add_argument("--eps-prime", type=_positive_finite, required=True)
     equiv.add_argument("--trials", type=int, default=200000)
     equiv.add_argument("--alpha", type=float, default=0.001)

@@ -233,11 +233,10 @@ class ChiSquareResult:
     passed: bool
 
 
-def chi_square_gof(counts, exact: ExactDistribution, alpha: float,
-                   min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square_gof(counts, exact: ExactDistribution, alpha: float) -> ChiSquareResult:
     """Pearson goodness-of-fit of observed tallies against an exact distribution.
 
-    Bins with expected count below ``min_expected`` are pooled (the pool folds
+    Bins with expected count below 5 are pooled (the pool folds
     into the smallest regular bin if it stays undersized). Any observed mass
     outside the exact support fails outright. The threshold is the upper-alpha
     chi-square quantile, from ``scipy.special.chdtri``, which is imported on
@@ -256,11 +255,11 @@ def chi_square_gof(counts, exact: ExactDistribution, alpha: float,
         statistic, df = inf, len(exact.probs) - 1
     else:
         bins = [(p * n, counts.get(outcome, 0)) for outcome, p in exact.probs.items()]
-        small = [(e, o) for e, o in bins if e < min_expected]
-        big = [(e, o) for e, o in bins if e >= min_expected]
+        small = [(e, o) for e, o in bins if e < 5.0]
+        big = [(e, o) for e, o in bins if e >= 5.0]
         if small:
             pooled = (fsum(e for e, _ in small), sum(o for _, o in small))
-            if pooled[0] >= min_expected or len(big) < 2:
+            if pooled[0] >= 5.0 or len(big) < 2:
                 big.append(pooled)
             else:
                 i = min(range(len(big)), key=lambda j: big[j][0])

@@ -1,4 +1,4 @@
-"""Weighted-graph core: validation, the ``join`` scan, incidence, exact MST.
+"""Weighted-graph core: validation, the ``join`` scan, the one CSR, exact MST.
 
 Vertices are 1-based (1..n) and edge ids are 1-based (1..m) everywhere in the
 public API; internal arrays are 0-based.
@@ -137,43 +137,12 @@ class WeightedGraph:
         return len(self.u_arr)
 
     @functools.cached_property
-    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex-to-edge incidence in CSR form, built on first use.
-
-        A pair ``(indptr, edge_ids)``: the 0-based indices of the edges at
-        vertex x are ``edge_ids[indptr[x]:indptr[x + 1]]``, each once.
-        Both arrays are read-only.
-        """
-        indptr, order = _endpoint_slots(self.n, self.u_arr, self.v_arr)
-        edge_ids = order % self.m
-        indptr.flags.writeable = edge_ids.flags.writeable = False
-        return indptr, edge_ids
-
-    @functools.cached_property
-    def neighbours(self) -> np.ndarray:
-        """The other endpoint of each ``incidence`` slot, built on first use.
-
-        Aligned with ``incidence``: ``neighbours[indptr[x]:indptr[x + 1]]``
-        are the far ends of the edges ``edge_ids[indptr[x]:indptr[x + 1]]``
-        at vertex x (a vertex repeats once per parallel edge). Read-only.
-        """
-        indptr, edge_ids = self.incidence
-        at = np.repeat(np.arange(self.n + 1), np.diff(indptr))
-        out = self.u_arr[edge_ids] + self.v_arr[edge_ids] - at
-        out.flags.writeable = False
-        return out
-
-    @functools.cached_property
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """``incidence`` and ``neighbours`` as the int32 ``(indptr, indices)``
-        of an n x n CSR matrix, vertex v being row and column v - 1, built on
-        first use. Its entries follow the incidence slots, so a parallel edge
-        is a duplicate entry. Read-only.
-        """
-        indptr = self.incidence[0][1:].astype(np.int32)
-        cols = (self.neighbours - 1).astype(np.int32)
-        indptr.flags.writeable = cols.flags.writeable = False
-        return indptr, cols
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_csr`` of all m edges, built on first use. Read-only."""
+        csr = _csr(self.n, self.u_arr, self.v_arr)
+        for arr in csr:
+            arr.flags.writeable = False
+        return csr
 
     @functools.cached_property
     def by_weight(self) -> np.ndarray:
@@ -201,20 +170,25 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m}, delta_inf={self.delta_inf})"
 
 
-def _endpoint_slots(n: int, u_arr: np.ndarray,
-                    v_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 2m endpoints of the edges (u_arr[i], v_arr[i]) grouped by vertex:
-    ``(indptr, order)``, where the slots of vertex x are
-    ``order[indptr[x]:indptr[x + 1]]``, each an index into
-    ``concatenate([u_arr, v_arr])`` (so of edge ``order % m``), in
-    increasing order. ``indptr`` has n + 2 entries, vertex 0 holding none.
+def _csr(n: int, u_arr: np.ndarray,
+         v_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (u_arr[i], v_arr[i]) over vertices 1..n as an n x n CSR
+    matrix, vertex v being row and column v - 1: ``(indptr, cols, slots)``.
+
+    Each edge is an entry in both its endpoints' rows, so a parallel edge
+    is a duplicate entry. Row x - 1 holds the entries
+    ``indptr[x - 1]:indptr[x]``, the edges with u_arr[i] = x and then those
+    with v_arr[i] = x, each in increasing i: ``cols`` holds the 0-based far
+    end and ``slots`` the (intp) index i of each. ``indptr`` and ``cols``
+    are int32, as scipy takes them: it would check and convert int64.
     """
     ends = np.concatenate([u_arr, v_arr])
-    indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n + 1), out=indptr[1:])
-    if n < 1 << 16:  # numpy's stable sort of 16-bit keys is a radix sort, 6x faster
-        ends = ends.astype(np.uint16)
-    return indptr, np.argsort(ends, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(ends, minlength=n + 1)[1:], out=indptr[1:])
+    # numpy's stable sort of 16-bit keys is a radix sort, 6x faster
+    order = np.argsort(ends.astype(np.uint16) if n < 1 << 16 else ends, kind="stable")
+    cols = (np.concatenate([v_arr, u_arr])[order] - 1).astype(np.int32)
+    return indptr, cols, order % len(u_arr)
 
 
 def _connected(n, u_arr, v_arr) -> bool:
@@ -225,6 +199,8 @@ def _connected(n, u_arr, v_arr) -> bool:
     tree. Every ranking picks a spanning forest of the same components, so
     the ids serve, and the check needs no weights and no scipy.
     """
+    if len(u_arr) < n - 1:  # answered before the O(n) labels: a file may declare any n
+        return False
     k = max(1, math.ceil(n * math.log(n)))
     ranks = np.arange(len(u_arr), dtype=float)
     return len(_boruvka_batches(n, u_arr, v_arr, ranks, k, n - 1)) == n - 1

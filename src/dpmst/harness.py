@@ -153,22 +153,21 @@ def _quartiles(values) -> tuple[float, float, float]:
 
 
 def density_sweep(n: int, densities, rho: float, trials: int, master_seed: int,
-                  delta: float = 1e-6, delta_inf: float = 0.1,
-                  wmin: float = 0.0, wmax: float = 100.0,
-                  mechanisms=SWEEP_MECHANISMS) -> DensitySweepResult:
+                  delta: float = 1e-6, delta_inf: float = 0.1) -> DensitySweepResult:
     """Weight-ratio comparison across graph densities, one row per (p, mechanism).
 
-    For each density p, one connected G(n, p) instance with U(wmin, wmax)
-    weights is generated; every mechanism then runs ``trials`` times on it and
-    the median/IQR of the private-to-true weight ratio is tabulated.
+    For each density p, one connected G(n, p) instance with U(0, 100)
+    weights is generated; every mechanism of ``SWEEP_MECHANISMS`` then runs
+    ``trials`` times on it and the median/IQR of the private-to-true weight
+    ratio is tabulated.
     """
     budget = PrivacyBudget.from_rho(rho, delta, delta_inf)
     rows: list[SweepRow] = []
     reports: dict[tuple[float, str], RunReport] = {}
     for j, p in enumerate(densities):
         gen_stream = RngStream(master_seed, (1, j))
-        g = erdos_renyi_instance(n, p, wmin, wmax, gen_stream)
-        for kdx, mech in enumerate(mechanisms):
+        g = erdos_renyi_instance(n, p, 0.0, 100.0, gen_stream)
+        for kdx, mech in enumerate(SWEEP_MECHANISMS):
             cell_seed = int(np.random.SeedSequence(
                 entropy=master_seed, spawn_key=(2, j, kdx)).generate_state(1)[0])
             report = run_trials(g, mech, budget, trials, cell_seed)

@@ -124,28 +124,16 @@ class RngStream:
                  if k]
         return np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64)
 
-    def binomial(self, count: int, p, size=None):
+    def binomial(self, count: int, p):
         """Binomial(count, p) as a sum of count Bernoulli draws.
 
-        ``p`` may be an array, in which case one count per entry is returned
-        (``size`` must then be None). Intended for small ``count``.
+        ``p`` may be an array, in which case one count per entry is returned;
+        a scalar ``p`` gives an int. Intended for small ``count``.
         """
         if count < 0 or int(count) != count:
             raise ValueError(f"count must be a nonnegative integer, got {count}")
-        count = int(count)
-        p_arr = np.asarray(p, dtype=float)
-        if not np.all((0 <= p_arr) & (p_arr <= 1)):  # also false for NaN
+        p = np.asarray(p, dtype=float)
+        if not np.all((0 <= p) & (p <= 1)):  # also false for NaN
             raise ValueError("p must lie in [0, 1]")
-        if p_arr.ndim == 0:
-            if size is None:
-                if count == 0:
-                    return 0
-                return int((self._gen.random(count) < float(p_arr)).sum())
-            if count == 0:
-                return np.zeros(size, dtype=np.int64)
-            return (self._gen.random((size, count)) < float(p_arr)).sum(axis=1)
-        if size is not None:
-            raise ValueError("size is not supported with a vector of probabilities")
-        if count == 0:
-            return np.zeros(p_arr.shape, dtype=np.int64)
-        return (self._gen.random((len(p_arr), count)) < p_arr[:, None]).sum(axis=1)
+        heads = (self._gen.random(p.shape + (int(count),)) < p[..., None]).sum(axis=-1)
+        return int(heads) if p.ndim == 0 else heads

@@ -191,6 +191,15 @@ class TestConnected:
     def test_no_edges(self, n):
         assert self.connected(n, []) == (n == 1) == scipy_connected(n, [])
 
+    def test_too_few_edges_rejected_before_any_vertex_work(self, monkeypatch):
+        # Borůvka's labels for 10^12 vertices would take 8 TB
+        def no_boruvka(*args):
+            raise AssertionError("ran Borůvka on fewer than n - 1 edges")
+
+        monkeypatch.setattr(graph, "_boruvka_batches", no_boruvka)
+        with pytest.raises(DisconnectedError):
+            build_graph(10 ** 12, [], [])
+
     @given(split_graphs())
     @settings(max_examples=150, deadline=None)
     def test_several_components(self, case):
@@ -457,50 +466,88 @@ class TestBoruvkaBatches:
             boruvka_tree(g, g.weights, 7)
 
 
+MULTIGRAPH = dict(n=4, edges=[(1, 2), (2, 1), (2, 3), (3, 4), (2, 3), (4, 1)])
+
+
 class TestIncidence:
+    """``adjacency``'s rows and ``slots``: each edge at both its ends."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_lists_each_edge_at_both_ends(self, seed):
         g = random_connected_graph(RngStream(60, (seed,)), max_n=9)
-        indptr, edge_ids = g.incidence
-        assert indptr[0] == indptr[1] == 0 and indptr[-1] == 2 * g.m
+        indptr, cols, slots = g.adjacency
+        assert indptr[0] == 0 and indptr[-1] == 2 * g.m == len(cols) == len(slots)
         for x in range(1, g.n + 1):
-            at_x = edge_ids[indptr[x]:indptr[x + 1]].tolist()
-            assert sorted(at_x) == np.flatnonzero((g.u_arr == x) | (g.v_arr == x)).tolist()
+            # the edges whose first end is x, then those whose second end is
+            at_x = np.flatnonzero(g.u_arr == x).tolist() + np.flatnonzero(g.v_arr == x).tolist()
+            assert slots[indptr[x - 1]:indptr[x]].tolist() == at_x
 
     def test_cached_and_read_only(self):
         g = k4([1.0] * 6)
-        assert g.incidence is g.incidence
-        for arr in g.incidence:
+        assert g.adjacency is g.adjacency
+        for arr in g.adjacency:
             with pytest.raises(ValueError):
                 arr[0] = 1
 
 
 class TestNeighbours:
+    """``adjacency``'s ``cols``: the far end of the edge each entry names."""
+
     @staticmethod
     def assert_far_ends(g):
-        indptr, edge_ids = g.incidence
-        assert len(g.neighbours) == 2 * g.m
+        indptr, cols, slots = g.adjacency
+        assert indptr.dtype == cols.dtype == np.int32 and slots.dtype == np.intp
         for x in range(1, g.n + 1):
-            lo, hi = indptr[x], indptr[x + 1]
-            for e, y in zip(edge_ids[lo:hi].tolist(), g.neighbours[lo:hi].tolist()):
-                assert {x, y} == {g.u_arr[e], g.v_arr[e]}
+            lo, hi = indptr[x - 1], indptr[x]
+            for e, y in zip(slots[lo:hi].tolist(), cols[lo:hi].tolist()):
+                assert {x, y + 1} == {g.u_arr[e], g.v_arr[e]}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_other_endpoint_of_each_slot(self, seed):
         self.assert_far_ends(random_connected_graph(RngStream(61, (seed,)), max_n=9))
 
     def test_multigraph(self):
-        g = build_graph(4, [(1, 2), (2, 1), (2, 3), (3, 4), (2, 3), (4, 1)],
-                        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        g = build_graph(MULTIGRAPH["n"], MULTIGRAPH["edges"], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         self.assert_far_ends(g)
-        indptr, _ = g.incidence
-        assert sorted(g.neighbours[indptr[2]:indptr[3]].tolist()) == [1, 1, 3, 3]
+        indptr, cols, slots = g.adjacency
+        # the parallel edges stay duplicate entries
+        assert slots[indptr[1]:indptr[2]].tolist() == [1, 2, 4, 0]
+        assert (cols[indptr[1]:indptr[2]] + 1).tolist() == [1, 3, 3, 1]
 
     def test_cached_and_read_only(self):
         g = k4([1.0] * 6)
-        assert g.neighbours is g.neighbours
+        indptr, cols, slots = g.adjacency
+        assert g.adjacency[1] is cols
         with pytest.raises(ValueError):
-            g.neighbours[0] = 1
+            cols[0] = 1
+
+
+class TestSubsetCsr:
+    """``_csr`` of some of the edges, as ``_dijkstra_tree`` builds it for
+    the revealed ones, is ``adjacency`` restricted to them, entry order and
+    all, with the slots renumbered to positions in the subset."""
+
+    @staticmethod
+    def assert_restricts(g, keep):
+        indptr, cols, slots = graph._csr(g.n, g.u_arr[keep], g.v_arr[keep])
+        full_indptr, full_cols, full_slots = g.adjacency
+        inside = np.isin(full_slots, keep)
+        rows = np.repeat(np.arange(g.n), np.diff(full_indptr))
+        counts = np.bincount(rows[inside], minlength=g.n)
+        assert indptr.tolist() == [0] + counts.cumsum().tolist()
+        assert cols.tolist() == full_cols[inside].tolist()
+        assert keep[slots].tolist() == full_slots[inside].tolist()
+        assert indptr.dtype == cols.dtype == np.int32 and slots.dtype == np.intp
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_third_edge(self, seed):
+        g = random_connected_graph(RngStream(62, (seed,)), max_n=12)
+        self.assert_restricts(g, np.arange(0, g.m, 3))
+
+    def test_multigraph(self):
+        g = build_graph(MULTIGRAPH["n"], MULTIGRAPH["edges"], np.ones(6))
+        for keep in ([0, 1, 4], [1, 2, 4, 5], [3]):
+            self.assert_restricts(g, np.array(keep))
 
 
 class TestByWeight:

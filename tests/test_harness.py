@@ -536,6 +536,18 @@ class TestCli:
         assert [line.split(":")[0] for line in r.stdout.splitlines()] == [
             "[PASS] perturb", "[PASS] kruskal", "[PASS] onepass", "[PASS] pamst"]
 
+    def test_check_equiv_family_choices_are_the_table(self, monkeypatch):
+        from dpmst import cli
+
+        # a family added to the table is reachable from the CLI
+        monkeypatch.setitem(harness.EQUIV_FAMILIES, "p3", (3, [(1, 2), (2, 3)], [1.0, 2.0]))
+        parser = cli._build_parser()
+        equiv = parser._subparsers._group_actions[0].choices["check-equiv"]
+        family = equiv._option_string_actions["--family"]
+        assert list(family.choices) == list(harness.EQUIV_FAMILIES)
+        args = parser.parse_args(["check-equiv", "--family", "p3", "--eps-prime", "1"])
+        assert args.family == "p3"
+
     def test_usage_error_exit_one(self):
         r = self.run_cli("run", "--graph", "x", "--mech", "not-a-mech",
                          "--eps", "1", "--delta", "1e-6", "--seed", "1",
@@ -575,6 +587,21 @@ class TestCli:
                          "--mech", "onepass", "--eps", "1", "--delta", "1e-6",
                          "--seed", "1", "--out", str(tmp_path / "o.csv"))
         assert r.returncode == 3
+
+    def test_huge_vertex_count_without_edges_exit_three(self, tmp_path, capsys, monkeypatch):
+        from dpmst import cli
+
+        # the connectivity check used to label all n vertices first: 8 GB for this file
+        def no_boruvka(*args):
+            raise AssertionError("ran Borůvka on fewer than n - 1 edges")
+
+        monkeypatch.setattr(graph, "_boruvka_batches", no_boruvka)
+        graph_file = tmp_path / "huge.txt"
+        graph_file.write_text("1000000000 0 1.0\n")
+        code = cli.main(["run", "--graph", str(graph_file), "--mech", "pamst", "--eps", "1",
+                         "--delta", "1e-6", "--seed", "1", "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "not connected" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--mech", "pamst", "--eps", "inf"], "eps must be positive and finite, got inf"),
