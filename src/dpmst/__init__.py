@@ -13,8 +13,8 @@ from .harness import (DensitySweepResult, RunReport, density_sweep, emit_csv,
 from .instances import (erdos_renyi_instance, hard_instance, mi_sensitivity,
                         mi_weight, mutual_info_chain_instance, parity_even_prob,
                         read_instance, write_instance)
-from .mechanisms import (MECHANISMS, MechanismResult, input_perturbation_mst,
-                         pamst, perturb_weights, private_kruskal_mst,
+from .mechanisms import (MECHANISMS, MechanismResult, NoisyWeights,
+                         input_perturbation_mst, pamst, perturb_weights,
                          run_mechanism, sealfon_mst)
 from .rng import RngStream
 from .sampling import (private_max_weight_basis, race_scores,

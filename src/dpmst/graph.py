@@ -155,7 +155,8 @@ class WeightedGraph:
 
     @functools.cached_property
     def windows(self) -> dict:
-        """The lazy reveal's first windows, ln T keyed by (noise scale,
+        """The lazy reveal's first windows, ln T with its weight buckets'
+        envelopes (or None where the solve failed), keyed by (noise scale,
         target count), filled by ``mechanisms._first_window``. The graph is
         immutable, so no entry goes stale."""
         return {}
@@ -413,10 +414,18 @@ def tree_weight(g: WeightedGraph, tree) -> float:
     The weights are added in edge-id order, so the float sum depends on the
     set of ids alone, not on the order in which they were inserted.
     """
+    return float(g.weights[_sorted_index(tree, g.m)].sum())
+
+
+def _sorted_index(tree, m: int) -> np.ndarray:
+    """The 0-based indices of a tree's edges (or of any iterable of 1-based
+    edge ids), in increasing order; ``EdgeIndexError`` if an id is not in
+    1..m."""
     ids = np.fromiter(tree.edge_ids if isinstance(tree, SpanningTree) else tree,
                       dtype=np.int64)
-    bad = np.flatnonzero((ids < 1) | (ids > g.m))
-    if bad.size:
-        raise EdgeIndexError(f"edge id {ids[bad[0]]} out of range [1, {g.m}]")
     ids.sort()
-    return float(g.weights[ids - 1].sum())
+    if len(ids) and (ids[0] < 1 or ids[-1] > m):
+        raise EdgeIndexError(f"edge id {ids[0] if ids[0] < 1 else ids[-1]} "
+                             f"out of range [1, {m}]")
+    ids -= 1
+    return ids

@@ -17,7 +17,7 @@ import numpy as np
 from .accounting import PrivacyBudget
 from .exact import (ChiSquareResult, by_edge_set, chi_square_gof,
                     exact_tree_distribution, join_table, prim_tree_distribution)
-from .graph import WeightedGraph, build_graph, tree_weight
+from .graph import WeightedGraph, _sorted_index, build_graph
 from .instances import erdos_renyi_instance
 from .mechanisms import (MECHANISMS, UnknownMechanismError, _dijkstra_tree,
                          perturb_weights, run_mechanism)
@@ -79,19 +79,27 @@ class RunReport:
 
 def _run_single_trial(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget,
                       master_seed: int, trial: int, true_weight: float,
-                      noisy_true_floor) -> TrialRecord:
+                      true_ids: np.ndarray, true_mask: np.ndarray) -> TrialRecord:
+    """Trial ``trial`` of ``run_trials``: one call on stream (master_seed,
+    (trial,)) and its checks. ``true_ids`` are the exact MST's 0-based edge
+    indices, increasing, and ``true_mask`` their m-long indicator. The
+    tree's ids are read once, sorted: they give its weight, added in id
+    order as ``tree_weight`` adds them, and its noisy weight under the
+    call's noise record, found among the k recorded ids in O(n log k). That
+    must not exceed the true tree's, read through ``true_mask`` at the
+    recorded ids (``NoisyWeights.total``)."""
     stream = RngStream(master_seed, (trial,))
     result = run_mechanism(mechanism_id, g, budget, stream)
-    private_weight = tree_weight(g, result.tree)
+    ids = _sorted_index(result.tree, g.m)
+    private_weight = float(g.weights[ids].sum())
     error = private_weight - true_weight
     if error < -1e-9:
         raise RuntimeError(
             f"private tree beat the exact MST by {-error}; MST oracle is broken")
-    if result.noisy_weights is not None:
+    if result.noise is not None:
         # the returned tree must be minimal under its own noisy weights
-        ids = np.fromiter(result.tree.edge_ids, dtype=np.int64) - 1
-        got = float(result.noisy_weights[ids].sum())
-        ref = noisy_true_floor(result.noisy_weights)
+        got = result.noise.total(ids)
+        ref = result.noise.total(true_ids, true_mask)
         # a -inf reference (Exp(1) rounded to 0) would make a relative
         # tolerance inf and ref + tol NaN, which no tree exceeds
         tol = 1e-9 * max(1.0, abs(ref)) if math.isfinite(ref) else 0.0
@@ -109,18 +117,15 @@ def run_trials(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mechanism_id not in MECHANISMS:
         raise UnknownMechanismError(f"unknown mechanism {mechanism_id!r}")
-    true_tree = g.mst
-    true_weight = tree_weight(g, true_tree)
-    true_ids = np.fromiter(true_tree.edge_ids, dtype=np.int64) - 1
-
-    def noisy_true_floor(noisy):
-        return float(noisy[true_ids].sum())
-
+    true_ids = _sorted_index(g.mst, g.m)
+    true_weight = float(g.weights[true_ids].sum())
+    true_mask = np.zeros(g.m, dtype=bool)
+    true_mask[true_ids] = True
     report = RunReport(mechanism=mechanism_id, n=g.n, m=g.m, budget=budget,
                        master_seed=master_seed)
     for i in range(trials):
         report.records.append(_run_single_trial(
-            g, mechanism_id, budget, master_seed, i, true_weight, noisy_true_floor))
+            g, mechanism_id, budget, master_seed, i, true_weight, true_ids, true_mask))
     return report
 
 

@@ -3,13 +3,15 @@
 Six registry ids. ``perturb``, ``onepass`` and ``kruskal`` all run input
 perturbation, the one noise-then-Kruskal body (``input_perturbation_mst``).
 It samples the tree distribution of Kruskal with the exponential mechanism in
-every round, so ``kruskal`` is that body plus the op counts of its scan. On
-large graphs the body draws only the noise Kruskal's scan can reach. The
-baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input
-privatization) and ``pamst`` (Prim-based): the shortest-path tree from
-vertex 1 under lengths exp(eps' / (2 * delta_inf) * w~_e) of ``perturb``'s
-vector w~, which ``_dijkstra_tree`` computes for a block of vectors at once.
-On large graphs ``pamst`` too draws only the noise its tree can reach.
+every round, and its ``ops`` count that scan. On large graphs the body draws
+only the noise Kruskal's scan can reach, and its result keeps just that
+noise: a ``NoisyWeights`` record of the revealed ids, their noisy weights and
+one clamp for every other edge. The baselines are ``sealfon-laplace`` and
+``sealfon-gauss`` (input privatization) and ``pamst`` (Prim-based): the
+shortest-path tree from vertex 1 under lengths exp(eps' / (2 * delta_inf) *
+w~_e) of ``perturb``'s vector w~, which ``_dijkstra_tree`` computes for a
+block of vectors at once. On large graphs ``pamst`` too draws only the noise
+its tree can reach.
 
 Every mechanism takes (graph, budget, stream) and returns a MechanismResult;
 none reads system entropy.
@@ -19,14 +21,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
 from .graph import (SpanningTree, WeightedGraph, _csr, _kruskal_picks,
-                    kruskal_mst)
+                    _sorted_index, kruskal_mst)
 from .rng import RngStream
 
 
@@ -34,28 +38,77 @@ class UnknownMechanismError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class NoisyWeights:
+    """Per-edge noisy weights as a mechanism drew them.
+
+    ``values[i]`` is the noisy weight of the 0-based edge ``ids[i]``, the
+    ids increasing, and each other edge of the ``m`` sits at ``clamp``,
+    above every value. A lazy call of ``input_perturbation_mst`` that spans
+    in its first window keeps this compact record of the edges it revealed.
+    The full draw is the record of all m ids: ``ids`` is None, ``values``
+    the m-vector, and there is no clamp.
+    """
+
+    m: int
+    values: np.ndarray
+    ids: np.ndarray | None = None
+    clamp: float | None = None
+
+    def at(self, edges: np.ndarray) -> np.ndarray:
+        """The noisy weights of the 0-based ``edges``, in increasing order:
+        each found among ``ids`` by ``searchsorted``, or the clamp."""
+        if self.ids is None:
+            return self.values[edges]
+        pos = np.searchsorted(self.ids, edges)
+        found = self.ids.take(pos, mode="clip") == edges
+        return np.where(found, self.values.take(pos, mode="clip"), self.clamp)
+
+    def total(self, edges: np.ndarray, mask: np.ndarray | None = None) -> float:
+        """The sum of the noisy weights of the 0-based ``edges``, in
+        increasing order. ``mask``, their m-long indicator, lets a compact
+        record read it at its own ids, O(k) for k recorded edges, instead of
+        finding each edge by ``at``, O(n log k) for n edges."""
+        if self.ids is None or mask is None:
+            return float(self.at(edges).sum())
+        inside = mask[self.ids]
+        found = np.count_nonzero(inside)
+        total = float(self.values[inside].sum())
+        return total + (len(edges) - found) * self.clamp if found < len(edges) else total
+
+
+@dataclass(init=False)
 class MechanismResult:
     """Output of one mechanism invocation.
 
-    ``noisy_weights`` is a per-edge noisy vector when the mechanism computed
-    one. It is a private release only when ``noisy_weights_released`` is
-    True (the input-privatization baselines); for the perturbation
-    mechanisms the noise is calibrated to privatize the tree alone, and the
-    vector is retained purely as a diagnostic. When input perturbation
+    ``noise`` is the mechanism's per-edge noisy weights, a ``NoisyWeights``
+    record, when it computed them; ``noisy_weights``, an m-vector, builds the
+    full record. The noise is a private release only when
+    ``noisy_weights_released`` is True (the input-privatization baselines);
+    for the perturbation mechanisms it is calibrated to privatize the tree
+    alone and is kept purely as a diagnostic. When input perturbation
     revealed its noise lazily (above the size rule of
-    ``input_perturbation_mst``), the revealed edges hold their noisy weights
-    and every other edge one clamp value, above all of them. The tree is an
-    MST of the vector either way, and the true tree's clamped sum is at
-    most its full-noise sum, so a noisy-minimality check against it is no
-    weaker.
+    ``input_perturbation_mst``) and spanned in its first window, the record
+    holds only the revealed edges and a clamp above all of them. The tree
+    is an MST of the m-vector it stands for either way, and the true tree's
+    clamped sum is at most its full-noise sum, so a noisy-minimality check
+    against it is no weaker.
     """
 
     tree: SpanningTree
-    noisy_weights: np.ndarray | None = None
-    noisy_weights_released: bool = False
-    wall_time_ns: int = 0
-    ops: dict = field(default_factory=dict)
+    noise: NoisyWeights | None
+    noisy_weights_released: bool
+    wall_time_ns: int
+    ops: Mapping
+
+    def __init__(self, tree: SpanningTree, noisy_weights: np.ndarray | None = None,
+                 noisy_weights_released: bool = False, wall_time_ns: int = 0,
+                 ops: Mapping | None = None, noise: NoisyWeights | None = None):
+        if noisy_weights is not None:
+            noise = NoisyWeights(len(noisy_weights), noisy_weights)
+        self.tree, self.noise = tree, noise
+        self.noisy_weights_released, self.wall_time_ns = noisy_weights_released, wall_time_ns
+        self.ops = {} if ops is None else ops
 
 
 def perturb_weights(g: WeightedGraph, eps_prime: float, delta_inf: float,
@@ -116,51 +169,128 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
                            stream: RngStream) -> MechanismResult:
     """Perturb every weight once, then run any exact MST algorithm.
 
-    Only the edge set is the private release; the noisy vector is far too
-    lightly noised to be released itself and is kept as a diagnostic.
+    Only the edge set is the private release; the noisy weights are far too
+    lightly noised to be released themselves and are kept as a diagnostic.
 
-    It is also the one-pass private Kruskal (``onepass``): one race score
-    Exp(1) / exp(-eps' * w_e / (2*delta_inf)) per edge, then plain Kruskal in
-    score order, whose skipping of connected edges is the repeated argmin
-    with cycle removal of private_kruskal_mst. ln(score) =
-    (eps'/(2*delta_inf)) * (w_e + (2*delta_inf/eps') * ln(Exp(1))) - const,
-    a positive affine map of the perturbed weight, so the tree is the same
-    for every draw.
+    It is private Kruskal (``kruskal``): each of the n-1 rounds picks an
+    edge that closes no cycle with probability proportional to
+    exp(-eps' * w_e / (2 * delta_inf)) among such edges (McSherry & Talwar,
+    FOCS 2007). The -ln(Exp(1)) noise is a Gumbel race: the lightest noisy
+    edge that closes no cycle wins each round with the mechanism's
+    probability, and the race's leftover clocks are memoryless. It is also
+    the one-pass private Kruskal (``onepass``): one race score Exp(1) /
+    exp(-eps' * w_e / (2*delta_inf)) per edge, then plain Kruskal in score
+    order. ln(score) = (eps'/(2*delta_inf)) * (w_e + (2*delta_inf/eps') *
+    ln(Exp(1))) - const, a positive affine map of the perturbed weight, so
+    the tree is the same for every draw.
 
     The tree depends only on the prefix of the noisy order that Kruskal's
     scan reads. Below a size rule (``_first_window``) the window is
     infinite: the noise is ``perturb_weights``' vector, draw for draw, and
     ``kruskal_mst`` takes it. On larger graphs ``_lazy_mst`` reveals only
     the edges whose clocks ring in a first window (``_first_window``), with
-    the same tree distribution.
+    the same tree distribution. ``noise`` is the record of what was drawn.
+
+    ``ops`` describes Kruskal's scan of the noisy weights w~ and is counted
+    from ``noise`` when first read (``_ScanOps``), so no call pays for it.
+    With (w*, e*) the largest (w~, id) over the released tree's edges, the
+    scan reads every edge ranked at or before (w*, e*) under (w~, id) and
+    no other. ``ops["edge_checks"]`` is 1 for each of those edges and 0
+    otherwise; ``ops["draws"]`` is their number, from n-1 to m. By the
+    Gumbel-top-k identity the scan order is weighted sampling without
+    replacement, so the count has the distribution of the per-round
+    mechanism's draws when cycle-closing edges are deleted only once drawn.
     """
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
     scale = _noise_scale(eps_prime, budget.delta_inf)
-    log_window = _first_window(g, scale, g.n / 2 * (math.log(g.n) + LAZY_GUMBEL))
-    if log_window == math.inf:
-        noisy = perturb_weights(g, eps_prime, budget.delta_inf, stream)
-        tree = kruskal_mst(g, noisy)
+    window = _first_window(g, scale, g.n / 2 * (math.log(g.n) + LAZY_GUMBEL))
+    if window is None:
+        noise = NoisyWeights(g.m, perturb_weights(g, eps_prime, budget.delta_inf, stream))
+        tree = kruskal_mst(g, noise.values)
     else:
-        tree, noisy = _lazy_mst(g, scale, stream, log_window)
-    return MechanismResult(tree=tree, noisy_weights=noisy,
+        tree, noise = _lazy_mst(g, scale, stream, window)
+    return MechanismResult(tree=tree, noise=noise, ops=_ScanOps(noise, tree),
                            wall_time_ns=time.perf_counter_ns() - t0)
 
 
-def _first_window(g: WeightedGraph, scale: float, target: float) -> float:
-    """ln T of the first window: inf below the size rule (``LAZY_MIN_EDGES``
-    and ``LAZY_MIN_DENSITY``), else about the ln T by which ``target``
-    clocks are expected to ring, solved once per graph, scale and target and
-    kept in ``g.windows``. The expectation, sum_e 1 - exp(-exp(ln T -
-    w_e/b)), is read on every ``LAZY_STRIDE``-th edge of ``g.by_weight``.
-    The first guess is the later of two: the T at which the rates sum to
-    the target (each term is at most its rate times T), and the target's
-    quantile of w/b, less 1, for rates far apart. Each step then scales T
-    by target / expected, which keeps the expectation on the side of the
-    target where it started and moves it closer. A solve that over- or
-    underflows gives inf too."""
+class _ScanOps(Mapping):
+    """``input_perturbation_mst``'s ``ops``, ``edge_checks`` and ``draws``,
+    counted from its noise record and tree on the first read of either.
+
+    It holds the record and the tree, not the result, so that no reference
+    cycle keeps a released result alive. The unrevealed edges of a compact
+    record sit at its clamp, above every revealed weight and so above w*:
+    the scan reads revealed edges only, and the tree's edges are among them.
+    """
+
+    _KEYS = ("edge_checks", "draws")
+
+    def __init__(self, noise: NoisyWeights, tree: SpanningTree):
+        self._noise, self._tree, self._ops = noise, tree, None
+
+    def __getitem__(self, key):
+        if self._ops is None:
+            noise = self._noise
+            ids = np.arange(noise.m) if noise.ids is None else noise.ids
+            tree = _sorted_index(self._tree, noise.m)
+            tree_noisy = noise.at(tree)
+            last = tree_noisy.max()
+            e_last = tree[tree_noisy == last][-1]
+            scanned = ids[(noise.values < last) | ((noise.values == last) & (ids <= e_last))]
+            checks = np.zeros(noise.m, dtype=np.int64)
+            checks[scanned] = 1
+            self._ops = {"edge_checks": checks, "draws": len(scanned)}
+        return self._ops[key]
+
+    def __iter__(self):
+        return iter(self._KEYS)
+
+    def __len__(self):
+        return len(self._KEYS)
+
+    def __contains__(self, key):
+        return key in self._KEYS
+
+
+class _Window(NamedTuple):
+    """A first window T = exp(``log_t``) of the lazy reveal, with its weight
+    buckets: runs of ``g.by_weight``, ``bucket`` edges long (``sizes``, the
+    last one shorter), and the envelope ``q`` of each, the probability that
+    its lightest edge's clock rings by T."""
+
+    log_t: float
+    bucket: int
+    sizes: np.ndarray
+    q: np.ndarray
+
+
+def _window(g: WeightedGraph, scale: float, log_t: float) -> _Window:
+    """The window ln T = ``log_t`` at noise scale b = ``scale``, with
+    buckets of min(``LAZY_BUCKET``, the power of two at or above n ln n)
+    edges: see ``_reveal``."""
+    bucket = min(LAZY_BUCKET, 1 << (max(1, math.ceil(g.n * math.log(g.n))) - 1).bit_length())
+    lightest = g.weights[g.by_weight[::bucket]] / scale
+    sizes = np.minimum(bucket, g.m - bucket * np.arange(len(lightest)))
+    with np.errstate(over="ignore"):  # exp(a_e) that overflows gives q = 1
+        q = -np.expm1(-np.exp(log_t - lightest))
+    return _Window(log_t, bucket, sizes, q)
+
+
+def _first_window(g: WeightedGraph, scale: float, target: float) -> _Window | None:
+    """The first window: None below the size rule (``LAZY_MIN_EDGES``
+    and ``LAZY_MIN_DENSITY``), else the ``_window`` at about the ln T by
+    which ``target`` clocks are expected to ring, solved once per graph,
+    scale and target and kept in ``g.windows``. The expectation, sum_e 1 -
+    exp(-exp(ln T - w_e/b)), is read on every ``LAZY_STRIDE``-th edge of
+    ``g.by_weight``. The first guess is the later of two: the T at which
+    the rates sum to the target (each term is at most its rate times T),
+    and the target's quantile of w/b, less 1, for rates far apart. Each
+    step then scales T by target / expected, which keeps the expectation on
+    the side of the target where it started and moves it closer. A solve
+    that over- or underflows gives None too."""
     if g.m < max(LAZY_MIN_EDGES, LAZY_MIN_DENSITY * g.n * math.log(g.n)):
-        return math.inf
+        return None
     key = (scale, target)
     if key not in g.windows:
         minus_ln_s = g.weights[g.by_weight[LAZY_STRIDE // 2::LAZY_STRIDE]] / scale
@@ -170,46 +300,47 @@ def _first_window(g: WeightedGraph, scale: float, target: float) -> float:
             log_t = max(log_t, minus_ln_s[min(int(per_stride), len(minus_ln_s) - 1)] - 1.0)
             for _ in range(4):
                 log_t += math.log(per_stride / -np.expm1(-np.exp(log_t - minus_ln_s)).sum())
-        g.windows[key] = log_t if math.isfinite(log_t) else math.inf
+        g.windows[key] = _window(g, scale, log_t) if math.isfinite(log_t) else None
     return g.windows[key]
 
 
 def _reveal(g: WeightedGraph, scale: float, stream: RngStream,
-            log_window: float) -> tuple[np.ndarray, np.ndarray]:
-    """The clocks that ring by T = exp(log_window), with their noisy
+            window: _Window) -> tuple[np.ndarray, np.ndarray]:
+    """The clocks that ring by T = exp(window.log_t), with their noisy
     weights: ``(rev, noisy_rev)``, the 0-based ids in increasing order and
     w_e + b ln(E_e), b = ``scale``, for each.
 
     Edge e is an exponential clock X_e = E_e / s_e of rate s_e = exp(-w_e/b),
     and b ln(X_e) is ``perturb_weights``' noisy weight. Clock e rings by T
     with probability p_e = 1 - exp(-s_e T), independently of the others:
-    ln(s_e T) = a_e = log_window - w_e/b, kept in logs so that no rate
-    under- or overflows.
+    ln(s_e T) = a_e = ln T - w_e/b, kept in logs so that no rate under- or
+    overflows.
 
     - The heads among coins of probability q_j, the p_e of the lightest
-      edge of weight bucket j (a run of ``g.by_weight``, min(LAZY_BUCKET,
-      the power of two at or above n ln n) edges long), are the candidates;
-      each is kept with probability p_e / q_j. So edge e is revealed with
+      edge of weight bucket j (``window.q``), are the candidates; each is
+      kept with probability p_e / q_j. So edge e is revealed with
       probability p_e, at a cost of about the number revealed.
     - A revealed edge's E_e is drawn conditioned on E_e <= s_e T by inverse
-      CDF, -ln(1 - U p_e) for U uniform.
+      CDF, -ln(1 - U p_e) for U uniform. Each candidate's w_e, a_e and p_e
+      are carried through the sort into id order.
     """
-    w, m = g.weights, g.m
-    bucket = min(LAZY_BUCKET, 1 << (max(1, math.ceil(g.n * math.log(g.n))) - 1).bit_length())
-    lightest = w[g.by_weight[::bucket]] / scale
-    sizes = np.minimum(bucket, m - bucket * np.arange(len(lightest)))
     # exp(a_e) that overflows gives p_e = 1; U p_e that underflows, ln E = -inf
     with np.errstate(over="ignore", divide="ignore"):
-        q = -np.expm1(-np.exp(log_window - lightest))
-        heads = stream.coin_heads(sizes, q)
+        heads = stream.coin_heads(window.sizes, window.q)
         cand = g.by_weight[heads]
-        p = -np.expm1(-np.exp(log_window - w[cand] / scale))
-        # in id order, so that noisy ties break as in kruskal_mst
-        rev = np.sort(cand[stream.uniform(len(cand)) * q[heads // bucket] <= p])
-        a = log_window - w[rev] / scale
+        w = g.weights[cand]
+        a = window.log_t - w / scale
         p = -np.expm1(-np.exp(a))
+        kept = np.flatnonzero(stream.uniform(len(cand)) * window.q[heads // window.bucket] <= p)
+        # in id order, so that noisy ties break as in kruskal_mst: each kept
+        # (id, position) pair packed in one int64 and sorted, which on
+        # ER(2048, 0.1) took a third of the time of an argsort of the ids
+        shift = len(cand).bit_length()
+        key = np.sort(cand[kept] << shift | kept)
+        rev, kept = key >> shift, key & ((1 << shift) - 1)
+        w, a, p = w[kept], a[kept], p[kept]
         ln_e = np.log(-np.log1p(-stream.uniform(len(rev)) * p))
-    return rev, w[rev] + scale * np.minimum(ln_e, a, out=ln_e)
+    return rev, w + scale * np.minimum(ln_e, a, out=ln_e)
 
 
 def _extend(g: WeightedGraph, scale: float, stream: RngStream, log_window: float,
@@ -231,67 +362,30 @@ def _extend(g: WeightedGraph, scale: float, stream: RngStream, log_window: float
 
 
 def _lazy_mst(g: WeightedGraph, scale: float, stream: RngStream,
-              log_window: float) -> tuple[SpanningTree, np.ndarray]:
+              window: _Window) -> tuple[SpanningTree, NoisyWeights]:
     """Kruskal's tree of ``perturb_weights``' noisy weights w + b ln(E),
-    b = ``scale``, revealing only the edges whose noise falls in a window.
+    b = ``scale``, revealing only the edges whose noise falls in a window,
+    and the record of the noise drawn.
 
     Kruskal scans the edges in the order their clocks ring (``_reveal``).
     It runs, by ``kruskal_mst``'s own choice of scan or Borůvka, on the
-    edges revealed by T = exp(log_window). Every unrevealed edge rings after
-    T, later than every revealed one, so if the revealed edges span, the
-    tree is the full vector's. The returned vector then holds one clamp
-    value, just above every revealed weight, for each unrevealed edge: the
-    tree is also its MST. Otherwise ``_extend`` draws the other clocks and
-    Kruskal runs on the full vector.
+    edges revealed by T = exp(window.log_t). Every unrevealed edge rings
+    after T, later than every revealed one, so if the revealed edges span,
+    the tree is the full vector's. The record then holds the revealed edges
+    and one clamp, just above every revealed weight, for the others: the
+    tree is also the MST of the m-vector it stands for. Otherwise ``_extend``
+    draws the other clocks and Kruskal runs on the full vector.
     """
-    rev, noisy_rev = _reveal(g, scale, stream, log_window)
+    rev, noisy_rev = _reveal(g, scale, stream, window)
     need = g.n - 1
     if len(rev) >= need:
         picked = _kruskal_picks(g.n, g.u_arr[rev], g.v_arr[rev], noisy_rev, need)
         if len(picked) == need:
-            clamp = np.nextafter(max(scale * log_window, noisy_rev.max()), math.inf)
-            noisy = np.full(g.m, clamp)
-            noisy[rev] = noisy_rev
+            clamp = float(np.nextafter(max(scale * window.log_t, noisy_rev.max()), math.inf))
             tree = SpanningTree(frozenset((rev[np.asarray(picked) - 1] + 1).tolist()))
-            return tree, noisy
-    noisy = _extend(g, scale, stream, log_window, rev, noisy_rev)
-    return kruskal_mst(g, noisy), noisy
-
-
-def private_kruskal_mst(g: WeightedGraph, budget: PrivacyBudget,
-                        stream: RngStream) -> MechanismResult:
-    """Kruskal with each greedy choice replaced by the exponential mechanism.
-
-    Each of the n-1 rounds picks an edge that closes no cycle with
-    probability proportional to exp(-eps' * w_e / (2 * delta_inf)) among
-    such edges (McSherry & Talwar, FOCS 2007). That is the input
-    perturbation release: the -ln(Exp(1)) noise is a Gumbel race, the
-    lightest noisy edge that closes no cycle wins each round with the
-    mechanism's probability, and the race's leftover clocks are
-    memoryless. So the body is one ``input_perturbation_mst`` call.
-
-    ``ops`` describes Kruskal's scan of the noisy vector w~. With (w*, e*)
-    the largest (w~, id) over the released tree's edges, the scan reads
-    every edge ranked at or before (w*, e*) under (w~, id) and no other.
-    ``ops["edge_checks"]`` is 1 for each of those edges and 0 otherwise;
-    ``ops["draws"]`` is their number, from n-1 to m. By the Gumbel-top-k
-    identity the scan order is weighted sampling without replacement, so
-    the count has the distribution of the per-round mechanism's draws when
-    cycle-closing edges are deleted only once drawn.
-    """
-    t0 = time.perf_counter_ns()
-    result = input_perturbation_mst(g, budget, stream)
-    noisy = result.noisy_weights
-    ids = np.fromiter(result.tree.edge_ids, dtype=np.int64) - 1
-    tree_noisy = noisy[ids]
-    last = tree_noisy.max()
-    e_last = ids[tree_noisy == last].max()
-    scanned = noisy < last
-    scanned[:e_last + 1] |= noisy[:e_last + 1] == last
-    result.ops = {"edge_checks": scanned.astype(np.int64),
-                  "draws": int(np.count_nonzero(scanned))}
-    result.wall_time_ns = time.perf_counter_ns() - t0
-    return result
+            return tree, NoisyWeights(g.m, noisy_rev, rev, clamp)
+    noisy = _extend(g, scale, stream, window.log_t, rev, noisy_rev)
+    return kruskal_mst(g, noisy), NoisyWeights(g.m, noisy)
 
 
 def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
@@ -349,7 +443,7 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     X_e, so the released tree is the shortest-path tree. And
     X_e = Exp(1) / s_e = exp(coef * w~_e), coef = eps' / (2 * delta_inf),
     where w~ is ``perturb``'s noisy vector. The vector is not returned
-    (``noisy_weights`` is None): the tree is not its minimum spanning tree.
+    (``noise`` is None): the tree is not its minimum spanning tree.
 
     Below the size rule of ``_first_window`` w~ is
     ``perturb_weights(g, eps', delta_inf, stream)``, m draws, and the tree
@@ -366,14 +460,14 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
     scale = _noise_scale(eps_prime, budget.delta_inf)
-    log_window = _first_window(g, scale, PAMST_WINDOW * g.n * math.log(g.n))
-    if log_window == math.inf:
+    window = _first_window(g, scale, PAMST_WINDOW * g.n * math.log(g.n))
+    if window is None:
         log_clock = perturb_weights(g, eps_prime, budget.delta_inf, stream)
         log_clock *= eps_prime / (2.0 * budget.delta_inf)
         chosen, scans = _spt(g, log_clock)
         ops = {"edge_scans": scans, "draws": g.m}
     else:
-        chosen, ops = _lazy_pamst(g, scale, stream, log_window)
+        chosen, ops = _lazy_pamst(g, scale, stream, window)
     return MechanismResult(tree=SpanningTree(frozenset(chosen)),
                            wall_time_ns=time.perf_counter_ns() - t0, ops=ops)
 
@@ -389,9 +483,9 @@ def _spt(g: WeightedGraph, log_clock: np.ndarray) -> tuple[list[int], int]:
 
 
 def _lazy_pamst(g: WeightedGraph, scale: float, stream: RngStream,
-                log_window: float) -> tuple[list[int], dict]:
+                window: _Window) -> tuple[list[int], dict]:
     """``pamst``'s tree, as 1-based edge ids, and its ops, from the clocks
-    X_e = exp(w~_e / b), b = ``scale``, that ring by T = exp(log_window).
+    X_e = exp(w~_e / b), b = ``scale``, that ring by T = exp(window.log_t).
 
     ``_reveal`` draws those clocks, and ``_dijkstra_tree`` runs on the
     revealed edges with the window's certificate: every vertex reached, at
@@ -401,14 +495,14 @@ def _lazy_pamst(g: WeightedGraph, scale: float, stream: RngStream,
     ``_extend`` draws the other clocks, conditioned on ringing after T, and
     the tree is ``_spt``'s of the full vector.
     """
-    rev, noisy_rev = _reveal(g, scale, stream, log_window)
+    rev, noisy_rev = _reveal(g, scale, stream, window)
     scans = 0
     if len(rev) >= g.n - 1:
-        tree, certified = _dijkstra_tree(g, (noisy_rev / scale)[None], rev, log_window)
+        tree, certified = _dijkstra_tree(g, (noisy_rev / scale)[None], rev, window.log_t)
         if certified[0]:
             return (rev[tree[0]] + 1).tolist(), {"edge_scans": 2 * len(rev), "draws": len(rev)}
         scans = 2 * len(rev)
-    noisy = _extend(g, scale, stream, log_window, rev, noisy_rev)
+    noisy = _extend(g, scale, stream, window.log_t, rev, noisy_rev)
     chosen, full = _spt(g, noisy / scale)
     return chosen, {"edge_scans": scans + full, "draws": g.m}
 
@@ -549,7 +643,7 @@ def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> list[int]:
 
 MECHANISMS = {
     "perturb": input_perturbation_mst,
-    "kruskal": private_kruskal_mst,
+    "kruskal": input_perturbation_mst,
     "onepass": input_perturbation_mst,
     "pamst": pamst,
     "sealfon-laplace": partial(sealfon_mst, mode="laplace_pure"),

@@ -24,7 +24,7 @@ from .graph import build_graph, is_spanning_tree, join, kruskal_mst
 from .harness import equivalence_suite, tree_distribution_test
 from .instances import (erdos_renyi_instance, hard_instance, mi_weight,
                         mutual_info_chain_instance, parity_even_prob)
-from .mechanisms import input_perturbation_mst, private_kruskal_mst
+from .mechanisms import input_perturbation_mst, run_mechanism
 from .rng import RngStream
 from .sampling import private_max_weight_basis
 
@@ -155,7 +155,7 @@ def criterion_7():
 def criterion_8():
     budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
     g = erdos_renyi_instance(512, 0.5, 0, 100, RngStream(808, (0,)))
-    r = private_kruskal_mst(g, budget, RngStream(808, (1,)))
+    r = run_mechanism("kruskal", g, budget, RngStream(808, (1,)))
     bound = 2 * math.ceil(math.log2(512)) + 2
     max_checks = int(r.ops["edge_checks"].max())
     checks_ok = max_checks <= bound
@@ -165,7 +165,7 @@ def criterion_8():
         p = m_target / (512 * 511 / 2)
         gi = erdos_renyi_instance(512, p, 0, 100, RngStream(809, (i,)))
         times[m_target] = min(
-            private_kruskal_mst(gi, budget, RngStream(810, (i, rep))).wall_time_ns
+            run_mechanism("kruskal", gi, budget, RngStream(810, (i, rep))).wall_time_ns
             for rep in range(5))
     time_ratio = times[4 * 10**4] / times[10**4]
     time_ok = time_ratio < 4 * 1.5

@@ -15,8 +15,8 @@ from dpmst.harness import (CSV_COLUMNS, _JUDGED, _kruskal_masks, _prim_masks,
                            equivalence_suite, family_graph, run_trials,
                            tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
-from dpmst.mechanisms import (MECHANISMS, MechanismResult, UnknownMechanismError,
-                              input_perturbation_mst)
+from dpmst.mechanisms import (MECHANISMS, MechanismResult, NoisyWeights,
+                              UnknownMechanismError, input_perturbation_mst)
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
@@ -33,6 +33,15 @@ def er_graph():
 BUDGET = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
 
 
+def true_tree(g):
+    """The exact MST's sorted 0-based ids and their m-long indicator, as
+    ``run_trials`` hands them to each trial."""
+    ids = np.sort(np.fromiter(g.mst.edge_ids, dtype=np.int64) - 1)
+    mask = np.zeros(g.m, dtype=bool)
+    mask[ids] = True
+    return ids, mask
+
+
 class TestRunTrials:
     def test_deterministic_given_seed(self, er_graph):
         a = run_trials(er_graph, "perturb", BUDGET, 10, 42)
@@ -47,9 +56,7 @@ class TestRunTrials:
         report = run_trials(er_graph, "onepass", BUDGET, 8, 7)
         ref = report.records[5]
         tw = tree_weight(er_graph, kruskal_mst(er_graph))
-        ids = [e - 1 for e in kruskal_mst(er_graph).edge_ids]
-        lone = _run_single_trial(er_graph, "onepass", BUDGET, 7, 5, tw,
-                                 lambda noisy: float(noisy[ids].sum()))
+        lone = _run_single_trial(er_graph, "onepass", BUDGET, 7, 5, tw, *true_tree(er_graph))
         assert (lone.private_weight, lone.error) == (ref.private_weight, ref.error)
 
     def test_huge_budget_zero_error(self, er_graph):
@@ -100,27 +107,45 @@ class TestRunTrials:
 
         monkeypatch.setitem(MECHANISMS, "perturb", heavy_tree)
         with pytest.raises(RuntimeError, match="non-minimal"):
-            _run_single_trial(triangle(), "perturb", BUDGET, 0, 0, 3.0,
-                              lambda noisy: float(noisy[[0, 1]].sum()))
+            _run_single_trial(triangle(), "perturb", BUDGET, 0, 0, 3.0, *true_tree(triangle()))
 
     def test_non_minimal_tree_rejected_with_a_clamped_vector(self, monkeypatch):
-        # above the size rule the vector holds one clamp value, above every
+        # above the size rule the record holds one clamp value, above every
         # revealed weight, for each unrevealed edge; a tree of clamped edges
         # outweighs the true tree, which holds some revealed ones
         g = above_size_rule()
         r = input_perturbation_mst(g, BUDGET, RngStream(43))
-        clamped = r.noisy_weights == r.noisy_weights.max()
-        assert clamped.sum() > g.m // 2 and r.noisy_weights[~clamped].max() < r.noisy_weights.max()
-        heavy = kruskal_mst(g, (~clamped).astype(float))
+        revealed = np.zeros(g.m, dtype=bool)
+        revealed[r.noise.ids] = True
+        assert revealed.sum() < g.m // 2 and r.noise.values.max() < r.noise.clamp
+        heavy = kruskal_mst(g, revealed.astype(float))
 
         def clamped_tree(g, budget, stream):
-            return MechanismResult(tree=heavy, noisy_weights=r.noisy_weights)
+            return MechanismResult(tree=heavy, noise=r.noise)
 
         monkeypatch.setitem(MECHANISMS, "perturb", clamped_tree)
-        true_ids = np.fromiter(g.mst.edge_ids, dtype=np.int64) - 1
         with pytest.raises(RuntimeError, match="non-minimal"):
-            _run_single_trial(g, "perturb", BUDGET, 0, 0, tree_weight(g, g.mst),
-                              lambda noisy: float(noisy[true_ids].sum()))
+            _run_single_trial(g, "perturb", BUDGET, 0, 0, tree_weight(g, g.mst), *true_tree(g))
+
+    def test_tree_naming_an_unrevealed_edge_rejected(self, monkeypatch):
+        # a compact record of the triangle, whose true tree is {1, 2}. With
+        # edges 1 and 2 recorded at 0 and 5, edge 3 sits at the clamp, 6:
+        # {1, 3} sums to 6 against 5 and is rejected, though the recorded
+        # value next to edge 3 (5) would let it pass. With edges 1 and 3
+        # recorded at 0 and 1, the true tree's edge 2 is at the clamp, so
+        # {1, 3} (1 against 6) passes
+        g = triangle()
+        for ids, values, tree, minimal in (([0, 1], [0.0, 5.0], {1, 3}, False),
+                                           ([0, 1], [0.0, 5.0], {1, 2}, True),
+                                           ([0, 2], [0.0, 1.0], {1, 3}, True)):
+            noise = NoisyWeights(3, np.array(values), np.array(ids), 6.0)
+            monkeypatch.setitem(MECHANISMS, "perturb", lambda g, budget, stream, tree=tree, noise=noise:
+                                MechanismResult(tree=SpanningTree(frozenset(tree)), noise=noise))
+            if minimal:
+                _run_single_trial(g, "perturb", BUDGET, 0, 0, 3.0, *true_tree(g))
+            else:
+                with pytest.raises(RuntimeError, match="non-minimal"):
+                    _run_single_trial(g, "perturb", BUDGET, 0, 0, 3.0, *true_tree(g))
 
 
 class TestEmitCsv:

@@ -9,15 +9,16 @@ from scipy import stats
 from dpmst.accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
 from dpmst.exact import (chi_square_gof, exact_tree_distribution,
                          prim_tree_distribution)
-from dpmst.graph import build_graph, is_spanning_tree, kruskal_mst, tree_weight
+from dpmst.graph import (_kruskal_picks, build_graph, is_spanning_tree, kruskal_mst,
+                         tree_weight)
 from dpmst.instances import erdos_renyi_instance
 from dpmst import mechanisms
 from dpmst.mechanisms import (LAZY_GUMBEL, LAZY_MIN_DENSITY, LAZY_MIN_EDGES, MECHANISMS,
-                              MechanismResult, UnknownMechanismError,
+                              MechanismResult, NoisyWeights, UnknownMechanismError,
                               input_perturbation_mst, _dijkstra_tree, _extend,
                               _first_window, _lazy_mst, _lazy_pamst, _noise_scale,
-                              _prim_race, _reveal, _spt, pamst, perturb_weights,
-                              private_kruskal_mst, run_mechanism, sealfon_mst)
+                              _prim_race, _reveal, _spt, _window, pamst, perturb_weights,
+                              run_mechanism, sealfon_mst)
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
@@ -25,6 +26,7 @@ from .test_sampling import FixedUniform
 
 EULER_GAMMA = 0.5772156649015329
 HUGE = PrivacyBudget.from_rho(1e18, 1e-6, 1.0)
+private_kruskal = partial(run_mechanism, "kruskal")
 
 
 def budget_for_eps_prime(g, eps_prime, delta_inf=1.0):
@@ -191,14 +193,14 @@ class TestInputPerturbation:
     def test_noisy_vector_is_diagnostic_not_release(self):
         g = triangle()
         r = input_perturbation_mst(g, budget_for_eps_prime(g, 1.0), RngStream(7))
-        assert r.noisy_weights is not None and not r.noisy_weights_released
+        assert r.noise is not None and not r.noisy_weights_released
 
 
 class TestPrivateKruskal:
     def test_k3_matches_exact_distribution(self):
         g = triangle()
         budget = budget_for_eps_prime(g, 1.0)
-        counts = tree_counts(private_kruskal_mst, g, budget, 30000, RngStream(8))
+        counts = tree_counts(private_kruskal, g, budget, 30000, RngStream(8))
         assert chi_square_gof(counts, exact_tree_distribution(g, 1.0), 0.001).passed
 
     def test_huge_budget_returns_true_mst(self):
@@ -206,13 +208,13 @@ class TestPrivateKruskal:
         g = k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
         best = kruskal_mst(g).edge_ids
         budget = budget_for_eps_prime(g, 100.0)
-        counts = tree_counts(private_kruskal_mst, g, budget, 2000, RngStream(9))
+        counts = tree_counts(private_kruskal, g, budget, 2000, RngStream(9))
         assert counts[best] / 2000 >= 0.999
 
     def test_survives_extreme_budget(self):
         # at a beyond-float budget the noise vanishes and the exact MST comes out
         g = k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
-        r = private_kruskal_mst(g, HUGE, RngStream(28))
+        r = private_kruskal(g, HUGE, RngStream(28))
         assert r.tree == kruskal_mst(g)
 
     def test_single_vertex_rejected(self):
@@ -220,7 +222,7 @@ class TestPrivateKruskal:
         g = build_graph(1, [], [])
         for _ in range(2):
             with pytest.raises(ValueError, match="rounds must be a positive integer"):
-                private_kruskal_mst(g, HUGE, RngStream(0))
+                private_kruskal(g, HUGE, RngStream(0))
 
     def test_k256_at_huge_budgets(self):
         # the graph and delta_inf of the er256-select benchmark workload; a
@@ -230,20 +232,21 @@ class TestPrivateKruskal:
         g = erdos_renyi_instance(256, 1.0, 0.0, 100.0, RngStream(1, (1,)))
         huge = PrivacyBudget.from_rho(1e18, 1e-6, 0.1)
         for seed in range(5):
-            assert private_kruskal_mst(g, huge, RngStream(37, (seed,))).tree == g.mst
+            assert private_kruskal(g, huge, RngStream(37, (seed,))).tree == g.mst
         budget = PrivacyBudget.from_rho(1e6, 1e-6, 0.1)
         best = tree_weight(g, g.mst)
-        errors = [tree_weight(g, private_kruskal_mst(g, budget, RngStream(38, (seed,))).tree)
+        errors = [tree_weight(g, private_kruskal(g, budget, RngStream(38, (seed,))).tree)
                   - best for seed in range(5)]
         assert np.mean(errors) < 1.0
 
     def test_same_tree_as_perturb_on_the_same_stream(self):
-        # kruskal is one input perturbation call plus its scan's op counts
+        # kruskal is the input perturbation body, which also counts its scan
+        assert MECHANISMS["kruskal"] is input_perturbation_mst
         g = erdos_renyi_instance(12, 0.6, 0, 100, RngStream(13))
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 1.0)
         for seed in range(50):
             a = input_perturbation_mst(g, budget, RngStream(seed, (3,))).tree
-            b = private_kruskal_mst(g, budget, RngStream(seed, (3,))).tree
+            b = private_kruskal(g, budget, RngStream(seed, (3,))).tree
             assert a == b
 
     @pytest.mark.parametrize("graph", [
@@ -257,7 +260,7 @@ class TestPrivateKruskal:
         stream = RngStream(29)
         counts, draws = Counter(), 0
         for _ in range(30000):
-            r = private_kruskal_mst(g, budget, stream)
+            r = private_kruskal(g, budget, stream)
             counts[r.tree.edge_ids] += 1
             draws += r.ops["draws"]
         assert chi_square_gof(counts, exact_tree_distribution(g, 1.0), 0.001).passed
@@ -268,7 +271,7 @@ class TestPrivateKruskal:
         g = erdos_renyi_instance(64, 0.5, 0, 100, RngStream(30))
         for rho in (0.01, 1.0, 1e18):
             for seed in range(5):
-                r = private_kruskal_mst(g, PrivacyBudget.from_rho(rho, 1e-6, 0.1),
+                r = private_kruskal(g, PrivacyBudget.from_rho(rho, 1e-6, 0.1),
                                         RngStream(31, (seed,)))
                 checks = r.ops["edge_checks"]
                 assert g.n - 1 <= r.ops["draws"] <= g.m
@@ -277,7 +280,7 @@ class TestPrivateKruskal:
 
     def test_per_edge_check_bound(self):
         g = erdos_renyi_instance(128, 0.5, 0, 100, RngStream(10))
-        r = private_kruskal_mst(g, PrivacyBudget.from_rho(1.0, 1e-6, 0.1),
+        r = private_kruskal(g, PrivacyBudget.from_rho(1.0, 1e-6, 0.1),
                                 RngStream(11))
         bound = 2 * math.ceil(math.log2(g.n)) + 2
         assert int(r.ops["edge_checks"].max()) <= bound
@@ -298,11 +301,13 @@ class TestPrivateKruskal:
         g = graph()
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
         for seed in range(5):
-            r = private_kruskal_mst(g, budget, stream(seed))
-            order = np.argsort(r.noisy_weights, kind="stable")
+            r = private_kruskal(g, budget, stream(seed))
+            order = np.argsort(expand(r.noise), kind="stable")
             ranked, k = r.ops["edge_checks"][order], r.ops["draws"]
             assert ranked[:k].all() and not ranked[k:].any()
             assert order[k - 1] + 1 in r.tree.edge_ids
+            if r.noise.ids is not None:  # the scan read revealed edges only
+                assert np.isin(np.flatnonzero(r.ops["edge_checks"]), r.noise.ids).all()
 
 
 class TestOnePass:
@@ -371,7 +376,7 @@ class TestSealfon:
                             np.zeros(m))
             noise = np.concatenate([
                 sealfon_mst(g, budget, RngStream(15, (m, t)),
-                            mode="laplace_pure").noisy_weights
+                            mode="laplace_pure").noise.values
                 for t in range(trials)])
             stds[m] = noise.std()
         assert stds[100] / stds[10] == pytest.approx(10.0, rel=0.05)
@@ -391,7 +396,7 @@ class TestSealfon:
             noise = stream.gaussian(gaussian_sigma_for_input_privatization(
                 budget.rho, g.m, budget.delta_inf), size=g.m)
         r = sealfon_mst(g, budget, RngStream(33), mode=mode)
-        assert r.noisy_weights.tobytes() == (g.weights + noise).tobytes()
+        assert r.noise.ids is None and r.noise.values.tobytes() == (g.weights + noise).tobytes()
         assert r.tree == kruskal_mst(g, g.weights + noise)
 
 
@@ -558,7 +563,7 @@ def above_size_rule():
 
 def is_lazy(g):
     """Whether g is above the size rule that both lazy reveals read."""
-    return _first_window(g, 1.0, g.n) < math.inf
+    return _first_window(g, 1.0, g.n) is not None
 
 
 def complete(n):
@@ -613,22 +618,30 @@ class TestLazyReveal:
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 1.0)
         scale = _noise_scale(budget.per_round(g.n - 1), 1.0)
         cold = [run_mechanism("perturb", g, budget, RngStream(seed, (6,))) for seed in range(3)]
-        log_t = g.windows[scale, target]
-        # the cached window is a fresh solve's, and gives the same releases
+        window = g.windows[scale, target]
+        log_t = window.log_t
+        # the cached window and its bucket envelopes are a fresh solve's,
+        # and give the same releases
         fresh = build_graph(g.n, edges, g.weights)
         assert fresh.windows == {}
-        assert _first_window(fresh, scale, target) == log_t
+        solved = _first_window(fresh, scale, target)
+        assert solved.log_t == log_t and solved.bucket == window.bucket
+        assert np.array_equal(solved.sizes, window.sizes)
+        assert solved.q.tobytes() == window.q.tobytes()
         for seed, result in enumerate(cold):
             warm = run_mechanism("perturb", g, budget, RngStream(seed, (6,)))
             assert warm.tree == result.tree
-            assert np.array_equal(warm.noisy_weights, result.noisy_weights)
+            assert np.array_equal(warm.noise.ids, result.noise.ids)
+            assert np.array_equal(warm.noise.values, result.noise.values)
+            assert warm.noise.clamp == result.noise.clamp
         # a second budget gets its own window
-        assert _first_window(g, 2 * scale, target) == g.windows[2 * scale, target] != log_t
+        assert _first_window(g, 2 * scale, target) is g.windows[2 * scale, target]
+        assert g.windows[2 * scale, target].log_t != log_t
         # a graph of the same topology and other weights solves its own:
         # adding c to every weight adds c / b to ln T
         shifted = build_graph(g.n, edges, g.weights + 50.0)
-        assert _first_window(shifted, scale, target) == pytest.approx(log_t + 50.0 / scale)
-        assert g.windows[scale, target] == log_t
+        assert _first_window(shifted, scale, target).log_t == pytest.approx(log_t + 50.0 / scale)
+        assert g.windows[scale, target] is window
 
     @pytest.mark.parametrize("window", ["first", "extension"])
     @pytest.mark.parametrize("neighbour", [False, True], ids=["w", "w+s"])
@@ -653,7 +666,8 @@ class TestLazyReveal:
         log_window = g.weights.min() / scale + (
             math.log(math.log(5.0)) if window == "first" else -50.0)
         trials, stream = 8000 if window == "first" else 4000, CountingStream(40)
-        counts = Counter(_lazy_mst(g, scale, stream, log_window)[0].edge_ids
+        lazy_window = _window(g, scale, log_window)
+        counts = Counter(_lazy_mst(g, scale, stream, lazy_window)[0].edge_ids
                          for _ in range(trials))
         exact = exact_tree_distribution(g, eps_prime, g.delta_inf)
         assert chi_square_gof(counts, exact, 0.001).passed
@@ -669,14 +683,184 @@ class TestLazyReveal:
         # representable
         g = zero_rate_graph()
         counts = Counter()
-        stream = RngStream(42)
+        stream, scale = RngStream(42), _noise_scale(1.0, g.delta_inf)
+        window = _window(g, scale, 0.0)
         for _ in range(4000):
-            tree = _lazy_mst(g, _noise_scale(1.0, g.delta_inf), stream, 0.0)[0]
+            tree = _lazy_mst(g, scale, stream, window)[0]
             counts[4 in tree.edge_ids] += 1
         assert counts[True] + counts[False] == 4000
         share = counts[True] / 4000
         expect = 1.0 / (1.0 + math.exp(-0.5))
         assert abs(share - expect) < 4 * math.sqrt(expect * (1 - expect) / 4000)
+
+
+
+def _reference_reveal(g, scale, stream, log_window):
+    """The lazy reveal's former body: the envelopes computed per call, and
+    the kept candidates sorted by id before w, a_e and p_e are read again."""
+    w, m = g.weights, g.m
+    bucket = min(mechanisms.LAZY_BUCKET,
+                 1 << (max(1, math.ceil(g.n * math.log(g.n))) - 1).bit_length())
+    lightest = w[g.by_weight[::bucket]] / scale
+    sizes = np.minimum(bucket, m - bucket * np.arange(len(lightest)))
+    with np.errstate(over="ignore", divide="ignore"):
+        q = -np.expm1(-np.exp(log_window - lightest))
+        heads = stream.coin_heads(sizes, q)
+        cand = g.by_weight[heads]
+        p = -np.expm1(-np.exp(log_window - w[cand] / scale))
+        rev = np.sort(cand[stream.uniform(len(cand)) * q[heads // bucket] <= p])
+        a = log_window - w[rev] / scale
+        p = -np.expm1(-np.exp(a))
+        ln_e = np.log(-np.log1p(-stream.uniform(len(rev)) * p))
+    return rev, w[rev] + scale * np.minimum(ln_e, a, out=ln_e)
+
+
+def _reference_vector(g, budget, stream, log_window=None):
+    """The m-vector the former input perturbation body returned: the full
+    draw, or, at a window, the revealed weights and one clamp above them if
+    they span, else the extended vector."""
+    eps_prime = budget.per_round(g.n - 1)
+    if log_window is None:
+        return perturb_weights(g, eps_prime, budget.delta_inf, stream)
+    scale = _noise_scale(eps_prime, budget.delta_inf)
+    rev, noisy_rev = _reference_reveal(g, scale, stream, log_window)
+    picked = _kruskal_picks(g.n, g.u_arr[rev], g.v_arr[rev], noisy_rev, g.n - 1)
+    if len(picked) < g.n - 1:
+        return _extend(g, scale, stream, log_window, rev, noisy_rev)
+    clamp = np.nextafter(max(scale * log_window, noisy_rev.max()), math.inf)
+    noisy = np.full(g.m, clamp)
+    noisy[rev] = noisy_rev
+    return noisy
+
+
+def _reference_scan_ops(noisy, tree):
+    """The former eager ranking of Kruskal's scan over an m-vector."""
+    ids = np.fromiter(tree.edge_ids, dtype=np.int64) - 1
+    tree_noisy = noisy[ids]
+    last = tree_noisy.max()
+    e_last = ids[tree_noisy == last].max()
+    scanned = noisy < last
+    scanned[:e_last + 1] |= noisy[:e_last + 1] == last
+    return scanned.astype(np.int64), int(np.count_nonzero(scanned))
+
+
+def expand(noise):
+    """The m-vector a noise record stands for: its values on its ids and
+    the clamp elsewhere."""
+    if noise.ids is None:
+        return noise.values
+    full = np.full(noise.m, noise.clamp)
+    full[noise.ids] = noise.values
+    return full
+
+
+def arrays_in(obj):
+    """Every numpy array reachable from obj through attributes and containers."""
+    stack, seen, found = [obj], set(), []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif hasattr(o, "__dict__"):
+            stack.extend(vars(o).values())
+    return found
+
+
+class TestNoiseRecord:
+    """The NoisyWeights record of input perturbation: what it expands to, what
+    it holds, and the scan's op counts read from it."""
+
+    BUDGET = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
+
+    @staticmethod
+    def low_window(g, budget):
+        """The ln T by which about n clocks ring: some edges are revealed,
+        but far fewer than the (n/2) ln n a spanning set needs, so every
+        call extends."""
+        scale = _noise_scale(budget.per_round(g.n - 1), budget.delta_inf)
+        return _first_window(g, scale, g.n).log_t
+
+    @pytest.mark.parametrize("graph", [partial(complete, 256), above_size_rule],
+                             ids=["k256", "above-size-rule"])
+    def test_first_window_expands_to_the_former_clamp_vector(self, graph):
+        g = graph()
+        eps_prime = self.BUDGET.per_round(g.n - 1)
+        scale = _noise_scale(eps_prime, self.BUDGET.delta_inf)
+        log_t = _first_window(g, scale, g.n / 2 * (math.log(g.n) + LAZY_GUMBEL)).log_t
+        compact = 0
+        for seed in range(8):
+            r = run_mechanism("kruskal", g, self.BUDGET, RngStream(45, (seed,)))
+            ref = _reference_vector(g, self.BUDGET, RngStream(45, (seed,)), log_t)
+            assert expand(r.noise).tobytes() == ref.tobytes()
+            assert r.tree == kruskal_mst(g, ref)
+            compact += r.noise.ids is not None
+        assert compact == 8
+
+    def test_full_and_extended_paths_are_the_full_vector(self, monkeypatch):
+        g = complete(256)
+        r = run_mechanism("kruskal", k4_asymmetric(), self.BUDGET, RngStream(46))
+        ref = _reference_vector(k4_asymmetric(), self.BUDGET, RngStream(46))
+        assert r.noise.ids is None and r.noise.clamp is None
+        assert expand(r.noise).tobytes() == ref.tobytes()
+        log_t = self.low_window(g, self.BUDGET)
+        monkeypatch.setattr(mechanisms, "_first_window",
+                            lambda g, scale, target: _window(g, scale, log_t))
+        for seed in range(3):
+            r = run_mechanism("kruskal", g, self.BUDGET, RngStream(47, (seed,)))
+            ref = _reference_vector(g, self.BUDGET, RngStream(47, (seed,)), log_t)
+            assert r.noise.ids is None and r.noise.clamp is None
+            assert r.noise.values.tobytes() == ref.tobytes()
+
+    def test_first_window_result_holds_no_m_array(self):
+        g = complete(256)
+        lazy = run_mechanism("kruskal", g, self.BUDGET, RngStream(48))
+        assert lazy.noise.ids is not None
+        assert max(a.size for a in arrays_in(lazy)) < g.m // 10
+        # the walk does find the full path's vector
+        g = erdos_renyi_instance(40, 0.3, 0, 100, RngStream(32))
+        full = run_mechanism("kruskal", g, self.BUDGET, RngStream(48))
+        assert max(a.size for a in arrays_in(full)) == g.m
+
+    def test_at_reads_recorded_values_and_the_clamp(self):
+        noise = NoisyWeights(6, np.array([0.5, -1.0, 2.0]), np.array([1, 3, 4]), 2.5)
+        assert noise.at(np.arange(6)).tolist() == [2.5, 0.5, 2.5, -1.0, 2.0, 2.5]
+        assert noise.at(np.array([0, 5])).tolist() == [2.5, 2.5]
+        mask = np.isin(np.arange(6), [0, 3, 5])
+        assert noise.total(np.array([0, 3, 5]), mask) == noise.total(np.array([0, 3, 5])) == 4.0
+        full = NoisyWeights(3, np.array([1.0, 2.0, 3.0]))
+        assert full.at(np.array([0, 2])).tolist() == [1.0, 3.0]
+        assert full.total(np.array([0, 2]), np.array([True, False, True])) == 4.0
+
+    @pytest.mark.parametrize("path", ["k4", "full", "first-window", "extended"])
+    def test_ops_equal_the_former_eager_ranking(self, path, monkeypatch):
+        if path == "k4":
+            g, budget = k4([1.0] * 6), budget_for_eps_prime(k4([1.0] * 6), 1.0)
+        elif path == "full":
+            g, budget = erdos_renyi_instance(40, 0.3, 0, 100, RngStream(32)), self.BUDGET
+        else:
+            g, budget = complete(256), self.BUDGET
+        if path == "extended":
+            log_t = self.low_window(g, budget)
+            monkeypatch.setattr(mechanisms, "_first_window",
+                                lambda g, scale, target: _window(g, scale, log_t))
+        for seed in range(10 if g.m < 100 else 3):
+            r = run_mechanism("kruskal", g, budget, RngStream(49, (seed,)))
+            assert (r.noise.ids is not None) == (path == "first-window")
+            assert "edge_checks" in r.ops and "draws" in r.ops and len(r.ops) == 2
+            checks, draws = _reference_scan_ops(expand(r.noise), r.tree)
+            assert np.array_equal(r.ops["edge_checks"], checks)
+            assert r.ops["edge_checks"].dtype == np.int64 and r.ops["draws"] == draws
+
+    def test_ops_hold_no_reference_to_their_result(self):
+        r = run_mechanism("kruskal", complete(256), self.BUDGET, RngStream(50))
+        assert not any(o is r for o in vars(r.ops).values())
 
 
 def k4_asymmetric():
@@ -700,12 +884,12 @@ class TestLazyPamst:
     @staticmethod
     def setup_graph(graph, neighbour, window, monkeypatch):
         """The graph, at w or w + delta_inf * (+1, -1, +1, ...), its noise
-        scale at eps' = 1, and the window's ln T, with buckets of two edges
-        so that every graph spans several envelopes."""
+        scale at eps' = 1, and the window, with buckets of two edges so that
+        every graph spans several envelopes."""
         monkeypatch.setattr(mechanisms, "LAZY_BUCKET", 2)
         g = at_neighbour(graph()) if neighbour else graph()
         scale = _noise_scale(budget_for_eps_prime(g, 1.0).per_round(g.n - 1), g.delta_inf)
-        return g, scale, g.weights.min() / scale + TestLazyPamst.WINDOWS[window]
+        return g, scale, _window(g, scale, g.weights.min() / scale + TestLazyPamst.WINDOWS[window])
 
     @pytest.mark.parametrize("graph, lazy", [
         (k4_asymmetric, False),
@@ -733,11 +917,11 @@ class TestLazyPamst:
     @NEIGHBOURS
     @GRAPHS
     def test_matches_prim_distribution(self, graph, neighbour, window, monkeypatch):
-        g, scale, log_window = self.setup_graph(graph, neighbour, window, monkeypatch)
+        g, scale, lazy_window = self.setup_graph(graph, neighbour, window, monkeypatch)
         trials, stream = 1500, CountingStream(43)
         counts, refused = Counter(), 0
         for _ in range(trials):
-            chosen, ops = _lazy_pamst(g, scale, stream, log_window)
+            chosen, ops = _lazy_pamst(g, scale, stream, lazy_window)
             counts[frozenset(chosen)] += 1
             # the race reads 2m slots, so more means a refused lazy Dijkstra
             refused += ops["edge_scans"] > 2 * g.m
@@ -759,10 +943,10 @@ class TestLazyPamst:
         # vector's: an unrevealed clock, above T but below some distance,
         # would shorten a path. Only the window's bound on the distances
         # refuses those; without it every case here fails
-        g, scale, log_window = self.setup_graph(graph, neighbour, "coverage", monkeypatch)
-        stream, wrong = RngStream(44), 0
+        g, scale, window = self.setup_graph(graph, neighbour, "coverage", monkeypatch)
+        stream, wrong, log_window = RngStream(44), 0, window.log_t
         for _ in range(600):
-            rev, noisy_rev = _reveal(g, scale, stream, log_window)
+            rev, noisy_rev = _reveal(g, scale, stream, window)
             if len(rev) < g.n - 1:
                 _extend(g, scale, stream, log_window, rev, noisy_rev)
                 continue
@@ -782,11 +966,11 @@ class TestCrossMechanismInvariants:
         # full-noise sum, so the check is at least as strict
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
         for g in (erdos_renyi_instance(20, 0.5, 0, 100, RngStream(19)), above_size_rule()):
-            true_ids = [e - 1 for e in kruskal_mst(g).edge_ids]
+            true_ids = np.sort([e - 1 for e in kruskal_mst(g).edge_ids])
             for seed in range(50):
                 r = input_perturbation_mst(g, budget, RngStream(seed, (3,)))
-                got = sum(r.noisy_weights[e - 1] for e in r.tree.edge_ids)
-                ref = r.noisy_weights[true_ids].sum()
+                got = r.noise.at(np.sort([e - 1 for e in r.tree.edge_ids])).sum()
+                ref = r.noise.at(true_ids).sum()
                 assert got <= ref + 1e-9
 
     def test_error_decreases_as_rho_grows(self):
@@ -818,10 +1002,10 @@ class TestCrossMechanismInvariants:
         assert is_spanning_tree(g, r.tree.edge_ids)
 
     def test_tree_is_mst_of_returned_noisy_weights(self):
-        # above the size rule too, where the vector holds the clamp
+        # above the size rule too, where the record expands to the clamp
         budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
         for g in (erdos_renyi_instance(15, 0.5, 0, 100, RngStream(23)), above_size_rule()):
             for mech in ("perturb", "kruskal", "onepass", "sealfon-laplace", "sealfon-gauss"):
                 for seed in range(5):
                     r = run_mechanism(mech, g, budget, RngStream(24, (seed,)))
-                    assert r.tree == kruskal_mst(g, r.noisy_weights)
+                    assert r.tree == kruskal_mst(g, expand(r.noise))
