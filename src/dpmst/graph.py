@@ -400,8 +400,9 @@ def _boruvka(comp: np.ndarray, scan: np.ndarray, u_arr: np.ndarray,
 
 
 def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
-    """True iff edge_ids (1-based) has size n-1 and is acyclic and connected."""
-    idx = np.fromiter(set(edge_ids), dtype=np.int64) - 1
+    """True iff edge_ids (1-based) has size n-1 and is acyclic and connected;
+    a repeated id closes a cycle."""
+    idx = np.fromiter(edge_ids, dtype=np.int64) - 1
     if len(idx) != g.n - 1 or ((idx < 0) | (idx >= g.m)).any():
         return False
     scan = zip(idx.tolist(), g.u_arr[idx].tolist(), g.v_arr[idx].tolist())

@@ -193,6 +193,8 @@ EQUIV_FAMILIES = {
     "k3": (3, [(1, 2), (2, 3), (1, 3)], [1.0, 2.0, 3.0]),
     "k4": (4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    "k5": (5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)],
+           [0.43, 1.18, 4.01, 2.91, 0.47, 2.17, 2.4, 0.8, 3.67, 0.57]),
 }
 
 EQUIV_MECHANISMS = ("perturb", "kruskal", "onepass")
@@ -315,7 +317,7 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
 def equivalence_suite(family: str, eps_prime: float, trials: int, alpha: float,
                       master_seed: int = 0,
                       mechanisms=EQUIV_MECHANISMS) -> dict[str, EquivalenceResult]:
-    """tree_distribution_test on a named small-graph family (k3 or k4)."""
+    """tree_distribution_test on a named small-graph family (``EQUIV_FAMILIES``)."""
     return tree_distribution_test(family_graph(family), eps_prime, trials,
                                   alpha, master_seed, mechanisms)
 

@@ -1,17 +1,17 @@
 """The private MST mechanisms.
 
 Six registry ids. ``perturb``, ``onepass`` and ``kruskal`` all run input
-perturbation, the one noise-then-Kruskal body (``input_perturbation_mst``).
-It samples the tree distribution of Kruskal with the exponential mechanism in
-every round, and its ``ops`` count that scan. On large graphs the body draws
-only the noise Kruskal's scan can reach, and its result keeps just that
-noise: a ``NoisyWeights`` record of the revealed ids, their noisy weights and
-one clamp for every other edge. The baselines are ``sealfon-laplace`` and
-``sealfon-gauss`` (input privatization) and ``pamst`` (Prim-based): the
-shortest-path tree from vertex 1 under lengths exp(eps' / (2 * delta_inf) *
-w~_e) of ``perturb``'s vector w~, which ``_dijkstra_tree`` computes for a
-block of vectors at once. On large graphs ``pamst`` too draws only the noise
-its tree can reach.
+perturbation (``input_perturbation_mst``), which samples the tree
+distribution of Kruskal with the exponential mechanism in every round. The
+baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input privatization)
+and ``pamst`` (Prim-based): the shortest-path tree from vertex 1 under
+lengths exp(eps' / (2 * delta_inf) * w~_e) of ``perturb``'s vector w~.
+
+The four perturbation ids share one noise body, ``_perturbed_tree``, and
+differ only in its tree rule, ``_kruskal_tree`` or ``_prim_tree``. On large
+graphs it draws only the noise the rule's tree can reach, and keeps a
+``NoisyWeights`` record of the revealed ids, their noisy weights and one
+clamp for every other edge.
 
 Every mechanism takes (graph, budget, stream) and returns a MechanismResult;
 none reads system entropy.
@@ -44,10 +44,10 @@ class NoisyWeights:
 
     ``values[i]`` is the noisy weight of the 0-based edge ``ids[i]``, the
     ids increasing, and each other edge of the ``m`` sits at ``clamp``,
-    above every value. A lazy call of ``input_perturbation_mst`` that spans
-    in its first window keeps this compact record of the edges it revealed.
-    The full draw is the record of all m ids: ``ids`` is None, ``values``
-    the m-vector, and there is no clamp.
+    above every value. A lazy call of ``_perturbed_tree`` whose rule gives
+    its tree from the first window keeps this compact record of the edges
+    it revealed. The full draw is the record of all m ids: ``ids`` is None,
+    ``values`` the m-vector, and there is no clamp.
     """
 
     m: int
@@ -86,13 +86,10 @@ class MechanismResult:
     full record. The noise is a private release only when
     ``noisy_weights_released`` is True (the input-privatization baselines);
     for the perturbation mechanisms it is calibrated to privatize the tree
-    alone and is kept purely as a diagnostic. When input perturbation
-    revealed its noise lazily (above the size rule of
-    ``input_perturbation_mst``) and spanned in its first window, the record
-    holds only the revealed edges and a clamp above all of them. The tree
-    is an MST of the m-vector it stands for either way, and the true tree's
-    clamped sum is at most its full-noise sum, so a noisy-minimality check
-    against it is no weaker.
+    alone and is kept purely as a diagnostic. Input perturbation's tree is
+    an MST of the m-vector its record stands for, compact or full, and the
+    true tree's clamped sum is at most its full-noise sum, so a
+    noisy-minimality check against it is no weaker.
     """
 
     tree: SpanningTree
@@ -184,34 +181,44 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
     ln(Exp(1))) - const, a positive affine map of the perturbed weight, so
     the tree is the same for every draw.
 
-    The tree depends only on the prefix of the noisy order that Kruskal's
-    scan reads. Below a size rule (``_first_window``) the window is
-    infinite: the noise is ``perturb_weights``' vector, draw for draw, and
-    ``kruskal_mst`` takes it. On larger graphs ``_lazy_mst`` reveals only
-    the edges whose clocks ring in a first window (``_first_window``), with
-    the same tree distribution. ``noise`` is the record of what was drawn.
+    ``_perturbed_tree`` draws the noise, with ``_kruskal_tree`` as its
+    rule; ``noise`` is the record of what it drew.
 
     ``ops`` describes Kruskal's scan of the noisy weights w~ and is counted
     from ``noise`` when first read (``_ScanOps``), so no call pays for it.
     With (w*, e*) the largest (w~, id) over the released tree's edges, the
     scan reads every edge ranked at or before (w*, e*) under (w~, id) and
     no other. ``ops["edge_checks"]`` is 1 for each of those edges and 0
-    otherwise; ``ops["draws"]`` is their number, from n-1 to m. By the
-    Gumbel-top-k identity the scan order is weighted sampling without
-    replacement, so the count has the distribution of the per-round
-    mechanism's draws when cycle-closing edges are deleted only once drawn.
+    otherwise; ``ops["draws"]`` is their number, from n-1 to m: the edges
+    the scan read, not the noisy weights drawn, as ``pamst``'s ``draws``
+    are. By the Gumbel-top-k identity the scan order is weighted sampling
+    without replacement, so the count has the distribution of the
+    per-round mechanism's draws when cycle-closing edges are deleted only
+    once drawn.
     """
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
-    scale = _noise_scale(eps_prime, budget.delta_inf)
-    window = _first_window(g, scale, g.n / 2 * (math.log(g.n) + LAZY_GUMBEL))
-    if window is None:
-        noise = NoisyWeights(g.m, perturb_weights(g, eps_prime, budget.delta_inf, stream))
-        tree = kruskal_mst(g, noise.values)
-    else:
-        tree, noise = _lazy_mst(g, scale, stream, window)
+    window = _first_window(g, _noise_scale(eps_prime, budget.delta_inf),
+                           g.n / 2 * (math.log(g.n) + LAZY_GUMBEL))
+    tree, noise, _ = _perturbed_tree(g, eps_prime, budget.delta_inf, stream, window,
+                                     _kruskal_tree)
     return MechanismResult(tree=tree, noise=noise, ops=_ScanOps(noise, tree),
                            wall_time_ns=time.perf_counter_ns() - t0)
+
+
+def _kruskal_tree(g: WeightedGraph, noisy: np.ndarray, scale: float, edges: np.ndarray | None,
+                  log_window: float) -> tuple[SpanningTree | None, int]:
+    """Kruskal's tree of the noisy weights ``noisy`` of the 0-based
+    ``edges`` (increasing), or of all m when ``edges`` is None, and the CSR
+    entries read: none. Every other edge's weight is above all of
+    ``noisy``, so the scan reaches one only if ``edges`` do not span, and
+    the tree is then None. ``scale`` and ``log_window`` are not read."""
+    if edges is None:
+        return kruskal_mst(g, noisy), 0
+    picked = _kruskal_picks(g.n, g.u_arr[edges], g.v_arr[edges], noisy, g.n - 1)
+    if len(picked) < g.n - 1:
+        return None, 0
+    return SpanningTree(frozenset((edges[np.asarray(picked) - 1] + 1).tolist())), 0
 
 
 class _ScanOps(Mapping):
@@ -361,31 +368,44 @@ def _extend(g: WeightedGraph, scale: float, stream: RngStream, log_window: float
     return noisy
 
 
-def _lazy_mst(g: WeightedGraph, scale: float, stream: RngStream,
-              window: _Window) -> tuple[SpanningTree, NoisyWeights]:
-    """Kruskal's tree of ``perturb_weights``' noisy weights w + b ln(E),
-    b = ``scale``, revealing only the edges whose noise falls in a window,
-    and the record of the noise drawn.
+def _perturbed_tree(g: WeightedGraph, eps_prime: float, delta_inf: float, stream: RngStream,
+                    window: _Window | None, rule) -> tuple[SpanningTree, NoisyWeights, int]:
+    """``rule``'s tree of ``perturb_weights``' noisy weights w~ = w + b ln(E),
+    b = 2 * delta_inf / eps', drawing only as much of w~ as the tree needs;
+    the record of the noise drawn; and the CSR entries ``rule`` read.
 
-    Kruskal scans the edges in the order their clocks ring (``_reveal``).
-    It runs, by ``kruskal_mst``'s own choice of scan or Borůvka, on the
-    edges revealed by T = exp(window.log_t). Every unrevealed edge rings
-    after T, later than every revealed one, so if the revealed edges span,
-    the tree is the full vector's. The record then holds the revealed edges
-    and one clamp, just above every revealed weight, for the others: the
-    tree is also the MST of the m-vector it stands for. Otherwise ``_extend``
-    draws the other clocks and Kruskal runs on the full vector.
+    A rule, ``_kruskal_tree`` or ``_prim_tree``, is called as ``rule(g,
+    noisy, b, edges, log_window)``: on all m noisy weights with ``edges``
+    None it returns its tree; on those of the 0-based ``edges`` alone,
+    every other edge's w~ known only to exceed b * log_window, it returns
+    the tree only if it is the full vector's whatever those are, else None.
+
+    With ``window`` None (below the size rule of ``_first_window``) w~ is
+    ``perturb_weights``' vector, draw for draw. Otherwise w~_e / b is the
+    log of an exponential clock of rate exp(-w_e / b), and ``_reveal``
+    draws the clocks that ring by T = exp(window.log_t): every other w~_e
+    is above b ln T, so above every revealed one. If ``rule`` gives the
+    revealed edges' tree, the record holds them and one clamp, just above
+    b ln T and every revealed weight, for the others, and the tree is
+    ``rule``'s on the m-vector the record stands for. Otherwise ``_extend``
+    draws the other clocks conditioned on ringing after T. The tree has
+    the law of ``rule`` on ``perturb_weights``' vector either way, but the
+    trees per seed differ from the full draw's.
     """
-    rev, noisy_rev = _reveal(g, scale, stream, window)
-    need = g.n - 1
-    if len(rev) >= need:
-        picked = _kruskal_picks(g.n, g.u_arr[rev], g.v_arr[rev], noisy_rev, need)
-        if len(picked) == need:
-            clamp = float(np.nextafter(max(scale * window.log_t, noisy_rev.max()), math.inf))
-            tree = SpanningTree(frozenset((rev[np.asarray(picked) - 1] + 1).tolist()))
-            return tree, NoisyWeights(g.m, noisy_rev, rev, clamp)
-    noisy = _extend(g, scale, stream, window.log_t, rev, noisy_rev)
-    return kruskal_mst(g, noisy), NoisyWeights(g.m, noisy)
+    scale = _noise_scale(eps_prime, delta_inf)
+    scans = 0
+    if window is None:
+        noisy = perturb_weights(g, eps_prime, delta_inf, stream)
+    else:
+        rev, noisy_rev = _reveal(g, scale, stream, window)
+        if len(rev) >= g.n - 1:
+            tree, scans = rule(g, noisy_rev, scale, rev, window.log_t)
+            if tree is not None:
+                clamp = float(np.nextafter(max(scale * window.log_t, noisy_rev.max()), math.inf))
+                return tree, NoisyWeights(g.m, noisy_rev, rev, clamp), scans
+        noisy = _extend(g, scale, stream, window.log_t, rev, noisy_rev)
+    tree, full = rule(g, noisy, scale, None, -math.inf)
+    return tree, NoisyWeights(g.m, noisy), scans + full
 
 
 def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
@@ -445,66 +465,42 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     where w~ is ``perturb``'s noisy vector. The vector is not returned
     (``noise`` is None): the tree is not its minimum spanning tree.
 
-    Below the size rule of ``_first_window`` w~ is
-    ``perturb_weights(g, eps', delta_inf, stream)``, m draws, and the tree
-    is a function of it alone: ``_dijkstra_tree`` computes it as a block of
-    one row, or ``_prim_race`` on at most ``PAMST_RACE_MAX_N`` vertices,
-    the same tree. Above the rule ``_lazy_pamst`` reveals only the clocks
-    that ring in a first window, with the same tree distribution.
+    ``_perturbed_tree`` draws w~, with ``_prim_tree`` as its rule.
 
     ``ops["edge_scans"]`` counts CSR entries read: 2m a full path, 4m
     without a certified Dijkstra tree, plus 2 per revealed edge for the
     lazy path's Dijkstra. ``ops["draws"]`` counts the clocks drawn: m, or
-    the revealed ones when the lazy path's tree was certified.
+    the revealed ones when the lazy path's tree was certified. That is not
+    what the Kruskal ids' ``draws`` count, the edges their scan read.
     """
     t0 = time.perf_counter_ns()
     eps_prime = budget.per_round(g.n - 1)
-    scale = _noise_scale(eps_prime, budget.delta_inf)
-    window = _first_window(g, scale, PAMST_WINDOW * g.n * math.log(g.n))
-    if window is None:
-        log_clock = perturb_weights(g, eps_prime, budget.delta_inf, stream)
-        log_clock *= eps_prime / (2.0 * budget.delta_inf)
-        chosen, scans = _spt(g, log_clock)
-        ops = {"edge_scans": scans, "draws": g.m}
-    else:
-        chosen, ops = _lazy_pamst(g, scale, stream, window)
-    return MechanismResult(tree=SpanningTree(frozenset(chosen)),
-                           wall_time_ns=time.perf_counter_ns() - t0, ops=ops)
+    window = _first_window(g, _noise_scale(eps_prime, budget.delta_inf),
+                           PAMST_WINDOW * g.n * math.log(g.n))
+    tree, noise, scans = _perturbed_tree(g, eps_prime, budget.delta_inf, stream, window,
+                                         _prim_tree)
+    return MechanismResult(tree=tree, wall_time_ns=time.perf_counter_ns() - t0,
+                           ops={"edge_scans": scans, "draws": len(noise.values)})
 
 
-def _spt(g: WeightedGraph, log_clock: np.ndarray) -> tuple[list[int], int]:
-    """The race's tree under all m clocks X_e = exp(log_clock_e), as 1-based
-    edge ids, and the CSR entries read: ``_dijkstra_tree`` as a block of
-    one row, or ``_prim_race`` on at most ``PAMST_RACE_MAX_N`` vertices."""
+def _prim_tree(g: WeightedGraph, noisy: np.ndarray, scale: float, edges: np.ndarray | None,
+               log_window: float) -> tuple[SpanningTree | None, int]:
+    """The race's tree under clocks X_e = exp(w~_e / b), w~ = ``noisy`` and
+    b = ``scale``, and the CSR entries read. On all m edges (``edges``
+    None) it is ``_dijkstra_tree``'s as a block of one row, or
+    ``_prim_race``'s on at most ``PAMST_RACE_MAX_N`` vertices. On the
+    0-based ``edges`` alone it is ``_dijkstra_tree``'s if the window
+    T = exp(log_window) certifies that it is the tree of all m, else None."""
+    log_clock = (noisy / scale)[None]
+    if edges is not None:
+        tree, certified = _dijkstra_tree(g, log_clock, edges, log_window)
+        chosen = SpanningTree(frozenset((edges[tree[0]] + 1).tolist())) if certified[0] else None
+        return chosen, 2 * len(edges)
     if g.n > PAMST_RACE_MAX_N:
-        tree, certified = _dijkstra_tree(g, log_clock[None])
-        return (np.flatnonzero(tree[0]) + 1).tolist(), 2 * g.m if certified[0] else 4 * g.m
-    return _prim_race(g, log_clock), 2 * g.m
-
-
-def _lazy_pamst(g: WeightedGraph, scale: float, stream: RngStream,
-                window: _Window) -> tuple[list[int], dict]:
-    """``pamst``'s tree, as 1-based edge ids, and its ops, from the clocks
-    X_e = exp(w~_e / b), b = ``scale``, that ring by T = exp(window.log_t).
-
-    ``_reveal`` draws those clocks, and ``_dijkstra_tree`` runs on the
-    revealed edges with the window's certificate: every vertex reached, at
-    a distance below T. Every unrevealed clock is above T, so above every
-    distance: it can neither shorten a path nor tie with one, and the
-    shortest-path tree of the revealed edges is that of all m. Otherwise
-    ``_extend`` draws the other clocks, conditioned on ringing after T, and
-    the tree is ``_spt``'s of the full vector.
-    """
-    rev, noisy_rev = _reveal(g, scale, stream, window)
-    scans = 0
-    if len(rev) >= g.n - 1:
-        tree, certified = _dijkstra_tree(g, (noisy_rev / scale)[None], rev, window.log_t)
-        if certified[0]:
-            return (rev[tree[0]] + 1).tolist(), {"edge_scans": 2 * len(rev), "draws": len(rev)}
-        scans = 2 * len(rev)
-    noisy = _extend(g, scale, stream, window.log_t, rev, noisy_rev)
-    chosen, full = _spt(g, noisy / scale)
-    return chosen, {"edge_scans": scans + full, "draws": g.m}
+        tree, certified = _dijkstra_tree(g, log_clock)
+        chosen = SpanningTree(frozenset((np.flatnonzero(tree[0]) + 1).tolist()))
+        return chosen, 2 * g.m if certified[0] else 4 * g.m
+    return SpanningTree(frozenset(_prim_race(g, log_clock[0]))), 2 * g.m
 
 
 def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | None = None,

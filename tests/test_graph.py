@@ -575,6 +575,10 @@ class TestIsSpanningTree:
         g = k4([1.0] * 6)
         # edges (1,2) and (3,4) are ids 1 and 6
         assert not is_spanning_tree(g, {1, 6})
+        # three ids, two of them distinct; and n-1 ids with a repeat
+        assert not is_spanning_tree(triangle(), [1, 1, 2])
+        assert not is_spanning_tree(triangle(), [1, 1])
+        assert not is_spanning_tree(g, [1, 2, 2])
 
     def test_bad_ids_rejected(self):
         assert not is_spanning_tree(triangle(), {1, 99})

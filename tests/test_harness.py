@@ -10,9 +10,9 @@ from dpmst.accounting import PrivacyBudget
 from dpmst.exact import (MAX_EDGES, SizeGuardError, chi_square_gof, join_table,
                          prim_tree_distribution)
 from dpmst.graph import SpanningTree, build_graph, kruskal_mst, tree_weight
-from dpmst.harness import (CSV_COLUMNS, _JUDGED, _kruskal_masks, _prim_masks,
-                           _run_single_trial, _tally_trees, density_sweep, emit_csv,
-                           equivalence_suite, family_graph, run_trials,
+from dpmst.harness import (CSV_COLUMNS, EQUIV_MECHANISMS, _JUDGED, _kruskal_masks,
+                           _prim_masks, _run_single_trial, _tally_trees, density_sweep,
+                           emit_csv, equivalence_suite, family_graph, run_trials,
                            tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
 from dpmst.mechanisms import (MECHANISMS, MechanismResult, NoisyWeights,
@@ -20,7 +20,7 @@ from dpmst.mechanisms import (MECHANISMS, MechanismResult, NoisyWeights,
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
-from .test_mechanisms import (above_size_rule, budget_for_eps_prime,
+from .test_mechanisms import (above_size_rule, budget_for_eps_prime, k5,
                               light_triangles_heavy_bridges,
                               parallel_edges, tree_counts, wrong_exponent)
 
@@ -214,6 +214,16 @@ class TestEquivalenceSuite:
         assert set(results) == {"perturb", "kruskal", "onepass"}
         assert all(r.passed for r in results.values())
 
+    def test_k5_family_separates_the_mutants(self):
+        # the family is the graph the lazy samplers' tests run as k5
+        g = family_graph("k5")
+        ref = k5()
+        assert np.array_equal(g.u_arr, ref.u_arr) and np.array_equal(g.v_arr, ref.v_arr)
+        assert g.weights.tolist() == ref.weights.tolist()
+        ids = EQUIV_MECHANISMS + ("pamst", "mutant", "pamst-mutant")
+        results = equivalence_suite("k5", 1.0, 20000, 0.001, master_seed=1, mechanisms=ids)
+        assert {mech for mech, r in results.items() if r.passed} == set(ids[:4])
+
     def test_wrong_exponent_mutant_fails(self):
         g = build_graph(3, [(1, 2), (2, 3), (1, 3)], [0.0, 2.0, 4.0])
         results = tree_distribution_test(g, 1.0, 20000, 0.001, master_seed=13,
@@ -222,7 +232,7 @@ class TestEquivalenceSuite:
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            equivalence_suite("k5", 1.0, 100, 0.01)
+            equivalence_suite("k7", 1.0, 100, 0.01)
 
 
 class ZeroedExponential:

@@ -16,9 +16,9 @@ from dpmst import mechanisms
 from dpmst.mechanisms import (LAZY_GUMBEL, LAZY_MIN_DENSITY, LAZY_MIN_EDGES, MECHANISMS,
                               MechanismResult, NoisyWeights, UnknownMechanismError,
                               input_perturbation_mst, _dijkstra_tree, _extend,
-                              _first_window, _lazy_mst, _lazy_pamst, _noise_scale,
-                              _prim_race, _reveal, _spt, _window, pamst, perturb_weights,
-                              run_mechanism, sealfon_mst)
+                              _first_window, _kruskal_tree, _noise_scale, _perturbed_tree,
+                              _prim_race, _prim_tree, _reveal, _window, pamst,
+                              perturb_weights, run_mechanism, sealfon_mst)
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
@@ -667,8 +667,9 @@ class TestLazyReveal:
             math.log(math.log(5.0)) if window == "first" else -50.0)
         trials, stream = 8000 if window == "first" else 4000, CountingStream(40)
         lazy_window = _window(g, scale, log_window)
-        counts = Counter(_lazy_mst(g, scale, stream, lazy_window)[0].edge_ids
-                         for _ in range(trials))
+        counts = Counter(
+            _perturbed_tree(g, eps_prime, 1.0, stream, lazy_window, _kruskal_tree)[0].edge_ids
+            for _ in range(trials))
         exact = exact_tree_distribution(g, eps_prime, g.delta_inf)
         assert chi_square_gof(counts, exact, 0.001).passed
         extended = stream.ln_exponential_calls
@@ -686,7 +687,7 @@ class TestLazyReveal:
         stream, scale = RngStream(42), _noise_scale(1.0, g.delta_inf)
         window = _window(g, scale, 0.0)
         for _ in range(4000):
-            tree = _lazy_mst(g, scale, stream, window)[0]
+            tree = _perturbed_tree(g, 1.0, g.delta_inf, stream, window, _kruskal_tree)[0]
             counts[4 in tree.edge_ids] += 1
         assert counts[True] + counts[False] == 4000
         share = counts[True] / 4000
@@ -883,13 +884,15 @@ class TestLazyPamst:
 
     @staticmethod
     def setup_graph(graph, neighbour, window, monkeypatch):
-        """The graph, at w or w + delta_inf * (+1, -1, +1, ...), its noise
-        scale at eps' = 1, and the window, with buckets of two edges so that
+        """The graph, at w or w + delta_inf * (+1, -1, +1, ...), its eps' for
+        an eps' = 1 budget, and the window, with buckets of two edges so that
         every graph spans several envelopes."""
         monkeypatch.setattr(mechanisms, "LAZY_BUCKET", 2)
         g = at_neighbour(graph()) if neighbour else graph()
-        scale = _noise_scale(budget_for_eps_prime(g, 1.0).per_round(g.n - 1), g.delta_inf)
-        return g, scale, _window(g, scale, g.weights.min() / scale + TestLazyPamst.WINDOWS[window])
+        eps_prime = budget_for_eps_prime(g, 1.0).per_round(g.n - 1)
+        scale = _noise_scale(eps_prime, g.delta_inf)
+        log_window = g.weights.min() / scale + TestLazyPamst.WINDOWS[window]
+        return g, eps_prime, _window(g, scale, log_window)
 
     @pytest.mark.parametrize("graph, lazy", [
         (k4_asymmetric, False),
@@ -917,15 +920,15 @@ class TestLazyPamst:
     @NEIGHBOURS
     @GRAPHS
     def test_matches_prim_distribution(self, graph, neighbour, window, monkeypatch):
-        g, scale, lazy_window = self.setup_graph(graph, neighbour, window, monkeypatch)
+        g, eps_prime, lazy_window = self.setup_graph(graph, neighbour, window, monkeypatch)
         trials, stream = 1500, CountingStream(43)
         counts, refused = Counter(), 0
         for _ in range(trials):
-            chosen, ops = _lazy_pamst(g, scale, stream, lazy_window)
-            counts[frozenset(chosen)] += 1
+            tree, _, scans = _perturbed_tree(g, eps_prime, g.delta_inf, stream, lazy_window,
+                                             _prim_tree)
+            counts[tree.edge_ids] += 1
             # the race reads 2m slots, so more means a refused lazy Dijkstra
-            refused += ops["edge_scans"] > 2 * g.m
-        eps_prime = budget_for_eps_prime(g, 1.0).per_round(g.n - 1)
+            refused += scans > 2 * g.m
         exact = prim_tree_distribution(g, eps_prime, g.delta_inf)
         assert chi_square_gof(counts, exact, 0.001).passed
         extended = stream.ln_exponential_calls
@@ -943,7 +946,8 @@ class TestLazyPamst:
         # vector's: an unrevealed clock, above T but below some distance,
         # would shorten a path. Only the window's bound on the distances
         # refuses those; without it every case here fails
-        g, scale, window = self.setup_graph(graph, neighbour, "coverage", monkeypatch)
+        g, eps_prime, window = self.setup_graph(graph, neighbour, "coverage", monkeypatch)
+        scale = _noise_scale(eps_prime, g.delta_inf)
         stream, wrong, log_window = RngStream(44), 0, window.log_t
         for _ in range(600):
             rev, noisy_rev = _reveal(g, scale, stream, window)
@@ -952,12 +956,78 @@ class TestLazyPamst:
                 continue
             tree, certified = _dijkstra_tree(g, (noisy_rev / scale)[None], rev, log_window)
             noisy = _extend(g, scale, stream, log_window, rev, noisy_rev)
-            full = sorted(_spt(g, noisy / scale)[0])
+            full = sorted(_prim_tree(g, noisy, scale, None, -math.inf)[0].edge_ids)
             got = sorted((rev[tree[0]] + 1).tolist())
             if certified[0]:
                 assert got == full
             wrong += len(got) == g.n - 1 and got != full
         assert wrong > 0
+
+
+class TestOneNoisePath:
+    """``_perturbed_tree`` under its two rules: on one stream and window,
+    ``_kruskal_tree`` and ``_prim_tree`` see the same noise and differ only
+    in the tree they take from it."""
+
+    @staticmethod
+    def records(g, eps_prime, delta_inf, window, seed):
+        """The noise records of the two rules on streams of one seed."""
+        return [_perturbed_tree(g, eps_prime, delta_inf, RngStream(seed, (8,)), window, rule)[1]
+                for rule in (_kruskal_tree, _prim_tree)]
+
+    @staticmethod
+    def same_noise(kruskal, prim):
+        """Assert that two records hold the same draws; return their kinds."""
+        kinds = tuple("full" if r.ids is None else "compact" for r in (kruskal, prim))
+        if kinds == ("full", "full"):
+            assert kruskal.values.tobytes() == prim.values.tobytes()
+        elif kinds == ("compact", "compact"):
+            assert np.array_equal(kruskal.ids, prim.ids) and kruskal.clamp == prim.clamp
+            assert kruskal.values.tobytes() == prim.values.tobytes()
+        else:
+            compact, full = (kruskal, prim) if kinds[0] == "compact" else (prim, kruskal)
+            assert full.values[compact.ids].tobytes() == compact.values.tobytes()
+        return kinds
+
+    @pytest.mark.parametrize("graph", [k4_asymmetric, k5], ids=["k4-asymmetric", "k5"])
+    def test_forced_windows(self, graph, monkeypatch):
+        kinds = Counter()
+        for window in ("first", "coverage", "extension"):
+            g, eps_prime, lazy_window = TestLazyPamst.setup_graph(graph, False, window,
+                                                                  monkeypatch)
+            for seed in range(40):
+                kinds[self.same_noise(*self.records(g, eps_prime, g.delta_inf, lazy_window,
+                                                    seed))] += 1
+        # a Prim tree certified from the revealed edges means they span
+        assert kinds[("full", "compact")] == 0
+        assert min(kinds[k] for k in [("compact", "compact"), ("compact", "full"),
+                                       ("full", "full")]) > 0
+
+    def test_k256_at_the_benchmark_budget(self):
+        g = complete(256)
+        budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
+        eps_prime = budget.per_round(g.n - 1)
+        scale = _noise_scale(eps_prime, budget.delta_inf)
+        kinds = Counter()
+        for target in (g.n / 2 * (math.log(g.n) + LAZY_GUMBEL),
+                       mechanisms.PAMST_WINDOW * g.n * math.log(g.n), g.n):
+            window = _first_window(g, scale, target)
+            for seed in range(3):
+                kinds[self.same_noise(*self.records(g, eps_prime, 0.1, window, seed))] += 1
+        # Kruskal's window spans but is short of Prim's certificate on
+        # these seeds, pamst's covers both, and one of about n clocks spans
+        # neither
+        assert set(kinds) == {("compact", "full"), ("compact", "compact"), ("full", "full")}
+
+    @pytest.mark.parametrize("graph", [k4_asymmetric, k5, partial(complete, 221)],
+                             ids=["k4-asymmetric", "k5", "k221"])
+    def test_full_records_are_perturb_weights(self, graph):
+        g = graph()
+        assert not is_lazy(g)
+        for seed in range(3):
+            ref = perturb_weights(g, 0.7, 0.5, RngStream(seed, (8,)))
+            for record in self.records(g, 0.7, 0.5, None, seed):
+                assert record.ids is None and record.values.tobytes() == ref.tobytes()
 
 
 class TestCrossMechanismInvariants:
