@@ -12,8 +12,8 @@ import sys
 
 from .accounting import PrivacyBudget
 from .graph import GraphError
-from .harness import (EQUIV_FAMILIES, EQUIV_MECHANISMS, density_sweep, emit_csv,
-                      equivalence_suite, run_trials)
+from .harness import (_JUDGED, EQUIV_FAMILIES, EQUIV_MECHANISMS, density_sweep,
+                      emit_csv, equivalence_suite, run_trials)
 from .instances import (GenerationError, ParseError, erdos_renyi_instance,
                         hard_instance, mutual_info_chain_instance, read_instance,
                         write_instance)
@@ -80,12 +80,17 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--out", required=True)
 
     equiv = sub.add_parser("check-equiv", help="chi-square the three equivalent "
-                           "mechanisms and pamst against their exact tree distributions")
+                           "mechanisms and pamst (or the --mech ids) against their "
+                           "exact tree distributions")
     equiv.add_argument("--family", required=True, choices=tuple(EQUIV_FAMILIES))
     equiv.add_argument("--eps-prime", type=_positive_finite, required=True)
     equiv.add_argument("--trials", type=int, default=200000)
     equiv.add_argument("--alpha", type=float, default=0.001)
     equiv.add_argument("--seed", type=int, default=0)
+    equiv.add_argument("--mech", action="append", choices=tuple(_JUDGED),
+                       help="an id to judge, repeatable; the i-th draws from stream "
+                            "(seed, (i,)). Default: perturb, kruskal, onepass, pamst. "
+                            "mutant and pamst-mutant must fail")
 
     sub.add_parser("selftest", help="run acceptance criteria 1-4 and 7-10 at their "
                                    "stated parameters")
@@ -174,7 +179,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check_equiv(args) -> int:
     # pamst comes last, so the three Kruskal-equivalent ids keep their streams
-    judged = EQUIV_MECHANISMS + ("pamst",)
+    judged = tuple(dict.fromkeys(args.mech)) if args.mech else EQUIV_MECHANISMS + ("pamst",)
     try:
         results = equivalence_suite(args.family, args.eps_prime, args.trials,
                                     args.alpha, master_seed=args.seed,

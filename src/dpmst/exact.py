@@ -54,7 +54,7 @@ def enumerate_spanning_trees(g: WeightedGraph) -> list[SpanningTree]:
     for combo in combinations(range(1, g.m + 1), need):
         scan = ((e, u[e - 1], v[e - 1]) for e in combo)
         if len(join(g.n, scan, need)) == need:
-            out.append(SpanningTree(frozenset(combo)))
+            out.append(SpanningTree(combo))
     return out
 
 

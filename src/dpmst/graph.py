@@ -1,7 +1,9 @@
 """Weighted-graph core: validation, the ``join`` scan, the one CSR, exact MST.
 
 Vertices are 1-based (1..n) and edge ids are 1-based (1..m) everywhere in the
-public API; internal arrays are 0-based.
+public API but one: ``SpanningTree.index``, a released tree's edges as the
+0-based indices of the edge arrays, the one representation every producer
+builds and every consumer reads. Internal arrays are 0-based.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,14 +40,59 @@ class EdgeIndexError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpanningTree:
-    """A spanning tree as a set of 1-based edge ids (size n - 1)."""
+    """A spanning tree's edges (n - 1 of them), held once as ``index``: the
+    0-based edge indices, strictly increasing, in a read-only int64 array.
 
-    edge_ids: frozenset[int]
+    ``SpanningTree(edge_ids)`` takes any iterable of 1-based ids, repeats
+    collapsing as in a set; ``SpanningTree._from_index`` takes the array
+    itself, as the mechanisms build it, and refuses a repeated or unsorted
+    index. ``edge_ids``, the frozenset of 1-based ids, is built on first
+    read. Two trees are equal, and hash equal, iff they hold the same edges.
+    """
+
+    index: np.ndarray
+    _ids: frozenset[int] | None = field(default=None, repr=False)  # edge_ids, once read
+
+    def __init__(self, edge_ids=()):
+        ids = frozenset(edge_ids)
+        index = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        index.sort()
+        index -= 1
+        index.flags.writeable = False
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_ids", ids)
+
+    @classmethod
+    def _from_index(cls, index: np.ndarray) -> SpanningTree:
+        """The tree of the 0-based ``index`` (int64, strictly increasing),
+        which it keeps without a copy and makes read-only."""
+        index = np.asarray(index, dtype=np.int64)
+        if np.count_nonzero(index[1:] <= index[:-1]):  # faster than any() on small trees
+            raise ValueError("edge indices must be strictly increasing")
+        index.flags.writeable = False
+        tree = cls.__new__(cls)
+        object.__setattr__(tree, "index", index)
+        return tree
+
+    @property
+    def edge_ids(self) -> frozenset[int]:
+        """The 1-based edge ids as Python ints, built on first read."""
+        if self._ids is None:
+            object.__setattr__(self, "_ids", frozenset((self.index + 1).tolist()))
+        return self._ids
 
     def __len__(self):
-        return len(self.edge_ids)
+        return len(self.index)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpanningTree):
+            return NotImplemented
+        return np.array_equal(self.index, other.index)
+
+    def __hash__(self):
+        return hash(self.edge_ids)
 
 
 def join(n: int, edges, need: int) -> list[int]:
@@ -251,37 +298,40 @@ def kruskal_mst(g: WeightedGraph, weights=None) -> SpanningTree:
     chosen = _kruskal_picks(g.n, g.u_arr, g.v_arr, w, g.n - 1)
     if len(chosen) != g.n - 1:
         raise DisconnectedError("graph is not connected")
-    return SpanningTree(frozenset(chosen))
+    chosen.sort()  # a fresh array, so sorted in place
+    return SpanningTree._from_index(chosen)
 
 
 def _kruskal_picks(n: int, u_arr: np.ndarray, v_arr: np.ndarray, w: np.ndarray,
-                   need: int) -> list[int]:
-    """The 1-based indices of Kruskal's picks under the (w, index) ranks
+                   need: int) -> np.ndarray:
+    """The 0-based indices of Kruskal's picks under the (w, index) ranks
     among the edges (u_arr[i], v_arr[i]) over vertices 1..n, stopping at
-    ``need``: the branch choice of ``kruskal_mst``, on any set of edges."""
+    ``need``, as an int64 array: the branch choice of ``kruskal_mst``, on
+    any set of edges."""
     k = max(1, math.ceil(n * math.log(n)))
     if len(w) <= SCAN_MAX_EDGES and min(k, len(w)) <= SCAN_MAX_STEPS:
         scan = itertools.chain.from_iterable(
             _triples(u_arr, v_arr, _scan_order(w, np.arange(len(w))), k))
-        return join(n, scan, need)
+        return np.array(join(n, scan, need), dtype=np.int64)
     return _boruvka_batches(n, u_arr, v_arr, w, k, need)
 
 
 def _triples(u_arr: np.ndarray, v_arr: np.ndarray, order: np.ndarray, k: int):
-    """Runs of (1-based index, u, v) along ``order``, k, 2k, 4k, ... edges
+    """Runs of (index, u, v) along ``order``, k, 2k, 4k, ... edges
     long, so that a scan that stops early converts few edges to Python ints."""
     lo = 0
     while lo < len(order):
         run = order[lo:lo + k]
-        yield zip((run + 1).tolist(), u_arr[run].tolist(), v_arr[run].tolist())
+        yield zip(run.tolist(), u_arr[run].tolist(), v_arr[run].tolist())
         lo, k = lo + k, 2 * k
 
 
 def _boruvka_batches(n: int, u_arr: np.ndarray, v_arr: np.ndarray,
-                     w: np.ndarray, k: int, need: int) -> list[int]:
-    """The 1-based ids of Kruskal's picks on the edges (u_arr[i], v_arr[i])
+                     w: np.ndarray, k: int, need: int) -> np.ndarray:
+    """The 0-based indices of Kruskal's picks on the edges (u_arr[i], v_arr[i])
     over vertices 1..n, stopping at ``need``, in the order the Borůvka
-    rounds find them, found batch by batch with array work only.
+    rounds find them, found batch by batch with array work only, as one
+    int64 array.
 
     The first batch holds the k lightest edges (all of them when m <= k),
     each later one twice as many of the edges left. A batch is every left
@@ -293,21 +343,22 @@ def _boruvka_batches(n: int, u_arr: np.ndarray, v_arr: np.ndarray,
     component: Kruskal would skip it.
     """
     comp = np.arange(n + 1)  # each vertex's component, named by one of its vertices
-    picked: list[int] = []
+    picked: list[np.ndarray] = []  # each round's picks
+    count = 0
     batch, rest = _lightest(w, None, k)
     while True:
         scan, lo, run = _scan_order(w, batch), 0, 2 * n
-        while lo < len(scan) and len(picked) < need:
-            _boruvka(comp, scan[lo:lo + run], u_arr, v_arr, need, picked)
+        while lo < len(scan) and count < need:
+            count += _boruvka(comp, scan[lo:lo + run], u_arr, v_arr, need - count, picked)
             lo, run = lo + run, 2 * run
-        if len(picked) == need or rest is None:
+        if count == need or rest is None:
             break
         rest = rest[comp[u_arr[rest]] != comp[v_arr[rest]]]
         if not len(rest):
             break
         k *= 2
         batch, rest = _lightest(w, rest, k)
-    return picked
+    return np.concatenate(picked) if picked else np.zeros(0, dtype=np.int64)
 
 
 def _lightest(w: np.ndarray, idx: np.ndarray | None, k: int):
@@ -348,10 +399,11 @@ def _scan_order(w: np.ndarray, batch: np.ndarray) -> np.ndarray:
 
 
 def _boruvka(comp: np.ndarray, scan: np.ndarray, u_arr: np.ndarray,
-             v_arr: np.ndarray, need: int, picked: list[int]) -> None:
+             v_arr: np.ndarray, need: int, picked: list[np.ndarray]) -> int:
     """Contract the edges ``scan`` (0-based, in rank order) into ``comp``
-    by Borůvka rounds and append Kruskal's picks among them to ``picked``
-    as 1-based ids, stopping once it holds ``need``.
+    by Borůvka rounds and append Kruskal's picks among them to ``picked``,
+    one array a round, stopping once it has picked ``need``; return
+    how many it picked.
 
     A round gives each component the lowest-ranked edge that leaves it (an
     ``np.minimum.at`` over positions in ``scan``). By the cut property that
@@ -364,11 +416,12 @@ def _boruvka(comp: np.ndarray, scan: np.ndarray, u_arr: np.ndarray,
     """
     size = len(comp)
     cu, cv = comp[u_arr[scan]], comp[v_arr[scan]]
-    while len(picked) < need:
+    count = 0
+    while count < need:
         live = cu != cv
         alive = np.count_nonzero(live)
         if not alive:
-            return
+            break
         if 2 * alive < len(cu):
             cu, cv, scan = cu[live], cv[live], scan[live]
         else:
@@ -387,7 +440,8 @@ def _boruvka(comp: np.ndarray, scan: np.ndarray, u_arr: np.ndarray,
         hook[roots] = far
         mutual = hook[far] == roots
         lower = roots < far
-        picked.extend((scan[e[~mutual | lower]] + 1).tolist())
+        picked.append(scan[e[~mutual | lower]])
+        count += len(picked[-1])
         pairs = roots[mutual & lower]
         hook[pairs] = pairs
         while True:
@@ -397,12 +451,17 @@ def _boruvka(comp: np.ndarray, scan: np.ndarray, u_arr: np.ndarray,
             hook = jumped
         comp[:] = hook[comp]
         cu, cv = hook[cu], hook[cv]
+    return count
 
 
 def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
-    """True iff edge_ids (1-based) has size n-1 and is acyclic and connected;
-    a repeated id closes a cycle."""
-    idx = np.fromiter(edge_ids, dtype=np.int64) - 1
+    """True iff edge_ids (a ``SpanningTree``, or any iterable of 1-based
+    ids) has size n-1 and is acyclic and connected; a repeated id closes a
+    cycle."""
+    if isinstance(edge_ids, SpanningTree):
+        idx = edge_ids.index
+    else:
+        idx = np.fromiter(edge_ids, dtype=np.int64) - 1
     if len(idx) != g.n - 1 or ((idx < 0) | (idx >= g.m)).any():
         return False
     scan = zip(idx.tolist(), g.u_arr[idx].tolist(), g.v_arr[idx].tolist())
@@ -419,14 +478,15 @@ def tree_weight(g: WeightedGraph, tree) -> float:
 
 
 def _sorted_index(tree, m: int) -> np.ndarray:
-    """The 0-based indices of a tree's edges (or of any iterable of 1-based
-    edge ids), in increasing order; ``EdgeIndexError`` if an id is not in
-    1..m."""
-    ids = np.fromiter(tree.edge_ids if isinstance(tree, SpanningTree) else tree,
-                      dtype=np.int64)
-    ids.sort()
-    if len(ids) and (ids[0] < 1 or ids[-1] > m):
-        raise EdgeIndexError(f"edge id {ids[0] if ids[0] < 1 else ids[-1]} "
+    """The 0-based indices of a tree's edges (its ``index``, or those of any
+    iterable of 1-based edge ids), in increasing order; ``EdgeIndexError``
+    if an id is not in 1..m. A tree's own array is returned, read-only."""
+    if isinstance(tree, SpanningTree):
+        idx = tree.index
+    else:
+        idx = np.fromiter(tree, dtype=np.int64) - 1
+        idx.sort()
+    if len(idx) and (idx[0] < 0 or idx[-1] >= m):
+        raise EdgeIndexError(f"edge id {idx[0] + 1 if idx[0] < 0 else idx[-1] + 1} "
                              f"out of range [1, {m}]")
-    ids -= 1
-    return ids
+    return idx

@@ -117,7 +117,7 @@ def run_trials(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mechanism_id not in MECHANISMS:
         raise UnknownMechanismError(f"unknown mechanism {mechanism_id!r}")
-    true_ids = _sorted_index(g.mst, g.m)
+    true_ids = g.mst.index
     true_weight = float(g.weights[true_ids].sum())
     true_mask = np.zeros(g.m, dtype=bool)
     true_mask[true_ids] = True

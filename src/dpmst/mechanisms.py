@@ -29,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
-from .graph import (SpanningTree, WeightedGraph, _csr, _kruskal_picks,
-                    _sorted_index, kruskal_mst)
+from .graph import SpanningTree, WeightedGraph, _csr, _kruskal_picks, kruskal_mst
 from .rng import RngStream
 
 
@@ -81,6 +80,8 @@ class NoisyWeights:
 class MechanismResult:
     """Output of one mechanism invocation.
 
+    ``tree`` is the released ``SpanningTree``, built from its sorted index
+    array; a caller reads ``tree.index`` (0-based) or ``tree.edge_ids``.
     ``noise`` is the mechanism's per-edge noisy weights, a ``NoisyWeights``
     record, when it computed them; ``noisy_weights``, an m-vector, builds the
     full record. The noise is a private release only when
@@ -218,7 +219,7 @@ def _kruskal_tree(g: WeightedGraph, noisy: np.ndarray, scale: float, edges: np.n
     picked = _kruskal_picks(g.n, g.u_arr[edges], g.v_arr[edges], noisy, g.n - 1)
     if len(picked) < g.n - 1:
         return None, 0
-    return SpanningTree(frozenset((edges[np.asarray(picked) - 1] + 1).tolist())), 0
+    return SpanningTree._from_index(np.sort(edges[picked])), 0
 
 
 class _ScanOps(Mapping):
@@ -240,7 +241,7 @@ class _ScanOps(Mapping):
         if self._ops is None:
             noise = self._noise
             ids = np.arange(noise.m) if noise.ids is None else noise.ids
-            tree = _sorted_index(self._tree, noise.m)
+            tree = self._tree.index
             tree_noisy = noise.at(tree)
             last = tree_noisy.max()
             e_last = tree[tree_noisy == last][-1]
@@ -494,13 +495,13 @@ def _prim_tree(g: WeightedGraph, noisy: np.ndarray, scale: float, edges: np.ndar
     log_clock = (noisy / scale)[None]
     if edges is not None:
         tree, certified = _dijkstra_tree(g, log_clock, edges, log_window)
-        chosen = SpanningTree(frozenset((edges[tree[0]] + 1).tolist())) if certified[0] else None
+        chosen = SpanningTree._from_index(edges[tree[0]]) if certified[0] else None
         return chosen, 2 * len(edges)
     if g.n > PAMST_RACE_MAX_N:
         tree, certified = _dijkstra_tree(g, log_clock)
-        chosen = SpanningTree(frozenset((np.flatnonzero(tree[0]) + 1).tolist()))
+        chosen = SpanningTree._from_index(np.flatnonzero(tree[0]))
         return chosen, 2 * g.m if certified[0] else 4 * g.m
-    return SpanningTree(frozenset(_prim_race(g, log_clock[0]))), 2 * g.m
+    return SpanningTree._from_index(np.sort(_prim_race(g, log_clock[0]))), 2 * g.m
 
 
 def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | None = None,
@@ -587,13 +588,14 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | 
         tree[rows] = tight
     if edges is None:
         for r in np.flatnonzero(~certified):
-            tree[r] = np.isin(np.arange(1, m + 1), _prim_race(g, log_clock[r]))
+            tree[r] = np.isin(np.arange(m), _prim_race(g, log_clock[r]))
     return tree, certified
 
 
-def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> list[int]:
+def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> np.ndarray:
     """The race's tree from vertex 1 under clocks X_e = exp(log_clock_e),
-    as 1-based edge ids, without Dijkstra's absolute times.
+    as an int64 array of 0-based edge indices in the order they join,
+    without Dijkstra's absolute times.
 
     Prim's key array holds, for each outside vertex, the log of the time
     left on its earliest crossing clock, and the edge of that clock. Each
@@ -614,9 +616,9 @@ def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> list[int]:
     via = np.zeros(n, dtype=np.int64)
     outside = np.ones(n, dtype=bool)
     x = 0
-    chosen: list[int] = []
+    chosen = np.empty(n - 1, dtype=np.int64)
     with np.errstate(divide="ignore"):  # a tied key re-bases to log(0)
-        for _ in range(n - 1):
+        for i in range(n - 1):
             outside[x] = False
             key[x] = np.inf
             lo, hi = indptr[x], indptr[x + 1]
@@ -628,7 +630,7 @@ def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> list[int]:
             via[y] = g.m
             np.minimum.at(via, y, e)
             x = int(key.argmin())
-            chosen.append(via.item(x) + 1)
+            chosen[i] = via.item(x)
             k = key.item(x)
             if k > -math.inf:
                 left = np.expm1(k - key)

@@ -54,7 +54,7 @@ def boruvka_tree(g, weights, k):
                                      np.asarray(weights, dtype=float), k, g.n - 1)
     if len(chosen) != g.n - 1:
         raise DisconnectedError("graph is not connected")
-    return SpanningTree(frozenset(chosen))
+    return SpanningTree._from_index(np.sort(chosen))
 
 
 def random_weights(rng, m, kind):
@@ -631,3 +631,59 @@ class TestTreeWeight:
             for e in ids:
                 loop += g.weights[e - 1]
             assert tree_weight(g, ids) == pytest.approx(loop, rel=1e-12)
+
+
+class TestSpanningTree:
+    """A tree is its sorted 0-based index array; the frozenset of 1-based
+    ids is read from it."""
+
+    @staticmethod
+    def trees():
+        g = erdos_renyi_instance(30, 0.4, 0, 100, RngStream(2))
+        return [kruskal_mst(g), SpanningTree({5, 2, 9}), SpanningTree([3, 1, 3, 2]),
+                SpanningTree(frozenset()), SpanningTree._from_index(np.array([0, 4, 7]))]
+
+    def test_index_is_increasing_int64_and_read_only(self):
+        for t in self.trees():
+            assert t.index.dtype == np.int64 and t.index.ndim == 1
+            assert (np.diff(t.index) > 0).all()
+            assert not t.index.flags.writeable
+            with pytest.raises(ValueError):
+                t.index[:1] = 0
+        assert SpanningTree([3, 1, 3, 2]).index.tolist() == [0, 1, 2]
+
+    def test_edge_ids_are_the_index_plus_one_as_python_ints(self):
+        for t in self.trees():
+            ids = t.edge_ids
+            assert isinstance(ids, frozenset) and ids == frozenset(t.index + 1)
+            assert all(type(e) is int for e in ids)
+            assert t.edge_ids is ids and len(t) == len(ids)
+
+    def test_both_constructors_give_equal_trees(self):
+        g = erdos_renyi_instance(30, 0.4, 0, 100, RngStream(2))
+        t = kruskal_mst(g)
+        for other in (SpanningTree(t.edge_ids), SpanningTree(sorted(t.edge_ids, reverse=True)),
+                      SpanningTree._from_index(t.index.copy())):
+            assert other == t and hash(other) == hash(t)
+            assert len({other, t}) == 1
+        assert SpanningTree([1, 2]) == SpanningTree._from_index(np.array([0, 1]))
+        assert hash(SpanningTree([1, 2])) == hash(SpanningTree._from_index(np.array([0, 1])))
+
+    def test_different_edge_sets_are_not_equal(self):
+        assert SpanningTree([1, 2]) != SpanningTree([1, 3])
+        assert SpanningTree([1, 2]) != SpanningTree([1, 2, 3])
+        a, b = (SpanningTree._from_index(np.array(index)) for index in ([0, 1], [0, 2]))
+        assert a != b
+        assert SpanningTree([1, 2]) != frozenset({1, 2})
+
+    @pytest.mark.parametrize("index", [[0, 0, 1], [0, 1, 1], [1, 0, 2], [2, 1]],
+                             ids=["repeat", "repeat-last", "unsorted", "decreasing"])
+    def test_array_constructor_refuses_repeats_and_disorder(self, index):
+        with pytest.raises(ValueError):
+            SpanningTree._from_index(np.array(index, dtype=np.int64))
+
+    def test_immutable(self):
+        t = SpanningTree([1, 2])
+        with pytest.raises(AttributeError):
+            t.index = np.array([0, 2])
+        assert t == SpanningTree([1, 2])

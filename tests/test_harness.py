@@ -571,6 +571,31 @@ class TestCli:
         assert [line.split(":")[0] for line in r.stdout.splitlines()] == [
             "[PASS] perturb", "[PASS] kruskal", "[PASS] onepass", "[PASS] pamst"]
 
+    def test_check_equiv_runs_the_named_ids(self, capsys):
+        from dpmst import cli
+
+        # the mutants fail the gate; the i-th id draws from stream (seed, (i,)),
+        # so perturb in second place reads the default run's kruskal stream
+        args = ["check-equiv", "--family", "k5", "--eps-prime", "1.0", "--trials", "20000",
+                "--seed", "1"]
+        assert cli.main(args + ["--mech", "mutant", "--mech", "perturb",
+                                "--mech", "pamst-mutant"]) == cli.STAT_FAILURE
+        named = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in named] == [
+            "[FAIL] mutant", "[PASS] perturb", "[FAIL] pamst-mutant"]
+        assert cli.main(args) == 0
+        default = capsys.readouterr().out.splitlines()
+        assert named[1].split(":")[1] == default[1].split(":")[1]
+
+    @pytest.mark.parametrize("mech", ["bogus", "sealfon-gauss"])
+    def test_check_equiv_unknown_id_exit_one(self, mech, capsys):
+        from dpmst import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-equiv", "--family", "k3", "--eps-prime", "1.0", "--mech", mech])
+        assert exc.value.code == cli.USAGE_ERROR
+        assert "--mech" in capsys.readouterr().err
+
     def test_check_equiv_family_choices_are_the_table(self, monkeypatch):
         from dpmst import cli
 

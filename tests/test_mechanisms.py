@@ -7,9 +7,10 @@ import pytest
 from scipy import stats
 
 from dpmst.accounting import PrivacyBudget, gaussian_sigma_for_input_privatization
-from dpmst.exact import (chi_square_gof, exact_tree_distribution,
+from dpmst.exact import (brute_force_mst, chi_square_gof, exact_tree_distribution,
                          prim_tree_distribution)
-from dpmst.graph import (_kruskal_picks, build_graph, is_spanning_tree, kruskal_mst,
+from dpmst import graph as graph_module
+from dpmst.graph import (SpanningTree, _kruskal_picks, build_graph, is_spanning_tree, kruskal_mst,
                          tree_weight)
 from dpmst.instances import erdos_renyi_instance
 from dpmst import mechanisms
@@ -456,7 +457,7 @@ class TestPamst:
         noisy = perturb_weights(g, 1.0, 1.0, RngStream(45))
         tree, certified = _dijkstra_tree(g, 0.5 * noisy[None])
         assert not certified[0]
-        assert sorted(np.flatnonzero(tree[0]) + 1) == sorted(_prim_race(g, 0.5 * noisy))
+        assert sorted(np.flatnonzero(tree[0])) == sorted(_prim_race(g, 0.5 * noisy))
         counts = tree_counts(pamst, g, budget, 20000, RngStream(46))
         assert chi_square_gof(counts, prim_tree_distribution(g, 1.0), 0.001).passed
 
@@ -486,7 +487,7 @@ class TestPamst:
         tree, certified = _dijkstra_tree(g, clock)
         assert certified.any()
         for row, c in zip(tree, clock):
-            assert sorted(np.flatnonzero(row) + 1) == sorted(_prim_race(g, c))
+            assert sorted(np.flatnonzero(row)) == sorted(_prim_race(g, c))
 
     def test_huge_budget_returns_true_mst_on_dense_graph(self):
         g = erdos_renyi_instance(64, 1.0, 0, 100, RngStream(40))
@@ -1079,3 +1080,74 @@ class TestCrossMechanismInvariants:
                 for seed in range(5):
                     r = run_mechanism(mech, g, budget, RngStream(24, (seed,)))
                     assert r.tree == kruskal_mst(g, expand(r.noise))
+
+
+def spans_as_its_own_ids(g, tree):
+    """Assert that a produced tree spans g and equals the tree of its own
+    1-based ids; return it."""
+    assert is_spanning_tree(g, tree)
+    assert tree == SpanningTree((tree.index + 1).tolist())
+    return tree
+
+
+class TestProducerParity:
+    """Every producer builds the released tree from its sorted index array,
+    and builds the same tree as the others that share its rule."""
+
+    @pytest.mark.parametrize("graph", [
+        k4_asymmetric, k5,
+        lambda: erdos_renyi_instance(30, 0.4, 0, 100, RngStream(17)),
+        partial(complete, 64),
+        lambda: erdos_renyi_instance(400, 0.2, 0, 100, RngStream(6)),
+    ], ids=["k4-asymmetric", "k5", "er-30", "k64", "er-400"])
+    def test_full_and_subset_producers(self, graph, monkeypatch):
+        g = graph()
+        scale = _noise_scale(1.0, g.delta_inf)
+        subset_trees = Counter()
+        for seed in range(3):
+            noisy = perturb_weights(g, 1.0, g.delta_inf, RngStream(seed, (9,)))
+            ref = spans_as_its_own_ids(g, kruskal_mst(g, noisy))
+            if g.m <= 10:
+                assert ref == brute_force_mst(g, noisy)
+            for most in (0, math.inf):  # kruskal_mst's Borůvka branch, then its scan
+                monkeypatch.setattr(graph_module, "SCAN_MAX_EDGES", most)
+                monkeypatch.setattr(graph_module, "SCAN_MAX_STEPS", most)
+                assert spans_as_its_own_ids(g, kruskal_mst(g, noisy)) == ref
+                assert spans_as_its_own_ids(g, _kruskal_tree(g, noisy, scale, None,
+                                                             -math.inf)[0]) == ref
+            monkeypatch.undo()
+            monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", 0)
+            dijkstra = spans_as_its_own_ids(g, _prim_tree(g, noisy, scale, None, -math.inf)[0])
+            monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", g.n)
+            assert spans_as_its_own_ids(g, _prim_tree(g, noisy, scale, None,
+                                                      -math.inf)[0]) == dijkstra
+            race = _prim_race(g, noisy / scale)
+            assert race.dtype == np.int64 and SpanningTree(race + 1) == dijkstra
+            # the lightest three quarters, every other edge above them
+            cut = np.quantile(noisy, 0.75)
+            edges = np.flatnonzero(noisy <= cut)
+            for rule, full in ((_kruskal_tree, ref), (_prim_tree, dijkstra)):
+                tree = rule(g, noisy[edges], scale, edges, cut / scale)[0]
+                if tree is not None:
+                    assert spans_as_its_own_ids(g, tree) == full
+                    subset_trees[rule] += 1
+        assert subset_trees[_kruskal_tree] > 0 and subset_trees[_prim_tree] > 0
+
+    def test_lazy_producers_on_k256(self):
+        # at the er256-select budget, through the first window of each rule
+        g = complete(256)
+        budget = PrivacyBudget.from_rho(1.0, 1e-6, 0.1)
+        eps_prime = budget.per_round(g.n - 1)
+        scale = _noise_scale(eps_prime, budget.delta_inf)
+        compact = Counter()
+        for rule, target in ((_kruskal_tree, g.n / 2 * (math.log(g.n) + LAZY_GUMBEL)),
+                             (_prim_tree, mechanisms.PAMST_WINDOW * g.n * math.log(g.n))):
+            window = _first_window(g, scale, target)
+            for seed in range(3):
+                tree, noise, _ = _perturbed_tree(g, eps_prime, budget.delta_inf,
+                                                 RngStream(seed, (9,)), window, rule)
+                spans_as_its_own_ids(g, tree)
+                if rule is _kruskal_tree:
+                    assert tree == kruskal_mst(g, expand(noise))
+                compact[rule] += noise.ids is not None
+        assert compact[_kruskal_tree] > 0 and compact[_prim_tree] > 0
