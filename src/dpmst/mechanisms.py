@@ -135,19 +135,22 @@ def _noise_scale(eps_prime: float, delta_inf: float) -> float:
 # has at least LAZY_MIN_EDGES edges and LAZY_MIN_DENSITY * n ln n of them;
 # then they reveal those of a first window. The ladder (scripts/lazy_ladder.py:
 # median ms per call of the lazy reveal over the full draw's, 80 interleaved
-# calls a side, shared 2-core x86 machine), lowest to highest over perturb,
-# kruskal and pamst at eps = 1, delta_inf = 1 and at rho = 1, delta_inf =
-# 0.1, as (m, m / n ln n): K128 (8,128; 13) 1.01-1.27, K181 (16,290; 17)
-# 0.87-1.15, K200 (19,900; 19) 0.83-0.98, K221 (24,310; 20) 0.76-0.97, K230
-# (26,335; 21) 0.73-0.95, K256 (32,640; 23) 0.64-0.91, ER(362, 0.5)
-# (32,737; 15) 0.74-0.94, ER(512, 0.3) (39,189; 12) 0.79-0.99, ER(512, 0.5)
-# (65,253; 20) 0.61-0.82, ER(1024, 0.2) (105,113; 15) 0.64-0.78, ER(2048,
-# 0.1) (209,468; 13) 0.59-0.75. Below the density half: ER(1024, 0.1)
-# (52,603; 7.4) 0.93-1.04, ER(1024, 0.05) (26,255; 3.7) 1.25-1.39,
-# ER(2048, 0.02) (42,083; 2.7) 1.26-1.57, ER(4096, 0.01) (84,020; 2.5)
-# 1.23-1.57. The reveal pays from about 20,000 edges; the floor keeps a
-# margin above K200, which read up to 1.01 in an earlier run. No benchmark
-# workload sits near either edge of the rule; both rest on this ladder.
+# calls a side, two runs, shared 2-core x86 machine), lowest to highest over
+# perturb, kruskal and pamst at eps = 1, delta_inf = 1 and at rho = 1,
+# delta_inf = 0.1, as (m, m / n ln n): K128 (8,128; 13) 0.80-1.19, K181
+# (16,290; 17) 0.74-1.06, K200 (19,900; 19) 0.69-0.87, K221 (24,310; 20)
+# 0.66-0.88, K230 (26,335; 21) 0.64-0.85, K256 (32,640; 23) 0.62-0.81,
+# ER(362, 0.5) (32,737; 15) 0.63-0.81, ER(512, 0.3) (39,189; 12) 0.73-0.85,
+# ER(512, 0.5) (65,253; 20) 0.53-0.67, ER(1024, 0.2) (105,113; 15)
+# 0.56-0.61, ER(2048, 0.1) (209,468; 13) 0.49-0.54. Below the density half:
+# ER(1024, 0.1) (52,603; 7.4) 0.81-0.94, ER(1024, 0.05) (26,255; 3.7)
+# 1.00-1.36, ER(2048, 0.02) (42,083; 2.7) 1.03-1.50, ER(4096, 0.01)
+# (84,020; 2.5) 1.00-1.50. The reveal reads below 1 on every row from K200
+# up, and on ER(1024, 0.1) below the density half. The rule stays where it
+# is, as moving it moves the streams of the graphs it crosses; its floor
+# keeps a margin above K200, which read up to 1.01 in an earlier run. No
+# benchmark workload sits near either edge of the rule; both rest on this
+# ladder.
 LAZY_MIN_EDGES, LAZY_MIN_DENSITY = 24576, 10.0
 # Kruskal's first window expects (n/2)(ln n + LAZY_GUMBEL) revealed edges: a
 # random order of edges connects the graph after about (n/2)(ln n + G) of
@@ -319,36 +322,36 @@ def _reveal(g: WeightedGraph, scale: float, stream: RngStream,
     w_e + b ln(E_e), b = ``scale``, for each.
 
     Edge e is an exponential clock X_e = E_e / s_e of rate s_e = exp(-w_e/b),
-    and b ln(X_e) is ``perturb_weights``' noisy weight. Clock e rings by T
-    with probability p_e = 1 - exp(-s_e T), independently of the others:
-    ln(s_e T) = a_e = ln T - w_e/b, kept in logs so that no rate under- or
-    overflows.
+    and b ln(X_e) is ``perturb_weights``' noisy weight. Clock e rings by T,
+    E_e <= s_e T, with probability p_e = 1 - exp(-s_e T), independently of
+    the others: ln(s_e T) = a_e = ln T - w_e/b, kept in logs so that no
+    rate under- or overflows.
 
     - The heads among coins of probability q_j, the p_e of the lightest
-      edge of weight bucket j (``window.q``), are the candidates; each is
-      kept with probability p_e / q_j. So edge e is revealed with
-      probability p_e, at a cost of about the number revealed.
-    - A revealed edge's E_e is drawn conditioned on E_e <= s_e T by inverse
-      CDF, -ln(1 - U p_e) for U uniform. Each candidate's w_e, a_e and p_e
-      are carried through the sort into id order.
+      edge of weight bucket j (``window.q``), are the candidates.
+    - Each candidate draws one envelope clock E = -log1p(-x q_j), x uniform
+      (``RngStream.truncated_exponential``): Exp(1) conditioned on
+      E <= -ln(1 - q_j), the lightest edge's s T, which is at least s_e T.
+      The candidate is kept iff ln E <= a_e, with probability p_e / q_j,
+      so edge e is revealed with probability p_e, at a cost of about the
+      number of candidates. A kept E is Exp(1) conditioned on E <= s_e T,
+      the law of E_e given that clock e rings by T, so it is E_e itself:
+      no second draw and no clip.
     """
-    # exp(a_e) that overflows gives p_e = 1; U p_e that underflows, ln E = -inf
+    # w / b that overflows gives an infinite a_e; x = 0 gives ln E = -inf
     with np.errstate(over="ignore", divide="ignore"):
         heads = stream.coin_heads(window.sizes, window.q)
         cand = g.by_weight[heads]
+        ln_e = np.log(stream.truncated_exponential(window.q[heads // window.bucket]))
         w = g.weights[cand]
-        a = window.log_t - w / scale
-        p = -np.expm1(-np.exp(a))
-        kept = np.flatnonzero(stream.uniform(len(cand)) * window.q[heads // window.bucket] <= p)
-        # in id order, so that noisy ties break as in kruskal_mst: each kept
-        # (id, position) pair packed in one int64 and sorted, which on
-        # ER(2048, 0.1) took a third of the time of an argsort of the ids
-        shift = len(cand).bit_length()
-        key = np.sort(cand[kept] << shift | kept)
-        rev, kept = key >> shift, key & ((1 << shift) - 1)
-        w, a, p = w[kept], a[kept], p[kept]
-        ln_e = np.log(-np.log1p(-stream.uniform(len(rev)) * p))
-    return rev, w + scale * np.minimum(ln_e, a, out=ln_e)
+        kept = np.flatnonzero(ln_e <= window.log_t - w / scale)
+    # in id order, so that noisy ties break as in kruskal_mst: each kept
+    # (id, position) pair packed in one int64 and sorted, which on
+    # ER(2048, 0.1) took a third of the time of an argsort of the ids
+    shift = len(cand).bit_length()
+    key = np.sort(cand[kept] << shift | kept)
+    rev, kept = key >> shift, key & ((1 << shift) - 1)
+    return rev, w[kept] + scale * ln_e[kept]
 
 
 def _extend(g: WeightedGraph, scale: float, stream: RngStream, log_window: float,
@@ -384,14 +387,16 @@ def _perturbed_tree(g: WeightedGraph, eps_prime: float, delta_inf: float, stream
     With ``window`` None (below the size rule of ``_first_window``) w~ is
     ``perturb_weights``' vector, draw for draw. Otherwise w~_e / b is the
     log of an exponential clock of rate exp(-w_e / b), and ``_reveal``
-    draws the clocks that ring by T = exp(window.log_t): every other w~_e
-    is above b ln T, so above every revealed one. If ``rule`` gives the
-    revealed edges' tree, the record holds them and one clamp, just above
-    b ln T and every revealed weight, for the others, and the tree is
-    ``rule``'s on the m-vector the record stands for. Otherwise ``_extend``
-    draws the other clocks conditioned on ringing after T. The tree has
-    the law of ``rule`` on ``perturb_weights``' vector either way, but the
-    trees per seed differ from the full draw's.
+    draws the clocks that ring by T = exp(window.log_t), one uniform per
+    candidate edge, whose envelope clock is the edge's own clock when the
+    edge is kept: every other w~_e is above b ln T, so above every revealed
+    one. If ``rule`` gives the revealed edges' tree, the record holds them
+    and one clamp, just above b ln T and every revealed weight, for the
+    others, and the tree is ``rule``'s on the m-vector the record stands
+    for. Otherwise ``_extend`` draws the other clocks conditioned on
+    ringing after T. The tree has the law of ``rule`` on
+    ``perturb_weights``' vector either way, but the trees per seed differ
+    from the full draw's.
     """
     scale = _noise_scale(eps_prime, delta_inf)
     scans = 0

@@ -59,6 +59,22 @@ class RngStream:
         x /= rate
         return x
 
+    def truncated_exponential(self, q) -> np.ndarray:
+        """Unit exponentials, entry i conditioned on at most -ln(1 - q[i]),
+        for q in [0, 1]: -log1p(-x q[i]) by inverse CDF, one x per entry on
+        the [0, 1) grid that ``exponential`` draws from. x = 0, at 2^-53 a
+        draw, gives exactly 0; q = 1 gives an unconditioned exponential.
+        """
+        q = np.asarray(q, dtype=float)
+        if not (q.size == 0 or (q.min() >= 0 and q.max() <= 1)):  # also false for NaN
+            raise ValueError("q must lie in [0, 1]")
+        x = self._gen.random(q.shape)
+        x *= q
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        return x
+
     def ln_exponential(self, size=None):
         """ln of a unit exponential; the negative of a standard Gumbel sample.
 
@@ -109,9 +125,12 @@ class RngStream:
         coins of heads probability ``p[j]``: their 0-based positions in the
         blocks laid end to end, block by block, in no order within a block.
 
-        Each block draws its head count from Binomial(sizes[j], p[j]), then
-        that many distinct positions uniformly, so a block costs its heads,
-        not its coins.
+        Each block draws its head count k from Binomial(sizes[j], p[j]), then
+        the positions of the smaller side: k distinct positions uniformly,
+        or, with more heads than tails, the sizes[j] - k tails' positions,
+        and the heads are the rest of the block. The complement of a uniform
+        (s - k)-subset of s positions is a uniform k-subset, so both are
+        exact; a block costs its smaller side, and a full block draws none.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         p = np.asarray(p, dtype=float)
@@ -119,9 +138,15 @@ class RngStream:
             raise ValueError("sizes must be nonnegative and p must lie in [0, 1]")
         heads = self._gen.binomial(sizes, p)
         starts = np.cumsum(sizes) - sizes
-        picks = [start + self._gen.choice(size, k, replace=False, shuffle=False)
-                 for start, size, k in zip(starts.tolist(), sizes.tolist(), heads.tolist())
-                 if k]
+        picks = []
+        for start, size, k in zip(starts.tolist(), sizes.tolist(), heads.tolist()):
+            if k > size - k:
+                keep = np.ones(size, dtype=bool)
+                if k < size:
+                    keep[self._gen.choice(size, size - k, replace=False, shuffle=False)] = False
+                picks.append(start + np.flatnonzero(keep))
+            elif k:
+                picks.append(start + self._gen.choice(size, k, replace=False, shuffle=False))
         return np.concatenate(picks) if picks else np.zeros(0, dtype=np.int64)
 
     def binomial(self, count: int, p):

@@ -188,6 +188,20 @@ class TestCoinHeads:
         sigma = np.sqrt(expect * (1 - expect) / reps)
         assert (np.abs(hits / reps - expect) <= 4 * sigma + 1e-12).all()
 
+    @pytest.mark.parametrize("p", [0.3, 0.8], ids=["heads-drawn", "tails-drawn"])
+    def test_head_set_is_a_uniform_subset(self, p):
+        # the head set S of one 5-coin block has probability
+        # p^|S| (1 - p)^(5 - |S|); at p = 0.8 most draws have more heads than
+        # tails, so the heads are the complement of the drawn tails, and
+        # returning the drawn tails instead fails
+        stream, reps = RngStream(17), 20000
+        counts = np.zeros(32)
+        for _ in range(reps):
+            counts[np.bitwise_or.reduce(1 << stream.coin_heads([5], [p]), initial=0)] += 1
+        size = np.array([bin(s).count("1") for s in range(32)])
+        expect = reps * p ** size * (1 - p) ** (5 - size)
+        assert stats.chisquare(counts, expect).pvalue > 1e-3
+
     def test_certain_and_impossible_blocks(self):
         heads = RngStream(16).coin_heads([4, 0, 3], [1.0, 0.5, 0.0])
         assert sorted(heads.tolist()) == [0, 1, 2, 3]
