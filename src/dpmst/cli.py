@@ -13,7 +13,7 @@ import sys
 from .accounting import PrivacyBudget
 from .graph import GraphError
 from .harness import (_JUDGED, EQUIV_FAMILIES, EQUIV_MECHANISMS, density_sweep,
-                      emit_csv, equivalence_suite, run_trials)
+                      emit_csv, family_graph, run_trials, tree_distribution_test)
 from .instances import (GenerationError, ParseError, erdos_renyi_instance,
                         hard_instance, mutual_info_chain_instance, read_instance,
                         write_instance)
@@ -169,10 +169,11 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         print(f"dpmst sweep-density: cannot write {args.out}: {exc}", file=sys.stderr)
         return IO_ERROR
-    print(f"{'p':>6} {'mechanism':>14} {'median ratio':>14} {'median error':>14}")
+    print(f"{'p':>6} {'mechanism':>14} {'median ratio':>14} {'ratio IQR':>20} "
+          f"{'median error':>14}")
     for row in result.rows:
-        print(f"{row.sweep_param:>6.2f} {row.mechanism:>14} "
-              f"{row.median_ratio:>14.4f} {row.median_error:>14.4f}")
+        print(f"{row.sweep_param:>6.2f} {row.mechanism:>14} {row.median_ratio:>14.4f} "
+              f"[{row.q1_ratio:8.4f}, {row.q3_ratio:8.4f}] {row.median_error:>14.4f}")
     print(f"per-trial records -> {args.out}")
     return 0
 
@@ -181,9 +182,9 @@ def _cmd_check_equiv(args) -> int:
     # pamst comes last, so the three Kruskal-equivalent ids keep their streams
     judged = tuple(dict.fromkeys(args.mech)) if args.mech else EQUIV_MECHANISMS + ("pamst",)
     try:
-        results = equivalence_suite(args.family, args.eps_prime, args.trials,
-                                    args.alpha, master_seed=args.seed,
-                                    mechanisms=judged)
+        results = tree_distribution_test(family_graph(args.family), args.eps_prime,
+                                         args.trials, args.alpha, master_seed=args.seed,
+                                         mechanisms=judged)
     except ValueError as exc:
         print(f"dpmst check-equiv: {exc}", file=sys.stderr)
         return USAGE_ERROR

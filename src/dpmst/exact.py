@@ -2,6 +2,10 @@
 the exact output distribution of proportional sampling with candidate removal,
 the exact private-Kruskal and PAMST (Prim-cut) tree distributions, one DP over
 edge masks, and the chi-square comparator the statistical suites share.
+
+A distribution is a plain dict from outcome to exact probability, the shape
+a tally of outcomes already has: a tree distribution is keyed by frozensets
+of 1-based edge ids, a selection distribution by tuples of 0-based indices.
 """
 
 from __future__ import annotations
@@ -23,25 +27,6 @@ MAX_EDGES = 16  # the join table has 2^m rows of m entries
 
 class SizeGuardError(ValueError):
     """Raised when an instance is too large for exhaustive enumeration."""
-
-
-class ExactDistribution:
-    """Mapping from outcome to exact probability (compensated summation)."""
-
-    def __init__(self, probs: dict):
-        self.probs = dict(probs)
-
-    def total(self) -> float:
-        return fsum(self.probs.values())
-
-    def support(self) -> list:
-        return list(self.probs)
-
-    def __len__(self):
-        return len(self.probs)
-
-    def __getitem__(self, outcome):
-        return self.probs[outcome]
 
 
 def enumerate_spanning_trees(g: WeightedGraph) -> list[SpanningTree]:
@@ -94,7 +79,7 @@ def cycle_rule(g: WeightedGraph):
     return rule
 
 
-def exact_selection_distribution(weights, k: int, remove_rule=None) -> ExactDistribution:
+def exact_selection_distribution(weights, k: int, remove_rule=None) -> dict[tuple, float]:
     """Exact distribution over ordered selections of proportional sampling
     with adaptive removal.
 
@@ -128,7 +113,7 @@ def exact_selection_distribution(weights, k: int, remove_rule=None) -> ExactDist
                   prob * (weights[j] / total))
 
     visit((), tuple(range(m)), 1.0)
-    return ExactDistribution(out)
+    return out
 
 
 def join_table(g: WeightedGraph) -> np.ndarray:
@@ -162,7 +147,7 @@ def by_edge_set(table: np.ndarray, masks: np.ndarray) -> dict[frozenset, object]
 
 
 def _tree_dp(g: WeightedGraph, eps_prime: float, delta_inf: float,
-             candidates) -> ExactDistribution:
+             candidates) -> dict[frozenset, float]:
     """The tree distribution of n-1 steps that each pick one edge allowed by
     ``candidates`` with probability proportional to
     s_e = exp(-eps' * w_e / (2 * delta_inf)).
@@ -189,12 +174,12 @@ def _tree_dp(g: WeightedGraph, eps_prime: float, delta_inf: float,
         nxt = front[at] | 1 << e
         prob = np.bincount(nxt, weights=share, minlength=1 << g.m)
         front = np.unique(nxt)
-    return ExactDistribution(by_edge_set(prob, front))
+    return by_edge_set(prob, front)
 
 
 def exact_tree_distribution(g: WeightedGraph, eps_prime: float,
                             delta_inf: float = 1.0, *,
-                            joins: np.ndarray | None = None) -> ExactDistribution:
+                            joins: np.ndarray | None = None) -> dict[frozenset, float]:
     """Exact private-Kruskal tree distribution, m <= ``MAX_EDGES``: each
     step's candidates are the edges that join two trees of the forest so
     far, read from ``joins`` (g's ``join_table``, built if not given).
@@ -206,7 +191,7 @@ def exact_tree_distribution(g: WeightedGraph, eps_prime: float,
 
 
 def prim_tree_distribution(g: WeightedGraph, eps_prime: float,
-                           delta_inf: float = 1.0) -> ExactDistribution:
+                           delta_inf: float = 1.0) -> dict[frozenset, float]:
     """Exact tree distribution of PAMST (Prim growth from vertex 1 with the
     exponential mechanism over each cut), m <= ``MAX_EDGES``. A subtree's
     edge mask fixes its vertex set (vertex 1 and its edges' endpoints) and
@@ -233,8 +218,9 @@ class ChiSquareResult:
     passed: bool
 
 
-def chi_square_gof(counts, exact: ExactDistribution, alpha: float) -> ChiSquareResult:
-    """Pearson goodness-of-fit of observed tallies against an exact distribution.
+def chi_square_gof(counts: dict, exact: dict, alpha: float) -> ChiSquareResult:
+    """Pearson goodness-of-fit of observed tallies against an exact
+    distribution, both dicts keyed by outcome.
 
     Bins with expected count below 5 are pooled (the pool folds
     into the smallest regular bin if it stays undersized). Any observed mass
@@ -247,14 +233,14 @@ def chi_square_gof(counts, exact: ExactDistribution, alpha: float) -> ChiSquareR
     n = sum(counts.values())
     if n <= 0:
         raise ValueError("no observations")
-    if len(exact.probs) < 2:
+    if len(exact) < 2:
         raise ValueError("degenerate support")
     stray = sum(c for outcome, c in counts.items()
-                if c > 0 and outcome not in exact.probs)
+                if c > 0 and outcome not in exact)
     if stray:
-        statistic, df = inf, len(exact.probs) - 1
+        statistic, df = inf, len(exact) - 1
     else:
-        bins = [(p * n, counts.get(outcome, 0)) for outcome, p in exact.probs.items()]
+        bins = [(p * n, counts.get(outcome, 0)) for outcome, p in exact.items()]
         small = [(e, o) for e, o in bins if e < 5.0]
         big = [(e, o) for e, o in bins if e >= 5.0]
         if small:

@@ -1,5 +1,6 @@
-"""Experiment runner: trial execution, aggregation, CSV emission, and the
-distribution-equivalence suite.
+"""Experiment runner: trial execution, aggregation, CSV emission, the density
+sweep, and the distribution-equivalence suite (``tree_distribution_test``,
+run on any small graph, the named ``EQUIV_FAMILIES`` through ``family_graph``).
 
 Reports are a pure function of (instance, mechanism id, budget, master seed,
 trials): trial i always uses the stream derived as (master_seed, (i,)), so
@@ -85,9 +86,9 @@ def _run_single_trial(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget
     indices, increasing, and ``true_mask`` their m-long indicator. The
     tree's ids are read once, sorted: they give its weight, added in id
     order as ``tree_weight`` adds them, and its noisy weight under the
-    call's noise record, found among the k recorded ids in O(n log k). That
-    must not exceed the true tree's, read through ``true_mask`` at the
-    recorded ids (``NoisyWeights.total``)."""
+    call's noise record, found among the k recorded ids in O(n log k) by
+    ``NoisyWeights.at``. That must not exceed the true tree's, read through
+    ``true_mask`` at the recorded ids (``NoisyWeights.total``)."""
     stream = RngStream(master_seed, (trial,))
     result = run_mechanism(mechanism_id, g, budget, stream)
     ids = _sorted_index(result.tree, g.m)
@@ -98,7 +99,7 @@ def _run_single_trial(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget
             f"private tree beat the exact MST by {-error}; MST oracle is broken")
     if result.noise is not None:
         # the returned tree must be minimal under its own noisy weights
-        got = result.noise.total(ids)
+        got = float(result.noise.at(ids).sum())
         ref = result.noise.total(true_ids, true_mask)
         # a -inf reference (Exp(1) rounded to 0) would make a relative
         # tolerance inf and ref + tol NaN, which no tree exceeds
@@ -149,7 +150,6 @@ class SweepRow:
 class DensitySweepResult:
     rows: list[SweepRow]
     reports: dict[tuple[float, str], RunReport]
-    budget_rho: float
 
 
 def _quartiles(values) -> tuple[float, float, float]:
@@ -184,7 +184,7 @@ def density_sweep(n: int, densities, rho: float, trials: int, master_seed: int,
                                  n=g.n, m=g.m,
                                  median_ratio=q2r, q1_ratio=q1r, q3_ratio=q3r,
                                  median_error=q2e, q1_error=q1e, q3_error=q3e))
-    return DensitySweepResult(rows=rows, reports=reports, budget_rho=rho)
+    return DensitySweepResult(rows=rows, reports=reports)
 
 
 # -- equivalence suite -------------------------------------------------------
@@ -312,14 +312,6 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
         chi = chi_square_gof(counts, oracle[rule], alpha)
         out[mech] = EquivalenceResult(mechanism=mech, counts=counts, chi=chi)
     return out
-
-
-def equivalence_suite(family: str, eps_prime: float, trials: int, alpha: float,
-                      master_seed: int = 0,
-                      mechanisms=EQUIV_MECHANISMS) -> dict[str, EquivalenceResult]:
-    """tree_distribution_test on a named small-graph family (``EQUIV_FAMILIES``)."""
-    return tree_distribution_test(family_graph(family), eps_prime, trials,
-                                  alpha, master_seed, mechanisms)
 
 
 # -- CSV emission ------------------------------------------------------------

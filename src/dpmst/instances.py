@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .graph import WeightedGraph, build_graph, _connected
+from .graph import DisconnectedError, WeightedGraph, build_graph
 from .rng import RngStream
 
 
@@ -26,7 +26,10 @@ class ParseError(ValueError):
 
 def erdos_renyi_instance(n: int, p: float, wmin: float, wmax: float,
                          stream: RngStream, max_attempts: int = 1000) -> WeightedGraph:
-    """G(n, p) with uniform weights on [wmin, wmax], resampled until connected."""
+    """G(n, p) with uniform weights on [wmin, wmax], resampled until connected.
+
+    Each attempt draws its edges and then their weights; a disconnected
+    attempt, which ``build_graph`` refuses, has consumed both."""
     if n < 1 or not 0.0 <= p <= 1.0 or wmax < wmin:
         raise ValueError(f"bad parameters: n={n}, p={p}, wmin={wmin}, wmax={wmax}")
     iu, iv = np.triu_indices(n, k=1)
@@ -37,10 +40,11 @@ def erdos_renyi_instance(n: int, p: float, wmin: float, wmax: float,
         else:
             keep = stream.uniform(len(iu)) <= p
         us, vs = iu[keep], iv[keep]
-        if not _connected(n, us, vs):
-            continue
         weights = wmin + (wmax - wmin) * stream.uniform(len(us))
-        return build_graph(n, np.column_stack((us, vs)), weights)
+        try:
+            return build_graph(n, np.column_stack((us, vs)), weights)
+        except DisconnectedError:
+            continue
     raise GenerationError(
         f"no connected G({n}, {p}) sample within {max_attempts} attempts")
 
@@ -86,13 +90,10 @@ def mutual_info_chain_instance(n: int, flip_p: float, dataset_size: int) -> Weig
     """
     if n < 2:
         raise ValueError(f"need at least two vertices, got {n}")
-    edges = []
-    weights = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            edges.append((i, j))
-            weights.append(-mi_weight(flip_p, j - i))
-    return build_graph(n, edges, weights, delta_inf=mi_sensitivity(dataset_size))
+    iu, iv = np.triu_indices(n, k=1)
+    by_hops = -np.array([mi_weight(flip_p, k) for k in range(1, n)])
+    return build_graph(n, np.column_stack((iu + 1, iv + 1)), by_hops[iv - iu - 1],
+                       delta_inf=mi_sensitivity(dataset_size))
 
 
 def hard_instance(n: int, beta: float, s: int, stream: RngStream) -> WeightedGraph:

@@ -63,12 +63,12 @@ class NoisyWeights:
         found = self.ids.take(pos, mode="clip") == edges
         return np.where(found, self.values.take(pos, mode="clip"), self.clamp)
 
-    def total(self, edges: np.ndarray, mask: np.ndarray | None = None) -> float:
+    def total(self, edges: np.ndarray, mask: np.ndarray) -> float:
         """The sum of the noisy weights of the 0-based ``edges``, in
         increasing order. ``mask``, their m-long indicator, lets a compact
         record read it at its own ids, O(k) for k recorded edges, instead of
         finding each edge by ``at``, O(n log k) for n edges."""
-        if self.ids is None or mask is None:
+        if self.ids is None:
             return float(self.at(edges).sum())
         inside = mask[self.ids]
         found = np.count_nonzero(inside)

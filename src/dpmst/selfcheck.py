@@ -21,7 +21,7 @@ from .accounting import (PrivacyBudget, eps_from_rho_delta, per_round_epsilon,
                          rho_from_eps_delta)
 from .exact import brute_force_mst
 from .graph import build_graph, is_spanning_tree, join, kruskal_mst
-from .harness import equivalence_suite, tree_distribution_test
+from .harness import family_graph, tree_distribution_test
 from .instances import (erdos_renyi_instance, hard_instance, mi_weight,
                         mutual_info_chain_instance, parity_even_prob)
 from .mechanisms import input_perturbation_mst, run_mechanism
@@ -59,8 +59,8 @@ def graphic_matroid_oracle(g):
 
 def criterion_1():
     trials, alpha = 200000, 0.001
-    k3 = equivalence_suite("k3", 1.0, trials, alpha, master_seed=101)
-    k4 = equivalence_suite("k4", 1.0, trials, alpha, master_seed=102)
+    k3 = tree_distribution_test(family_graph("k3"), 1.0, trials, alpha, master_seed=101)
+    k4 = tree_distribution_test(family_graph("k4"), 1.0, trials, alpha, master_seed=102)
     mutant_graph = build_graph(3, [(1, 2), (2, 3), (1, 3)], [0.0, 2.0, 4.0])
     mutant = tree_distribution_test(mutant_graph, 1.0, trials, alpha,
                                     master_seed=103, mechanisms=("mutant",))

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dpmst.exact import (MAX_EDGES, ExactDistribution, SizeGuardError,
-                         brute_force_mst, chi_square_gof, cycle_rule,
-                         enumerate_spanning_trees, exact_selection_distribution,
-                         exact_tree_distribution, join_table, prim_tree_distribution)
+from dpmst.exact import (MAX_EDGES, SizeGuardError, brute_force_mst, chi_square_gof,
+                         cycle_rule, enumerate_spanning_trees,
+                         exact_selection_distribution, exact_tree_distribution,
+                         join_table, prim_tree_distribution)
 from dpmst.graph import build_graph, kruskal_mst
 from dpmst.rng import RngStream
 from dpmst.selfcheck import random_connected_graph
@@ -63,16 +63,16 @@ def prim_paths_reference(g, eps_prime, delta_inf=1.0):
             visit(in_tree | {u, v}, chosen + (e + 1,), prob * (se / total))
 
     visit(frozenset({1}), (), 1.0)
-    return ExactDistribution({t: math.fsum(p) for t, p in paths.items()})
+    return {t: math.fsum(p) for t, p in paths.items()}
 
 
 def collapse(dist, key_fn):
-    """Marginalize an ExactDistribution by mapping outcomes through key_fn
+    """Marginalize a distribution by mapping outcomes through key_fn
     and summing."""
     grouped = {}
-    for outcome, p in dist.probs.items():
+    for outcome, p in dist.items():
         grouped.setdefault(key_fn(outcome), []).append(p)
-    return ExactDistribution({k: math.fsum(v) for k, v in grouped.items()})
+    return {k: math.fsum(v) for k, v in grouped.items()}
 
 
 def selection_reference(g, eps_prime):
@@ -132,10 +132,10 @@ class TestSelectionDistribution:
         expected = {(2, 1): Fraction(1, 3), (1, 2): Fraction(1, 4),
                     (0, 1): Fraction(1, 15), (0, 2): Fraction(1, 10),
                     (1, 0): Fraction(1, 12), (2, 0): Fraction(1, 6)}
-        assert set(d.probs) == set(expected)
+        assert set(d) == set(expected)
         for seq, frac in expected.items():
             assert d[seq] == pytest.approx(float(frac), abs=1e-14)
-        assert d.total() == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(d.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_k3_marginal_equals_tree_distribution(self):
         g = triangle()
@@ -143,8 +143,8 @@ class TestSelectionDistribution:
         seqs = exact_selection_distribution(s.tolist(), 2, cycle_rule(g))
         trees = collapse(seqs, lambda seq: frozenset(e + 1 for e in seq))
         ref = exact_tree_distribution(g, 1.0)
-        assert set(trees.probs) == set(ref.probs)
-        for k, v in ref.probs.items():
+        assert set(trees) == set(ref)
+        for k, v in ref.items():
             assert trees[k] == pytest.approx(v, rel=1e-12)
 
     @pytest.mark.parametrize("weights", [
@@ -166,7 +166,7 @@ class TestSelectionDistribution:
         rule = (lambda sel: [j for j in range(len(weights)) if j > max(sel)]) \
             if remove_larger else None
         d = exact_selection_distribution(weights, k, rule)
-        assert abs(d.total() - 1.0) <= 1e-12
+        assert abs(math.fsum(d.values()) - 1.0) <= 1e-12
 
     @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=5),
            st.floats(0.001, 1000.0))
@@ -174,7 +174,7 @@ class TestSelectionDistribution:
     def test_scale_invariance(self, weights, c):
         base = exact_selection_distribution(weights, 2)
         scaled = exact_selection_distribution([w * c for w in weights], 2)
-        for seq, p in base.probs.items():
+        for seq, p in base.items():
             assert scaled[seq] == pytest.approx(p, rel=1e-10)
 
 
@@ -193,7 +193,7 @@ class TestTreeDistribution:
 
     def test_k3_equal_weights_uniform(self):
         d = exact_tree_distribution(triangle([2.0, 2.0, 2.0]), 1.0)
-        for p in d.probs.values():
+        for p in d.values():
             assert p == pytest.approx(1 / 3, abs=1e-12)
 
     def test_k4_equal_weights_hand_derived(self):
@@ -203,7 +203,7 @@ class TestTreeDistribution:
         d = exact_tree_distribution(g, 1.0)
         assert len(d) == 16
         star_count = 0
-        for t, p in d.probs.items():
+        for t, p in d.items():
             degree = {}
             for e in t:
                 for v in (g.u_arr[e - 1], g.v_arr[e - 1]):
@@ -219,7 +219,7 @@ class TestTreeDistribution:
         g = k4([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
         d = exact_tree_distribution(g, 1e-9)
         ref = exact_tree_distribution(k4([1.0] * 6), 1.0)
-        for t, p in d.probs.items():
+        for t, p in d.items():
             assert p == pytest.approx(ref[t], rel=1e-6)
 
     def test_concentration_as_eps_grows(self):
@@ -247,9 +247,9 @@ class TestTreeDistribution:
         s = np.exp(-g.weights / 2.0)
         seqs = exact_selection_distribution(s.tolist(), 2, cycle_rule(g))
         forward = collapse(seqs, lambda q: frozenset(q))
-        reversed_probs = ExactDistribution(dict(reversed(list(seqs.probs.items()))))
+        reversed_probs = dict(reversed(list(seqs.items())))
         backward = collapse(reversed_probs, lambda q: frozenset(q))
-        for key, p in forward.probs.items():
+        for key, p in forward.items():
             assert backward[key] == pytest.approx(p, rel=1e-14)
 
 
@@ -270,15 +270,15 @@ class TestPrimTreeDistribution:
     def test_tree_graph_is_a_point_mass(self):
         g = build_graph(5, [(1, 2), (2, 3), (2, 4), (4, 5)], [4.0, 1.0, 3.0, 2.0])
         d = prim_tree_distribution(g, 1.0)
-        assert d.probs == {frozenset({1, 2, 3, 4}): 1.0}
+        assert d == {frozenset({1, 2, 3, 4}): 1.0}
 
     def test_sums_to_one(self):
         stream = RngStream(104)
         for _ in range(20):
             g = random_connected_graph(stream, max_n=5)
             d = prim_tree_distribution(g, 0.5 + stream.uniform(), 0.5)
-            assert d.total() == pytest.approx(1.0, abs=1e-14)
-            assert set(d.support()) <= {t.edge_ids for t in enumerate_spanning_trees(g)}
+            assert math.fsum(d.values()) == pytest.approx(1.0, abs=1e-14)
+            assert set(d) <= {t.edge_ids for t in enumerate_spanning_trees(g)}
 
     def test_concentrates_on_the_mst(self):
         g = k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
@@ -321,8 +321,8 @@ class TestTreeDp:
 
     @staticmethod
     def assert_same(got, ref):
-        assert set(got.probs) == set(ref.probs)
-        assert max(abs(got[t] - p) for t, p in ref.probs.items()) <= 1e-14
+        assert set(got) == set(ref)
+        assert max(abs(got[t] - p) for t, p in ref.items()) <= 1e-14
 
     @pytest.mark.parametrize("eps_prime", [0.5, 1.0, 3.0])
     def test_kruskal_dp_matches_the_selection_enumeration(self, eps_prime):
@@ -360,8 +360,8 @@ class TestTreeDp:
             d = oracle(g, 1.0)
             sizes.append(len(d))
             assert len(d) == matrix_tree_count(g)
-            assert all(len(t) == g.n - 1 for t in d.support())
-            assert d.total() == pytest.approx(1.0, abs=1e-15)  # an fsum
+            assert all(len(t) == g.n - 1 for t in d)
+            assert math.fsum(d.values()) == pytest.approx(1.0, abs=1e-15)  # an fsum
         assert sizes[:2] == [125, 1296]  # Cayley: n^(n-2)
 
     @pytest.mark.parametrize("oracle", [exact_tree_distribution, prim_tree_distribution],
@@ -380,8 +380,8 @@ class TestTreeDp:
         # exp(-1500) is 0.0, so both trees through edge 3 get probability
         # 0.0, yet they are spanning trees the steps reach
         d = oracle(triangle([0.0, 0.0, 3000.0]), 1.0)
-        assert d.probs == {frozenset({1, 2}): 1.0, frozenset({1, 3}): 0.0,
-                           frozenset({2, 3}): 0.0}
+        assert d == {frozenset({1, 2}): 1.0, frozenset({1, 3}): 0.0,
+                     frozenset({2, 3}): 0.0}
 
     def test_size_guard(self):
         g = build_graph(4, [(1, 2), (2, 3), (3, 4)] * 5 + [(1, 3), (2, 4)],
@@ -391,7 +391,7 @@ class TestTreeDp:
                 build(g)
 
 
-UNIFORM3 = ExactDistribution({"a": 1 / 3, "b": 1 / 3, "c": 1 / 3})
+UNIFORM3 = {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}
 
 
 class TestChiSquare:
@@ -411,7 +411,7 @@ class TestChiSquare:
     @pytest.mark.parametrize("alpha", [0.05, 0.001, 1e-6])
     def test_threshold_is_the_upper_alpha_quantile(self, alpha):
         for k in range(2, 41):
-            exact = ExactDistribution({i: 1 / k for i in range(k)})
+            exact = {i: 1 / k for i in range(k)}
             for stray in (0, 1):
                 res = chi_square_gof({i: 100 for i in range(k + stray)}, exact, alpha)
                 assert res.df == k - 1
@@ -428,7 +428,7 @@ class TestChiSquare:
         # a correct sampler should pass at alpha=0.001 in >= 99 of 100 runs
         g = triangle()
         exact = exact_tree_distribution(g, 1.0)
-        outcomes = list(exact.probs)
+        outcomes = list(exact)
         probs = np.array([exact[t] for t in outcomes])
         stream = RngStream(55)
         passes = 0
@@ -440,7 +440,7 @@ class TestChiSquare:
         assert passes >= 99
 
     def test_small_expected_bins_pooled(self):
-        exact = ExactDistribution({"a": 0.96, "b": 0.02, "c": 0.02})
+        exact = {"a": 0.96, "b": 0.02, "c": 0.02}
         res = chi_square_gof({"a": 96, "b": 3, "c": 1}, exact, 0.01)
         assert res.df == 1  # the two 2-count bins pool into one
 
@@ -452,4 +452,4 @@ class TestChiSquare:
 
     def test_degenerate_support_rejected(self):
         with pytest.raises(ValueError):
-            chi_square_gof({"a": 10}, ExactDistribution({"a": 1.0}), 0.01)
+            chi_square_gof({"a": 10}, {"a": 1.0}, 0.01)

@@ -12,8 +12,7 @@ from dpmst.exact import (MAX_EDGES, SizeGuardError, chi_square_gof, join_table,
 from dpmst.graph import SpanningTree, build_graph, kruskal_mst, tree_weight
 from dpmst.harness import (CSV_COLUMNS, EQUIV_MECHANISMS, _JUDGED, _kruskal_masks,
                            _prim_masks, _run_single_trial, _tally_trees, density_sweep,
-                           emit_csv, equivalence_suite, family_graph, run_trials,
-                           tree_distribution_test)
+                           emit_csv, family_graph, run_trials, tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
 from dpmst.mechanisms import (MECHANISMS, MechanismResult, NoisyWeights,
                               UnknownMechanismError, input_perturbation_mst)
@@ -210,7 +209,7 @@ class TestDensitySweep:
 
 class TestEquivalenceSuite:
     def test_k3_all_mechanisms_pass(self):
-        results = equivalence_suite("k3", 1.0, 20000, 0.001, master_seed=13)
+        results = tree_distribution_test(family_graph("k3"), 1.0, 20000, 0.001, master_seed=13)
         assert set(results) == {"perturb", "kruskal", "onepass"}
         assert all(r.passed for r in results.values())
 
@@ -221,7 +220,7 @@ class TestEquivalenceSuite:
         assert np.array_equal(g.u_arr, ref.u_arr) and np.array_equal(g.v_arr, ref.v_arr)
         assert g.weights.tolist() == ref.weights.tolist()
         ids = EQUIV_MECHANISMS + ("pamst", "mutant", "pamst-mutant")
-        results = equivalence_suite("k5", 1.0, 20000, 0.001, master_seed=1, mechanisms=ids)
+        results = tree_distribution_test(g, 1.0, 20000, 0.001, master_seed=1, mechanisms=ids)
         assert {mech for mech, r in results.items() if r.passed} == set(ids[:4])
 
     def test_wrong_exponent_mutant_fails(self):
@@ -232,7 +231,7 @@ class TestEquivalenceSuite:
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            equivalence_suite("k7", 1.0, 100, 0.01)
+            tree_distribution_test(family_graph("k7"), 1.0, 100, 0.01)
 
 
 class ZeroedExponential:
@@ -393,8 +392,8 @@ class TestBulkTally:
     def test_one_exact_kruskal_per_scan_order(self, monkeypatch):
         calls = self.count_kruskal_calls(monkeypatch)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 6 * 1000)
-        results = equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=9,
-                                    mechanisms=("perturb",))
+        results = tree_distribution_test(family_graph("k4"), 1.0, 20000, 0.001,
+                                         master_seed=9, mechanisms=("perturb",))
         assert sum(results["perturb"].counts.values()) == 20000
         # 20 blocks, yet never more than one Kruskal per each of the 6! scan
         # orders (the vectorized scan runs none)
@@ -402,8 +401,8 @@ class TestBulkTally:
 
     def test_one_exact_kruskal_per_scan_order_across_ids(self, monkeypatch):
         calls = self.count_kruskal_calls(monkeypatch)
-        equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=9,
-                          mechanisms=("perturb", "onepass", "mutant"))
+        tree_distribution_test(family_graph("k4"), 1.0, 20000, 0.001, master_seed=9,
+                               mechanisms=("perturb", "onepass", "mutant"))
         # the tree of a scan order holds at every eps', so the three ids
         # together stay within one Kruskal per scan order
         assert len(calls) <= 720
@@ -419,9 +418,10 @@ class TestBulkTally:
             monkeypatch.setattr(module, "join_table", counting_table)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 6 * 1000)
         for seed in (9, 10):
-            results = equivalence_suite("k4", 1.0, 20000, 0.001, master_seed=seed,
-                                        mechanisms=("perturb", "kruskal",
-                                                    "onepass", "mutant"))
+            results = tree_distribution_test(family_graph("k4"), 1.0, 20000, 0.001,
+                                             master_seed=seed,
+                                             mechanisms=("perturb", "kruskal",
+                                                         "onepass", "mutant"))
             assert all(sum(r.counts.values()) == 20000 for r in results.values())
         # 20 noise blocks per id, yet no exact Kruskal, and each call builds
         # the join table once for all four ids and the exact oracle
@@ -450,7 +450,7 @@ class TestBulkTally:
 
         monkeypatch.setattr(harness, "RngStream", no_stream)
         with pytest.raises(ValueError, match="trials"):
-            equivalence_suite("k3", 1.0, trials, 0.001)
+            tree_distribution_test(family_graph("k3"), 1.0, trials, 0.001)
 
     @pytest.mark.parametrize("eps_prime", [-1.0, 0.0, np.nan, np.inf])
     def test_bad_eps_prime_rejected_before_any_draw(self, eps_prime, monkeypatch):
@@ -460,7 +460,7 @@ class TestBulkTally:
 
         monkeypatch.setattr(harness, "RngStream", no_stream)
         with pytest.raises(ValueError, match="eps_prime must be positive and finite"):
-            equivalence_suite("k3", eps_prime, 100, 0.001)
+            tree_distribution_test(family_graph("k3"), eps_prime, 100, 0.001)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, np.nan])
     def test_bad_alpha_rejected_before_any_draw(self, alpha, monkeypatch):
@@ -471,7 +471,7 @@ class TestBulkTally:
 
         monkeypatch.setattr(harness, "RngStream", no_stream)
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
-            equivalence_suite("k3", 1.0, 100, alpha)
+            tree_distribution_test(family_graph("k3"), 1.0, 100, alpha)
 
     def test_no_id_runs_through_the_registry(self, monkeypatch):
         def no_call(g, budget, stream):
@@ -479,8 +479,8 @@ class TestBulkTally:
 
         for mech in list(MECHANISMS):
             monkeypatch.setitem(MECHANISMS, mech, no_call)
-        results = equivalence_suite("k3", 1.0, 300, 0.001, master_seed=2,
-                                    mechanisms=tuple(_JUDGED))
+        results = tree_distribution_test(family_graph("k3"), 1.0, 300, 0.001, master_seed=2,
+                                         mechanisms=tuple(_JUDGED))
         assert set(results) == set(_JUDGED)
         assert all(sum(r.counts.values()) == 300 for r in results.values())
 
@@ -517,7 +517,8 @@ class TestOracles:
 
         monkeypatch.setattr(harness, "RngStream", no_stream)
         with pytest.raises(ValueError, match="no exact tree distribution"):
-            equivalence_suite("k3", 1.0, 100, 0.001, mechanisms=("perturb", mech))
+            tree_distribution_test(family_graph("k3"), 1.0, 100, 0.001,
+                                   mechanisms=("perturb", mech))
 
     def test_weight_span_beyond_a_global_shift(self):
         # the candidates after edge 1 weigh 1000 and 1001, which a global
@@ -696,6 +697,26 @@ class TestCli:
         assert r.returncode == 0, r.stderr
         assert out.exists()
 
+    def test_sweep_density_writes_the_sweep_csv_and_ratio_iqr(self, tmp_path, capsys):
+        from dpmst import cli
+
+        out, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
+        assert cli.main(["sweep-density", "--n", "10", "--densities", "0.8,1.0",
+                         "--rho", "1.0", "--trials", "3", "--seed", "2",
+                         "--out", str(out)]) == 0
+        result = density_sweep(10, [0.8, 1.0], 1.0, 3, 2)
+        emit_csv(result, ref)
+
+        def without_runtime(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        assert without_runtime(out) == without_runtime(ref)
+        lines = capsys.readouterr().out.splitlines()
+        assert "ratio IQR" in lines[0]
+        assert len(lines) == 2 + len(result.rows)
+        for line, row in zip(lines[1:], result.rows):
+            assert f"[{row.q1_ratio:8.4f}, {row.q3_ratio:8.4f}]" in line
+
     def test_bad_density_list_exit_one(self, tmp_path):
         r = self.run_cli("sweep-density", "--n", "10", "--densities", "0.5,huh",
                          "--rho", "1.0", "--seed", "2",
@@ -725,7 +746,7 @@ class TestCli:
         def no_suite(*args, **kwargs):
             raise AssertionError("ran the suite on a bad --eps-prime")
 
-        monkeypatch.setattr(cli, "equivalence_suite", no_suite)
+        monkeypatch.setattr(cli, "tree_distribution_test", no_suite)
         with pytest.raises(SystemExit) as exc:
             cli.main(["check-equiv", "--family", "k3", "--eps-prime", value])
         out, err = capsys.readouterr()
@@ -764,12 +785,11 @@ class TestCli:
         from dpmst.exact import ChiSquareResult
         from dpmst.harness import EquivalenceResult
 
-        def fake_suite(family, eps_prime, trials, alpha, master_seed=0,
-                       mechanisms=()):
+        def fake_suite(g, eps_prime, trials, alpha, master_seed=0, mechanisms=()):
             chi = ChiSquareResult(999.0, 2, 13.8, alpha, False)
             return {m: EquivalenceResult(m, {}, chi) for m in mechanisms}
 
-        monkeypatch.setattr(cli, "equivalence_suite", fake_suite)
+        monkeypatch.setattr(cli, "tree_distribution_test", fake_suite)
         code = cli.main(["check-equiv", "--family", "k3", "--eps-prime", "1.0",
                          "--trials", "10", "--alpha", "0.001"])
         assert code == 2

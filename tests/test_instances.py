@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmst import instances
+from dpmst import graph, instances
 from dpmst.graph import GraphError, build_graph, kruskal_mst, tree_weight
 from dpmst.instances import (GenerationError, ParseError, erdos_renyi_instance,
                              hard_instance, mi_sensitivity, mi_weight,
@@ -40,6 +40,25 @@ class TestErdosRenyi:
     def test_connectivity_cap(self):
         with pytest.raises(GenerationError):
             erdos_renyi_instance(20, 0.001, 0, 1, RngStream(4), max_attempts=5)
+
+    @pytest.mark.parametrize("p, attempts", [(1.0, 1), (0.5, 1), (0.001, 5)])
+    def test_one_connectivity_check_per_attempt(self, p, attempts, monkeypatch):
+        # each attempt used to check its edges, then build_graph checked them again
+        calls = []
+        connected = graph._connected
+
+        def counting(n, u_arr, v_arr):
+            calls.append(n)
+            return connected(n, u_arr, v_arr)
+
+        for module in (graph, instances):
+            monkeypatch.setattr(module, "_connected", counting, raising=False)
+        if attempts == 1:
+            erdos_renyi_instance(20, p, 0, 1, RngStream(4))
+        else:
+            with pytest.raises(GenerationError):
+                erdos_renyi_instance(20, p, 0, 1, RngStream(4), max_attempts=attempts)
+        assert calls == [20] * attempts
 
     def test_reproducible(self):
         a = erdos_renyi_instance(50, 0.2, 0, 100, RngStream(5))
@@ -112,6 +131,21 @@ class TestMutualInfoChain:
         assert mi_sensitivity(10**4) == pytest.approx(0.0013288, abs=1e-6)
         g = mutual_info_chain_instance(5, 0.05, 10**4)
         assert g.delta_inf == mi_sensitivity(10**4)
+
+    @pytest.mark.parametrize("n", [2, 3, 30])
+    @pytest.mark.parametrize("flip_p", [0.05, 0.3])
+    def test_same_graph_as_the_pair_loop(self, n, flip_p):
+        # the former generator: one mi_weight call per pair, in (i, j) order
+        edges, weights = [], []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                edges.append((i, j))
+                weights.append(-mi_weight(flip_p, j - i))
+        ref = build_graph(n, edges, weights, delta_inf=mi_sensitivity(10**4))
+        g = mutual_info_chain_instance(n, flip_p, 10**4)
+        assert np.array_equal(endpoints(g), endpoints(ref))
+        assert g.weights.tobytes() == ref.weights.tobytes()
+        assert g.delta_inf == ref.delta_inf
 
 
 class TestHardInstance:
