@@ -118,12 +118,14 @@ def exact_selection_distribution(weights, k: int, remove_rule=None) -> dict[tupl
 
 def join_table(g: WeightedGraph) -> np.ndarray:
     """Kruskal's acceptance test on g (m <= ``MAX_EDGES``) as a table:
-    ``joins[A, e]`` is 1 << e if edge e joins two trees of the forest with
-    edge mask A, else 0, so a scan step is ``A |= joins[A, e]``.
+    ``joins[A, e]`` is 1 << e if edge e joins two components of the
+    subgraph with edge mask A, else 0. A may be any mask, cycles included:
+    a forest's gives a scan step, ``A |= joins[A, e]``, and the mask of all
+    edges ranked before e gives the scan's verdict on e.
 
-    The forests' component labels are built one edge bit at a time: the
-    masks in [2^b, 2^(b+1)) are those in [0, 2^b) plus edge b, whose merge
-    relabels v_b's component with u_b's label.
+    The component labels are built one edge bit at a time: the masks in
+    [2^b, 2^(b+1)) are those in [0, 2^b) plus edge b, whose merge relabels
+    v_b's component with u_b's label, and changes nothing if they are one.
     """
     m = g.m
     if m > MAX_EDGES:

@@ -30,8 +30,13 @@ def erdos_renyi_instance(n: int, p: float, wmin: float, wmax: float,
 
     Each attempt draws its edges and then their weights; a disconnected
     attempt, which ``build_graph`` refuses, has consumed both."""
-    if n < 1 or not 0.0 <= p <= 1.0 or wmax < wmin:
-        raise ValueError(f"bad parameters: n={n}, p={p}, wmin={wmin}, wmax={wmax}")
+    if n < 1 or not 0.0 <= p <= 1.0:
+        raise ValueError(f"bad parameters: n={n}, p={p}")
+    # the span is negative for wmax < wmin, and NaN or inf for a NaN or
+    # infinite bound or a difference that overflows
+    if not 0.0 <= wmax - wmin < math.inf:
+        raise ValueError(f"wmin and wmax must be finite, wmin <= wmax, with a finite "
+                         f"wmax - wmin; got wmin={wmin}, wmax={wmax}")
     iu, iv = np.triu_indices(n, k=1)
     iu, iv = iu + 1, iv + 1
     for _ in range(max_attempts):

@@ -14,11 +14,12 @@ from dpmst.exact import (MAX_EDGES, SizeGuardError, brute_force_mst, chi_square_
                          cycle_rule, enumerate_spanning_trees,
                          exact_selection_distribution, exact_tree_distribution,
                          join_table, prim_tree_distribution)
-from dpmst.graph import build_graph, kruskal_mst
+from dpmst.graph import build_graph, join, kruskal_mst
 from dpmst.rng import RngStream
 from dpmst.selfcheck import random_connected_graph
 
 from .test_graph import k4, triangle
+from .test_mechanisms import parallel_edges
 
 
 def matrix_tree_count(g):
@@ -389,6 +390,22 @@ class TestTreeDp:
         for build in (join_table, lambda g: exact_tree_distribution(g, 1.0)):
             with pytest.raises(SizeGuardError):
                 build(g)
+
+
+class TestJoinTable:
+    @pytest.mark.parametrize("make", [lambda: k4([3.0, 1.0, 4.0, 1.5, 9.0, 2.6]),
+                                      parallel_edges], ids=["k4", "parallel-edges"])
+    def test_every_mask_cycles_included(self, make):
+        # the bulk tally reads masks of all edges ranked before e, which
+        # hold cycles; one union-find over A's edges then e (id -1) decides
+        g = make()
+        joins = join_table(g)
+        edges = list(zip(range(g.m), g.u_arr.tolist(), g.v_arr.tolist()))
+        for mask in range(1 << g.m):
+            subgraph = [t for t in edges if mask >> t[0] & 1]
+            for e, u, v in edges:
+                joined = -1 in join(g.n, subgraph + [(-1, u, v)], g.n)
+                assert joins[mask, e] == (joined << e)
 
 
 UNIFORM3 = {"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}

@@ -327,7 +327,7 @@ class TestBulkTally:
     @pytest.mark.parametrize("name", ["k4", "k4-asymmetric", "parallel-edges"])
     def test_minus_inf_rows(self, name, cut, monkeypatch):
         # every draw 0, or about 40% of them: rows of -inf ties, which the
-        # stable order breaks by edge id, as kruskal_mst does, and which
+        # rank masks break by edge id, as kruskal_mst does, and which
         # send pamst's rows to the race
         g = TALLY_GRAPHS[name]()
         budget = budget_for_eps_prime(g, 1.0)
@@ -340,6 +340,26 @@ class TestBulkTally:
             assert got == ref
             if cut == np.inf and mech == "perturb":
                 assert got == {graph.kruskal_mst(g, np.zeros(g.m)).edge_ids: 500}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kruskal_rule_is_kruskal_mst_row_by_row(self, seed):
+        # random connected multigraphs up to m = MAX_EDGES, the last bit of
+        # a join-table index, rows rounded to 0.1 for ties with 5% -inf
+        rng = np.random.default_rng(seed)
+        for m in range(1, MAX_EDGES + 1):
+            n = int(rng.integers(2, min(m + 1, 8) + 1))  # m >= n - 1
+            path = rng.permutation(np.arange(1, n + 1))
+            extra = rng.integers(1, n + 1, size=(m - n + 1, 2))
+            extra[:, 1] = (extra[:, 0] + rng.integers(1, n, size=m - n + 1) - 1) % n + 1
+            edges = rng.permutation(np.vstack([np.column_stack((path[:-1], path[1:])),
+                                               extra]))
+            g = build_graph(n, edges, np.ones(m))
+            noisy = np.round(rng.normal(size=(40, m)), 1)
+            noisy[rng.random(noisy.shape) < 0.05] = -np.inf
+            got = _kruskal_masks(g, noisy, 1.0, join_table(g))
+            for row, mask in zip(noisy, got.tolist()):
+                tree = kruskal_mst(g, row).edge_ids
+                assert mask == sum(1 << (e - 1) for e in tree)
 
     @pytest.mark.parametrize("values", [[1.0], [2.0 ** -53],
                                         [1.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53,
@@ -396,7 +416,7 @@ class TestBulkTally:
                                          master_seed=9, mechanisms=("perturb",))
         assert sum(results["perturb"].counts.values()) == 20000
         # 20 blocks, yet never more than one Kruskal per each of the 6! scan
-        # orders (the vectorized scan runs none)
+        # orders (the rank-mask rule runs none)
         assert len(calls) <= 720
 
     def test_one_exact_kruskal_per_scan_order_across_ids(self, monkeypatch):

@@ -37,6 +37,16 @@ class TestErdosRenyi:
         g = erdos_renyi_instance(30, 0.5, 2.0, 7.0, RngStream(3))
         assert np.all(g.weights >= 2.0) and np.all(g.weights <= 7.0)
 
+    @pytest.mark.parametrize("wmin, wmax", [
+        (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+        (math.inf, math.inf), (-math.inf, -math.inf), (-1e308, 1e308), (2.0, 1.0)])
+    def test_bad_weight_bounds_name_the_option(self, wmin, wmax):
+        # NaN fails every comparison, so only the span test refuses a NaN
+        # bound before build_graph sees a non-finite weight; 1e308 - (-1e308)
+        # overflows to inf
+        with pytest.raises(ValueError, match="wmin and wmax"):
+            erdos_renyi_instance(5, 1.0, wmin, wmax, RngStream(1))
+
     def test_connectivity_cap(self):
         with pytest.raises(GenerationError):
             erdos_renyi_instance(20, 0.001, 0, 1, RngStream(4), max_attempts=5)
