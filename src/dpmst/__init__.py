@@ -17,8 +17,7 @@ from .mechanisms import (MECHANISMS, MechanismResult, NoisyWeights,
                          input_perturbation_mst, pamst, perturb_weights,
                          run_mechanism, sealfon_mst)
 from .rng import RngStream
-from .sampling import (private_max_weight_basis, race_scores,
-                       sample_without_replacement)
+from .sampling import private_max_weight_basis
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -40,16 +40,35 @@ class EdgeIndexError(GraphError):
     pass
 
 
+def _edge_index(edge_ids) -> np.ndarray:
+    """The 0-based indices of an iterable of 1-based edge ids, in the order
+    given: the one reading of ids passed in by callers. ``EdgeIndexError``
+    unless every id equals an integer of at least 1 (``2.0`` and NumPy ints
+    are read; ``1.5``, ``0`` and NaN are refused, where a cast to int would
+    truncate ``1.5`` to edge 1)."""
+    ids = list(edge_ids)
+    try:
+        idx = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    except (TypeError, ValueError, OverflowError) as exc:  # None, NaN, inf, > int64
+        raise EdgeIndexError(f"edge ids must be integers: {exc}") from None
+    bad = np.flatnonzero((idx < 1) | (idx != np.asarray(ids)))
+    if len(bad):
+        raise EdgeIndexError(f"edge id {ids[bad[0]]!r} is not an integer of at least 1")
+    return idx - 1
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SpanningTree:
     """A spanning tree's edges (n - 1 of them), held once as ``index``: the
     0-based edge indices, strictly increasing, in a read-only int64 array.
 
     ``SpanningTree(edge_ids)`` takes any iterable of 1-based ids, repeats
-    collapsing as in a set; ``SpanningTree._from_index`` takes the array
-    itself, as the mechanisms build it, and refuses a repeated or unsorted
-    index. ``edge_ids``, the frozenset of 1-based ids, is built on first
-    read. Two trees are equal, and hash equal, iff they hold the same edges.
+    collapsing as in a set, and raises ``EdgeIndexError`` (a ``ValueError``)
+    on an id that is not an integer of at least 1; ``SpanningTree._from_index``
+    takes the array itself, as the mechanisms build it, and refuses a
+    repeated or unsorted index. ``edge_ids``, the frozenset of 1-based ids,
+    is built on first read. Two trees are equal, and hash equal, iff they
+    hold the same edges.
     """
 
     index: np.ndarray
@@ -57,12 +76,12 @@ class SpanningTree:
 
     def __init__(self, edge_ids=()):
         ids = frozenset(edge_ids)
-        index = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        index = _edge_index(ids)
         index.sort()
-        index -= 1
         index.flags.writeable = False
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_ids", ids)
+        if all(type(e) is int for e in ids):  # else edge_ids is read from index
+            object.__setattr__(self, "_ids", ids)
 
     @classmethod
     def _from_index(cls, index: np.ndarray) -> SpanningTree:
@@ -457,11 +476,14 @@ def _boruvka(comp: np.ndarray, scan: np.ndarray, u_arr: np.ndarray,
 def is_spanning_tree(g: WeightedGraph, edge_ids) -> bool:
     """True iff edge_ids (a ``SpanningTree``, or any iterable of 1-based
     ids) has size n-1 and is acyclic and connected; a repeated id closes a
-    cycle."""
+    cycle, and an id that is not an integer in 1..m makes it False."""
     if isinstance(edge_ids, SpanningTree):
         idx = edge_ids.index
     else:
-        idx = np.fromiter(edge_ids, dtype=np.int64) - 1
+        try:
+            idx = _edge_index(edge_ids)
+        except EdgeIndexError:
+            return False
     if len(idx) != g.n - 1 or ((idx < 0) | (idx >= g.m)).any():
         return False
     scan = zip(idx.tolist(), g.u_arr[idx].tolist(), g.v_arr[idx].tolist())
@@ -480,11 +502,12 @@ def tree_weight(g: WeightedGraph, tree) -> float:
 def _sorted_index(tree, m: int) -> np.ndarray:
     """The 0-based indices of a tree's edges (its ``index``, or those of any
     iterable of 1-based edge ids), in increasing order; ``EdgeIndexError``
-    if an id is not in 1..m. A tree's own array is returned, read-only."""
+    if an id is not an integer in 1..m. A tree's own array is returned,
+    read-only."""
     if isinstance(tree, SpanningTree):
         idx = tree.index
     else:
-        idx = np.fromiter(tree, dtype=np.int64) - 1
+        idx = _edge_index(tree)
         idx.sort()
     if len(idx) and (idx[0] < 0 or idx[-1] >= m):
         raise EdgeIndexError(f"edge id {idx[0] + 1 if idx[0] < 0 else idx[-1] + 1} "

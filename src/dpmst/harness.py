@@ -164,9 +164,16 @@ def density_sweep(n: int, densities, rho: float, trials: int, master_seed: int,
     For each density p, one connected G(n, p) instance with U(0, 100)
     weights is generated; every mechanism of ``SWEEP_MECHANISMS`` then runs
     ``trials`` times on it and the median/IQR of the private-to-true weight
-    ratio is tabulated.
+    ratio is tabulated. A density given twice is refused before any
+    instance is drawn: its cells would share a key of ``reports``.
     """
     budget = PrivacyBudget.from_rho(rho, delta, delta_inf)
+    densities = list(densities)
+    keys = [float(p) for p in densities]
+    repeated = sorted({p for p in keys if keys.count(p) > 1})
+    if repeated:
+        raise ValueError(f"each density may be given once; repeated: "
+                         f"{', '.join(map(str, repeated))}")
     rows: list[SweepRow] = []
     reports: dict[tuple[float, str], RunReport] = {}
     for j, p in enumerate(densities):

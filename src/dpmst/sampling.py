@@ -1,74 +1,22 @@
-"""Weighted sampling without replacement with adaptive candidate removal.
+"""The private maximum-weight basis of a matroid, by input perturbation.
 
-``sample_without_replacement`` is the one-shot exponential race: one log
-key ln(Exp(1)) - ln s(j) per item up front, then the repeated argmin over
-live candidates. It has the output distribution of resampling
-proportionally each round and deleting the pick and whatever the removal
-rule names (``exact.exact_selection_distribution``). With
-``exact.cycle_rule`` as the rule it is private Kruskal; the mechanisms
-release its tree distribution in one pass.
-
-Plus the private maximum-weight matroid basis built on the same noise.
+``private_max_weight_basis`` perturbs every element's weight once with
+-delta_inf * (2/eps') * ln(Exp(1)) and runs the greedy algorithm on the
+noisy weights. On a graph's graphic matroid, with the weights negated, it
+releases the tree of ``mechanisms.input_perturbation_mst`` seed by seed
+(acceptance criterion 9).
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .accounting import PrivacyBudget
 from .rng import RngStream
 
-# Maps the ordered prefix of selected items to extra item indices to remove.
-RemovalRule = Callable[[Sequence[int]], Iterable[int]]
-
 
 class MatroidOracleError(ValueError):
     """The independence oracle failed a basic matroid axiom spot-check."""
-
-
-def race_scores(weights, stream: RngStream) -> np.ndarray:
-    """One exponential race key ln(Exp(1)) - ln s(j) per item, drawn in index order.
-
-    The log of Exp(1) / s(j), so it orders items the same way; in logs a
-    subnormal weight keeps its odds, where Exp(1) / s(j) overflows to inf.
-    """
-    w = np.asarray(weights, dtype=float)
-    if not np.all((0 < w) & (w < np.inf)):  # also false for NaN
-        raise ValueError("all weights must be positive and finite")
-    return stream.ln_exponential(size=len(w)) - np.log(w)
-
-
-def sample_without_replacement(weights, k: int, stream: RngStream,
-                               remove_rule: RemovalRule | None = None) -> list[int]:
-    """Select up to k item indices, each round proportional to weight.
-
-    After each pick the chosen item plus everything the removal rule names is
-    deleted; returns the (possibly shorter) ordered selection once k items are
-    chosen or the candidates run out. Scores are drawn once; the repeated
-    argmin over live candidates is realized by walking the items in
-    increasing score order (ties toward the lowest index) and skipping the
-    removed ones.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scores = race_scores(weights, stream)
-    order = np.argsort(scores, kind="stable")
-    alive = [True] * len(scores)
-    selected: list[int] = []
-    for j in order:
-        j = int(j)
-        if not alive[j]:
-            continue
-        selected.append(j)
-        alive[j] = False
-        if len(selected) == k:
-            break
-        if remove_rule is not None:
-            for i in remove_rule(tuple(selected)):
-                alive[i] = False
-    return selected
 
 
 def private_max_weight_basis(weights, is_independent, eps: float, delta: float,

@@ -587,6 +587,15 @@ class TestIsSpanningTree:
     def test_ids_just_outside_the_range_rejected(self, ids):
         assert not is_spanning_tree(triangle(), ids)
 
+    @pytest.mark.parametrize("ids", [[1.5, 2], [1, 2.5], [float("nan"), 1], [None, 1]])
+    def test_non_integral_ids_rejected(self, ids):
+        # 1.5 used to be read as edge 1, so [1.5, 2] passed as a tree
+        assert not is_spanning_tree(triangle(), ids)
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        assert is_spanning_tree(triangle(), [2.0, np.int64(1)])
+        assert is_spanning_tree(triangle(), np.array([1, 3], dtype=np.uint8))
+
 
 class TestTreeWeight:
     def test_triangle(self):
@@ -608,6 +617,15 @@ class TestTreeWeight:
     def test_out_of_range_ids(self, ids):
         with pytest.raises(EdgeIndexError):
             tree_weight(triangle(), ids)
+
+    @pytest.mark.parametrize("ids", [[1.5, 2], [0.5], [float("inf")]])
+    def test_non_integral_ids(self, ids):
+        # [1.5, 2] used to weigh 3.0, as edges 1 and 2
+        with pytest.raises(EdgeIndexError):
+            tree_weight(triangle(), ids)
+
+    def test_integral_floats_and_numpy_ints(self):
+        assert tree_weight(triangle(), [2.0, np.int32(3)]) == 5.0
 
     def test_insertion_order_does_not_change_the_bits(self):
         # the same tree inserted in two orders iterates in two orders, and
@@ -668,6 +686,19 @@ class TestSpanningTree:
             assert len({other, t}) == 1
         assert SpanningTree([1, 2]) == SpanningTree._from_index(np.array([0, 1]))
         assert hash(SpanningTree([1, 2])) == hash(SpanningTree._from_index(np.array([0, 1])))
+
+    @pytest.mark.parametrize("ids", [[1.5, 2], [0, 1], [float("nan")], ["1"]])
+    def test_refuses_ids_that_are_not_integers_of_at_least_one(self, ids):
+        # SpanningTree([1.5, 2]) used to equal SpanningTree([1, 2]) and hash
+        # differently from it
+        with pytest.raises(ValueError):
+            SpanningTree(ids)
+
+    def test_integral_floats_and_numpy_ints_are_read_as_ints(self):
+        for ids in ([1.0, 2.0], [np.int64(1), np.uint8(2)], np.array([2, 1])):
+            t = SpanningTree(ids)
+            assert t == SpanningTree([1, 2]) and hash(t) == hash(SpanningTree([1, 2]))
+            assert t.edge_ids == {1, 2} and all(type(e) is int for e in t.edge_ids)
 
     def test_different_edge_sets_are_not_equal(self):
         assert SpanningTree([1, 2]) != SpanningTree([1, 3])

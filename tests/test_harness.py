@@ -199,6 +199,24 @@ class TestDensitySweep:
         assert lines[0].startswith("sweep_param,")
         assert len(lines) == 1 + 2 * 3 * 4  # per-trial rows
 
+    def test_repeated_density_refused_before_any_instance(self, tmp_path, capsys,
+                                                          monkeypatch):
+        from dpmst import cli
+
+        # a repeated density used to print a row per cell while its reports,
+        # keyed by (p, mechanism), kept only the last cell's trials
+        def no_instance(*args, **kwargs):
+            raise AssertionError("drew an instance for a refused density list")
+
+        monkeypatch.setattr(harness, "erdos_renyi_instance", no_instance)
+        with pytest.raises(ValueError, match="repeated: 0.5"):
+            density_sweep(16, [0.5, 1.0, 0.5], 1.0, 2, 1)
+        out = tmp_path / "sweep.csv"
+        code = cli.main(["sweep-density", "--n", "16", "--densities", "0.5,0.5", "--rho", "1",
+                         "--trials", "2", "--seed", "1", "--out", str(out)])
+        assert (code, capsys.readouterr().out) == (1, "")
+        assert not out.exists()
+
     def test_rows_recomputable_from_reports(self):
         result = density_sweep(12, [1.0], 1.0, 6, 4)
         for row in result.rows:

@@ -23,11 +23,27 @@ from dpmst.mechanisms import (LAZY_GUMBEL, LAZY_MIN_DENSITY, LAZY_MIN_EDGES, MEC
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
-from .test_sampling import FixedUniform
 
 EULER_GAMMA = 0.5772156649015329
 HUGE = PrivacyBudget.from_rho(1e18, 1e-6, 1.0)
 private_kruskal = partial(run_mechanism, "kruskal")
+
+
+class FixedUniform:
+    """Stream stand-in whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+    def ln_exponential(self, size=None):
+        """``RngStream.ln_exponential`` of uniform draws all ``u``: ln(-ln u),
+        so u = 1 gives -inf and u = 2**-53 the largest value."""
+        with np.errstate(divide="ignore"):
+            z = np.log(-np.log(self.uniform(size)))
+        return float(z) if size is None else z
 
 
 def budget_for_eps_prime(g, eps_prime, delta_inf=1.0):
