@@ -20,7 +20,7 @@ from .exact import (ChiSquareResult, by_edge_set, chi_square_gof,
                     exact_tree_distribution, join_table, prim_tree_distribution)
 from .graph import WeightedGraph, _sorted_index, build_graph
 from .instances import erdos_renyi_instance
-from .mechanisms import (MECHANISMS, UnknownMechanismError, _dijkstra_tree,
+from .mechanisms import (MECHANISMS, UnknownMechanismError, _dijkstra_trees,
                          perturb_weights, run_mechanism)
 from .rng import RngStream
 
@@ -164,12 +164,17 @@ def density_sweep(n: int, densities, rho: float, trials: int, master_seed: int,
     For each density p, one connected G(n, p) instance with U(0, 100)
     weights is generated; every mechanism of ``SWEEP_MECHANISMS`` then runs
     ``trials`` times on it and the median/IQR of the private-to-true weight
-    ratio is tabulated. A density given twice is refused before any
-    instance is drawn: its cells would share a key of ``reports``.
+    ratio is tabulated. A density outside [0, 1] (NaN included), or one
+    given twice, is refused before any instance is drawn: the first would
+    fail only when its turn came, after every cell before it had run, and
+    the cells of the second would share a key of ``reports``.
     """
     budget = PrivacyBudget.from_rho(rho, delta, delta_inf)
     densities = list(densities)
     keys = [float(p) for p in densities]
+    bad = [p for p in keys if not 0.0 <= p <= 1.0]  # also true for NaN
+    if bad:
+        raise ValueError(f"each density must lie in [0, 1]; got {', '.join(map(str, bad))}")
     repeated = sorted({p for p in keys if keys.count(p) > 1})
     if repeated:
         raise ValueError(f"each density may be given once; repeated: "
@@ -267,10 +272,11 @@ def _kruskal_masks(g: WeightedGraph, noisy: np.ndarray, coef: float,
 def _prim_masks(g: WeightedGraph, noisy: np.ndarray, coef: float,
                 joins: np.ndarray) -> np.ndarray:
     """``pamst``'s tree of each row of ``noisy``, as an edge mask: the
-    shortest-path tree from vertex 1 under lengths exp(coef * w~_e), by the
-    ``_dijkstra_tree`` that ``pamst`` calls with one row."""
+    shortest-path tree from vertex 1 under lengths exp(coef * w~_e), by
+    ``_dijkstra_trees``, the block form of the certified Dijkstra that
+    ``pamst`` runs on one row."""
     noisy *= coef
-    return _dijkstra_tree(g, noisy)[0] @ (1 << np.arange(g.m))
+    return _dijkstra_trees(g, noisy)[0] @ (1 << np.arange(g.m))
 
 
 # each id the suite judges: the tree rule it applies to perturb_weights rows

@@ -217,6 +217,28 @@ class TestDensitySweep:
         assert (code, capsys.readouterr().out) == (1, "")
         assert not out.exists()
 
+    @pytest.mark.parametrize("densities, bad", [([1.0, 1.5], "1.5"), ([0.5, -0.1], "-0.1"),
+                                                ([1.0, float("nan")], "nan")],
+                             ids=["above-one", "below-zero", "nan"])
+    def test_bad_density_refused_before_any_instance(self, densities, bad, tmp_path, capsys,
+                                                     monkeypatch):
+        from dpmst import cli
+
+        # a bad density used to be refused only when its turn came, after
+        # every cell before it had run
+        drawn = []
+        monkeypatch.setattr(harness, "erdos_renyi_instance",
+                            lambda *args, **kwargs: drawn.append(args))
+        with pytest.raises(ValueError, match=f"must lie in \\[0, 1\\]; got {bad}$"):
+            density_sweep(16, densities, 1.0, 2, 1)
+        out = tmp_path / "sweep.csv"
+        code = cli.main(["sweep-density", "--n", "16", "--densities",
+                         ",".join(map(str, densities)), "--rho", "1", "--trials", "2",
+                         "--seed", "1", "--out", str(out)])
+        assert (code, capsys.readouterr().out) == (1, "")
+        assert not out.exists()
+        assert len(drawn) == 0
+
     def test_rows_recomputable_from_reports(self):
         result = density_sweep(12, [1.0], 1.0, 6, 4)
         for row in result.rows:

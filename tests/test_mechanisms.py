@@ -16,7 +16,7 @@ from dpmst.instances import erdos_renyi_instance
 from dpmst import mechanisms
 from dpmst.mechanisms import (LAZY_GUMBEL, LAZY_MIN_DENSITY, LAZY_MIN_EDGES, MECHANISMS,
                               MechanismResult, NoisyWeights, UnknownMechanismError,
-                              input_perturbation_mst, _dijkstra_tree, _extend,
+                              input_perturbation_mst, _dijkstra_tree, _dijkstra_trees, _extend,
                               _first_window, _kruskal_tree, _noise_scale, _perturbed_tree,
                               _prim_race, _prim_tree, _reveal, _window, pamst,
                               perturb_weights, run_mechanism, sealfon_mst)
@@ -471,7 +471,8 @@ class TestPamst:
         g = build_graph(4, [(1, 2), (2, 3), (2, 4), (3, 4)], [100.0, 0.0, 0.3, 0.1])
         budget = budget_for_eps_prime(g, 1.0)
         noisy = perturb_weights(g, 1.0, 1.0, RngStream(45))
-        tree, certified = _dijkstra_tree(g, 0.5 * noisy[None])
+        assert _dijkstra_tree(g, 0.5 * noisy) is None
+        tree, certified = _dijkstra_trees(g, 0.5 * noisy[None])
         assert not certified[0]
         assert sorted(np.flatnonzero(tree[0])) == sorted(_prim_race(g, 0.5 * noisy))
         counts = tree_counts(pamst, g, budget, 20000, RngStream(46))
@@ -481,9 +482,11 @@ class TestPamst:
         # lengths 1, 1 and 2 + 2^-51 on (1,2), (2,3), (1,3): the path through
         # vertex 2 wins by about an ulp, inside the rounding bound
         g = build_graph(3, [(1, 2), (2, 3), (1, 3)], [0.0, 0.0, 0.0])
-        tree, certified = _dijkstra_tree(g, np.log([[1.0, 1.0, 2.0 + 2.0 ** -51],
-                                                    [1.0, 1.0, 3.0]]))
+        clock = np.log([[1.0, 1.0, 2.0 + 2.0 ** -51], [1.0, 1.0, 3.0]])
+        tree, certified = _dijkstra_trees(g, clock)
         assert certified.tolist() == [False, True]
+        assert _dijkstra_tree(g, clock[0]) is None
+        assert _dijkstra_tree(g, clock[1]).tolist() == [True, True, False]
         # the refused row takes the race's tree, which the exact lengths give
         assert tree.tolist() == [[True, True, False], [True, True, False]]
 
@@ -500,7 +503,7 @@ class TestPamst:
                           for seed in range(20)])
         clock *= eps_prime / 0.2
         # the 20 seeds as one block: each row is its own copy of the graph
-        tree, certified = _dijkstra_tree(g, clock)
+        tree, certified = _dijkstra_trees(g, clock)
         assert certified.any()
         for row, c in zip(tree, clock):
             assert sorted(np.flatnonzero(row)) == sorted(_prim_race(g, c))
@@ -601,6 +604,98 @@ class CountingStream(RngStream):
     def ln_exponential(self, size=None):
         self.ln_exponential_calls += 1
         return super().ln_exponential(size)
+
+
+class TestOneRowDijkstra:
+    """``_dijkstra_tree``, the one-row certified Dijkstra that ``pamst``
+    runs, against ``_dijkstra_trees``, the block form the bulk tally runs:
+    the same certified flag and, where certified, the same tree, row by
+    row, over all m edges and over subsets."""
+
+    @staticmethod
+    def rows(g, seed):
+        """Clock rows of g: perturbed at three budgets (rows 0-2), row 1
+        rounded to whole numbers so that clocks tie (3), row 1 with its
+        largest clock moved to span PAMST_MAX_LOG_SPAN (4) and just under it
+        (5), and row 1 with a -inf clock (6)."""
+        stream = RngStream(52, (seed,))
+        rows = [perturb_weights(g, eps, 1.0, stream) * (eps / 2.0) for eps in (0.05, 1.0, 20.0)]
+        rows.append(np.round(rows[1]))
+        for span in (mechanisms.PAMST_MAX_LOG_SPAN, mechanisms.PAMST_MAX_LOG_SPAN - 1.0):
+            row = rows[1].copy()
+            row[row.argmax()] = row.min() + span
+            rows.append(row)
+        row = rows[1].copy()
+        row[seed % g.m] = -math.inf
+        rows.append(row)
+        return np.stack(rows)
+
+    @staticmethod
+    def same(g, block, edges=None, log_window=-math.inf):
+        """Assert that the two forms agree on each row; return the flags."""
+        tree, certified = _dijkstra_trees(g, block, edges, log_window)
+        for row, row_tree, flag in zip(block, tree, certified):
+            one = _dijkstra_tree(g, row, edges, log_window)
+            assert (one is not None) == flag
+            if flag:
+                assert one.dtype == bool and np.array_equal(one, row_tree)
+                assert np.count_nonzero(one) == g.n - 1
+        return certified
+
+    @pytest.mark.parametrize("graph", [
+        triangle, lambda: k4([1.0] * 6), k5, partial(complete, 8), partial(complete, 9),
+        partial(complete, 16), partial(complete, 64), parallel_edges, multigraph,
+        lambda: erdos_renyi_instance(30, 0.4, 0, 100, RngStream(44)),
+    ], ids=["k3", "k4-equal", "k5", "k8", "k9", "k16", "k64", "parallel-edges",
+            "multigraph", "er-30"])
+    def test_one_row_and_block_agree(self, graph):
+        g = graph()
+        flags = Counter()
+        for seed in range(3):
+            block = self.rows(g, seed)
+            flags["full", *self.same(g, block)[[1, 4, 6]]] += 1
+            # the lightest three quarters of row 1, in no order; at the
+            # cut the window bound often holds, just above the lightest
+            # clock it fails, and 800 above it the span refuses every row
+            cut = np.quantile(block[1], 0.75)
+            edges = np.random.default_rng(seed).permutation(np.flatnonzero(block[1] <= cut))
+            if len(edges) < g.n - 1:
+                continue
+            lo = block[1].min()
+            for name, log_window in (("cut", cut), ("low", lo + 1e-3),
+                                     ("span", lo + 800.0)):
+                flags[name, bool(self.same(g, block[:, edges], edges, log_window)[1])] += 1
+        # a -inf clock and a span at the limit are refused on every graph
+        assert flags["full", True, False, False] + flags["full", False, False, False] == 3
+        assert flags["span", True] == 0 and flags["low", True] == 0
+
+    def test_tied_clocks(self):
+        # on k4, (1,2), (1,3), (1,4), (2,3), (2,4), (3,4), six equal clocks
+        # give the star from vertex 1 as the one shortest-path tree, but
+        # lengths 1, 2 on (1,2), (1,3) and 1 elsewhere tie path 1-2-3 with
+        # edge (1,3) exactly, so no tree is certified and the block takes
+        # the race's
+        g = k4([1.0] * 6)
+        tied = np.log([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+        block = np.stack([np.zeros(6), tied])
+        tree, certified = _dijkstra_trees(g, block)
+        assert certified.tolist() == [True, False]
+        assert _dijkstra_tree(g, block[0]).tolist() == tree[0].tolist() == [True] * 3 + [False] * 3
+        assert _dijkstra_tree(g, tied) is None
+        assert sorted(np.flatnonzero(tree[1])) == sorted(_prim_race(g, tied))
+
+    def test_window_bound_refuses_some_subsets(self):
+        # over K64's lightest three quarters the slack certificate holds on
+        # every row here, and only the window bound refuses the low window
+        g = complete(64)
+        for seed in range(3):
+            row = self.rows(g, seed)[1]
+            cut = np.quantile(row, 0.75)
+            edges = np.flatnonzero(row <= cut)
+            assert _dijkstra_tree(g, row[edges], edges, cut) is not None
+            assert _dijkstra_tree(g, row[edges], edges, row.min() + 1e-3) is None
+            tree, certified = _dijkstra_trees(g, row[edges][None], edges, row.min() + 1e-3)
+            assert not certified[0] and np.count_nonzero(tree[0]) == g.n - 1
 
 
 class TestLazyReveal:
@@ -740,7 +835,7 @@ class TestLazyReveal:
         revealed, u = np.zeros(g.m), []
         for _ in range(calls):
             rev, noisy_rev = _reveal(g, scale, stream, window)
-            assert np.all(np.diff(rev) > 0)
+            assert len(np.unique(rev)) == len(rev)
             revealed[rev] += 1
             ln_e = (noisy_rev - g.weights[rev]) / scale
             u.append(-np.expm1(-np.exp(ln_e)) / p[rev])
@@ -905,6 +1000,47 @@ class TestNoiseRecord:
         assert full.at(np.array([0, 2])).tolist() == [1.0, 3.0]
         assert full.total(np.array([0, 2]), np.array([True, False, True])) == 4.0
 
+    def test_revealed_record_reads_like_the_eager_one(self):
+        # ids in the order drawn, with tied and -inf values: read, the record
+        # is the former eager reveal's, sorted by a stable argsort of the
+        # ids and clamped just above the floor and every value
+        rng = np.random.default_rng(5)
+        ids = rng.permutation(40)[:25]
+        values = np.round(rng.normal(size=25), 1)
+        values[[3, 11]] = -math.inf
+        assert len(np.unique(values)) < 20
+        for floor in (-1.0, 10.0):  # below and above the largest value
+            noise = NoisyWeights._revealed(40, ids, values, floor)
+            assert noise.drawn[0] is ids and noise.drawn[1] is values
+            order = np.argsort(ids, kind="stable")
+            assert noise.ids.tobytes() == ids[order].tobytes()
+            assert noise.values.tobytes() == values[order].tobytes()
+            assert noise.clamp == np.nextafter(max(floor, values.max()), math.inf)
+            # the sorted arrays replace the drawn ones, so the record holds one copy
+            assert noise.drawn[0] is noise.ids and noise.drawn[1] is noise.values
+
+    def test_pamst_record_is_read_only_on_demand(self):
+        # pamst's first window leaves its record unsorted and unclamped;
+        # read, it is the former eager reveal's, byte for byte
+        g = complete(256)
+        eps_prime = self.BUDGET.per_round(g.n - 1)
+        scale = _noise_scale(eps_prime, self.BUDGET.delta_inf)
+        window = _first_window(g, scale, mechanisms.PAMST_WINDOW * g.n * math.log(g.n))
+        compact = 0
+        for seed in range(4):
+            _, noise, _ = _perturbed_tree(g, eps_prime, self.BUDGET.delta_inf,
+                                          RngStream(53, (seed,)), window, _prim_tree)
+            if noise.drawn[0] is None:
+                continue
+            assert noise._by_id is None
+            rev, noisy_rev = _reference_reveal(g, scale, RngStream(53, (seed,)), window.log_t)
+            assert noise.ids.tobytes() == rev.tobytes()
+            assert noise.values.tobytes() == noisy_rev.tobytes()
+            floor = scale * window.log_t
+            assert noise.clamp == np.nextafter(max(floor, noisy_rev.max()), math.inf)
+            compact += 1
+        assert compact > 0
+
     @pytest.mark.parametrize("path", ["k4", "full", "first-window", "extended"])
     def test_ops_equal_the_former_eager_ranking(self, path, monkeypatch):
         if path == "k4":
@@ -978,7 +1114,7 @@ class TestLazyPamst:
         same = []
         for seed in range(3):
             clock = perturb_weights(g, eps_prime, 1.0, RngStream(seed, (5,))) * (eps_prime / 2.0)
-            full = frozenset((np.flatnonzero(_dijkstra_tree(g, clock[None])[0][0]) + 1).tolist())
+            full = frozenset((np.flatnonzero(_dijkstra_trees(g, clock[None])[0][0]) + 1).tolist())
             same.append(pamst(g, budget, RngStream(seed, (5,))).tree.edge_ids == full)
         assert not any(same) if lazy else all(same)
 
@@ -1020,9 +1156,9 @@ class TestLazyPamst:
             if len(rev) < g.n - 1:
                 _extend(g, scale, stream, log_window, rev, noisy_rev)
                 continue
-            tree, certified = _dijkstra_tree(g, (noisy_rev / scale)[None], rev, log_window)
+            tree, certified = _dijkstra_trees(g, (noisy_rev / scale)[None], rev, log_window)
             noisy = _extend(g, scale, stream, log_window, rev, noisy_rev)
-            full = sorted(_prim_tree(g, noisy, scale, None, -math.inf)[0].edge_ids)
+            full = sorted(_prim_tree(g, NoisyWeights(g.m, noisy), scale, -math.inf)[0].edge_ids)
             got = sorted((rev[tree[0]] + 1).tolist())
             if certified[0]:
                 assert got == full
@@ -1182,25 +1318,37 @@ class TestProducerParity:
                 monkeypatch.setattr(graph_module, "SCAN_MAX_EDGES", most)
                 monkeypatch.setattr(graph_module, "SCAN_MAX_STEPS", most)
                 assert spans_as_its_own_ids(g, kruskal_mst(g, noisy)) == ref
-                assert spans_as_its_own_ids(g, _kruskal_tree(g, noisy, scale, None,
+                assert spans_as_its_own_ids(g, _kruskal_tree(g, NoisyWeights(g.m, noisy), scale,
                                                              -math.inf)[0]) == ref
             monkeypatch.undo()
             monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", 0)
-            dijkstra = spans_as_its_own_ids(g, _prim_tree(g, noisy, scale, None, -math.inf)[0])
+            full_record = NoisyWeights(g.m, noisy)
+            dijkstra = spans_as_its_own_ids(g, _prim_tree(g, full_record, scale, -math.inf)[0])
             monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", g.n)
-            assert spans_as_its_own_ids(g, _prim_tree(g, noisy, scale, None,
+            assert spans_as_its_own_ids(g, _prim_tree(g, full_record, scale,
                                                       -math.inf)[0]) == dijkstra
             race = _prim_race(g, noisy / scale)
             assert race.dtype == np.int64 and SpanningTree(race + 1) == dijkstra
-            # the lightest three quarters, every other edge above them
+            # the lightest three quarters, every other edge above them, in
+            # no order, as the lazy reveal draws them
             cut = np.quantile(noisy, 0.75)
-            edges = np.flatnonzero(noisy <= cut)
+            edges = np.random.default_rng(seed).permutation(np.flatnonzero(noisy <= cut))
             for rule, full in ((_kruskal_tree, ref), (_prim_tree, dijkstra)):
-                tree = rule(g, noisy[edges], scale, edges, cut / scale)[0]
+                subset = NoisyWeights._revealed(g.m, edges, noisy[edges], cut)
+                tree = rule(g, subset, scale, cut / scale)[0]
                 if tree is not None:
                     assert spans_as_its_own_ids(g, tree) == full
                     subset_trees[rule] += 1
         assert subset_trees[_kruskal_tree] > 0 and subset_trees[_prim_tree] > 0
+
+    def test_compact_ties_break_by_id(self):
+        # six tied values recorded with their ids in reverse: Kruskal's rule
+        # reads the record by id, so it takes kruskal_mst's tree of the
+        # vector the record stands for, the lowest ids that close no cycle
+        g = k4([1.0] * 6)
+        noise = NoisyWeights._revealed(g.m, np.arange(6)[::-1].copy(), np.zeros(6), 0.0)
+        tree = _kruskal_tree(g, noise, 1.0, 0.0)[0]
+        assert tree == kruskal_mst(g, np.zeros(6)) == SpanningTree([1, 2, 3])
 
     def test_lazy_producers_on_k256(self):
         # at the er256-select budget, through the first window of each rule
