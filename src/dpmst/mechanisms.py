@@ -37,6 +37,7 @@ class UnknownMechanismError(ValueError):
     pass
 
 
+@dataclass(frozen=True, eq=False)
 class NoisyWeights:
     """Per-edge noisy weights as a mechanism drew them.
 
@@ -46,55 +47,12 @@ class NoisyWeights:
     its tree from the first window keeps this compact record of the edges
     it revealed. The full draw is the record of all m ids: ``ids`` is None,
     ``values`` the m-vector, and there is no clamp.
-
-    ``drawn`` is the pair (ids, values) as the record holds it: in the
-    order given until sorted. ``_revealed`` gives them in the order
-    ``_reveal`` drew them and leaves the id sort and the clamp to the first
-    read of ``ids``, ``values`` or ``clamp``, so a caller that reads none
-    of the three (a ``pamst`` release, whose ``noise`` is None) pays for
-    neither.
     """
 
-    def __init__(self, m: int, values: np.ndarray, ids: np.ndarray | None = None,
-                 clamp: float | None = None):
-        self.m, self.drawn = m, (ids, values)
-        self._by_id, self._floor = (ids, values, clamp), None
-
-    @classmethod
-    def _revealed(cls, m: int, ids: np.ndarray, values: np.ndarray,
-                  floor: float) -> NoisyWeights:
-        """The compact record of the noisy weights ``values`` of the
-        distinct 0-based ``ids``, in any order, every other edge's weight
-        being above ``floor``: its clamp is the next float above ``floor``
-        and every value."""
-        noise = cls(m, values, ids)
-        noise._by_id, noise._floor = None, floor
-        return noise
-
-    def _read(self) -> tuple:
-        if self._by_id is None:
-            # by id, so that noisy ties break as in kruskal_mst: each (id,
-            # position) pair packed in one int64 and sorted, which on
-            # ER(2048, 0.1) took a third of the time of an argsort of the ids
-            ids, values = self.drawn
-            shift = len(ids).bit_length()
-            key = np.sort(ids << shift | np.arange(len(ids)))
-            clamp = float(np.nextafter(max(self._floor, values.max()), math.inf))
-            self._by_id = key >> shift, values[key & ((1 << shift) - 1)], clamp
-            self.drawn = self._by_id[:2]
-        return self._by_id
-
-    @property
-    def ids(self) -> np.ndarray | None:
-        return self._read()[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._read()[1]
-
-    @property
-    def clamp(self) -> float | None:
-        return self._read()[2]
+    m: int
+    values: np.ndarray
+    ids: np.ndarray | None = None
+    clamp: float | None = None
 
     def at(self, edges: np.ndarray) -> np.ndarray:
         """The noisy weights of the 0-based ``edges``, in increasing order:
@@ -252,18 +210,16 @@ def input_perturbation_mst(g: WeightedGraph, budget: PrivacyBudget,
                            wall_time_ns=time.perf_counter_ns() - t0)
 
 
-def _kruskal_tree(g: WeightedGraph, noise: NoisyWeights, scale: float,
+def _kruskal_tree(g: WeightedGraph, noisy: np.ndarray, scale: float, edges: np.ndarray | None,
                   log_window: float) -> tuple[SpanningTree | None, int]:
-    """Kruskal's tree of the noise record ``noise``, and the CSR entries
-    read: none. A compact record is read through its ids in increasing
-    order, as ``kruskal_mst`` breaks ties by id. Every other edge's weight
-    is above all of its values, so the scan reaches one only if the
-    recorded edges do not span, and the tree is then None. ``scale`` and
-    ``log_window`` are not read."""
-    edges = noise.ids
+    """Kruskal's tree of the noisy weights ``noisy`` of the 0-based
+    ``edges`` (increasing), or of all m when ``edges`` is None, and the CSR
+    entries read: none. Every other edge's weight is above all of
+    ``noisy``, so the scan reaches one only if ``edges`` do not span, and
+    the tree is then None. ``scale`` and ``log_window`` are not read."""
     if edges is None:
-        return kruskal_mst(g, noise.values), 0
-    picked = _kruskal_picks(g.n, g.u_arr[edges], g.v_arr[edges], noise.values, g.n - 1)
+        return kruskal_mst(g, noisy), 0
+    picked = _kruskal_picks(g.n, g.u_arr[edges], g.v_arr[edges], noisy, g.n - 1)
     if len(picked) < g.n - 1:
         return None, 0
     return SpanningTree._from_index(np.sort(edges[picked])), 0
@@ -362,9 +318,8 @@ def _first_window(g: WeightedGraph, scale: float, target: float) -> _Window | No
 def _reveal(g: WeightedGraph, scale: float, stream: RngStream,
             window: _Window) -> tuple[np.ndarray, np.ndarray]:
     """The clocks that ring by T = exp(window.log_t), with their noisy
-    weights: ``(rev, noisy_rev)``, the 0-based ids in the order they were
-    drawn (by weight bucket, in no order within one), and w_e + b ln(E_e),
-    b = ``scale``, for each.
+    weights: ``(rev, noisy_rev)``, the 0-based ids in increasing order and
+    w_e + b ln(E_e), b = ``scale``, for each.
 
     Edge e is an exponential clock X_e = E_e / s_e of rate s_e = exp(-w_e/b),
     and b ln(X_e) is ``perturb_weights``' noisy weight. Clock e rings by T,
@@ -390,7 +345,13 @@ def _reveal(g: WeightedGraph, scale: float, stream: RngStream,
         ln_e = np.log(stream.truncated_exponential(window.q[heads // window.bucket]))
         w = g.weights[cand]
         kept = np.flatnonzero(ln_e <= window.log_t - w / scale)
-    return cand[kept], w[kept] + scale * ln_e[kept]
+    # in id order, so that noisy ties break as in kruskal_mst: each kept
+    # (id, position) pair packed in one int64 and sorted, which on
+    # ER(2048, 0.1) took a third of the time of an argsort of the ids
+    shift = len(cand).bit_length()
+    key = np.sort(cand[kept] << shift | kept)
+    rev, kept = key >> shift, key & ((1 << shift) - 1)
+    return rev, w[kept] + scale * ln_e[kept]
 
 
 def _extend(g: WeightedGraph, scale: float, stream: RngStream, log_window: float,
@@ -418,10 +379,10 @@ def _perturbed_tree(g: WeightedGraph, eps_prime: float, delta_inf: float, stream
     the record of the noise drawn; and the CSR entries ``rule`` read.
 
     A rule, ``_kruskal_tree`` or ``_prim_tree``, is called as ``rule(g,
-    noise, b, log_window)`` on a ``NoisyWeights`` record: on the full
-    record it returns its tree; on a compact one, every other edge's w~
-    known only to exceed b * log_window, it returns the tree only if it is
-    the full vector's whatever those are, else None.
+    noisy, b, edges, log_window)``: on all m noisy weights with ``edges``
+    None it returns its tree; on those of the 0-based ``edges`` alone,
+    every other edge's w~ known only to exceed b * log_window, it returns
+    the tree only if it is the full vector's whatever those are, else None.
 
     With ``window`` None (below the size rule of ``_first_window``) w~ is
     ``perturb_weights``' vector, draw for draw. Otherwise w~_e / b is the
@@ -429,30 +390,28 @@ def _perturbed_tree(g: WeightedGraph, eps_prime: float, delta_inf: float, stream
     draws the clocks that ring by T = exp(window.log_t), one uniform per
     candidate edge, whose envelope clock is the edge's own clock when the
     edge is kept: every other w~_e is above b ln T, so above every revealed
-    one. The rule reads them as a compact record
-    (``NoisyWeights._revealed``) in the order they were drawn, so the id
-    sort and the clamp, just above b ln T and every revealed weight, are
-    paid only by a rule or a caller that reads them. If ``rule`` gives the
-    revealed edges' tree, the tree is ``rule``'s on the m-vector that
-    record stands for. Otherwise ``_extend`` draws the other clocks
-    conditioned on ringing after T. The tree has the law of ``rule`` on
+    one. If ``rule`` gives the revealed edges' tree, the record holds them
+    and one clamp, just above b ln T and every revealed weight, for the
+    others, and the tree is ``rule``'s on the m-vector the record stands
+    for. Otherwise ``_extend`` draws the other clocks conditioned on
+    ringing after T. The tree has the law of ``rule`` on
     ``perturb_weights``' vector either way, but the trees per seed differ
     from the full draw's.
     """
     scale = _noise_scale(eps_prime, delta_inf)
     scans = 0
     if window is None:
-        noise = NoisyWeights(g.m, perturb_weights(g, eps_prime, delta_inf, stream))
+        noisy = perturb_weights(g, eps_prime, delta_inf, stream)
     else:
         rev, noisy_rev = _reveal(g, scale, stream, window)
         if len(rev) >= g.n - 1:
-            noise = NoisyWeights._revealed(g.m, rev, noisy_rev, scale * window.log_t)
-            tree, scans = rule(g, noise, scale, window.log_t)
+            tree, scans = rule(g, noisy_rev, scale, rev, window.log_t)
             if tree is not None:
-                return tree, noise, scans
-        noise = NoisyWeights(g.m, _extend(g, scale, stream, window.log_t, rev, noisy_rev))
-    tree, full = rule(g, noise, scale, -math.inf)
-    return tree, noise, scans + full
+                clamp = float(np.nextafter(max(scale * window.log_t, noisy_rev.max()), math.inf))
+                return tree, NoisyWeights(g.m, noisy_rev, rev, clamp), scans
+        noisy = _extend(g, scale, stream, window.log_t, rev, noisy_rev)
+    tree, full = rule(g, noisy, scale, None, -math.inf)
+    return tree, NoisyWeights(g.m, noisy), scans + full
 
 
 def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
@@ -529,26 +488,22 @@ def pamst(g: WeightedGraph, budget: PrivacyBudget,
     tree, noise, scans = _perturbed_tree(g, eps_prime, budget.delta_inf, stream, window,
                                          _prim_tree)
     return MechanismResult(tree=tree, wall_time_ns=time.perf_counter_ns() - t0,
-                           ops={"edge_scans": scans, "draws": len(noise.drawn[1])})
+                           ops={"edge_scans": scans, "draws": len(noise.values)})
 
 
-def _prim_tree(g: WeightedGraph, noise: NoisyWeights, scale: float,
+def _prim_tree(g: WeightedGraph, noisy: np.ndarray, scale: float, edges: np.ndarray | None,
                log_window: float) -> tuple[SpanningTree | None, int]:
-    """The race's tree under clocks X_e = exp(w~_e / b), w~ the noise
-    record ``noise`` and b = ``scale``, and the CSR entries read. It reads
-    the record as drawn (``NoisyWeights.drawn``), so a compact record is
-    neither sorted nor clamped. On the full record it is
-    ``_dijkstra_tree``'s if certified, else ``_prim_race``'s, and
-    ``_prim_race``'s alone on at most ``PAMST_RACE_MAX_N`` vertices. On a
-    compact record it is ``_dijkstra_tree``'s over the recorded edges if
-    the window T = exp(log_window) certifies that it is the tree of all m,
-    else None."""
-    edges, noisy = noise.drawn
+    """The race's tree under clocks X_e = exp(w~_e / b), w~ = ``noisy`` and
+    b = ``scale``, and the CSR entries read. On all m edges (``edges``
+    None) it is ``_dijkstra_tree``'s if certified, else ``_prim_race``'s,
+    and ``_prim_race``'s alone on at most ``PAMST_RACE_MAX_N`` vertices. On
+    the 0-based ``edges`` alone (increasing) it is ``_dijkstra_tree``'s
+    over them if the window T = exp(log_window) certifies that it is the
+    tree of all m, else None."""
     log_clock = noisy / scale
     if edges is not None:
         tree = _dijkstra_tree(g, log_clock, edges, log_window)
-        chosen = None if tree is None else SpanningTree._from_index(np.sort(edges[tree]))
-        return chosen, 2 * len(edges)
+        return (None if tree is None else SpanningTree._from_index(edges[tree])), 2 * len(edges)
     scans = 2 * g.m
     if g.n > PAMST_RACE_MAX_N:
         tree = _dijkstra_tree(g, log_clock)
@@ -562,16 +517,16 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | 
                    log_window: float = -math.inf) -> np.ndarray | None:
     """The shortest-path tree from vertex 1 under lengths
     X_e = exp(log_clock_e), as a boolean mask over the edges ``edges``
-    (0-based, in any order; by default all m), if its certificate holds,
-    else None. Over a subset every other edge's clock is above
-    exp(log_window), and the certificate also needs ``_below_window``.
-    Clocks that hold a -inf, or span ``PAMST_MAX_LOG_SPAN`` or more in logs
-    (counting log_window over a subset), are refused before Dijkstra runs.
+    (0-based; by default all m), if its certificate holds, else None. Over
+    a subset every other edge's clock is above exp(log_window), and the
+    certificate also needs ``_below_window``. Clocks that hold a -inf, or
+    span ``PAMST_MAX_LOG_SPAN`` or more in logs (counting log_window over a
+    subset), are refused before Dijkstra runs.
 
     One ``scipy.sparse.csgraph.dijkstra`` call runs under lengths
     exp(log_clock_e - lo) >= 1, lo the smallest clock, and
     ``_slack_certificate`` reads its distances. ``_dijkstra_trees`` is the
-    same for a block of rows, with the same certificate.
+    same for a block of rows over all m edges, with the same certificate.
 
     scipy is imported here, on the first call, so that ``import dpmst``
     and every other mechanism run without loading it.
@@ -584,7 +539,11 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | 
     if not max(log_clock.max(), log_window) < lo + PAMST_MAX_LOG_SPAN:
         return None
     n = g.n
-    u_arr, v_arr, (indptr, cols, slots) = _columns(g, edges)
+    if edges is None:
+        u_arr, v_arr, (indptr, cols, slots) = g.u_arr, g.v_arr, g.adjacency
+    else:
+        u_arr, v_arr = g.u_arr[edges], g.v_arr[edges]
+        indptr, cols, slots = _csr(n, u_arr, v_arr)
     length = np.exp(log_clock - lo)
     t = np.empty(n + 1)  # t[v] for vertex v, so the 1-based endpoints index it
     t[1:] = dijkstra(csr_matrix((length[slots], cols, indptr), shape=(n, n)),
@@ -595,13 +554,11 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | 
     return tight
 
 
-def _dijkstra_trees(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | None = None,
-                    log_window: float = -math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """``_dijkstra_tree`` of each row of a (rows, k) block, for the bulk
-    tally (``harness._prim_masks``): a (rows, k) boolean edge mask, and
-    whether each row's tree was certified. Over all m edges the rows not
-    certified take ``_prim_race``'s tree; over a subset they keep
-    Dijkstra's tight edges, for the caller to refuse.
+def _dijkstra_trees(g: WeightedGraph, log_clock: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_dijkstra_tree`` of each row of a (rows, m) block, for the bulk
+    tally (``harness._prim_masks``): a (rows, m) boolean edge mask, and
+    whether each row's tree was certified. The rows not certified take
+    ``_prim_race``'s tree.
 
     One ``scipy.sparse.csgraph.dijkstra`` call runs over disjoint copies of
     the graph, one per row with its own source, under lengths
@@ -610,39 +567,26 @@ def _dijkstra_trees(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray |
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    n, k = g.n, log_clock.shape[1]
+    n, m = g.n, g.m
     lo = log_clock.min(axis=1)
-    certified = np.maximum(log_clock.max(axis=1), log_window) < lo + PAMST_MAX_LOG_SPAN
+    certified = log_clock.max(axis=1) < lo + PAMST_MAX_LOG_SPAN
     tree = np.zeros(log_clock.shape, dtype=bool)
     rows = np.flatnonzero(certified)
     if r := len(rows):
-        u_arr, v_arr, (indptr, cols, slots) = _columns(g, edges)
+        indptr, cols, slots = g.adjacency
         length = np.exp(log_clock[rows] - lo[rows, None])
-        # copy c numbers its vertices from c * n and its slots from c * k
+        # copy c numbers its vertices from c * n and its slots from c * m
         copy = np.arange(r)[:, None]
-        slots = (slots + k * copy).ravel()
-        indptr = np.append((indptr[:-1] + 2 * k * copy).ravel(), 2 * k * r)
+        slots = (slots + m * copy).ravel()
+        indptr = np.append((indptr[:-1] + 2 * m * copy).ravel(), 2 * m * r)
         cols = (cols + n * copy).ravel()
         block = csr_matrix((length.ravel()[slots], cols, indptr), shape=(r * n, r * n))
         t = np.empty((r, n + 1))  # t[:, v] for vertex v, so the 1-based endpoints index it
         t[:, 1:] = dijkstra(block, indices=n * np.arange(r), min_only=True).reshape(r, n)
-        tree[rows], certified[rows] = _slack_certificate(t, u_arr, v_arr, length)
-        if edges is not None:
-            certified[rows] &= _below_window(t, lo[rows], log_window)
-    if edges is None:
-        for i in np.flatnonzero(~certified):
-            tree[i] = np.isin(np.arange(k), _prim_race(g, log_clock[i]))
+        tree[rows], certified[rows] = _slack_certificate(t, g.u_arr, g.v_arr, length)
+    for i in np.flatnonzero(~certified):
+        tree[i] = np.isin(np.arange(m), _prim_race(g, log_clock[i]))
     return tree, certified
-
-
-def _columns(g: WeightedGraph, edges: np.ndarray | None):
-    """The endpoints and the CSR (``graph._csr``) of the 0-based ``edges``,
-    or of all m when ``edges`` is None: ``(u_arr, v_arr, (indptr, cols,
-    slots))``."""
-    if edges is None:
-        return g.u_arr, g.v_arr, g.adjacency
-    u_arr, v_arr = g.u_arr[edges], g.v_arr[edges]
-    return u_arr, v_arr, _csr(g.n, u_arr, v_arr)
 
 
 def _slack_certificate(t: np.ndarray, u_arr: np.ndarray, v_arr: np.ndarray,
@@ -674,11 +618,10 @@ def _slack_certificate(t: np.ndarray, u_arr: np.ndarray, v_arr: np.ndarray,
     return tight, certified
 
 
-def _below_window(t: np.ndarray, lo, log_window: float):
-    """Whether Dijkstra's distances ``t`` (t[..., v] for vertex v, under
-    lengths exp(log_clock_e - lo)) over a subset of the edges are the
-    distances over all m, every other edge's clock being above
-    T = exp(log_window): of one row, or along the last axis of a block.
+def _below_window(t: np.ndarray, lo: float, log_window: float) -> bool:
+    """Whether Dijkstra's distances ``t`` (t[v] for vertex v, under lengths
+    exp(log_clock_e - lo)) over a subset of the edges are the distances
+    over all m, every other edge's clock being above T = exp(log_window).
 
     They are if every distance is below exp(log_window - lo) (1 - 2 (n +
     |log_window| + |lo| + 3) 2^-53), and so every vertex was reached (an
@@ -691,9 +634,8 @@ def _below_window(t: np.ndarray, lo, log_window: float):
     exact distance, so its slack is positive and it lies on no shortest
     path: the tree over the subset is the tree over all m edges.
     """
-    n = t.shape[-1] - 1
-    margin = 2.0 * (n + abs(log_window) + np.abs(lo) + 3.0) * 2.0 ** -53
-    return t[..., 1:].max(axis=-1) < np.exp(log_window - lo) * (1.0 - margin)
+    margin = 2.0 * (len(t) - 1 + abs(log_window) + abs(lo) + 3.0) * 2.0 ** -53
+    return t[1:].max() < math.exp(log_window - lo) * (1.0 - margin)
 
 
 def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> np.ndarray:

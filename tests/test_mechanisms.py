@@ -610,7 +610,8 @@ class TestOneRowDijkstra:
     """``_dijkstra_tree``, the one-row certified Dijkstra that ``pamst``
     runs, against ``_dijkstra_trees``, the block form the bulk tally runs:
     the same certified flag and, where certified, the same tree, row by
-    row, over all m edges and over subsets."""
+    row, over all m edges. Over a subset, the one-row tree, where
+    certified, is the tree of a full row that extends it."""
 
     @staticmethod
     def rows(g, seed):
@@ -631,16 +632,32 @@ class TestOneRowDijkstra:
         return np.stack(rows)
 
     @staticmethod
-    def same(g, block, edges=None, log_window=-math.inf):
+    def same(g, block):
         """Assert that the two forms agree on each row; return the flags."""
-        tree, certified = _dijkstra_trees(g, block, edges, log_window)
+        tree, certified = _dijkstra_trees(g, block)
         for row, row_tree, flag in zip(block, tree, certified):
-            one = _dijkstra_tree(g, row, edges, log_window)
+            one = _dijkstra_tree(g, row)
             assert (one is not None) == flag
             if flag:
                 assert one.dtype == bool and np.array_equal(one, row_tree)
                 assert np.count_nonzero(one) == g.n - 1
         return certified
+
+    @staticmethod
+    def subset_tree(g, row, edges, log_window, seed):
+        """``_dijkstra_tree`` of ``row`` over ``edges`` alone, with every
+        other edge's clock above ``log_window``; if certified, assert that
+        it is the tree of a full row that keeps ``row`` on ``edges`` and puts
+        every other clock just above the window. Return whether it was."""
+        one = _dijkstra_tree(g, row[edges], edges, log_window)
+        if one is None:
+            return False
+        full = row.copy()
+        others = np.setdiff1d(np.arange(g.m), edges)
+        full[others] = log_window + np.random.default_rng(seed).uniform(1e-3, 1e-2, len(others))
+        assert np.count_nonzero(one) == g.n - 1
+        assert sorted(edges[one] + 1) == sorted(_prim_tree(g, full, 1.0, None, -math.inf)[0].edge_ids)
+        return True
 
     @pytest.mark.parametrize("graph", [
         triangle, lambda: k4([1.0] * 6), k5, partial(complete, 8), partial(complete, 9),
@@ -662,12 +679,12 @@ class TestOneRowDijkstra:
             if len(edges) < g.n - 1:
                 continue
             lo = block[1].min()
-            for name, log_window in (("cut", cut), ("low", lo + 1e-3),
-                                     ("span", lo + 800.0)):
-                flags[name, bool(self.same(g, block[:, edges], edges, log_window)[1])] += 1
+            for name, log_window in (("cut", cut), ("low", lo + 1e-3), ("span", lo + 800.0)):
+                for i, row in enumerate(block):
+                    flags[name, i == 1, self.subset_tree(g, row, edges, log_window, seed)] += 1
         # a -inf clock and a span at the limit are refused on every graph
         assert flags["full", True, False, False] + flags["full", False, False, False] == 3
-        assert flags["span", True] == 0 and flags["low", True] == 0
+        assert flags["span", True, True] == flags["low", True, True] == 0
 
     def test_tied_clocks(self):
         # on k4, (1,2), (1,3), (1,4), (2,3), (2,4), (3,4), six equal clocks
@@ -684,7 +701,7 @@ class TestOneRowDijkstra:
         assert _dijkstra_tree(g, tied) is None
         assert sorted(np.flatnonzero(tree[1])) == sorted(_prim_race(g, tied))
 
-    def test_window_bound_refuses_some_subsets(self):
+    def test_window_bound_refuses_some_subsets(self, monkeypatch):
         # over K64's lightest three quarters the slack certificate holds on
         # every row here, and only the window bound refuses the low window
         g = complete(64)
@@ -692,10 +709,11 @@ class TestOneRowDijkstra:
             row = self.rows(g, seed)[1]
             cut = np.quantile(row, 0.75)
             edges = np.flatnonzero(row <= cut)
-            assert _dijkstra_tree(g, row[edges], edges, cut) is not None
+            assert self.subset_tree(g, row, edges, cut, seed)
             assert _dijkstra_tree(g, row[edges], edges, row.min() + 1e-3) is None
-            tree, certified = _dijkstra_trees(g, row[edges][None], edges, row.min() + 1e-3)
-            assert not certified[0] and np.count_nonzero(tree[0]) == g.n - 1
+            with monkeypatch.context() as patched:
+                patched.setattr(mechanisms, "_below_window", lambda *args: True)
+                assert _dijkstra_tree(g, row[edges], edges, row.min() + 1e-3) is not None
 
 
 class TestLazyReveal:
@@ -835,7 +853,7 @@ class TestLazyReveal:
         revealed, u = np.zeros(g.m), []
         for _ in range(calls):
             rev, noisy_rev = _reveal(g, scale, stream, window)
-            assert len(np.unique(rev)) == len(rev)
+            assert np.all(np.diff(rev) > 0)
             revealed[rev] += 1
             ln_e = (noisy_rev - g.weights[rev]) / scale
             u.append(-np.expm1(-np.exp(ln_e)) / p[rev])
@@ -1000,28 +1018,9 @@ class TestNoiseRecord:
         assert full.at(np.array([0, 2])).tolist() == [1.0, 3.0]
         assert full.total(np.array([0, 2]), np.array([True, False, True])) == 4.0
 
-    def test_revealed_record_reads_like_the_eager_one(self):
-        # ids in the order drawn, with tied and -inf values: read, the record
-        # is the former eager reveal's, sorted by a stable argsort of the
-        # ids and clamped just above the floor and every value
-        rng = np.random.default_rng(5)
-        ids = rng.permutation(40)[:25]
-        values = np.round(rng.normal(size=25), 1)
-        values[[3, 11]] = -math.inf
-        assert len(np.unique(values)) < 20
-        for floor in (-1.0, 10.0):  # below and above the largest value
-            noise = NoisyWeights._revealed(40, ids, values, floor)
-            assert noise.drawn[0] is ids and noise.drawn[1] is values
-            order = np.argsort(ids, kind="stable")
-            assert noise.ids.tobytes() == ids[order].tobytes()
-            assert noise.values.tobytes() == values[order].tobytes()
-            assert noise.clamp == np.nextafter(max(floor, values.max()), math.inf)
-            # the sorted arrays replace the drawn ones, so the record holds one copy
-            assert noise.drawn[0] is noise.ids and noise.drawn[1] is noise.values
-
-    def test_pamst_record_is_read_only_on_demand(self):
-        # pamst's first window leaves its record unsorted and unclamped;
-        # read, it is the former eager reveal's, byte for byte
+    def test_pamst_record_is_the_eager_reveal(self):
+        # pamst's first window keeps the record of the edges it revealed,
+        # byte for byte the reveal written out from its definition
         g = complete(256)
         eps_prime = self.BUDGET.per_round(g.n - 1)
         scale = _noise_scale(eps_prime, self.BUDGET.delta_inf)
@@ -1030,9 +1029,8 @@ class TestNoiseRecord:
         for seed in range(4):
             _, noise, _ = _perturbed_tree(g, eps_prime, self.BUDGET.delta_inf,
                                           RngStream(53, (seed,)), window, _prim_tree)
-            if noise.drawn[0] is None:
+            if noise.ids is None:
                 continue
-            assert noise._by_id is None
             rev, noisy_rev = _reference_reveal(g, scale, RngStream(53, (seed,)), window.log_t)
             assert noise.ids.tobytes() == rev.tobytes()
             assert noise.values.tobytes() == noisy_rev.tobytes()
@@ -1156,13 +1154,15 @@ class TestLazyPamst:
             if len(rev) < g.n - 1:
                 _extend(g, scale, stream, log_window, rev, noisy_rev)
                 continue
-            tree, certified = _dijkstra_trees(g, (noisy_rev / scale)[None], rev, log_window)
+            tree = _dijkstra_tree(g, noisy_rev / scale, rev, log_window)
+            with monkeypatch.context() as patched:
+                patched.setattr(mechanisms, "_below_window", lambda *args: True)
+                unbounded = _dijkstra_tree(g, noisy_rev / scale, rev, log_window)
             noisy = _extend(g, scale, stream, log_window, rev, noisy_rev)
-            full = sorted(_prim_tree(g, NoisyWeights(g.m, noisy), scale, -math.inf)[0].edge_ids)
-            got = sorted((rev[tree[0]] + 1).tolist())
-            if certified[0]:
-                assert got == full
-            wrong += len(got) == g.n - 1 and got != full
+            full = sorted(_prim_tree(g, noisy, scale, None, -math.inf)[0].edge_ids)
+            if tree is not None:
+                assert sorted(rev[tree] + 1) == full
+            wrong += unbounded is not None and sorted(rev[unbounded] + 1) != full
         assert wrong > 0
 
 
@@ -1318,37 +1318,25 @@ class TestProducerParity:
                 monkeypatch.setattr(graph_module, "SCAN_MAX_EDGES", most)
                 monkeypatch.setattr(graph_module, "SCAN_MAX_STEPS", most)
                 assert spans_as_its_own_ids(g, kruskal_mst(g, noisy)) == ref
-                assert spans_as_its_own_ids(g, _kruskal_tree(g, NoisyWeights(g.m, noisy), scale,
+                assert spans_as_its_own_ids(g, _kruskal_tree(g, noisy, scale, None,
                                                              -math.inf)[0]) == ref
             monkeypatch.undo()
             monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", 0)
-            full_record = NoisyWeights(g.m, noisy)
-            dijkstra = spans_as_its_own_ids(g, _prim_tree(g, full_record, scale, -math.inf)[0])
+            dijkstra = spans_as_its_own_ids(g, _prim_tree(g, noisy, scale, None, -math.inf)[0])
             monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", g.n)
-            assert spans_as_its_own_ids(g, _prim_tree(g, full_record, scale,
+            assert spans_as_its_own_ids(g, _prim_tree(g, noisy, scale, None,
                                                       -math.inf)[0]) == dijkstra
             race = _prim_race(g, noisy / scale)
             assert race.dtype == np.int64 and SpanningTree(race + 1) == dijkstra
-            # the lightest three quarters, every other edge above them, in
-            # no order, as the lazy reveal draws them
+            # the lightest three quarters, every other edge above them
             cut = np.quantile(noisy, 0.75)
-            edges = np.random.default_rng(seed).permutation(np.flatnonzero(noisy <= cut))
+            edges = np.flatnonzero(noisy <= cut)
             for rule, full in ((_kruskal_tree, ref), (_prim_tree, dijkstra)):
-                subset = NoisyWeights._revealed(g.m, edges, noisy[edges], cut)
-                tree = rule(g, subset, scale, cut / scale)[0]
+                tree = rule(g, noisy[edges], scale, edges, cut / scale)[0]
                 if tree is not None:
                     assert spans_as_its_own_ids(g, tree) == full
                     subset_trees[rule] += 1
         assert subset_trees[_kruskal_tree] > 0 and subset_trees[_prim_tree] > 0
-
-    def test_compact_ties_break_by_id(self):
-        # six tied values recorded with their ids in reverse: Kruskal's rule
-        # reads the record by id, so it takes kruskal_mst's tree of the
-        # vector the record stands for, the lowest ids that close no cycle
-        g = k4([1.0] * 6)
-        noise = NoisyWeights._revealed(g.m, np.arange(6)[::-1].copy(), np.zeros(6), 0.0)
-        tree = _kruskal_tree(g, noise, 1.0, 0.0)[0]
-        assert tree == kruskal_mst(g, np.zeros(6)) == SpanningTree([1, 2, 3])
 
     def test_lazy_producers_on_k256(self):
         # at the er256-select budget, through the first window of each rule
