@@ -164,10 +164,11 @@ def density_sweep(n: int, densities, rho: float, trials: int, master_seed: int,
     For each density p, one connected G(n, p) instance with U(0, 100)
     weights is generated; every mechanism of ``SWEEP_MECHANISMS`` then runs
     ``trials`` times on it and the median/IQR of the private-to-true weight
-    ratio is tabulated. A density outside [0, 1] (NaN included), or one
-    given twice, is refused before any instance is drawn: the first would
-    fail only when its turn came, after every cell before it had run, and
-    the cells of the second would share a key of ``reports``.
+    ratio is tabulated. A density outside [0, 1] (NaN included), 0 for
+    n >= 2 (G(n, 0) never connects), or one given twice, is refused before
+    any instance is drawn: the first two would fail only when their turn
+    came, after every cell before them had run, and the cells of the third
+    would share a key of ``reports``.
     """
     budget = PrivacyBudget.from_rho(rho, delta, delta_inf)
     densities = list(densities)
@@ -175,6 +176,8 @@ def density_sweep(n: int, densities, rho: float, trials: int, master_seed: int,
     bad = [p for p in keys if not 0.0 <= p <= 1.0]  # also true for NaN
     if bad:
         raise ValueError(f"each density must lie in [0, 1]; got {', '.join(map(str, bad))}")
+    if n >= 2 and 0.0 in keys:
+        raise ValueError(f"density 0 is refused: G({n}, 0) has no edges, so it never connects")
     repeated = sorted({p for p in keys if keys.count(p) > 1})
     if repeated:
         raise ValueError(f"each density may be given once; repeated: "

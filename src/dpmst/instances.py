@@ -32,6 +32,8 @@ def erdos_renyi_instance(n: int, p: float, wmin: float, wmax: float,
     attempt, which ``build_graph`` refuses, has consumed both."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ValueError(f"bad parameters: n={n}, p={p}")
+    if p == 0.0 and n >= 2:
+        raise ValueError(f"G({n}, 0) has no edges, so it never connects")
     # the span is negative for wmax < wmin, and NaN or inf for a NaN or
     # infinite bound or a difference that overflows
     if not 0.0 <= wmax - wmin < math.inf:

@@ -137,20 +137,20 @@ def _noise_scale(eps_prime: float, delta_inf: float) -> float:
 # median ms per call of the lazy reveal over the full draw's, 80 interleaved
 # calls a side, two runs, shared 2-core x86 machine), lowest to highest over
 # perturb, kruskal and pamst at eps = 1, delta_inf = 1 and at rho = 1,
-# delta_inf = 0.1, as (m, m / n ln n): K128 (8,128; 13) 0.80-1.19, K181
-# (16,290; 17) 0.74-1.06, K200 (19,900; 19) 0.69-0.87, K221 (24,310; 20)
-# 0.66-0.88, K230 (26,335; 21) 0.64-0.85, K256 (32,640; 23) 0.62-0.81,
-# ER(362, 0.5) (32,737; 15) 0.63-0.81, ER(512, 0.3) (39,189; 12) 0.73-0.85,
-# ER(512, 0.5) (65,253; 20) 0.53-0.67, ER(1024, 0.2) (105,113; 15)
-# 0.56-0.61, ER(2048, 0.1) (209,468; 13) 0.49-0.54. Below the density half:
-# ER(1024, 0.1) (52,603; 7.4) 0.81-0.94, ER(1024, 0.05) (26,255; 3.7)
-# 1.00-1.36, ER(2048, 0.02) (42,083; 2.7) 1.03-1.50, ER(4096, 0.01)
-# (84,020; 2.5) 1.00-1.50. The reveal reads below 1 on every row from K200
-# up, and on ER(1024, 0.1) below the density half. The rule stays where it
-# is, as moving it moves the streams of the graphs it crosses; its floor
-# keeps a margin above K200, which read up to 1.01 in an earlier run. No
-# benchmark workload sits near either edge of the rule; both rest on this
-# ladder.
+# delta_inf = 0.1, as (m, m / n ln n): K128 (8,128; 13) 0.89-1.29, K181
+# (16,290; 17) 0.83-1.22, K200 (19,900; 19) 0.77-1.03, K221 (24,310; 20)
+# 0.72-1.02, K230 (26,335; 21) 0.69-1.02, K256 (32,640; 23) 0.68-0.99,
+# ER(362, 0.5) (32,568; 15) 0.71-0.99, ER(512, 0.3) (39,005; 12) 0.79-1.09,
+# ER(512, 0.5) (65,238; 20) 0.56-0.84, ER(1024, 0.2) (104,802; 15)
+# 0.56-0.75, ER(2048, 0.1) (210,009; 13) 0.53-0.66. Below the density half:
+# ER(1024, 0.1) (52,644; 7.4) 0.90-1.01, ER(1024, 0.05) (26,261; 3.7)
+# 1.08-1.40, ER(2048, 0.02) (42,420; 2.7) 1.08-1.55, ER(4096, 0.01)
+# (83,687; 2.5) 1.06-1.54. From K200 to ER(512, 0.3) the top of each range
+# is perturb or kruskal at eps = 1, delta_inf = 1, which run about even with
+# the full draw there (0.93-1.09); pamst, and every id at rho = 1, read
+# below 1. The rule stays where it is, as moving it moves the streams of the
+# graphs it crosses. No benchmark workload sits near either edge of the
+# rule; both rest on this ladder.
 LAZY_MIN_EDGES, LAZY_MIN_DENSITY = 24576, 10.0
 # Kruskal's first window expects (n/2)(ln n + LAZY_GUMBEL) revealed edges: a
 # random order of edges connects the graph after about (n/2)(ln n + G) of

@@ -12,9 +12,12 @@ class RngStream:
 
     Streams constructed with the same ``(seed, path)`` produce bit-identical
     sample sequences; ``derive(i)`` spawns a child stream statistically
-    independent of the parent and of every sibling. The generator is Philox
-    (counter-based), so the mapping from key to output does not depend on
-    platform word size or draw batching.
+    independent of the parent and of every sibling. The bits come from
+    numpy's SFC64, keyed by ``SeedSequence(seed, spawn_key=path)``: 64-bit
+    integer arithmetic, so a key draws the same bits on every platform, and
+    a block of n draws reads the bits that n successive calls would read
+    (``uniform`` and ``gaussian`` give the same values either way). SFC64
+    is fast, not cryptographic.
 
     Uniform draws land in (0, 1], never exactly 0, so logarithms stay finite.
     All logs are natural logs.
@@ -26,7 +29,7 @@ class RngStream:
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        self._gen = np.random.Generator(np.random.Philox(ss))
+        self._gen = np.random.Generator(np.random.SFC64(ss))
 
     def derive(self, stream_id: int) -> "RngStream":
         """Child stream keyed by (seed, path + (stream_id,))."""

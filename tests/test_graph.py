@@ -629,9 +629,16 @@ class TestTreeWeight:
 
     def test_insertion_order_does_not_change_the_bits(self):
         # the same tree inserted in two orders iterates in two orders, and
-        # adding in those orders gives two different last bits
-        g = erdos_renyi_instance(400, 0.2, 0.0, 100.0, RngStream(21))
+        # adding in those orders gives two different last bits: ids 1, 9
+        # and 17 share a slot of a small frozenset's 8-slot hash table, so
+        # each lands where the ids inserted before it left room, and
+        # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        edges, weights = [(1, 2)] * 17, [1.0] * 17
+        edges[8], edges[16] = (2, 3), (3, 4)
+        weights[0], weights[8], weights[16] = 0.1, 0.2, 0.3
+        g = build_graph(4, edges, weights)
         ids = sorted(kruskal_mst(g).edge_ids)
+        assert ids == [1, 9, 17]
         up, down = SpanningTree(frozenset(ids)), SpanningTree(frozenset(ids[::-1]))
         as_iterated = [g.weights[np.fromiter(t.edge_ids, dtype=np.int64) - 1].sum()
                        for t in (up, down)]

@@ -217,19 +217,23 @@ class TestDensitySweep:
         assert (code, capsys.readouterr().out) == (1, "")
         assert not out.exists()
 
-    @pytest.mark.parametrize("densities, bad", [([1.0, 1.5], "1.5"), ([0.5, -0.1], "-0.1"),
-                                                ([1.0, float("nan")], "nan")],
-                             ids=["above-one", "below-zero", "nan"])
-    def test_bad_density_refused_before_any_instance(self, densities, bad, tmp_path, capsys,
+    @pytest.mark.parametrize("densities, match", [
+        ([1.0, 1.5], "must lie in \\[0, 1\\]; got 1.5$"),
+        ([0.5, -0.1], "must lie in \\[0, 1\\]; got -0.1$"),
+        ([1.0, float("nan")], "must lie in \\[0, 1\\]; got nan$"),
+        ([1.0, 0.0], "density 0 is refused: G\\(16, 0\\)")],
+        ids=["above-one", "below-zero", "nan", "zero"])
+    def test_bad_density_refused_before_any_instance(self, densities, match, tmp_path, capsys,
                                                      monkeypatch):
         from dpmst import cli
 
         # a bad density used to be refused only when its turn came, after
-        # every cell before it had run
+        # every cell before it had run; 0 passed the range check, though
+        # G(n, 0) never connects for n >= 2
         drawn = []
         monkeypatch.setattr(harness, "erdos_renyi_instance",
                             lambda *args, **kwargs: drawn.append(args))
-        with pytest.raises(ValueError, match=f"must lie in \\[0, 1\\]; got {bad}$"):
+        with pytest.raises(ValueError, match=match):
             density_sweep(16, densities, 1.0, 2, 1)
         out = tmp_path / "sweep.csv"
         code = cli.main(["sweep-density", "--n", "16", "--densities",

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +47,17 @@ class TestErdosRenyi:
         # overflows to inf
         with pytest.raises(ValueError, match="wmin and wmax"):
             erdos_renyi_instance(5, 1.0, wmin, wmax, RngStream(1))
+
+    def test_p_zero_refused_before_any_draw(self):
+        # G(n, 0) has no edges, so for n >= 2 every attempt used to be drawn
+        # and refused before GenerationError was raised
+        def no_draws(size):
+            raise AssertionError("a G(n, 0) instance drew from its stream")
+
+        for n in (2, 20, 512):
+            with pytest.raises(ValueError, match="never connects"):
+                erdos_renyi_instance(n, 0.0, 0, 1, SimpleNamespace(uniform=no_draws))
+        assert erdos_renyi_instance(1, 0.0, 0, 1, RngStream(4)).m == 0
 
     def test_connectivity_cap(self):
         with pytest.raises(GenerationError):

@@ -36,6 +36,22 @@ def test_derived_streams_differ():
     assert np.array_equal(children[0], root2.derive(0).uniform(100))
 
 
+@pytest.mark.parametrize("seed, path", [(0, ()), (123, (4,)), (2**40, (1, 2, 3))])
+def test_stream_is_sfc64_keyed_by_seed_and_path(seed, path):
+    # the stream contract: RngStream(seed, path) reads numpy's SFC64 keyed by
+    # SeedSequence(seed, spawn_key=path), and each draw is its documented
+    # formula over that generator's output
+    def generator():
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=path)))
+
+    assert np.array_equal(RngStream(seed, path).uniform(1000), 1.0 - generator().random(1000))
+    assert np.array_equal(RngStream(seed, path).gaussian(2.5, size=1000),
+                          2.5 * generator().standard_normal(1000))
+    with np.errstate(divide="ignore"):
+        block = np.log(-np.log(1.0 - generator().random((4, 250))))
+    assert np.array_equal(RngStream(seed, path).ln_exponential(size=(4, 250)), block)
+
+
 def test_uniform_in_half_open_interval():
     u = RngStream(1).uniform(100000)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
