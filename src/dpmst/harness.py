@@ -20,7 +20,7 @@ from .exact import (ChiSquareResult, by_edge_set, chi_square_gof,
                     exact_tree_distribution, join_table, prim_tree_distribution)
 from .graph import WeightedGraph, _sorted_index, build_graph
 from .instances import erdos_renyi_instance
-from .mechanisms import (MECHANISMS, UnknownMechanismError, _dijkstra_trees,
+from .mechanisms import (MECHANISMS, UnknownMechanismError, _noise_scale, _prim_tree,
                          perturb_weights, run_mechanism)
 from .rng import RngStream
 
@@ -240,7 +240,7 @@ class EquivalenceResult:
         return self.chi.passed
 
 
-def _kruskal_masks(g: WeightedGraph, noisy: np.ndarray, coef: float,
+def _kruskal_masks(g: WeightedGraph, noisy: np.ndarray, scale: float,
                    joins: np.ndarray) -> np.ndarray:
     """Exact Kruskal's tree of each row of ``noisy``, as an edge mask, in
     ``kruskal_mst``'s scan order: by noisy weight, ties (-inf ones
@@ -250,7 +250,7 @@ def _kruskal_masks(g: WeightedGraph, noisy: np.ndarray, coef: float,
     mask, so a row's tree is the OR over e of joins[B_e, e], B_e being the
     mask of the edges ranked before e. Each B_f starts as every higher id;
     one comparison per pair f < e then, where f comes first, sets bit f of
-    B_e and clears bit e of B_f. ``coef`` is unused: no positive scale
+    B_e and clears bit e of B_f. ``scale`` is unused: no positive scale
     changes the order."""
     m = g.m
     cols = [noisy[:, e] for e in range(m)]  # views, not a transposed copy
@@ -272,19 +272,22 @@ def _kruskal_masks(g: WeightedGraph, noisy: np.ndarray, coef: float,
     return tree
 
 
-def _prim_masks(g: WeightedGraph, noisy: np.ndarray, coef: float,
+def _prim_masks(g: WeightedGraph, noisy: np.ndarray, scale: float,
                 joins: np.ndarray) -> np.ndarray:
     """``pamst``'s tree of each row of ``noisy``, as an edge mask: the
-    shortest-path tree from vertex 1 under lengths exp(coef * w~_e), by
-    ``_dijkstra_trees``, the block form of the certified Dijkstra that
-    ``pamst`` runs on one row."""
-    noisy *= coef
-    return _dijkstra_trees(g, noisy)[0] @ (1 << np.arange(g.m))
+    shortest-path tree from vertex 1 under lengths exp(w~_e / b), b =
+    ``scale``, by ``_prim_tree``, the rule ``pamst`` runs, called on each
+    row in turn. ``joins`` is unused."""
+    bits = 1 << np.arange(g.m)
+    return np.array([bits[_prim_tree(g, row, scale, None, -math.inf)[0].index].sum()
+                     for row in noisy])
 
 
 # each id the suite judges: the tree rule it applies to perturb_weights rows
-# and the multiple of eps' it draws them at. The mutants, exponent eps' /
-# delta_inf for eps' / (2 * delta_inf), are judged at eps' and must fail.
+# and the multiple of eps' it draws them at. Kruskal's rule reads a whole
+# block at once; Prim's runs pamst's own _prim_tree row by row. The mutants,
+# exponent eps' / delta_inf for eps' / (2 * delta_inf), are judged at eps'
+# and must fail.
 _JUDGED = {"perturb": (_kruskal_masks, 1.0), "kruskal": (_kruskal_masks, 1.0),
            "onepass": (_kruskal_masks, 1.0), "mutant": (_kruskal_masks, 2.0),
            "pamst": (_prim_masks, 1.0), "pamst-mutant": (_prim_masks, 2.0)}
@@ -297,15 +300,16 @@ def _tally_trees(g: WeightedGraph, rule, eps_prime: float, delta_inf: float,
     release ``rule``'s tree of it, given g's ``join_table``. The noise
     comes in blocks of ``perturb_weights`` rows, row t being the
     vector that release t would draw, and ``rule`` maps a whole block to one
-    edge mask per row, with coef = eps' / (2 * delta_inf).
+    edge mask per row, with the noise scale b = 2 * delta_inf / eps' that
+    the mechanisms derive (``_noise_scale``).
     """
     block = max(1, _BLOCK_VARIATES // g.m)
-    coef = eps_prime / (2.0 * delta_inf)
+    scale = _noise_scale(eps_prime, delta_inf)
     tally = np.zeros(len(joins), dtype=np.int64)
     for start in range(0, trials, block):
         noisy = perturb_weights(g, eps_prime, delta_inf, stream,
                                 rows=min(block, trials - start))
-        tally += np.bincount(rule(g, noisy, coef, joins), minlength=len(tally))
+        tally += np.bincount(rule(g, noisy, scale, joins), minlength=len(tally))
     return by_edge_set(tally, np.flatnonzero(tally))
 
 
@@ -318,9 +322,9 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
     ``sealfon-laplace`` and ``sealfon-gauss`` have no exact tree
     distribution and are refused before any draw.
 
-    Id idx draws from stream (master_seed, (idx,)), tallied in bulk by
-    ``_tally_trees`` with the same trees as one call per trial. The tally
-    and the Kruskal oracle read one join table.
+    Id idx draws from stream (master_seed, (idx,)) in blocks of noise rows,
+    tallied by ``_tally_trees`` with the same trees as one call per trial.
+    The Kruskal-rule tally and the Kruskal oracle read one join table.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

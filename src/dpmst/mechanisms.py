@@ -13,6 +13,12 @@ graphs it draws only the noise the rule's tree can reach, and keeps a
 ``NoisyWeights`` record of the revealed ids, their noisy weights and one
 clamp for every other edge.
 
+``_prim_tree`` has two engines, each on one noise vector: the race itself,
+``_prim_race``, on graphs of at most ``PAMST_RACE_MAX_N`` vertices and as the
+fallback, and a certified Dijkstra, ``_dijkstra_tree``, on all m edges or on
+the revealed ones. The equivalence suite's pamst tally calls ``_prim_tree``
+on each noise row, so a tally row is a ``pamst`` call on the same floats.
+
 Every mechanism takes (graph, budget, stream) and returns a MechanismResult;
 none reads system entropy.
 """
@@ -445,12 +451,14 @@ def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
 PAMST_MAX_LOG_SPAN = 700.0
 # It also does so on graphs of at most PAMST_RACE_MAX_N vertices, where the
 # race's n-1 rounds cost no more than Dijkstra's fixed cost (mostly scipy's
-# input checks). Median us a call of _prim_tree on 300 noisy vectors,
-# one-row Dijkstra against the race, interleaved, shared 2-core x86
-# machine: K3 73 against 33, K5 71 against 49, K7 72 against 66, K8 70
-# against 72, K9 73 against 84, K12 76 against 114, K16 80 against 154.
-# They meet at K8, where the two are within the noise.
-PAMST_RACE_MAX_N = 8
+# input checks). Median us a call of _prim_tree on 300 noisy vectors of K_n,
+# one-row Dijkstra against the race, interleaved, three runs, shared 2-core
+# x86 machine: K3 82-85 against 17-18, K5 83-86 against 22-24, K8 86-88
+# against 35-37, K12 85-88 against 57-59, K14 88-91 against 72-76, K15
+# 85-89 against 78-82, K16 86-91 against 86-90, K17 88-92 against 95-100,
+# K18 89-94 against 104-110. They meet at K16, where the two are within the
+# noise.
+PAMST_RACE_MAX_N = 15
 
 
 def pamst(g: WeightedGraph, budget: PrivacyBudget,
@@ -495,11 +503,11 @@ def _prim_tree(g: WeightedGraph, noisy: np.ndarray, scale: float, edges: np.ndar
                log_window: float) -> tuple[SpanningTree | None, int]:
     """The race's tree under clocks X_e = exp(w~_e / b), w~ = ``noisy`` and
     b = ``scale``, and the CSR entries read. On all m edges (``edges``
-    None) it is ``_dijkstra_tree``'s if certified, else ``_prim_race``'s,
-    and ``_prim_race``'s alone on at most ``PAMST_RACE_MAX_N`` vertices. On
-    the 0-based ``edges`` alone (increasing) it is ``_dijkstra_tree``'s
-    over them if the window T = exp(log_window) certifies that it is the
-    tree of all m, else None."""
+    None) it is ``_prim_race``'s on at most ``PAMST_RACE_MAX_N`` vertices;
+    above that it is ``_dijkstra_tree``'s if certified, else the fallback,
+    ``_prim_race``'s. On the 0-based ``edges`` alone (increasing) it is
+    ``_dijkstra_tree``'s over them if the window T = exp(log_window)
+    certifies that it is the tree of all m, else None."""
     log_clock = noisy / scale
     if edges is not None:
         tree = _dijkstra_tree(g, log_clock, edges, log_window)
@@ -525,8 +533,7 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | 
 
     One ``scipy.sparse.csgraph.dijkstra`` call runs under lengths
     exp(log_clock_e - lo) >= 1, lo the smallest clock, and
-    ``_slack_certificate`` reads its distances. ``_dijkstra_trees`` is the
-    same for a block of rows over all m edges, with the same certificate.
+    ``_slack_certificate`` reads its distances.
 
     scipy is imported here, on the first call, so that ``import dpmst``
     and every other mechanism run without loading it.
@@ -548,52 +555,16 @@ def _dijkstra_tree(g: WeightedGraph, log_clock: np.ndarray, edges: np.ndarray | 
     t = np.empty(n + 1)  # t[v] for vertex v, so the 1-based endpoints index it
     t[1:] = dijkstra(csr_matrix((length[slots], cols, indptr), shape=(n, n)),
                      indices=0, min_only=True)
-    tight, certified = _slack_certificate(t, u_arr, v_arr, length)
-    if not certified or edges is not None and not _below_window(t, lo, log_window):
+    tight = _slack_certificate(t, u_arr, v_arr, length)
+    if tight is not None and edges is not None and not _below_window(t, lo, log_window):
         return None
     return tight
 
 
-def _dijkstra_trees(g: WeightedGraph, log_clock: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_dijkstra_tree`` of each row of a (rows, m) block, for the bulk
-    tally (``harness._prim_masks``): a (rows, m) boolean edge mask, and
-    whether each row's tree was certified. The rows not certified take
-    ``_prim_race``'s tree.
-
-    One ``scipy.sparse.csgraph.dijkstra`` call runs over disjoint copies of
-    the graph, one per row with its own source, under lengths
-    exp(log_clock_e - lo) >= 1 for the row's minimum lo.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    n, m = g.n, g.m
-    lo = log_clock.min(axis=1)
-    certified = log_clock.max(axis=1) < lo + PAMST_MAX_LOG_SPAN
-    tree = np.zeros(log_clock.shape, dtype=bool)
-    rows = np.flatnonzero(certified)
-    if r := len(rows):
-        indptr, cols, slots = g.adjacency
-        length = np.exp(log_clock[rows] - lo[rows, None])
-        # copy c numbers its vertices from c * n and its slots from c * m
-        copy = np.arange(r)[:, None]
-        slots = (slots + m * copy).ravel()
-        indptr = np.append((indptr[:-1] + 2 * m * copy).ravel(), 2 * m * r)
-        cols = (cols + n * copy).ravel()
-        block = csr_matrix((length.ravel()[slots], cols, indptr), shape=(r * n, r * n))
-        t = np.empty((r, n + 1))  # t[:, v] for vertex v, so the 1-based endpoints index it
-        t[:, 1:] = dijkstra(block, indices=n * np.arange(r), min_only=True).reshape(r, n)
-        tree[rows], certified[rows] = _slack_certificate(t, g.u_arr, g.v_arr, length)
-    for i in np.flatnonzero(~certified):
-        tree[i] = np.isin(np.arange(m), _prim_race(g, log_clock[i]))
-    return tree, certified
-
-
 def _slack_certificate(t: np.ndarray, u_arr: np.ndarray, v_arr: np.ndarray,
-                       length: np.ndarray) -> tuple[np.ndarray, np.ndarray | bool]:
-    """Dijkstra's tree edges under ``length``, as a boolean mask, and
-    whether they are certified, from its distances ``t`` (t[..., v] for
-    vertex v): of one row, or along the last axis of a block.
+                       length: np.ndarray) -> np.ndarray | None:
+    """Dijkstra's tree edges under ``length``, as a boolean mask, if they
+    are certified, else None, from its distances ``t`` (t[v] for vertex v).
 
     Each edge's slack is min(t_u, t_v) + X_e - max(t_u, t_v). Dijkstra set
     each t_v as the float sum t_p + X_e along v's tree edge, so the n-1
@@ -604,8 +575,8 @@ def _slack_certificate(t: np.ndarray, u_arr: np.ndarray, v_arr: np.ndarray,
     the unique shortest-path tree of the lengths X_e, and no ties or
     swamped clocks chose it.
     """
-    n = t.shape[-1] - 1
-    tu, tv = np.take(t, u_arr, axis=-1), np.take(t, v_arr, axis=-1)
+    n = len(t) - 1
+    tu, tv = t[u_arr], t[v_arr]
     far = np.maximum(tu, tv)
     slack = np.minimum(tu, tv, out=tu)
     slack += length
@@ -614,8 +585,8 @@ def _slack_certificate(t: np.ndarray, u_arr: np.ndarray, v_arr: np.ndarray,
     tight = slack == 0.0
     far *= 4.0 * n * 2.0 ** -53
     # a NaN slack (an overflowed or unreached t) is neither tight nor above the bound
-    certified = (tight.sum(axis=-1) == n - 1) & (tight | (slack > far)).all(axis=-1)
-    return tight, certified
+    certified = np.count_nonzero(tight) == n - 1 and (tight | (slack > far)).all()
+    return tight if certified else None
 
 
 def _below_window(t: np.ndarray, lo: float, log_window: float) -> bool:
@@ -650,39 +621,39 @@ def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> np.ndarray:
     The keys are logs and relative to the last ring, so no clock
     overflows, underflows or is swamped by the time already run. The
     joining vertex's edges then start their clocks. A -inf clock rings at
-    once; ties go to the lowest vertex, and between one vertex's clocks to
-    the lowest edge id.
+    once; ties go to the lowest vertex, and between one vertex's new
+    clocks to the lowest edge id; a new clock tied with an old key wins.
+
+    It runs on Python floats over ``g.adjacency``'s lists, one round at a
+    time: on the small graphs where ``pamst`` runs it, a numpy operation's
+    fixed cost was most of a round.
     """
-    n = g.n
-    indptr, nbr, slots = g.adjacency
-    indptr = indptr.tolist()
-    nbr = nbr.astype(np.intp)  # indexing with int32 made the race up to 60% slower
-    slot_clock = log_clock[slots]
-    key = np.full(n, np.inf)  # inside vertices stay at +inf; vertex v is v - 1
-    via = np.zeros(n, dtype=np.int64)
-    outside = np.ones(n, dtype=bool)
-    x = 0
-    chosen = np.empty(n - 1, dtype=np.int64)
-    with np.errstate(divide="ignore"):  # a tied key re-bases to log(0)
-        for i in range(n - 1):
-            outside[x] = False
-            key[x] = np.inf
-            lo, hi = indptr[x], indptr[x + 1]
-            keep = outside[nbr[lo:hi]]
-            y, c, e = nbr[lo:hi][keep], slot_clock[lo:hi][keep], slots[lo:hi][keep]
-            np.minimum.at(key, y, c)
-            won = c == key[y]  # a new clock tied with an old one wins
-            y, e = y[won], e[won]
-            via[y] = g.m
-            np.minimum.at(via, y, e)
-            x = int(key.argmin())
-            chosen[i] = via.item(x)
-            k = key.item(x)
-            if k > -math.inf:
-                left = np.expm1(k - key)
-                np.negative(left, out=left)
-                key += np.log(left, out=left)
-    return chosen
+    indptr, nbr, slots = (a.tolist() for a in g.adjacency)
+    clock = log_clock.tolist()
+    log, expm1, inf = math.log, math.expm1, math.inf
+    inside = [False] * g.n  # vertex v is v - 1
+    key, via = {}, {}  # each outside vertex that a clock reaches
+    x, chosen = 0, []
+    for _ in range(g.n - 1):
+        inside[x] = True
+        fresh = set()  # the vertices whose key a new clock set
+        for s in range(indptr[x], indptr[x + 1]):
+            y = nbr[s]
+            if inside[y]:
+                continue
+            e = slots[s]
+            c, r = clock[e], key.get(y, inf)
+            if c < r or c == r and (y not in fresh or e < via[y]):
+                key[y], via[y] = c, e
+                fresh.add(y)
+        k = min(key.values())
+        x = min(y for y, r in key.items() if r == k)
+        del key[x]
+        chosen.append(via.pop(x))
+        if k > -inf:
+            for y, r in key.items():  # a tied key re-bases to log(0)
+                key[y] = r + log(-expm1(k - r)) if r > k else -inf
+    return np.array(chosen, dtype=np.int64)
 
 
 MECHANISMS = {

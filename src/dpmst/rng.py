@@ -15,8 +15,11 @@ class RngStream:
     independent of the parent and of every sibling. The bits come from
     numpy's SFC64, keyed by ``SeedSequence(seed, spawn_key=path)``: 64-bit
     integer arithmetic, so a key draws the same bits on every platform, and
-    a block of n draws reads the bits that n successive calls would read
-    (``uniform`` and ``gaussian`` give the same values either way). SFC64
+    a block of n draws reads the bits that n successive calls would read.
+    Each sampler's scalar form (``size=None``) is its block form at one
+    entry, so ``uniform``, ``exponential``, ``ln_exponential`` and
+    ``gaussian`` give the same values either way; ``laplace`` reads two
+    exponentials an entry, and its block reads them in another order. SFC64
     is fast, not cryptographic.
 
     Uniform draws land in (0, 1], never exactly 0, so logarithms stay finite.
@@ -42,9 +45,7 @@ class RngStream:
 
     def uniform(self, size=None):
         """Uniform on (0, 1]."""
-        if size is None:
-            return 1.0 - self._gen.random()
-        return 1.0 - self._gen.random(size)
+        return _one(1.0 - self._gen.random(1 if size is None else size), size)
 
     # -- continuous distributions ------------------------------------------
 
@@ -52,15 +53,13 @@ class RngStream:
         """Exponential with density rate * exp(-rate * x) on x >= 0."""
         if not 0 < rate < math.inf:  # also false for NaN
             raise ValueError(f"rate must be positive and finite, got {rate}")
-        if size is None:
-            return -math.log(1.0 - self._gen.random()) / rate
         # in place on the uniform block: -log(1 - u) / rate, bit for bit
-        x = self._gen.random(size)
+        x = self._gen.random(1 if size is None else size)
         np.subtract(1.0, x, out=x)
         np.log(x, out=x)
         np.negative(x, out=x)
         x /= rate
-        return x
+        return _one(x, size)
 
     def truncated_exponential(self, q) -> np.ndarray:
         """Unit exponentials, entry i conditioned on at most -ln(1 - q[i]),
@@ -83,20 +82,16 @@ class RngStream:
 
         An exponential draw that rounds to 0 gives -inf.
         """
-        if size is None:
-            z = self.exponential(1.0)
-            return math.log(z) if z > 0 else -math.inf
-        z = self.exponential(1.0, size)
+        z = self.exponential(1.0, 1 if size is None else size)
         with np.errstate(divide="ignore"):
-            return np.log(z, out=z)
+            return _one(np.log(z, out=z), size)
 
     def laplace(self, scale: float = 1.0, size=None):
         """Zero-location Laplace, built as the difference of two unit exponentials."""
         if not 0 < scale < math.inf:  # also false for NaN
             raise ValueError(f"scale must be positive and finite, got {scale}")
-        if size is None:
-            return scale * (self.exponential(1.0) - self.exponential(1.0))
-        return scale * (self.exponential(1.0, size) - self.exponential(1.0, size))
+        one = 1 if size is None else size
+        return _one(scale * (self.exponential(1.0, one) - self.exponential(1.0, one)), size)
 
     def gaussian(self, sigma: float = 1.0, size=None):
         """Zero-mean normal with standard deviation sigma."""
@@ -106,11 +101,9 @@ class RngStream:
         # standard normals z, which is sigma * z bit for bit unless that is
         # -0.0; filling z and scaling it in place skips normal's per-draw
         # broadcast of loc and scale
-        if size is None:
-            return sigma * self._gen.standard_normal()
-        out = self._gen.standard_normal(size)
+        out = self._gen.standard_normal(1 if size is None else size)
         out *= sigma
-        return out
+        return _one(out, size)
 
     def beta(self, alpha: float, beta: float, size=None):
         """Beta(alpha, beta) via the two-gamma construction X/(X+Y)."""
@@ -165,3 +158,9 @@ class RngStream:
             raise ValueError("p must lie in [0, 1]")
         heads = (self._gen.random(p.shape + (int(count),)) < p[..., None]).sum(axis=-1)
         return int(heads) if p.ndim == 0 else heads
+
+
+def _one(block: np.ndarray, size):
+    """A sampler's result: the block as drawn, or, for ``size=None``, the
+    float at its one entry, so that a scalar draw is the block form's."""
+    return float(block[0]) if size is None else block

@@ -330,11 +330,12 @@ TALLY_GRAPHS["k6-asymmetric"] = lambda: build_graph(
     6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)],
     [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3, 5.8, 9.7, 9.3, 2.3, 8.4, 6.2, 6.4, 3.3],
     delta_inf=1.0)
-# the graph of TestPamst::test_heavy_then_light: the certificate failed on
-# all 50,000 rows of one eps' = 1 block, so the tally races row by row
+# the graph of TestPamst::test_heavy_then_light, on which Dijkstra's
+# certificate refused all 50,000 rows of one eps' = 1 block
 TALLY_GRAPHS["heavy-then-light"] = lambda: build_graph(
     4, [(1, 2), (2, 3), (2, 4), (3, 4)], [100.0, 0.0, 0.3, 0.1])
-# per call, pamst runs the race on all of these; the tally runs Dijkstra
+# all of these are below PAMST_RACE_MAX_N, so pamst runs the race on them,
+# and the tally runs pamst's own rule on each row
 BULK["pamst"] = MECHANISMS["pamst"]
 TALLY_CASES += [(name, "pamst") for name in (
     "k3", "k4", "k4-asymmetric", "parallel-edges", "light-triangles-heavy-bridges",
@@ -361,7 +362,7 @@ class TestBulkTally:
             for seed in (3, 4, 5):
                 got = tree_distribution_test(g, 1.0, trials, 0.001, seed,
                                              mechanisms=(mech,))[mech]
-                # the per-trial loop that the bulk tally replaces
+                # the per-trial loop that the tally replaces
                 ref = tree_counts(BULK[mech], g, budget, trials, RngStream(seed, (0,)))
                 assert got.counts == ref
                 assert got.chi == chi_square_gof(
@@ -430,8 +431,8 @@ class TestBulkTally:
                              ids=["one", "tiny", "mix"])
     @pytest.mark.parametrize("name", sorted(TALLY_GRAPHS))
     def test_pamst_at_extreme_uniforms(self, name, values, monkeypatch):
-        # all -inf noise sends every row to the race, all-equal noise gives
-        # Dijkstra ties, and the mix gives both within one block
+        # all -inf noise rings every clock at once, all-equal noise ties
+        # every clock, and the mix gives both within one block
         g = TALLY_GRAPHS[name]()
         budget = budget_for_eps_prime(g, 1.0)
         monkeypatch.setattr(harness, "_BLOCK_VARIATES", 50)

@@ -16,7 +16,7 @@ from dpmst.instances import erdos_renyi_instance
 from dpmst import mechanisms
 from dpmst.mechanisms import (LAZY_GUMBEL, LAZY_MIN_DENSITY, LAZY_MIN_EDGES, MECHANISMS,
                               MechanismResult, NoisyWeights, UnknownMechanismError,
-                              input_perturbation_mst, _dijkstra_tree, _dijkstra_trees, _extend,
+                              input_perturbation_mst, _dijkstra_tree, _extend,
                               _first_window, _kruskal_tree, _noise_scale, _perturbed_tree,
                               _prim_race, _prim_tree, _reveal, _window, pamst,
                               perturb_weights, run_mechanism, sealfon_mst)
@@ -464,7 +464,7 @@ class TestPamst:
         counts = tree_counts(pamst, g, budget, 20000, RngStream(39))
         assert chi_square_gof(counts, exact, 0.001).passed
 
-    def test_heavy_then_light(self):
+    def test_heavy_then_light(self, monkeypatch):
         # vertex 2 joins at about exp(50) and the light clocks after it are
         # below its last bit, so Dijkstra's times tie and the certificate
         # must refuse its tree; an uncertified Dijkstra releases one tree
@@ -472,23 +472,25 @@ class TestPamst:
         budget = budget_for_eps_prime(g, 1.0)
         noisy = perturb_weights(g, 1.0, 1.0, RngStream(45))
         assert _dijkstra_tree(g, 0.5 * noisy) is None
-        tree, certified = _dijkstra_trees(g, 0.5 * noisy[None])
-        assert not certified[0]
-        assert sorted(np.flatnonzero(tree[0])) == sorted(_prim_race(g, 0.5 * noisy))
+        # above the race's size rule the refused tree falls back to the race
+        monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", 0)
+        tree = _prim_tree(g, noisy, 2.0, None, -math.inf)[0]
+        assert tree.index.tolist() == sorted(_prim_race(g, 0.5 * noisy))
+        monkeypatch.undo()
         counts = tree_counts(pamst, g, budget, 20000, RngStream(46))
         assert chi_square_gof(counts, prim_tree_distribution(g, 1.0), 0.001).passed
 
-    def test_certificate_needs_a_margin(self):
+    def test_certificate_needs_a_margin(self, monkeypatch):
         # lengths 1, 1 and 2 + 2^-51 on (1,2), (2,3), (1,3): the path through
         # vertex 2 wins by about an ulp, inside the rounding bound
         g = build_graph(3, [(1, 2), (2, 3), (1, 3)], [0.0, 0.0, 0.0])
         clock = np.log([[1.0, 1.0, 2.0 + 2.0 ** -51], [1.0, 1.0, 3.0]])
-        tree, certified = _dijkstra_trees(g, clock)
-        assert certified.tolist() == [False, True]
         assert _dijkstra_tree(g, clock[0]) is None
         assert _dijkstra_tree(g, clock[1]).tolist() == [True, True, False]
         # the refused row takes the race's tree, which the exact lengths give
-        assert tree.tolist() == [[True, True, False], [True, True, False]]
+        monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", 0)
+        for row in clock:
+            assert _prim_tree(g, row, 1.0, None, -math.inf)[0].index.tolist() == [0, 1]
 
     @pytest.mark.parametrize("graph", [
         lambda: erdos_renyi_instance(60, 0.3, 0, 100, RngStream(47)),
@@ -499,14 +501,14 @@ class TestPamst:
     def test_dijkstra_and_exact_path_agree(self, graph, rho):
         g = graph()
         eps_prime = PrivacyBudget.from_rho(rho, 1e-6, 0.1).per_round(g.n - 1)
-        clock = np.stack([perturb_weights(g, eps_prime, 0.1, RngStream(49, (seed,)))
-                          for seed in range(20)])
-        clock *= eps_prime / 0.2
-        # the 20 seeds as one block: each row is its own copy of the graph
-        tree, certified = _dijkstra_trees(g, clock)
-        assert certified.any()
-        for row, c in zip(tree, clock):
-            assert sorted(np.flatnonzero(row)) == sorted(_prim_race(g, c))
+        certified = 0
+        for seed in range(20):
+            clock = perturb_weights(g, eps_prime, 0.1, RngStream(49, (seed,))) * (eps_prime / 0.2)
+            tree = _dijkstra_tree(g, clock)
+            if tree is not None:
+                certified += 1
+                assert np.flatnonzero(tree).tolist() == sorted(_prim_race(g, clock))
+        assert certified > 0
 
     def test_huge_budget_returns_true_mst_on_dense_graph(self):
         g = erdos_renyi_instance(64, 1.0, 0, 100, RngStream(40))
@@ -586,6 +588,9 @@ def is_lazy(g):
     return _first_window(g, 1.0, g.n) is not None
 
 
+K4_EDGES = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
 def complete(n):
     """K_n with U(0, 100) weights; K221 (24,310 edges) lies just below the
     size rule's floor and K256 (32,640) above it."""
@@ -608,9 +613,9 @@ class CountingStream(RngStream):
 
 class TestOneRowDijkstra:
     """``_dijkstra_tree``, the one-row certified Dijkstra that ``pamst``
-    runs, against ``_dijkstra_trees``, the block form the bulk tally runs:
-    the same certified flag and, where certified, the same tree, row by
-    row, over all m edges. Over a subset, the one-row tree, where
+    runs, against ``_prim_race``, the race it falls back on: on each row of
+    a block of clock rows over all m edges, the Dijkstra tree, where
+    certified, is the race's. Over a subset, the one-row tree, where
     certified, is the tree of a full row that extends it."""
 
     @staticmethod
@@ -633,15 +638,16 @@ class TestOneRowDijkstra:
 
     @staticmethod
     def same(g, block):
-        """Assert that the two forms agree on each row; return the flags."""
-        tree, certified = _dijkstra_trees(g, block)
-        for row, row_tree, flag in zip(block, tree, certified):
+        """Assert that each row's Dijkstra tree, where certified, is the
+        race's; return whether each row's was."""
+        certified = []
+        for row in block:
             one = _dijkstra_tree(g, row)
-            assert (one is not None) == flag
-            if flag:
-                assert one.dtype == bool and np.array_equal(one, row_tree)
-                assert np.count_nonzero(one) == g.n - 1
-        return certified
+            if one is not None:
+                assert one.dtype == bool and np.count_nonzero(one) == g.n - 1
+                assert np.flatnonzero(one).tolist() == sorted(_prim_race(g, row))
+            certified.append(one is not None)
+        return np.array(certified)
 
     @staticmethod
     def subset_tree(g, row, edges, log_window, seed):
@@ -686,20 +692,19 @@ class TestOneRowDijkstra:
         assert flags["full", True, False, False] + flags["full", False, False, False] == 3
         assert flags["span", True, True] == flags["low", True, True] == 0
 
-    def test_tied_clocks(self):
+    def test_tied_clocks(self, monkeypatch):
         # on k4, (1,2), (1,3), (1,4), (2,3), (2,4), (3,4), six equal clocks
         # give the star from vertex 1 as the one shortest-path tree, but
         # lengths 1, 2 on (1,2), (1,3) and 1 elsewhere tie path 1-2-3 with
-        # edge (1,3) exactly, so no tree is certified and the block takes
-        # the race's
+        # edge (1,3) exactly, so no tree is certified and pamst's rule
+        # takes the race's
         g = k4([1.0] * 6)
         tied = np.log([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
-        block = np.stack([np.zeros(6), tied])
-        tree, certified = _dijkstra_trees(g, block)
-        assert certified.tolist() == [True, False]
-        assert _dijkstra_tree(g, block[0]).tolist() == tree[0].tolist() == [True] * 3 + [False] * 3
+        assert _dijkstra_tree(g, np.zeros(6)).tolist() == [True] * 3 + [False] * 3
         assert _dijkstra_tree(g, tied) is None
-        assert sorted(np.flatnonzero(tree[1])) == sorted(_prim_race(g, tied))
+        monkeypatch.setattr(mechanisms, "PAMST_RACE_MAX_N", 0)
+        tree = _prim_tree(g, tied, 1.0, None, -math.inf)[0]
+        assert spans_as_its_own_ids(g, tree).index.tolist() == sorted(_prim_race(g, tied))
 
     def test_window_bound_refuses_some_subsets(self, monkeypatch):
         # over K64's lightest three quarters the slack certificate holds on
@@ -714,6 +719,38 @@ class TestOneRowDijkstra:
             with monkeypatch.context() as patched:
                 patched.setattr(mechanisms, "_below_window", lambda *args: True)
                 assert _dijkstra_tree(g, row[edges], edges, row.min() + 1e-3) is not None
+
+
+class TestPrimRace:
+    """``_prim_race``'s tie rules, pinned as literal trees in join order on
+    hand-built clocks whose re-based keys are exact: 0 for a key tied with
+    the one that rang, and no re-basing at all after a -inf ring."""
+
+    INF = math.inf
+
+    @pytest.mark.parametrize("edges, clock, joined", [
+        # six equal clocks on K4: vertices 3 and 4 tie vertex 2, whose ring
+        # re-bases them to -inf, so the star from vertex 1 joins in order
+        (K4_EDGES, [0.0] * 6, [0, 1, 2]),
+        # -inf clocks ring first, the lowest vertex first: 3 by (1,3), then
+        # 4 by (1,4); vertex 2's key 0 meets new clocks 0 from 3 and from 4,
+        # and each tied new clock wins, so 2 joins by (2,4)
+        (K4_EDGES, [0.0, -INF, -INF, 0.0, 0.0, 0.0], [1, 2, 4]),
+        # all -inf: after vertex 2 joins, each new -inf clock ties the old
+        # -inf key and wins, so 3 joins by (2,3) and 4 by (3,4)
+        (K4_EDGES, [-INF] * 6, [0, 3, 5]),
+        # a new clock tied with an old key wins: 3's key 0 by (1,3) meets
+        # (2,3) at 0 after a -inf ring
+        ([(1, 2), (2, 3), (1, 3)], [-INF, 0.0, 0.0], [0, 1]),
+        # equal parallel edges: vertex 1's row lists (1,2), edge 1, before
+        # (2,1), edge 0, and the lowest edge id wins; vertex 3's key, tied
+        # with vertex 2's, re-bases to -inf, so it joins by its old clock
+        ([(2, 1), (1, 2), (2, 3), (1, 3)], [0.0, 0.0, 0.0, 0.0], [0, 3]),
+    ], ids=["k4-equal", "k4-minus-inf", "k4-all-minus-inf", "new-ties-old", "parallel-equal"])
+    def test_tie_rules(self, edges, clock, joined):
+        g = build_graph(max(map(max, edges)), edges, [1.0] * len(edges))
+        race = _prim_race(g, np.array(clock))
+        assert race.dtype == np.int64 and race.tolist() == joined
 
 
 class TestLazyReveal:
@@ -1112,7 +1149,7 @@ class TestLazyPamst:
         same = []
         for seed in range(3):
             clock = perturb_weights(g, eps_prime, 1.0, RngStream(seed, (5,))) * (eps_prime / 2.0)
-            full = frozenset((np.flatnonzero(_dijkstra_trees(g, clock[None])[0][0]) + 1).tolist())
+            full = frozenset((np.flatnonzero(_dijkstra_tree(g, clock)) + 1).tolist())
             same.append(pamst(g, budget, RngStream(seed, (5,))).tree.edge_ids == full)
         assert not any(same) if lazy else all(same)
 
@@ -1302,9 +1339,9 @@ class TestProducerParity:
     @pytest.mark.parametrize("graph", [
         k4_asymmetric, k5,
         lambda: erdos_renyi_instance(30, 0.4, 0, 100, RngStream(17)),
-        partial(complete, 64),
+        partial(complete, 12), partial(complete, 16), partial(complete, 64),
         lambda: erdos_renyi_instance(400, 0.2, 0, 100, RngStream(6)),
-    ], ids=["k4-asymmetric", "k5", "er-30", "k64", "er-400"])
+    ], ids=["k4-asymmetric", "k5", "er-30", "k12", "k16", "k64", "er-400"])
     def test_full_and_subset_producers(self, graph, monkeypatch):
         g = graph()
         scale = _noise_scale(1.0, g.delta_inf)
