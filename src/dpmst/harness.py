@@ -20,7 +20,7 @@ from .exact import (ChiSquareResult, by_edge_set, chi_square_gof,
                     exact_tree_distribution, join_table, prim_tree_distribution)
 from .graph import WeightedGraph, _sorted_index, build_graph
 from .instances import erdos_renyi_instance
-from .mechanisms import (MECHANISMS, UnknownMechanismError, _noise_scale, _prim_tree,
+from .mechanisms import (IDS, UnknownMechanismError, _kruskal_tree, _noise_scale, _prim_tree,
                          perturb_weights, run_mechanism)
 from .rng import RngStream
 
@@ -116,8 +116,6 @@ def run_trials(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget,
     """Run ``trials`` independent invocations; trial i uses stream (master_seed, (i,))."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if mechanism_id not in MECHANISMS:
-        raise UnknownMechanismError(f"unknown mechanism {mechanism_id!r}")
     true_ids = g.mst.index
     true_weight = float(g.weights[true_ids].sum())
     true_mask = np.zeros(g.m, dtype=bool)
@@ -283,14 +281,8 @@ def _prim_masks(g: WeightedGraph, noisy: np.ndarray, scale: float,
                      for row in noisy])
 
 
-# each id the suite judges: the tree rule it applies to perturb_weights rows
-# and the multiple of eps' it draws them at. Kruskal's rule reads a whole
-# block at once; Prim's runs pamst's own _prim_tree row by row. The mutants,
-# exponent eps' / delta_inf for eps' / (2 * delta_inf), are judged at eps'
-# and must fail.
-_JUDGED = {"perturb": (_kruskal_masks, 1.0), "kruskal": (_kruskal_masks, 1.0),
-           "onepass": (_kruskal_masks, 1.0), "mutant": (_kruskal_masks, 2.0),
-           "pamst": (_prim_masks, 1.0), "pamst-mutant": (_prim_masks, 2.0)}
+# each rule's block tally: Kruskal's reads a whole block, Prim's runs row by row
+_TALLIES = {_kruskal_tree: _kruskal_masks, _prim_tree: _prim_masks}
 
 
 def _tally_trees(g: WeightedGraph, rule, eps_prime: float, delta_inf: float,
@@ -317,10 +309,10 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
                            alpha: float, master_seed: int = 0,
                            mechanisms=EQUIV_MECHANISMS) -> dict[str, EquivalenceResult]:
     """Tally each id's trees and chi-square them against the exact tree
-    distribution of its rule in ``_JUDGED`` at eps': the Prim-cut one for
-    ``pamst`` and ``pamst-mutant``, private Kruskal's for the others.
-    ``sealfon-laplace`` and ``sealfon-gauss`` have no exact tree
-    distribution and are refused before any draw.
+    distribution of its rule in ``IDS`` at eps': the Prim-cut one for
+    ``_prim_tree``, private Kruskal's for ``_kruskal_tree``. An id with no
+    rule has no exact tree distribution; it, an unknown id, or one given
+    twice, whose first tally would be lost, is refused before any draw.
 
     Id idx draws from stream (master_seed, (idx,)) in blocks of noise rows,
     tallied by ``_tally_trees`` with the same trees as one call per trial.
@@ -332,11 +324,13 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
         raise ValueError(f"eps_prime must be positive and finite, got {eps_prime}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    for mech in mechanisms:
-        if mech in ("sealfon-laplace", "sealfon-gauss"):  # release the noisy vector
-            raise ValueError(f"{mech!r} has no exact tree distribution to test against")
-        if mech not in _JUDGED:
+    for idx, mech in enumerate(mechanisms):
+        if mech not in IDS:
             raise UnknownMechanismError(f"unknown mechanism {mech!r}")
+        if IDS[mech].rule is None:  # it releases its noisy vector
+            raise ValueError(f"{mech!r} has no exact tree distribution to test against")
+        if mech in mechanisms[:idx]:
+            raise ValueError(f"each id may be given once; {mech!r} is repeated")
     joins = join_table(g)  # needs m <= exact.MAX_EDGES
     rounds = g.n - 1
     budget = PrivacyBudget.from_rho(rounds * eps_prime ** 2 / 2.0, 1e-6, g.delta_inf)
@@ -344,11 +338,11 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
     oracle = {}  # each rule's oracle is computed once, and only if an id needs it
     out: dict[str, EquivalenceResult] = {}
     for idx, mech in enumerate(mechanisms):
-        rule, factor = _JUDGED[mech]
+        _, rule, factor = IDS[mech]
         if rule not in oracle:
-            oracle[rule] = (prim_tree_distribution(g, eps_used, g.delta_inf) if rule is _prim_masks
+            oracle[rule] = (prim_tree_distribution(g, eps_used, g.delta_inf) if rule is _prim_tree
                             else exact_tree_distribution(g, eps_used, g.delta_inf, joins=joins))
-        counts = _tally_trees(g, rule, factor * eps_used, budget.delta_inf, trials,
+        counts = _tally_trees(g, _TALLIES[rule], factor * eps_used, budget.delta_inf, trials,
                               RngStream(master_seed, (idx,)), joins)
         chi = chi_square_gof(counts, oracle[rule], alpha)
         out[mech] = EquivalenceResult(mechanism=mech, counts=counts, chi=chi)

@@ -1,11 +1,11 @@
 """The private MST mechanisms.
 
-Six registry ids. ``perturb``, ``onepass`` and ``kruskal`` all run input
-perturbation (``input_perturbation_mst``), which samples the tree
-distribution of Kruskal with the exponential mechanism in every round. The
-baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input privatization)
-and ``pamst`` (Prim-based): the shortest-path tree from vertex 1 under
-lengths exp(eps' / (2 * delta_inf) * w~_e) of ``perturb``'s vector w~.
+``IDS`` holds each id's call, tree rule and eps' factor. ``perturb``,
+``onepass`` and ``kruskal`` run input perturbation
+(``input_perturbation_mst``): Kruskal with the exponential mechanism in every
+round. The baselines are ``sealfon-laplace`` and ``sealfon-gauss`` (input
+privatization) and ``pamst`` (Prim-based): the shortest-path tree from vertex 1
+under lengths exp(eps' / (2 * delta_inf) * w~_e) of ``perturb``'s vector w~.
 
 The four perturbation ids share one noise body, ``_perturbed_tree``, and
 differ only in its tree rule, ``_kruskal_tree`` or ``_prim_tree``. On large
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -90,28 +90,26 @@ class MechanismResult:
     array; a caller reads ``tree.index`` (0-based) or ``tree.edge_ids``.
     ``noise`` is the mechanism's per-edge noisy weights, a ``NoisyWeights``
     record, when it computed them; ``noisy_weights``, an m-vector, builds the
-    full record. The noise is a private release only when
-    ``noisy_weights_released`` is True (the input-privatization baselines);
-    for the perturbation mechanisms it is calibrated to privatize the tree
-    alone and is kept purely as a diagnostic. Input perturbation's tree is
-    an MST of the m-vector its record stands for, compact or full, and the
-    true tree's clamped sum is at most its full-noise sum, so a
+    full record. An id with no tree rule in ``IDS`` (the input-privatization
+    baselines) releases its noisy vector. For every other id ``noise``,
+    ``ops`` and ``wall_time_ns`` are diagnostics, not private outputs: the
+    noise is calibrated to privatize the tree alone. Input perturbation's
+    tree is an MST of the m-vector its record stands for, compact or full,
+    and the true tree's clamped sum is at most its full-noise sum, so a
     noisy-minimality check against it is no weaker.
     """
 
     tree: SpanningTree
     noise: NoisyWeights | None
-    noisy_weights_released: bool
     wall_time_ns: int
     ops: Mapping
 
     def __init__(self, tree: SpanningTree, noisy_weights: np.ndarray | None = None,
-                 noisy_weights_released: bool = False, wall_time_ns: int = 0,
-                 ops: Mapping | None = None, noise: NoisyWeights | None = None):
+                 wall_time_ns: int = 0, ops: Mapping | None = None,
+                 noise: NoisyWeights | None = None):
         if noisy_weights is not None:
             noise = NoisyWeights(len(noisy_weights), noisy_weights)
-        self.tree, self.noise = tree, noise
-        self.noisy_weights_released, self.wall_time_ns = noisy_weights_released, wall_time_ns
+        self.tree, self.noise, self.wall_time_ns = tree, noise, wall_time_ns
         self.ops = {} if ops is None else ops
 
 
@@ -441,7 +439,6 @@ def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
     noisy += g.weights
     tree = kruskal_mst(g, noisy)
     return MechanismResult(tree=tree, noisy_weights=noisy,
-                           noisy_weights_released=True,
                            wall_time_ns=time.perf_counter_ns() - t0)
 
 
@@ -656,14 +653,31 @@ def _prim_race(g: WeightedGraph, log_clock: np.ndarray) -> np.ndarray:
     return np.array(chosen, dtype=np.int64)
 
 
-MECHANISMS = {
-    "perturb": input_perturbation_mst,
-    "kruskal": input_perturbation_mst,
-    "onepass": input_perturbation_mst,
-    "pamst": pamst,
-    "sealfon-laplace": partial(sealfon_mst, mode="laplace_pure"),
-    "sealfon-gauss": partial(sealfon_mst, mode="gaussian_zcdp"),
+class Mechanism(NamedTuple):
+    """One id's ``call``, the function a release runs (None for a mutant,
+    judged but never run); its ``rule``, the tree rule it applies to
+    ``perturb_weights``' vector (None for an id that releases its noisy
+    vector, so has no exact tree distribution); and its eps' ``factor``."""
+
+    call: Callable | None
+    rule: Callable | None
+    factor: float = 1.0
+
+
+# every id, the judged ones in check-equiv's order. The mutants (exponent
+# eps' / delta_inf for eps' / (2 * delta_inf)) are judged at eps' and must fail
+IDS = {
+    "perturb": Mechanism(input_perturbation_mst, _kruskal_tree),
+    "kruskal": Mechanism(input_perturbation_mst, _kruskal_tree),
+    "onepass": Mechanism(input_perturbation_mst, _kruskal_tree),
+    "mutant": Mechanism(None, _kruskal_tree, 2.0),
+    "pamst": Mechanism(pamst, _prim_tree),
+    "pamst-mutant": Mechanism(None, _prim_tree, 2.0),
+    "sealfon-laplace": Mechanism(partial(sealfon_mst, mode="laplace_pure"), None),
+    "sealfon-gauss": Mechanism(partial(sealfon_mst, mode="gaussian_zcdp"), None),
 }
+# the ids that run; run_mechanism reads it at call time
+MECHANISMS = {mech: rec.call for mech, rec in IDS.items() if rec.call is not None}
 
 
 def run_mechanism(mechanism_id: str, g: WeightedGraph, budget: PrivacyBudget,

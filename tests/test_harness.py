@@ -10,12 +10,12 @@ from dpmst.accounting import PrivacyBudget
 from dpmst.exact import (MAX_EDGES, SizeGuardError, chi_square_gof, join_table,
                          prim_tree_distribution)
 from dpmst.graph import SpanningTree, build_graph, kruskal_mst, tree_weight
-from dpmst.harness import (CSV_COLUMNS, EQUIV_MECHANISMS, _JUDGED, _kruskal_masks,
-                           _prim_masks, _run_single_trial, _tally_trees, density_sweep,
-                           emit_csv, family_graph, run_trials, tree_distribution_test)
+from dpmst.harness import (CSV_COLUMNS, EQUIV_MECHANISMS, _kruskal_masks, _prim_masks,
+                           _run_single_trial, _tally_trees, density_sweep, emit_csv,
+                           family_graph, run_trials, tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
-from dpmst.mechanisms import (MECHANISMS, MechanismResult, NoisyWeights,
-                              UnknownMechanismError, input_perturbation_mst)
+from dpmst.mechanisms import (IDS, MECHANISMS, MechanismResult, NoisyWeights,
+                              UnknownMechanismError, _prim_tree, input_perturbation_mst)
 from dpmst.rng import RngStream
 
 from .test_graph import k4, triangle
@@ -344,7 +344,7 @@ TALLY_CASES += [(name, "pamst") for name in (
 
 def oracle(mech, g, eps_prime):
     """The exact tree distribution that ``mech`` is judged against."""
-    if _JUDGED[mech][0] is _prim_masks:
+    if IDS[mech].rule is _prim_tree:
         return prim_tree_distribution(g, eps_prime, g.delta_inf)
     return exact.exact_tree_distribution(g, eps_prime, g.delta_inf)
 
@@ -538,15 +538,27 @@ class TestBulkTally:
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
             tree_distribution_test(family_graph("k3"), 1.0, 100, alpha)
 
+    def test_repeated_id_rejected_before_any_draw(self, monkeypatch):
+        # a repeated id used to run two tallies and keep only the second,
+        # drawn from the stream of its second place
+        def no_stream(*args):
+            raise AssertionError("opened a stream before the id check")
+
+        monkeypatch.setattr(harness, "RngStream", no_stream)
+        with pytest.raises(ValueError, match="'perturb' is repeated"):
+            tree_distribution_test(family_graph("k3"), 1.0, 100, 0.001,
+                                   mechanisms=("perturb", "perturb"))
+
     def test_no_id_runs_through_the_registry(self, monkeypatch):
         def no_call(g, budget, stream):
             raise AssertionError("a registry function ran")
 
         for mech in list(MECHANISMS):
             monkeypatch.setitem(MECHANISMS, mech, no_call)
+        judged = tuple(mech for mech, rec in IDS.items() if rec.rule is not None)
         results = tree_distribution_test(family_graph("k3"), 1.0, 300, 0.001, master_seed=2,
-                                         mechanisms=tuple(_JUDGED))
-        assert set(results) == set(_JUDGED)
+                                         mechanisms=judged)
+        assert set(results) == set(judged)
         assert all(sum(r.counts.values()) == 300 for r in results.values())
 
 
@@ -673,6 +685,22 @@ class TestCli:
         assert list(family.choices) == list(harness.EQUIV_FAMILIES)
         args = parser.parse_args(["check-equiv", "--family", "p3", "--eps-prime", "1"])
         assert args.family == "p3"
+
+    def test_id_lists_are_the_table(self):
+        from dpmst import cli
+
+        subs = cli._build_parser()._subparsers._group_actions[0].choices
+        run_ids = subs["run"]._option_string_actions["--mech"].choices
+        equiv_ids = subs["check-equiv"]._option_string_actions["--mech"].choices
+        assert set(run_ids) == {mech for mech, rec in IDS.items() if rec.call is not None}
+        assert list(equiv_ids) == [mech for mech, rec in IDS.items() if rec.rule is not None]
+        assert list(equiv_ids) == ["perturb", "kruskal", "onepass", "mutant", "pamst",
+                                   "pamst-mutant"]
+        # a mutant is judged, never run
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--graph", "x", "--mech", "mutant", "--eps", "1",
+                      "--delta", "1e-6", "--seed", "1", "--out", "y"])
+        assert exc.value.code == cli.USAGE_ERROR
 
     def test_usage_error_exit_one(self):
         r = self.run_cli("run", "--graph", "x", "--mech", "not-a-mech",

@@ -14,7 +14,7 @@ from dpmst.graph import (SpanningTree, _kruskal_picks, build_graph, is_spanning_
                          tree_weight)
 from dpmst.instances import erdos_renyi_instance
 from dpmst import mechanisms
-from dpmst.mechanisms import (LAZY_GUMBEL, LAZY_MIN_DENSITY, LAZY_MIN_EDGES, MECHANISMS,
+from dpmst.mechanisms import (IDS, LAZY_GUMBEL, LAZY_MIN_DENSITY, LAZY_MIN_EDGES, MECHANISMS,
                               MechanismResult, NoisyWeights, UnknownMechanismError,
                               input_perturbation_mst, _dijkstra_tree, _extend,
                               _first_window, _kruskal_tree, _noise_scale, _perturbed_tree,
@@ -210,7 +210,11 @@ class TestInputPerturbation:
     def test_noisy_vector_is_diagnostic_not_release(self):
         g = triangle()
         r = input_perturbation_mst(g, budget_for_eps_prime(g, 1.0), RngStream(7))
-        assert r.noise is not None and not r.noisy_weights_released
+        assert r.noise is not None
+        # each id that runs it has a tree rule, so it releases only its tree
+        ids = [mech for mech, rec in IDS.items() if rec.call is input_perturbation_mst]
+        assert ids == ["perturb", "kruskal", "onepass"]
+        assert all(IDS[mech].rule is not None for mech in ids)
 
 
 class TestPrivateKruskal:
@@ -379,11 +383,13 @@ class TestOnePass:
 class TestSealfon:
     def test_single_edge_graph(self):
         g = build_graph(2, [(1, 2)], [7.0])
-        for mode in ("laplace_pure", "gaussian_zcdp"):
+        for mode, mech in (("laplace_pure", "sealfon-laplace"),
+                           ("gaussian_zcdp", "sealfon-gauss")):
             r = sealfon_mst(g, PrivacyBudget.from_eps_delta(1.0, 1e-6), RngStream(14),
                             mode=mode)
             assert r.tree.edge_ids == frozenset({1})
-            assert r.noisy_weights_released
+            # an id with no tree rule releases its noisy vector
+            assert IDS[mech].rule is None and IDS[mech].call.keywords == {"mode": mode}
 
     def test_laplace_noise_scales_linearly_in_edge_count(self):
         budget = PrivacyBudget.from_eps_delta(1.0, 1e-6, 1.0)
