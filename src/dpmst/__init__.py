@@ -8,8 +8,7 @@ from .exact import (ChiSquareResult, brute_force_mst, chi_square_gof, cycle_rule
                     exact_tree_distribution)
 from .graph import (GraphError, SpanningTree, WeightedGraph, build_graph,
                     is_spanning_tree, kruskal_mst, tree_weight)
-from .harness import (DensitySweepResult, RunReport, density_sweep, emit_csv,
-                      run_trials, tree_distribution_test)
+from .harness import RunReport, density_sweep, emit_csv, run_trials, tree_distribution_test
 from .instances import (erdos_renyi_instance, hard_instance, mi_sensitivity,
                         mi_weight, mutual_info_chain_instance, parity_even_prob,
                         read_instance, write_instance)

@@ -159,21 +159,22 @@ def _cmd_sweep(args) -> int:
         print(f"dpmst sweep-density: bad --densities: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        result = density_sweep(args.n, densities, args.rho, args.trials, args.seed,
-                               delta=args.delta, delta_inf=args.delta_inf)
+        reports = density_sweep(args.n, densities, args.rho, args.trials, args.seed,
+                                delta=args.delta, delta_inf=args.delta_inf)
     except (ValueError, GenerationError) as exc:
         print(f"dpmst sweep-density: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        emit_csv(result, args.out)
+        emit_csv(reports, args.out)
     except OSError as exc:
         print(f"dpmst sweep-density: cannot write {args.out}: {exc}", file=sys.stderr)
         return IO_ERROR
     print(f"{'p':>6} {'mechanism':>14} {'median ratio':>14} {'ratio IQR':>20} "
           f"{'median error':>14}")
-    for row in result.rows:
-        print(f"{row.sweep_param:>6.2f} {row.mechanism:>14} {row.median_ratio:>14.4f} "
-              f"[{row.q1_ratio:8.4f}, {row.q3_ratio:8.4f}] {row.median_error:>14.4f}")
+    for r in reports:
+        q1, median, q3 = r.quartiles(r.ratios)
+        print(f"{r.density:>6.2f} {r.mechanism:>14} {median:>14.4f} "
+              f"[{q1:8.4f}, {q3:8.4f}] {r.median_error():>14.4f}")
     print(f"per-trial records -> {args.out}")
     return 0
 

@@ -5,6 +5,8 @@ run on any small graph, the named ``EQUIV_FAMILIES`` through ``family_graph``).
 Reports are a pure function of (instance, mechanism id, budget, master seed,
 trials): trial i always uses the stream derived as (master_seed, (i,)), so
 trials may be executed in any order, or in parallel, with identical records.
+A density sweep is a list of such reports, one per (p, mechanism) cell, and
+``emit_csv`` writes one report or a list of them under one header.
 """
 
 from __future__ import annotations
@@ -63,8 +65,14 @@ class RunReport:
     def mean_error(self) -> float:
         return statistics.fmean(self.errors)
 
+    @staticmethod
+    def quartiles(values) -> tuple[float, float, float]:
+        """Q1, median and Q3 of ``values`` by ``np.quantile``'s linear rule."""
+        q1, q2, q3 = np.quantile(np.asarray(values, dtype=float), [0.25, 0.5, 0.75])
+        return float(q1), float(q2), float(q3)
+
     def median_error(self) -> float:
-        return statistics.median(self.errors)
+        return self.quartiles(self.errors)[1]
 
     def std_error(self) -> float:
         return statistics.stdev(self.errors) if len(self.records) > 1 else 0.0
@@ -130,74 +138,46 @@ def run_trials(g: WeightedGraph, mechanism_id: str, budget: PrivacyBudget,
 
 # -- density sweep -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    sweep_param: float
-    mechanism: str
-    n: int
-    m: int
-    median_ratio: float
-    q1_ratio: float
-    q3_ratio: float
-    median_error: float
-    q1_error: float
-    q3_error: float
-
-
-@dataclass
-class DensitySweepResult:
-    rows: list[SweepRow]
-    reports: dict[tuple[float, str], RunReport]
-
-
-def _quartiles(values) -> tuple[float, float, float]:
-    q1, q2, q3 = np.quantile(np.asarray(values, dtype=float), [0.25, 0.5, 0.75])
-    return float(q1), float(q2), float(q3)
-
-
 def density_sweep(n: int, densities, rho: float, trials: int, master_seed: int,
-                  delta: float = 1e-6, delta_inf: float = 0.1) -> DensitySweepResult:
-    """Weight-ratio comparison across graph densities, one row per (p, mechanism).
+                  delta: float = 1e-6, delta_inf: float = 0.1) -> list[RunReport]:
+    """Weight-ratio comparison across graph densities: one report per
+    (p, mechanism) cell, in the order of ``densities`` and then
+    ``SWEEP_MECHANISMS``, each with its ``density`` set to p.
 
     For each density p, one connected G(n, p) instance with U(0, 100)
     weights is generated; every mechanism of ``SWEEP_MECHANISMS`` then runs
-    ``trials`` times on it and the median/IQR of the private-to-true weight
-    ratio is tabulated. A density outside [0, 1] (NaN included), 0 for
-    n >= 2 (G(n, 0) never connects), or one given twice, is refused before
-    any instance is drawn: the first two would fail only when their turn
-    came, after every cell before them had run, and the cells of the third
-    would share a key of ``reports``.
+    ``trials`` times on it, cell (j, k) on the seed drawn from
+    SeedSequence(master_seed, (2, j, k)). n < 2, trials < 1, a density
+    outside [0, 1] (NaN included), 0 (G(n, 0) never connects), or one given
+    twice, is refused before any instance is drawn, not when the first cell
+    it breaks runs; the cells of a repeated density would share a
+    (p, mechanism) key.
     """
     budget = PrivacyBudget.from_rho(rho, delta, delta_inf)
-    densities = list(densities)
-    keys = [float(p) for p in densities]
-    bad = [p for p in keys if not 0.0 <= p <= 1.0]  # also true for NaN
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    densities = [float(p) for p in densities]
+    bad = [p for p in densities if not 0.0 <= p <= 1.0]  # also true for NaN
     if bad:
         raise ValueError(f"each density must lie in [0, 1]; got {', '.join(map(str, bad))}")
-    if n >= 2 and 0.0 in keys:
+    if 0.0 in densities:
         raise ValueError(f"density 0 is refused: G({n}, 0) has no edges, so it never connects")
-    repeated = sorted({p for p in keys if keys.count(p) > 1})
+    repeated = sorted({p for p in densities if densities.count(p) > 1})
     if repeated:
         raise ValueError(f"each density may be given once; repeated: "
                          f"{', '.join(map(str, repeated))}")
-    rows: list[SweepRow] = []
-    reports: dict[tuple[float, str], RunReport] = {}
+    reports: list[RunReport] = []
     for j, p in enumerate(densities):
-        gen_stream = RngStream(master_seed, (1, j))
-        g = erdos_renyi_instance(n, p, 0.0, 100.0, gen_stream)
+        g = erdos_renyi_instance(n, p, 0.0, 100.0, RngStream(master_seed, (1, j)))
         for kdx, mech in enumerate(SWEEP_MECHANISMS):
             cell_seed = int(np.random.SeedSequence(
                 entropy=master_seed, spawn_key=(2, j, kdx)).generate_state(1)[0])
             report = run_trials(g, mech, budget, trials, cell_seed)
-            report.density = float(p)
-            reports[(float(p), mech)] = report
-            q1r, q2r, q3r = _quartiles(report.ratios)
-            q1e, q2e, q3e = _quartiles(report.errors)
-            rows.append(SweepRow(sweep_param=float(p), mechanism=mech,
-                                 n=g.n, m=g.m,
-                                 median_ratio=q2r, q1_ratio=q1r, q3_ratio=q3r,
-                                 median_error=q2e, q1_error=q1e, q3_error=q3e))
-    return DensitySweepResult(rows=rows, reports=reports)
+            report.density = p
+            reports.append(report)
+    return reports
 
 
 # -- equivalence suite -------------------------------------------------------
@@ -322,6 +302,14 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 < eps_prime < math.inf:  # also false for NaN
         raise ValueError(f"eps_prime must be positive and finite, got {eps_prime}")
+    rounds = g.n - 1
+    try:
+        rho = rounds * eps_prime ** 2 / 2.0  # what n - 1 rounds at eps' spend
+    except OverflowError:  # eps' ** 2 is past the largest float from about 1.3e154
+        rho = math.inf
+    if not 0 < rho < math.inf:
+        raise ValueError(f"eps_prime {eps_prime} is out of range: {rounds} rounds at it spend "
+                         f"rho = {rho}, not a positive finite float")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     for idx, mech in enumerate(mechanisms):
@@ -332,8 +320,7 @@ def tree_distribution_test(g: WeightedGraph, eps_prime: float, trials: int,
         if mech in mechanisms[:idx]:
             raise ValueError(f"each id may be given once; {mech!r} is repeated")
     joins = join_table(g)  # needs m <= exact.MAX_EDGES
-    rounds = g.n - 1
-    budget = PrivacyBudget.from_rho(rounds * eps_prime ** 2 / 2.0, 1e-6, g.delta_inf)
+    budget = PrivacyBudget.from_rho(rho, 1e-6, g.delta_inf)
     eps_used = budget.per_round(rounds)  # bit-identical to what mechanisms derive
     oracle = {}  # each rule's oracle is computed once, and only if an id needs it
     out: dict[str, EquivalenceResult] = {}
@@ -368,20 +355,14 @@ def _report_rows(report: RunReport):
                r.error, r.runtime_ns)
 
 
-def emit_csv(report_or_sweep, path):
-    """Write a RunReport (one row per trial) or a DensitySweepResult
-    (per-trial rows with a leading sweep_param column) as CSV."""
+def emit_csv(reports, path):
+    """Write a RunReport, or a list of them, as CSV: the ``CSV_COLUMNS``
+    header once, then one row per trial, report by report."""
+    if isinstance(reports, RunReport):
+        reports = [reports]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(report_or_sweep, RunReport):
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for row in _report_rows(report_or_sweep):
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for report in reports:
+            for row in _report_rows(report):
                 fh.write(",".join(_format(v) for v in row) + "\n")
-        elif isinstance(report_or_sweep, DensitySweepResult):
-            fh.write(",".join(("sweep_param",) + CSV_COLUMNS) + "\n")
-            for (p, _), report in sorted(report_or_sweep.reports.items(),
-                                         key=lambda kv: (kv[0][0], kv[0][1])):
-                for row in _report_rows(report):
-                    fh.write(",".join(_format(v) for v in (p,) + row) + "\n")
-        else:
-            raise TypeError(f"cannot emit {type(report_or_sweep).__name__} as CSV")
 

@@ -13,7 +13,7 @@ import math
 
 from dpmst import selfcheck
 from dpmst.accounting import PrivacyBudget
-from dpmst.harness import density_sweep, run_trials
+from dpmst.harness import RunReport, density_sweep, run_trials
 from dpmst.instances import erdos_renyi_instance
 from dpmst.rng import RngStream
 
@@ -65,20 +65,20 @@ def test_criterion_5_utility_scaling():
 
 def test_criterion_6_density_sweep():
     densities = [0.1, 0.3, 0.5, 0.8, 1.0]
-    result = density_sweep(256, densities, 1.0, 50, 20240)
-    rows = {(r.sweep_param, r.mechanism): r for r in result.rows}
+    cells = {(r.density, r.mechanism): r for r in density_sweep(256, densities, 1.0, 50, 20240)}
 
-    seal = [rows[(p, "sealfon-gauss")].median_ratio for p in densities]
+    seal = [RunReport.quartiles(cells[(p, "sealfon-gauss")].ratios)[1] for p in densities]
     a_ok = all(x < y for x, y in zip(seal, seal[1:]))
 
     overlaps = []
     for p in densities:
-        x, y = rows[(p, "perturb")], rows[(p, "pamst")]
-        overlaps.append(x.q1_error <= y.q3_error and y.q1_error <= x.q3_error)
+        (x1, _, x3), (y1, _, y3) = (RunReport.quartiles(cells[(p, mech)].errors)
+                                    for mech in ("perturb", "pamst"))
+        overlaps.append(x1 <= y3 and y1 <= x3)
     b_ok = all(overlaps)
 
-    c_ratio = (rows[(1.0, "sealfon-gauss")].median_error /
-               rows[(1.0, "perturb")].median_error)
+    c_ratio = (cells[(1.0, "sealfon-gauss")].median_error() /
+               cells[(1.0, "perturb")].median_error())
     c_ok = c_ratio >= 2.0
 
     ok = a_ok and b_ok and c_ok

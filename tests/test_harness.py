@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -10,9 +11,10 @@ from dpmst.accounting import PrivacyBudget
 from dpmst.exact import (MAX_EDGES, SizeGuardError, chi_square_gof, join_table,
                          prim_tree_distribution)
 from dpmst.graph import SpanningTree, build_graph, kruskal_mst, tree_weight
-from dpmst.harness import (CSV_COLUMNS, EQUIV_MECHANISMS, _kruskal_masks, _prim_masks,
-                           _run_single_trial, _tally_trees, density_sweep, emit_csv,
-                           family_graph, run_trials, tree_distribution_test)
+from dpmst.harness import (CSV_COLUMNS, EQUIV_MECHANISMS, RunReport, TrialRecord,
+                           _kruskal_masks, _prim_masks, _run_single_trial, _tally_trees,
+                           density_sweep, emit_csv, family_graph, run_trials,
+                           tree_distribution_test)
 from dpmst.instances import erdos_renyi_instance, write_instance
 from dpmst.mechanisms import (IDS, MECHANISMS, MechanismResult, NoisyWeights,
                               UnknownMechanismError, _prim_tree, input_perturbation_mst)
@@ -70,6 +72,14 @@ class TestRunTrials:
         assert report.median_error() == pytest.approx((errors[5] + errors[6]) / 2)
         lo, hi = report.ci95_error()
         assert lo <= report.mean_error() <= hi
+
+    @pytest.mark.parametrize("trials", [5, 6])
+    def test_median_is_the_middle_quartile(self, er_graph, trials):
+        # one rule for every median: the sweep table's and median_error()'s
+        report = run_trials(er_graph, "perturb", BUDGET, trials, 9)
+        q1, median, q3 = RunReport.quartiles(report.errors)
+        assert report.median_error() == median
+        assert q1 <= median <= q3
 
     def test_errors_never_negative(self, er_graph):
         for mech in ("perturb", "kruskal", "onepass", "pamst", "sealfon-gauss"):
@@ -147,7 +157,39 @@ class TestRunTrials:
                     _run_single_trial(g, "perturb", BUDGET, 0, 0, 3.0, *true_tree(g))
 
 
+def fixed_report(mechanism="pamst", seed=7, density=None):
+    """A report with fixed records, runtimes included, so its CSV is fixed."""
+    return RunReport(mechanism, 4, 6, PrivacyBudget.from_rho(1.0, 1e-6, 0.1), seed,
+                     [TrialRecord(0, 6.0, 6.5, 0.5, 1234),
+                      TrialRecord(1, 6.0, 7.25, 1.25, 987)], density=density)
+
+
 class TestEmitCsv:
+    def test_one_report_bytes_are_pinned(self, tmp_path):
+        # the layout every CSV of runs has, p empty outside a sweep
+        out = tmp_path / "r.csv"
+        emit_csv(fixed_report(), out)
+        assert out.read_bytes() == (
+            b"mechanism,n,m,p,eps,delta,rho,eps_prime,delta_inf,trial,seed,"
+            b"true_weight,private_weight,error,runtime_ns\n"
+            b"pamst,4,6,,8.433844377699677,1e-06,1.0,0.816496580927726,0.1,0,7,"
+            b"6.0,6.5,0.5,1234\n"
+            b"pamst,4,6,,8.433844377699677,1e-06,1.0,0.816496580927726,0.1,1,7,"
+            b"6.0,7.25,1.25,987\n")
+
+    def test_list_is_one_header_then_each_body(self, tmp_path):
+        a = fixed_report(density=0.5)
+        b = fixed_report("perturb", 8, density=1.0)
+        both, one_a, one_b = tmp_path / "ab.csv", tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_csv([a, b], both)
+        emit_csv(a, one_a)
+        emit_csv(b, one_b)
+        header, *body_a = one_a.read_text().splitlines()
+        _, *body_b = one_b.read_text().splitlines()
+        assert both.read_text().splitlines() == [header] + body_a + body_b
+        assert header == ",".join(CSV_COLUMNS)
+        assert [line.split(",")[3] for line in body_a + body_b] == ["0.5"] * 2 + ["1.0"] * 2
+
     def test_header_and_shape(self, er_graph, tmp_path):
         report = run_trials(er_graph, "perturb", BUDGET, 4, 1)
         out = tmp_path / "r.csv"
@@ -189,15 +231,20 @@ class TestEmitCsv:
 
 class TestDensitySweep:
     def test_table_shape_and_csv(self, tmp_path):
-        result = density_sweep(12, [0.5, 1.0], 1.0, 4, 3)
-        assert len(result.rows) == 2 * 3
-        assert {r.mechanism for r in result.rows} == {"perturb", "pamst",
-                                                      "sealfon-gauss"}
+        reports = density_sweep(12, [0.5, 1.0], 1.0, 4, 3)
+        assert len(reports) == 2 * 3
+        assert {r.mechanism for r in reports} == {"perturb", "pamst",
+                                                  "sealfon-gauss"}
         out = tmp_path / "sweep.csv"
-        emit_csv(result, out)
+        emit_csv(reports, out)
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("sweep_param,")
+        assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 2 * 3 * 4  # per-trial rows
+
+    def test_reports_in_density_then_mechanism_order(self):
+        reports = density_sweep(12, [1.0, 0.5], 1.0, 2, 3)
+        assert [(r.density, r.mechanism) for r in reports] == [
+            (p, mech) for p in (1.0, 0.5) for mech in harness.SWEEP_MECHANISMS]
 
     def test_repeated_density_refused_before_any_instance(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -217,38 +264,35 @@ class TestDensitySweep:
         assert (code, capsys.readouterr().out) == (1, "")
         assert not out.exists()
 
-    @pytest.mark.parametrize("densities, match", [
-        ([1.0, 1.5], "must lie in \\[0, 1\\]; got 1.5$"),
-        ([0.5, -0.1], "must lie in \\[0, 1\\]; got -0.1$"),
-        ([1.0, float("nan")], "must lie in \\[0, 1\\]; got nan$"),
-        ([1.0, 0.0], "density 0 is refused: G\\(16, 0\\)")],
-        ids=["above-one", "below-zero", "nan", "zero"])
-    def test_bad_density_refused_before_any_instance(self, densities, match, tmp_path, capsys,
-                                                     monkeypatch):
+    @pytest.mark.parametrize("n, trials, densities, match", [
+        (16, 2, [1.0, 1.5], "must lie in \\[0, 1\\]; got 1.5$"),
+        (16, 2, [0.5, -0.1], "must lie in \\[0, 1\\]; got -0.1$"),
+        (16, 2, [1.0, float("nan")], "must lie in \\[0, 1\\]; got nan$"),
+        (16, 2, [1.0, 0.0], "density 0 is refused: G\\(16, 0\\)"),
+        (1, 2, [0.5, 1.0], "n must be >= 2, got 1$"),
+        (16, 0, [0.5, 1.0], "trials must be >= 1, got 0$")],
+        ids=["above-one", "below-zero", "nan", "zero", "n-1", "trials-0"])
+    def test_bad_density_refused_before_any_instance(self, n, trials, densities, match,
+                                                     tmp_path, capsys, monkeypatch):
         from dpmst import cli
 
         # a bad density used to be refused only when its turn came, after
         # every cell before it had run; 0 passed the range check, though
-        # G(n, 0) never connects for n >= 2
+        # G(n, 0) never connects for n >= 2. n = 1 used to fail in the
+        # budget's rounds check, and trials = 0 in run_trials, each after
+        # the first instance was drawn
         drawn = []
         monkeypatch.setattr(harness, "erdos_renyi_instance",
                             lambda *args, **kwargs: drawn.append(args))
         with pytest.raises(ValueError, match=match):
-            density_sweep(16, densities, 1.0, 2, 1)
+            density_sweep(n, densities, 1.0, trials, 1)
         out = tmp_path / "sweep.csv"
-        code = cli.main(["sweep-density", "--n", "16", "--densities",
-                         ",".join(map(str, densities)), "--rho", "1", "--trials", "2",
+        code = cli.main(["sweep-density", "--n", str(n), "--densities",
+                         ",".join(map(str, densities)), "--rho", "1", "--trials", str(trials),
                          "--seed", "1", "--out", str(out)])
         assert (code, capsys.readouterr().out) == (1, "")
         assert not out.exists()
         assert len(drawn) == 0
-
-    def test_rows_recomputable_from_reports(self):
-        result = density_sweep(12, [1.0], 1.0, 6, 4)
-        for row in result.rows:
-            report = result.reports[(row.sweep_param, row.mechanism)]
-            assert row.median_ratio == pytest.approx(
-                float(np.median(report.ratios)))
 
 
 class TestEquivalenceSuite:
@@ -517,14 +561,24 @@ class TestBulkTally:
         with pytest.raises(ValueError, match="trials"):
             tree_distribution_test(family_graph("k3"), 1.0, trials, 0.001)
 
-    @pytest.mark.parametrize("eps_prime", [-1.0, 0.0, np.nan, np.inf])
-    def test_bad_eps_prime_rejected_before_any_draw(self, eps_prime, monkeypatch):
-        # -1 used to run at +1, since only eps'^2 reaches the budget
+    @pytest.mark.parametrize("eps_prime, message", [
+        (-1.0, "eps_prime must be positive and finite"),
+        (0.0, "eps_prime must be positive and finite"),
+        (np.nan, "eps_prime must be positive and finite"),
+        (np.inf, "eps_prime must be positive and finite"),
+        (1e154, "eps_prime 1e+154 is out of range: 2 rounds at it spend rho = inf,"),
+        (1e300, "eps_prime 1e+300 is out of range: 2 rounds at it spend rho = inf,"),
+        (1e-170, "eps_prime 1e-170 is out of range: 2 rounds at it spend rho = 0.0,"),
+    ], ids=["-1.0", "0.0", "nan", "inf", "1e+154", "1e+300", "1e-170"])
+    def test_bad_eps_prime_rejected_before_any_draw(self, eps_prime, message, monkeypatch):
+        # -1 used to run at +1, since only eps'^2 reaches the budget; on k3,
+        # 2 * eps'^2 / 2 overflowed: 1e154 was refused as an infinite rho,
+        # and 1e300 raised OverflowError
         def no_stream(*args):
             raise AssertionError("opened a stream before the eps' check")
 
         monkeypatch.setattr(harness, "RngStream", no_stream)
-        with pytest.raises(ValueError, match="eps_prime must be positive and finite"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             tree_distribution_test(family_graph("k3"), eps_prime, 100, 0.001)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, np.nan])
@@ -797,8 +851,8 @@ class TestCli:
         assert cli.main(["sweep-density", "--n", "10", "--densities", "0.8,1.0",
                          "--rho", "1.0", "--trials", "3", "--seed", "2",
                          "--out", str(out)]) == 0
-        result = density_sweep(10, [0.8, 1.0], 1.0, 3, 2)
-        emit_csv(result, ref)
+        reports = density_sweep(10, [0.8, 1.0], 1.0, 3, 2)
+        emit_csv(reports, ref)
 
         def without_runtime(path):
             return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
@@ -806,9 +860,10 @@ class TestCli:
         assert without_runtime(out) == without_runtime(ref)
         lines = capsys.readouterr().out.splitlines()
         assert "ratio IQR" in lines[0]
-        assert len(lines) == 2 + len(result.rows)
-        for line, row in zip(lines[1:], result.rows):
-            assert f"[{row.q1_ratio:8.4f}, {row.q3_ratio:8.4f}]" in line
+        assert len(lines) == 2 + len(reports)
+        for line, r in zip(lines[1:], reports):
+            q1, _, q3 = r.quartiles(r.ratios)
+            assert f"[{q1:8.4f}, {q3:8.4f}]" in line
 
     def test_bad_density_list_exit_one(self, tmp_path):
         r = self.run_cli("sweep-density", "--n", "10", "--densities", "0.5,huh",
@@ -820,7 +875,10 @@ class TestCli:
         ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
         ("--alpha", "nan", "alpha must be in (0, 1), got nan"),
         ("--trials", "0", "trials must be >= 1, got 0"),
-    ], ids=["alpha-0", "alpha-nan", "trials-0"])
+        ("--eps-prime", "1e300",
+         "eps_prime 1e+300 is out of range: 2 rounds at it spend rho = inf, "
+         "not a positive finite float"),
+    ], ids=["alpha-0", "alpha-nan", "trials-0", "eps-prime-1e300"])
     def test_check_equiv_bad_input_exit_one(self, arg, value, message, capsys):
         from dpmst import cli
 
