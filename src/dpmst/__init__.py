@@ -12,8 +12,7 @@ from .harness import RunReport, density_sweep, emit_csv, run_trials, tree_distri
 from .instances import (erdos_renyi_instance, hard_instance, mi_sensitivity,
                         mi_weight, mutual_info_chain_instance, parity_even_prob,
                         read_instance, write_instance)
-from .mechanisms import (MECHANISMS, MechanismResult, NoisyWeights,
-                         input_perturbation_mst, pamst, perturb_weights,
+from .mechanisms import (MECHANISMS, MechanismResult, input_perturbation_mst, pamst,
                          run_mechanism, sealfon_mst)
 from .rng import RngStream
 from .sampling import private_max_weight_basis

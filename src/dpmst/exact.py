@@ -224,11 +224,13 @@ def chi_square_gof(counts: dict, exact: dict, alpha: float) -> ChiSquareResult:
     """Pearson goodness-of-fit of observed tallies against an exact
     distribution, both dicts keyed by outcome.
 
-    Bins with expected count below 5 are pooled (the pool folds
-    into the smallest regular bin if it stays undersized). Any observed mass
-    outside the exact support fails outright. The threshold is the upper-alpha
-    chi-square quantile, from ``scipy.special.chdtri``, which is imported on
-    the first call so that ``import dpmst`` does not load scipy.
+    Bins with expected count below 5 are pooled (the pool folds into the
+    smallest regular bin if it stays undersized). Any observed mass on an
+    outcome outside the exact support, or of exact probability 0, fails
+    outright; a pool whose expected count is 0 is then empty and is dropped.
+    The threshold is the upper-alpha chi-square quantile, from
+    ``scipy.special.chdtri``, which is imported on the first call so that
+    ``import dpmst`` does not load scipy.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -238,20 +240,19 @@ def chi_square_gof(counts: dict, exact: dict, alpha: float) -> ChiSquareResult:
     if len(exact) < 2:
         raise ValueError("degenerate support")
     stray = sum(c for outcome, c in counts.items()
-                if c > 0 and outcome not in exact)
+                if c > 0 and not exact.get(outcome, 0) > 0)
     if stray:
         statistic, df = inf, len(exact) - 1
     else:
         bins = [(p * n, counts.get(outcome, 0)) for outcome, p in exact.items()]
         small = [(e, o) for e, o in bins if e < 5.0]
         big = [(e, o) for e, o in bins if e >= 5.0]
-        if small:
-            pooled = (fsum(e for e, _ in small), sum(o for _, o in small))
-            if pooled[0] >= 5.0 or len(big) < 2:
-                big.append(pooled)
-            else:
-                i = min(range(len(big)), key=lambda j: big[j][0])
-                big[i] = (big[i][0] + pooled[0], big[i][1] + pooled[1])
+        pooled = (fsum(e for e, _ in small), sum(o for _, o in small))
+        if 0 < pooled[0] < 5.0 and len(big) >= 2:
+            i = min(range(len(big)), key=lambda j: big[j][0])
+            big[i] = (big[i][0] + pooled[0], big[i][1] + pooled[1])
+        elif pooled[0] > 0:
+            big.append(pooled)
         if len(big) < 2:
             raise ValueError("fewer than two usable bins after pooling")
         statistic = fsum((o - e) ** 2 / e for e, o in big)

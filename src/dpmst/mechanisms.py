@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -82,35 +82,34 @@ class NoisyWeights:
         return total + (len(edges) - found) * self.clamp if found < len(edges) else total
 
 
-@dataclass(init=False)
+@dataclass(frozen=True)
 class MechanismResult:
-    """Output of one mechanism invocation.
+    """Output of one mechanism invocation; no field can be rebound once built.
 
     ``tree`` is the released ``SpanningTree``, built from its sorted index
     array; a caller reads ``tree.index`` (0-based) or ``tree.edge_ids``.
     ``noise`` is the mechanism's per-edge noisy weights, a ``NoisyWeights``
-    record, when it computed them; ``noisy_weights``, an m-vector, builds the
-    full record. An id with no tree rule in ``IDS`` (the input-privatization
-    baselines) releases its noisy vector. For every other id ``noise``,
-    ``ops`` and ``wall_time_ns`` are diagnostics, not private outputs: the
-    noise is calibrated to privatize the tree alone. Input perturbation's
-    tree is an MST of the m-vector its record stands for, compact or full,
-    and the true tree's clamped sum is at most its full-noise sum, so a
-    noisy-minimality check against it is no weaker.
+    record, when it computed them. ``noisy_weights``, an m-vector, is an
+    init-only alias that builds the full record; no mechanism passes it,
+    and it goes once the benchmark's own test fake stops passing it. An id
+    with no tree rule in ``IDS`` (the input-privatization baselines)
+    releases its noisy vector. For every
+    other id ``noise``, ``ops`` and ``wall_time_ns`` are diagnostics, not
+    private outputs: the noise is calibrated to privatize the tree alone.
+    Input perturbation's tree is an MST of the m-vector its record stands
+    for, compact or full, and the true tree's clamped sum is at most its
+    full-noise sum, so a noisy-minimality check against it is no weaker.
     """
 
     tree: SpanningTree
-    noise: NoisyWeights | None
-    wall_time_ns: int
-    ops: Mapping
+    noise: NoisyWeights | None = None
+    wall_time_ns: int = 0
+    ops: Mapping = field(default_factory=dict)
+    noisy_weights: InitVar[np.ndarray | None] = None
 
-    def __init__(self, tree: SpanningTree, noisy_weights: np.ndarray | None = None,
-                 wall_time_ns: int = 0, ops: Mapping | None = None,
-                 noise: NoisyWeights | None = None):
+    def __post_init__(self, noisy_weights):
         if noisy_weights is not None:
-            noise = NoisyWeights(len(noisy_weights), noisy_weights)
-        self.tree, self.noise, self.wall_time_ns = tree, noise, wall_time_ns
-        self.ops = {} if ops is None else ops
+            object.__setattr__(self, "noise", NoisyWeights(len(noisy_weights), noisy_weights))
 
 
 def perturb_weights(g: WeightedGraph, eps_prime: float, delta_inf: float,
@@ -438,7 +437,7 @@ def sealfon_mst(g: WeightedGraph, budget: PrivacyBudget, stream: RngStream,
         raise ValueError(f"unknown mode {mode!r}")
     noisy += g.weights
     tree = kruskal_mst(g, noisy)
-    return MechanismResult(tree=tree, noisy_weights=noisy,
+    return MechanismResult(tree=tree, noise=NoisyWeights(g.m, noisy),
                            wall_time_ns=time.perf_counter_ns() - t0)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dpmst.accounting import PrivacyBudget
 from dpmst.exact import (MAX_EDGES, SizeGuardError, brute_force_mst, chi_square_gof,
                          cycle_rule, enumerate_spanning_trees,
                          exact_selection_distribution, exact_tree_distribution,
@@ -19,7 +21,7 @@ from dpmst.rng import RngStream
 from dpmst.selfcheck import random_connected_graph
 
 from .test_graph import k4, triangle
-from .test_mechanisms import parallel_edges
+from .test_mechanisms import k4_asymmetric, parallel_edges
 
 
 def matrix_tree_count(g):
@@ -461,6 +463,35 @@ class TestChiSquare:
         res = chi_square_gof({"a": 96, "b": 3, "c": 1}, exact, 0.01)
         assert res.df == 1  # the two 2-count bins pool into one
 
+    # k3's Kruskal law at eps' = 1e4: the two heavier trees underflow to 0
+    UNDERFLOWED = {"a": 1.0, "b": 0.0, "c": 0.0}
+
+    def test_empty_pool_of_zero_expectation_is_dropped(self):
+        # it was kept as a bin of its own beside the one big bin, and its
+        # (0 - 0)^2 / 0 term raised ZeroDivisionError
+        with pytest.raises(ValueError, match="fewer than two usable bins"):
+            chi_square_gof({"a": 100}, self.UNDERFLOWED, 0.001)
+        res = chi_square_gof({"a": 50, "b": 50}, {"a": 0.5, "b": 0.5, "c": 0.0}, 0.001)
+        assert (res.statistic, res.df, res.passed) == (0.0, 1, True)
+
+    @pytest.mark.parametrize("counts, exact", [
+        ({"a": 50, "b": 49, "c": 1}, UNDERFLOWED),
+        ({"a": 50, "b": 49, "c": 1}, {"a": 0.5, "b": 0.5, "c": 0.0}),
+        ({"a": 50, "b": 49, "d": 1}, {"a": 0.5, "b": 0.5, "c": 0.01, "d": 0.0}),
+    ], ids=["one-big-bin", "two-big-bins", "zero-beside-positive"])
+    def test_mass_in_a_pool_of_zero_expectation_fails(self, counts, exact):
+        # outside the support in all but name: beside one big bin it raised
+        # ZeroDivisionError, and folded into two it could pass, also when a
+        # small bin of positive expectation shares its pool
+        res = chi_square_gof(counts, exact, 0.001)
+        assert math.isinf(res.statistic) and not res.passed
+        assert res.df == len(exact) - 1
+
+    def test_tiny_positive_pool_is_a_bin_of_its_own(self):
+        # k3 at eps' = 1e3: the pool's expected count is tiny but positive
+        res = chi_square_gof({"a": 100}, {"a": 1.0, "b": 7e-218, "c": 0.0}, 0.001)
+        assert res.df == 1 and res.statistic < 1e-200 and res.passed
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
     def test_alpha_outside_open_unit_interval_rejected(self, alpha):
         # alpha = 0 gave an inf threshold that every tally passed
@@ -470,3 +501,47 @@ class TestChiSquare:
     def test_degenerate_support_rejected(self):
         with pytest.raises(ValueError):
             chi_square_gof({"a": 10}, {"a": 1.0}, 0.01)
+
+
+class TestPrivacyLoss:
+    """The privacy claim itself, on the exact oracles: n-1 rounds of the
+    exponential mechanism at eps' each change no tree's log-probability by
+    more than (n-1) * eps' between neighbouring weight vectors, and an
+    oracle run at 2 eps' (the mutants' exponent) does.
+
+    The graph is the asymmetric K4 at delta_inf = 1, against all 728
+    neighbours w + s, s in {-1, 0, +1}^6, s != 0. eps' comes from
+    ``budget.per_round``, as the mechanisms take it."""
+
+    NEIGHBOURS = [np.array(s) for s in itertools.product((-1.0, 0.0, 1.0), repeat=6) if any(s)]
+
+    @classmethod
+    def loss_ratio(cls, oracle, eps, factor=1.0):
+        """max |log P(T) / P'(T)| over the trees T and the neighbours,
+        over (n-1) * eps', with the oracle run at ``factor`` * eps'."""
+        g = k4_asymmetric()
+        eps_prime = PrivacyBudget.from_rho((g.n - 1) * eps ** 2 / 2, 1e-6, 1.0).per_round(g.n - 1)
+        base = oracle(g, factor * eps_prime)
+        trees = list(base)
+        log_p = np.log([base[t] for t in trees])
+        worst = 0.0
+        for s in cls.NEIGHBOURS:
+            near = oracle(k4(g.weights + s), factor * eps_prime)
+            assert set(near) == set(trees)
+            worst = max(worst, np.abs(log_p - np.log([near[t] for t in trees])).max())
+        return worst / ((g.n - 1) * eps_prime)
+
+    @pytest.mark.parametrize("oracle, ratios, mutant_ratios", [
+        (exact_tree_distribution, (0.788, 0.886, 0.988), (1.771, 1.927, 1.999)),
+        (prim_tree_distribution, (0.832, 0.900, 0.989), (1.800, 1.931, 1.999)),
+    ], ids=["kruskal", "prim"])
+    @pytest.mark.parametrize("i, eps", [(0, 0.5), (1, 1.0), (2, 3.0)],
+                             ids=["eps-0.5", "eps-1", "eps-3"])
+    def test_pure_dp_bound_holds_and_the_mutant_breaks_it(self, oracle, ratios,
+                                                           mutant_ratios, i, eps):
+        ratio = self.loss_ratio(oracle, eps)
+        assert ratio <= 1.0
+        assert ratio == pytest.approx(ratios[i], abs=1e-3)
+        mutant = self.loss_ratio(oracle, eps, factor=2.0)
+        assert mutant > 1.0
+        assert mutant == pytest.approx(mutant_ratios[i], abs=1e-3)

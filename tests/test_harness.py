@@ -112,7 +112,7 @@ class TestRunTrials:
         # relative tolerance may be added to it
         def heavy_tree(g, budget, stream):
             return MechanismResult(tree=SpanningTree(frozenset({2, 3})),
-                                   noisy_weights=np.array([-np.inf, 0.0, 5.0]))
+                                   noise=NoisyWeights(3, np.array([-np.inf, 0.0, 5.0])))
 
         monkeypatch.setitem(MECHANISMS, "perturb", heavy_tree)
         with pytest.raises(RuntimeError, match="non-minimal"):
@@ -871,19 +871,22 @@ class TestCli:
                          "--out", str(tmp_path / "s.csv"))
         assert r.returncode == 1
 
-    @pytest.mark.parametrize("arg, value, message", [
-        ("--alpha", "0", "alpha must be in (0, 1), got 0.0"),
-        ("--alpha", "nan", "alpha must be in (0, 1), got nan"),
-        ("--trials", "0", "trials must be >= 1, got 0"),
-        ("--eps-prime", "1e300",
+    @pytest.mark.parametrize("args, message", [
+        (("--alpha", "0"), "alpha must be in (0, 1), got 0.0"),
+        (("--alpha", "nan"), "alpha must be in (0, 1), got nan"),
+        (("--trials", "0"), "trials must be >= 1, got 0"),
+        (("--eps-prime", "1e300"),
          "eps_prime 1e+300 is out of range: 2 rounds at it spend rho = inf, "
          "not a positive finite float"),
-    ], ids=["alpha-0", "alpha-nan", "trials-0", "eps-prime-1e300"])
-    def test_check_equiv_bad_input_exit_one(self, arg, value, message, capsys):
+        # every tree but the MST underflows to an expected count of 0
+        (("--eps-prime", "1e4", "--trials", "100", "--seed", "1"),
+         "fewer than two usable bins after pooling"),
+    ], ids=["alpha-0", "alpha-nan", "trials-0", "eps-prime-1e300", "eps-prime-1e4"])
+    def test_check_equiv_bad_input_exit_one(self, args, message, capsys):
         from dpmst import cli
 
         # --alpha 0 used to pass every mechanism (threshold inf) and exit 0
-        code = cli.main(["check-equiv", "--family", "k3", "--eps-prime", "1.0", arg, value])
+        code = cli.main(["check-equiv", "--family", "k3", "--eps-prime", "1.0", *args])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"dpmst check-equiv: {message}"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from functools import partial
@@ -117,7 +118,7 @@ def _reference_one_pass(g, budget, stream):
 def wrong_exponent(g, budget, stream):
     """Input perturbation at 2 eps': the noise is half what eps' needs."""
     noisy = perturb_weights(g, 2.0 * budget.per_round(g.n - 1), budget.delta_inf, stream)
-    return MechanismResult(tree=kruskal_mst(g, noisy), noisy_weights=noisy)
+    return MechanismResult(tree=kruskal_mst(g, noisy), noise=NoisyWeights(g.m, noisy))
 
 
 def _reference_wrong_exponent(g, budget, stream):
@@ -1328,6 +1329,42 @@ class TestCrossMechanismInvariants:
                 for seed in range(5):
                     r = run_mechanism(mech, g, budget, RngStream(24, (seed,)))
                     assert r.tree == kruskal_mst(g, expand(r.noise))
+
+
+class TestMechanismResult:
+    """A result has four fields, none of which can be rebound once built."""
+
+    def test_built_from_its_four_fields(self):
+        tree, noisy = SpanningTree(frozenset({1, 2})), np.array([1.0, 2.0, 3.0])
+        assert [f.name for f in dataclasses.fields(MechanismResult)] == \
+            ["tree", "noise", "wall_time_ns", "ops"]
+        # init-only: perfbench's test fake still builds its result with it
+        alias = MechanismResult(tree=tree, noisy_weights=noisy).noise
+        assert alias.values is noisy and (alias.m, alias.ids, alias.clamp) == (3, None, None)
+        r = MechanismResult(tree=tree)
+        assert (r.noise, r.wall_time_ns, r.ops) == (None, 0, {})
+        assert r.ops is not MechanismResult(tree=tree).ops
+        noise = NoisyWeights(3, noisy)
+        assert MechanismResult(tree, noise, 5, {"draws": 3}) == \
+            MechanismResult(tree=tree, noise=noise, wall_time_ns=5, ops={"draws": 3})
+        assert MechanismResult(tree=tree, noise=noise) != \
+            MechanismResult(tree=tree, noise=NoisyWeights(3, noisy))
+
+    @pytest.mark.parametrize("mech", sorted(MECHANISMS))
+    def test_fields_cannot_be_set(self, mech):
+        r = run_mechanism(mech, triangle(), HUGE, RngStream(25))
+        for name, value in (("tree", SpanningTree(frozenset({1, 3}))), ("noise", None),
+                            ("wall_time_ns", 0), ("ops", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, value)
+
+    def test_perturbed_vector_has_no_package_name(self):
+        import dpmst
+
+        assert len(dpmst.__all__) == 48
+        names = {"perturb_weights", "NoisyWeights"}
+        assert not names & (set(dpmst.__all__) | set(vars(dpmst)))
+        assert names <= set(vars(mechanisms))
 
 
 def spans_as_its_own_ids(g, tree):
